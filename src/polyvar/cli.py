@@ -14,34 +14,18 @@ import os
 import sys
 import tempfile
 
+from .multimaps import PieceLimitError
 from .presets import load_preset, preset_ids
 from .problemfile import ProblemFile, ProblemFileError, load_path
 from .runner import (
     EXIT_INPUT,
+    OPS,
     QUALS_DIAGNOSTIC,
     QUALS_STRICT,
     run_query,
 )
 
-_OPS_BY_COMMAND = {
-    "normal-cone": ("normal-cone",),
-    "coderivative": ("coderivative",),
-    "subdiff": ("subdiff",),
-    "check-aubin": ("check-aubin",),
-    "check-lipschitz": ("check-lipschitz",),
-    "check-lqc": ("check-lqc",),
-    "check-normal-densed": ("check-normal-densed",),
-    "mpec-check": ("mpec-check",),
-}
-
-_RULE_OPS = {
-    "product": "rule-product",
-    "mixed-product": "rule-mixed-product",
-    "intersection": "rule-intersection",
-    "preimage": "rule-preimage",
-    "sum": "rule-sum",
-    "chain": "rule-chain",
-}
+RULE_PREFIX = "rule-"  # op "rule-X" runs as `polyvar rule X`
 
 
 def _common_flags(p: argparse.ArgumentParser) -> None:
@@ -66,12 +50,14 @@ def build_parser() -> argparse.ArgumentParser:
         "relative to a convex set",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _OPS_BY_COMMAND:
-        p = sub.add_parser(name, help=f"run {name} queries from a problem file")
-        p.add_argument("file")
-        _common_flags(p)
+    for name in OPS:
+        if not name.startswith(RULE_PREFIX):
+            p = sub.add_parser(name, help=f"run {name} queries from a problem file")
+            p.add_argument("file")
+            _common_flags(p)
     rule = sub.add_parser("rule", help="run calculus-rule queries")
-    rule.add_argument("which", choices=sorted(_RULE_OPS))
+    rules = (op[len(RULE_PREFIX) :] for op in OPS if op.startswith(RULE_PREFIX))
+    rule.add_argument("which", choices=sorted(rules))
     rule.add_argument("file")
     _common_flags(rule)
     pe = sub.add_parser("paper-example", help="run a bundled worked example")
@@ -121,10 +107,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             pf = load_path(args.file)
             if args.command == "rule":
-                ops = (_RULE_OPS[args.which],)
+                ops = (RULE_PREFIX + args.which,)
                 command_label = f"rule {args.which}"
             else:
-                ops = _OPS_BY_COMMAND[args.command]
+                ops = (args.command,)
                 command_label = args.command
             names = args.query
         queries = _select_queries(pf, ops, names)
@@ -149,8 +135,8 @@ def main(argv: list[str] | None = None) -> int:
             results.append(
                 {"name": q["name"], "op": q["op"], "exit_code": code, **rendered}
             )
-    except ValueError as exc:
-        sys.stderr.write(f"input error: {exc}\n")
+    except (ValueError, PieceLimitError) as exc:
+        sys.stderr.write(f"input error: query {q['name']!r}: {exc}\n")
         return EXIT_INPUT
 
     report = {

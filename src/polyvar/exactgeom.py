@@ -174,9 +174,6 @@ class ConvexPoly:
             dot(e, x) == d for e, d in self.eqs
         )
 
-    def active_ineqs(self, x: Vec) -> tuple[Row, ...]:
-        return tuple((a, b) for a, b in self.ineqs if dot(a, x) == b)
-
     def intersect(self, other: "ConvexPoly") -> "ConvexPoly":
         assert self.dim == other.dim
         return ConvexPoly.make(
@@ -276,11 +273,6 @@ class ConvexPoly:
 
     def feasible_point(self) -> Vec | None:
         return lp.feasible_point(list(self.ineqs), list(self.eqs), self.dim)
-
-    def relative_interior_point(self) -> Vec | None:
-        return lp.strict_feasible_point(
-            [], list(self.ineqs), list(self.eqs), self.dim
-        )
 
     def reflect(self) -> "ConvexPoly":
         """The set {-x : x in self}."""

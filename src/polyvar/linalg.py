@@ -36,10 +36,6 @@ def zero(dim: int) -> Vec:
     return (Fraction(0),) * dim
 
 
-def unit(dim: int, i: int) -> Vec:
-    return tuple(Fraction(1 if j == i else 0) for j in range(dim))
-
-
 def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
@@ -58,10 +54,6 @@ def neg(a: Vec) -> Vec:
 
 def scale(a: Vec, s: Fraction) -> Vec:
     return tuple(x * s for x in a)
-
-
-def concat(a: Vec, b: Vec) -> Vec:
-    return a + b
 
 
 def frozen_rows(rows) -> tuple[tuple[Vec, Fraction], ...]:
@@ -93,17 +85,6 @@ def primitive(a: Vec) -> Vec:
     for v in ints:
         g = gcd(g, abs(v))
     return tuple(Fraction(v // g) for v in ints)
-
-
-def oriented_primitive(a: Vec) -> tuple[Vec, int]:
-    """Primitive form with the first nonzero entry positive; returns (row, sign)."""
-    p = primitive(a)
-    for x in p:
-        if x != 0:
-            if x < 0:
-                return neg(p), -1
-            return p, 1
-    return p, 1
 
 
 def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:

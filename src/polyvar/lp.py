@@ -242,9 +242,3 @@ def strict_feasible_point(
         return None
     assert x is not None
     return x[:dim]
-
-
-def optimum(
-    c: Vec, ineqs: list[Row], eqs: list[Row], dim: int, maximize: bool = True
-) -> tuple[str, Vec | None, Fraction | None]:
-    return solve(c, ineqs, eqs, dim, maximize=maximize)

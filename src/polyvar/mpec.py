@@ -11,7 +11,6 @@ diagnostics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactgeom import ConvexPoly, PolyUnion, homogeneous_union_to_cones
 from .linalg import Vec, zero

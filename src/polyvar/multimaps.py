@@ -24,6 +24,7 @@ from .exactgeom import (
     homogeneous_union_to_cones,
     slice_cone_at_head,
     slice_cone_at_tail,
+    union_subset,
 )
 from .linalg import Vec, dot, neg, zero
 from .quals import normal_densed_check
@@ -51,13 +52,6 @@ class PolyMultimap:
     in_dim: int
     out_dim: int
     graph: PolySet
-
-    @staticmethod
-    def from_graph(in_dim: int, out_dim: int, pieces) -> "PolyMultimap":
-        g = pieces if isinstance(pieces, PolySet) else PolySet.make(
-            in_dim + out_dim, list(pieces)
-        )
-        return PolyMultimap(in_dim, out_dim, g)
 
     @staticmethod
     def linear(matrix: tuple[tuple, ...], in_dim: int, out_dim: int) -> "PolyMultimap":
@@ -436,19 +430,13 @@ def sum_rule(
             )
         rhs = PolyUnion.make(n, parts)
 
-    ok, witness = union_subset_report(lhs, rhs)
+    ok, witness = union_subset(lhs, rhs)
     quals = (
         ("q1", q1),
         ("q2", q2),
         (f"inner_{variant}", regularity),
     )
     return RuleReport("sum-rule", lhs, rhs, quals, ok, None, witness)
-
-
-def union_subset_report(lhs: PolyUnion, rhs: PolyUnion):
-    from .exactgeom import union_subset
-
-    return union_subset(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +530,7 @@ def chain_rule(
             parts.extend(rhs_at(cell.witness).parts)
         rhs = PolyUnion.make(n, parts)
 
-    ok, witness = union_subset_report(lhs, rhs)
+    ok, witness = union_subset(lhs, rhs)
     quals = (
         ("q1", q1),
         ("q2", q2),

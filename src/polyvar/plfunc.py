@@ -24,7 +24,7 @@ from .exactgeom import (
     homogeneous_union_to_cones,
     slice_cone_at_tail,
 )
-from .linalg import Vec, as_vec, dot, neg, zero
+from .linalg import Vec, as_vec, neg, zero
 from .multimaps import PolyMultimap, coderivative_wrt
 from .verdicts import TriVerdict
 

@@ -18,6 +18,7 @@ from .exactgeom import ConvexPoly, PolySet
 from .linalg import Vec, rat
 from .multimaps import PolyMultimap
 from .plfunc import PLFunc
+from .runner import FIELD_TYPES, OPS, Field, dims_of
 
 VERSION_TAG = "polyvar-1"
 
@@ -30,7 +31,7 @@ def _fail(path: str, message: str):
     raise ProblemFileError(f"{path}: {message}")
 
 
-def _expect_keys(obj: dict, path: str, required: set[str], optional: set[str] = frozenset()):
+def _expect_keys(obj: dict, path: str, required, optional=frozenset()):
     if not isinstance(obj, dict):
         _fail(path, "expected an object")
     for k in obj:
@@ -73,11 +74,15 @@ def _rows(values: Any, dim: int, path: str) -> list[tuple[Vec, Fraction]]:
     return out
 
 
+def _positive_int(value: Any, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        _fail(path, "expected a positive integer")
+    return value
+
+
 def _convex(spec: dict, path: str) -> ConvexPoly:
     _expect_keys(spec, path, {"type", "dim"}, {"ineqs", "eqs"})
-    dim = spec["dim"]
-    if not isinstance(dim, int) or dim <= 0:
-        _fail(f"{path}.dim", "dimension must be a positive integer")
+    dim = _positive_int(spec["dim"], f"{path}.dim")
     return ConvexPoly.make(
         dim,
         _rows(spec.get("ineqs", []), dim, f"{path}.ineqs"),
@@ -110,16 +115,17 @@ def _build_object(name: str, spec: Any, path: str):
         return _convex(spec, path)
     if t == "polyset":
         _expect_keys(spec, path, {"type", "dim", "pieces"})
-        dim = spec["dim"]
+        dim = _positive_int(spec["dim"], f"{path}.dim")
         return PolySet.make(dim, _pieces(spec["pieces"], dim, f"{path}.pieces"))
     if t == "multimap":
         _expect_keys(spec, path, {"type", "in_dim", "out_dim", "pieces"})
-        n, m = spec["in_dim"], spec["out_dim"]
+        n = _positive_int(spec["in_dim"], f"{path}.in_dim")
+        m = _positive_int(spec["out_dim"], f"{path}.out_dim")
         pieces = _pieces(spec["pieces"], n + m, f"{path}.pieces")
         return PolyMultimap(n, m, PolySet.make(n + m, pieces))
     if t == "plfunc":
         _expect_keys(spec, path, {"type", "dim", "epi_pieces"})
-        dim = spec["dim"]
+        dim = _positive_int(spec["dim"], f"{path}.dim")
         return PLFunc.from_epigraph_pieces(
             dim, _pieces(spec["epi_pieces"], dim + 1, f"{path}.epi_pieces")
         )
@@ -132,28 +138,35 @@ def _build_object(name: str, spec: Any, path: str):
     _fail(f"{path}.type", f"unknown object type {t!r}")
 
 
-_QUERY_FIELDS: dict[str, tuple[set[str], set[str]]] = {
-    "normal-cone": ({"omega", "point", "kind"}, {"wrt"}),
-    "coderivative": ({"map", "x", "y", "ystar"}, {"wrt"}),
-    "subdiff": ({"func", "point", "kind"}, {"wrt"}),
-    "check-aubin": ({"map", "x", "y"}, {"wrt"}),
-    "check-lipschitz": ({"func", "point"}, {"wrt"}),
-    "check-lqc": ({"omega1", "omega2", "c1", "c2", "point"}, set()),
-    "check-normal-densed": ({"omega1", "omega2", "c1", "c2", "point"}, set()),
-    "rule-product": ({"omega1", "c1", "omega2", "c2", "x1", "x2"}, set()),
-    "rule-mixed-product": (
-        {"omega1", "c1", "omega2", "c2", "n", "m", "s", "point"},
-        {"pairing"},
-    ),
-    "rule-intersection": ({"omega1", "omega2", "c1", "c2", "point"}, set()),
-    "rule-preimage": ({"map", "theta", "wrt", "point"}, set()),
-    "rule-sum": (
-        {"map1", "map2", "c1", "c2", "x", "y", "y1", "y2", "ystar"},
-        {"variant"},
-    ),
-    "rule-chain": ({"inner", "outer", "wrt", "x", "z", "y", "zstar"}, {"variant"}),
-    "mpec-check": ({"f", "g", "c1", "c2", "point"}, set()),
-}
+_TYPE_NAMES = {t: name for name, t in FIELD_TYPES.items() if isinstance(t, type)}
+
+
+def _check_field(field: Field, value: Any, objects: dict, path: str) -> None:
+    if field.is_ref:
+        if not isinstance(value, str) or value not in objects:
+            _fail(path, f"unknown object reference {value!r}")
+        if not isinstance(objects[value], field.type):
+            actual = _TYPE_NAMES[type(objects[value])]
+            _fail(path, f"{value!r} is a {actual}, expected a {_TYPE_NAMES[field.type]}")
+    elif field.type is int:
+        _positive_int(value, path)
+    elif value not in field.type:
+        _fail(path, f"expected one of {', '.join(field.type)}")
+
+
+def _check_dims(fields: tuple[Field, ...], query: dict, objects: dict, path: str) -> None:
+    """Fields that share a `dims` symbol agree; "n+s" sums integer fields."""
+    sizes = {f.name: query[f.name] for f in fields if f.type is int}
+    origin: dict[str, str] = {}
+    for f in fields:
+        if not f.dims or f.name not in query:
+            continue
+        for pattern, dim in zip(f.dims.split(">"), dims_of(objects[query[f.name]])):
+            if pattern not in sizes and "+" not in pattern:
+                sizes[pattern], origin[pattern] = dim, f.name
+            elif dim != (want := sum(sizes[s] for s in pattern.split("+"))):
+                against = origin.get(pattern, pattern)
+                _fail(f"{path}.{f.name}", f"dimension {dim} does not match {against!r} ({want})")
 
 
 @dataclass(frozen=True)
@@ -187,20 +200,20 @@ def loads(text: str) -> ProblemFile:
         path = f"$.queries[{i}]"
         if not isinstance(q, dict) or "op" not in q or "name" not in q:
             _fail(path, "a query needs 'name' and 'op'")
-        op = q["op"]
-        if op not in _QUERY_FIELDS:
-            _fail(f"{path}.op", f"unknown operation {op!r}")
-        required, optional = _QUERY_FIELDS[op]
-        _expect_keys(q, path, required | {"op", "name"}, optional)
+        if not isinstance(q["name"], str):
+            _fail(f"{path}.name", "a query name must be a string")
+        op = OPS.get(q["op"]) if isinstance(q["op"], str) else None
+        if op is None:
+            _fail(f"{path}.op", f"unknown operation {q['op']!r}")
+        required = ("op", "name") + tuple(f.name for f in op.fields if not f.optional)
+        _expect_keys(q, path, required, {f.name for f in op.fields if f.optional})
         if q["name"] in seen:
             _fail(f"{path}.name", "duplicate query name")
         seen.add(q["name"])
-        for field in required | (optional & set(q)):
-            if field in ("kind", "pairing", "variant", "n", "m", "s", "op", "name"):
-                continue
-            ref = q[field]
-            if not isinstance(ref, str) or ref not in objects:
-                _fail(f"{path}.{field}", f"unknown object reference {ref!r}")
+        for f in op.fields:
+            if f.name in q:
+                _check_field(f, q[f.name], objects, f"{path}.{f.name}")
+        _check_dims(op.fields, q, objects, path)
         queries.append(q)
     return ProblemFile(objects, tuple(queries))
 

@@ -1,13 +1,18 @@
-"""Query execution and deterministic report rendering for the CLI."""
+"""Query execution and deterministic report rendering for the CLI.
+
+`OPS` is the one table of query operations: the problem-file schema
+(`problemfile.loads`), the CLI subcommands (`cli`) and `run_query` all
+read it.
+"""
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
-from . import calculus, mpec, multimaps, oracle, plfunc
-from .cones import frechet_normal_wrt, limiting_normal_wrt, proximal_normal_wrt
+from . import calculus, cones, mpec, multimaps, oracle, plfunc
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet, PolyUnion, dd_convert
 from .linalg import Vec, neg
 from .verdicts import FAILS, HOLDS, UNKNOWN, RuleReport, TriVerdict
@@ -112,10 +117,61 @@ def render(obj: Any, decimal: bool = False):
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
-# -- execution ---------------------------------------------------------------
+# -- the op table ------------------------------------------------------------
 
 
-def _verdict_code(v: TriVerdict) -> int:
+@dataclass(frozen=True)
+class Field:
+    """A query field.  `dims` names its dimension, and fields that share a
+    symbol must agree: "d" for a set, function or point, "d>e" for a map's
+    input>output, "n+s" for the sum of the integer fields n and s."""
+
+    name: str
+    type: Any  # a value of FIELD_TYPES
+    dims: str
+    optional: bool
+
+    @property
+    def is_ref(self) -> bool:
+        return isinstance(self.type, type) and self.type is not int
+
+
+@dataclass(frozen=True)
+class Op:
+    key: str  # report key of the result
+    engine: Callable
+    exit_code: Callable[[Any, str], int]  # (result, quals mode) -> exit code
+    fields: tuple[Field, ...]  # in the engine's call order
+    probe: Callable | None  # --cross-check: (args, result, decimal) -> (extra, flags)
+
+
+def dims_of(obj) -> tuple[int, ...]:
+    """(input, output) dimensions of a map; (dimension,) of anything else."""
+    if isinstance(obj, multimaps.PolyMultimap):
+        return obj.in_dim, obj.out_dim
+    return (len(obj),) if isinstance(obj, tuple) else (obj.dim,)
+
+
+def _late(module, name: str) -> Callable:
+    """`module.name`, looked up at each call, so that a rebinding of the
+    module attribute (perfbench's tracer rebinds them) is seen."""
+    return lambda *args: getattr(module, name)(*args)
+
+
+def _normal_cone(omega, wrt, point, kind):
+    return cones.normal_cone(cones.ConeRequest(omega, wrt, point, kind))
+
+
+def _mpec_check(f, g, c1, c2, point):
+    problem = mpec.MPECProblem(f.dim, g.out_dim, f, g, c1, c2)
+    return mpec.stationarity_check(problem, point)
+
+
+def _computed(result, quals_mode: str) -> int:
+    return EXIT_OK
+
+
+def _verdict_code(v: TriVerdict, quals_mode: str) -> int:
     return {HOLDS: EXIT_OK, FAILS: EXIT_FAILS, UNKNOWN: EXIT_UNKNOWN}[v.value]
 
 
@@ -130,190 +186,27 @@ def _rule_code(report: RuleReport, quals_mode: str) -> int:
     return base
 
 
-def _wrt(objects, query, dim_source) -> ConvexPoly:
-    if "wrt" in query:
-        return objects[query["wrt"]]
-    return ConvexPoly.whole_space(dim_source)
+def _mpec_code(report: mpec.StationarityReport, quals_mode: str) -> int:
+    return {
+        mpec.NECESSARY_CONDITIONS_HOLD: EXIT_OK,
+        mpec.CERTIFIED_NON_OPTIMAL: EXIT_FAILS,
+        mpec.INCONCLUSIVE: EXIT_UNKNOWN,
+    }[report.verdict]
 
 
-def run_query(
-    objects: dict[str, Any],
-    query: dict,
-    quals_mode: str = QUALS_DIAGNOSTIC,
-    cross_check: bool = False,
-    decimal: bool = False,
-) -> tuple[dict, int, int]:
-    """Execute one query; returns (rendered result, exit code, oracle flags)."""
-    op = query["op"]
-    flags = 0
-
-    if op == "normal-cone":
-        omega: PolySet = objects[query["omega"]]
-        wrt = _wrt(objects, query, omega.dim)
-        point = objects[query["point"]]
-        kind = query["kind"]
-        if kind == "frechet":
-            result = frechet_normal_wrt(omega, wrt, point)
-        elif kind == "proximal":
-            result = proximal_normal_wrt(omega, wrt, point)
-        elif kind == "limiting":
-            result = limiting_normal_wrt(omega, wrt, point)
-        else:
-            raise ValueError(f"unknown cone kind {kind!r}")
-        if cross_check:
-            flags += _probe_cone(omega, wrt, point, result)
-        return {"cone": render(result, decimal)}, EXIT_OK, flags
-
-    if op == "coderivative":
-        F = objects[query["map"]]
-        wrt = _wrt(objects, query, F.in_dim)
-        sl = multimaps.coderivative_wrt(
-            F, wrt, objects[query["x"]], objects[query["y"]], objects[query["ystar"]]
-        )
-        return {"slice": render(sl, decimal)}, EXIT_OK, flags
-
-    if op == "subdiff":
-        f = objects[query["func"]]
-        wrt = _wrt(objects, query, f.dim)
-        res = plfunc.subdiff_wrt(f, wrt, objects[query["point"]], query["kind"])
-        return {"subdifferential": render(res, decimal)}, EXIT_OK, flags
-
-    if op == "check-aubin":
-        F = objects[query["map"]]
-        wrt = _wrt(objects, query, F.in_dim)
-        x, y = objects[query["x"]], objects[query["y"]]
-        v = multimaps.aubin_wrt_check(F, wrt, x, y)
-        out = {"aubin": render(v, decimal)}
-        if cross_check:
-            plan = oracle.SamplingPlan()
-            ratio = oracle.aubin_ratio_probe(F, wrt, x, y, plan)
-            out["sampled_ratio"] = render(ratio, decimal)
-            if v.is_holds() and ratio > oracle.DIVERGENCE_SENTINEL:
-                flags += 1
-        return out, _verdict_code(v), flags
-
-    if op == "check-lipschitz":
-        f = objects[query["func"]]
-        wrt = _wrt(objects, query, f.dim)
-        v = plfunc.lipschitz_wrt_check(f, wrt, objects[query["point"]])
-        return {"lipschitz": render(v, decimal)}, _verdict_code(v), flags
-
-    if op in ("check-lqc", "check-normal-densed"):
-        fn = (
-            calculus.lqc_wrt_check
-            if op == "check-lqc"
-            else calculus.normal_densed_check
-        )
-        v = fn(
-            objects[query["omega1"]],
-            objects[query["omega2"]],
-            objects[query["c1"]],
-            objects[query["c2"]],
-            objects[query["point"]],
-        )
-        return {"qualification": render(v, decimal)}, _verdict_code(v), flags
-
-    if op == "rule-product":
-        report = calculus.product_rule(
-            objects[query["omega1"]],
-            objects[query["c1"]],
-            objects[query["omega2"]],
-            objects[query["c2"]],
-            objects[query["x1"]],
-            objects[query["x2"]],
-        )
-        return {"report": render(report, decimal)}, _rule_code(report, quals_mode), flags
-
-    if op == "rule-mixed-product":
-        report = calculus.mixed_product_rule(
-            objects[query["omega1"]],
-            objects[query["c1"]],
-            objects[query["omega2"]],
-            objects[query["c2"]],
-            query["n"],
-            query["m"],
-            query["s"],
-            objects[query["point"]],
-            query.get("pairing", calculus.PAIRING_PROOF),
-        )
-        return {"report": render(report, decimal)}, _rule_code(report, quals_mode), flags
-
-    if op == "rule-intersection":
-        report = calculus.intersection_rule(
-            objects[query["omega1"]],
-            objects[query["omega2"]],
-            objects[query["c1"]],
-            objects[query["c2"]],
-            objects[query["point"]],
-        )
-        return {"report": render(report, decimal)}, _rule_code(report, quals_mode), flags
-
-    if op == "rule-preimage":
-        report = calculus.preimage_rule(
-            objects[query["map"]],
-            objects[query["theta"]],
-            objects[query["wrt"]],
-            objects[query["point"]],
-        )
-        return {"report": render(report, decimal)}, _rule_code(report, quals_mode), flags
-
-    if op == "rule-sum":
-        report = multimaps.sum_rule(
-            objects[query["map1"]],
-            objects[query["map2"]],
-            objects[query["c1"]],
-            objects[query["c2"]],
-            objects[query["x"]],
-            objects[query["y"]],
-            objects[query["y1"]],
-            objects[query["y2"]],
-            objects[query["ystar"]],
-            query.get("variant", multimaps.VARIANT_SEMICONTINUOUS),
-        )
-        return {"report": render(report, decimal)}, _rule_code(report, quals_mode), flags
-
-    if op == "rule-chain":
-        report = multimaps.chain_rule(
-            objects[query["inner"]],
-            objects[query["outer"]],
-            objects[query["wrt"]],
-            objects[query["x"]],
-            objects[query["z"]],
-            objects[query["y"]],
-            objects[query["zstar"]],
-            query.get("variant", multimaps.VARIANT_SEMICONTINUOUS),
-        )
-        return {"report": render(report, decimal)}, _rule_code(report, quals_mode), flags
-
-    if op == "mpec-check":
-        f = objects[query["f"]]
-        G = objects[query["g"]]
-        problem = mpec.MPECProblem(
-            f.dim, G.out_dim, f, G, objects[query["c1"]], objects[query["c2"]]
-        )
-        report = mpec.stationarity_check(problem, objects[query["point"]])
-        code = {
-            mpec.NECESSARY_CONDITIONS_HOLD: EXIT_OK,
-            mpec.CERTIFIED_NON_OPTIMAL: EXIT_FAILS,
-            mpec.INCONCLUSIVE: EXIT_UNKNOWN,
-        }[report.verdict]
-        return {"report": render(report, decimal)}, code, flags
-
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def _probe_cone(omega: PolySet, wrt: ConvexPoly, point: Vec, result) -> int:
+def _probe_cone(args, result, decimal: bool) -> tuple[dict, int]:
     """Cross-check Fréchet membership of generators and their negations.
 
     The probe tests the Fréchet limsup property, so claims are made against
     the exact Fréchet cone at the point even when the query computed the
     limiting cone (whose extra generators are claimed non-members).
     """
+    omega, wrt, point, _ = args
     plan = oracle.SamplingPlan()
     union = result if isinstance(result, ConeUnion) else ConeUnion.single(result)
     if union.is_empty():
-        return 0
-    frechet = frechet_normal_wrt(omega, wrt, point)
+        return {}, 0
+    frechet = cones.frechet_normal_wrt(omega, wrt, point)
     directions: list[Vec] = []
     for part in union.parts:
         directions.extend(part.rays)
@@ -325,4 +218,106 @@ def _probe_cone(omega: PolySet, wrt: ConvexPoly, point: Vec, result) -> int:
         verdict = oracle.frechet_membership_probe(omega, wrt, point, d, plan, claimed)
         if verdict == oracle.INCONSISTENT:
             flags += 1
-    return flags
+    return {}, flags
+
+
+def _probe_aubin(args, result: TriVerdict, decimal: bool) -> tuple[dict, int]:
+    ratio = oracle.aubin_ratio_probe(*args, oracle.SamplingPlan())
+    flagged = result.is_holds() and ratio > oracle.DIVERGENCE_SENTINEL
+    return {"sampled_ratio": render(ratio, decimal)}, int(flagged)
+
+
+# a reference names an object of the class; a literal is a positive int or
+# one of the engine's own constants
+FIELD_TYPES: dict[str, Any] = {
+    "polyset": PolySet,
+    "convex": ConvexPoly,
+    "multimap": multimaps.PolyMultimap,
+    "plfunc": plfunc.PLFunc,
+    "point": tuple,
+    "int": int,
+    "cone-kind": (cones.KIND_PROXIMAL, cones.KIND_FRECHET, cones.KIND_LIMITING),
+    "subdiff-kind": (plfunc.KIND_FRECHET, plfunc.KIND_LIMITING, plfunc.KIND_HORIZON),
+    "pairing": (calculus.PAIRING_PROOF, calculus.PAIRING_STATEMENT),
+    "variant": (multimaps.VARIANT_SEMICONTINUOUS, multimaps.VARIANT_SEMICOMPACT),
+}
+
+
+def _op(key: str, engine: Callable, exit_code: Callable, spec: str, probe=None) -> Op:
+    """`spec` lists the fields in call order as `name[?]:type[:dims]`; a `?`
+    marks an optional field.  An absent optional reference is the whole
+    space of the first argument's input dimension; an absent optional
+    literal is left to the engine's default, so it must come last."""
+    fields = []
+    for item in spec.split():
+        name, type_name, *dims = item.split(":")
+        optional = name.endswith("?")
+        fields.append(Field(name.rstrip("?"), FIELD_TYPES[type_name], "".join(dims), optional))
+    return Op(key, engine, exit_code, tuple(fields), probe)
+
+
+_TWO_SETS = "omega1:polyset:d omega2:polyset:d c1:convex:d c2:convex:d point:point:d"
+
+# the CLI runs a "rule-X" op as `polyvar rule X` and every other op as itself
+OPS: dict[str, Op] = {
+    "normal-cone": _op("cone", _normal_cone, _computed,
+        "omega:polyset:d wrt?:convex:d point:point:d kind:cone-kind", _probe_cone),
+    "coderivative": _op("slice", _late(multimaps, "coderivative_wrt"), _computed,
+        "map:multimap:d>e wrt?:convex:d x:point:d y:point:e ystar:point:e"),
+    "subdiff": _op("subdifferential", _late(plfunc, "subdiff_wrt"), _computed,
+        "func:plfunc:d wrt?:convex:d point:point:d kind:subdiff-kind"),
+    "check-aubin": _op("aubin", _late(multimaps, "aubin_wrt_check"), _verdict_code,
+        "map:multimap:d>e wrt?:convex:d x:point:d y:point:e", _probe_aubin),
+    "check-lipschitz": _op("lipschitz", _late(plfunc, "lipschitz_wrt_check"), _verdict_code,
+        "func:plfunc:d wrt?:convex:d point:point:d"),
+    "check-lqc": _op("qualification", _late(calculus, "lqc_wrt_check"), _verdict_code,
+        _TWO_SETS),
+    "check-normal-densed": _op("qualification", _late(calculus, "normal_densed_check"),
+        _verdict_code, _TWO_SETS),
+    "rule-product": _op("report", _late(calculus, "product_rule"), _rule_code,
+        "omega1:polyset:d c1:convex:d omega2:polyset:e c2:convex:e x1:point:d x2:point:e"),
+    "rule-mixed-product": _op("report", _late(calculus, "mixed_product_rule"), _rule_code,
+        "omega1:polyset:n+s c1:convex:n+s omega2:polyset:m c2:convex:m"
+        " n:int m:int s:int point:point:n+m+s pairing?:pairing"),
+    "rule-intersection": _op("report", _late(calculus, "intersection_rule"), _rule_code,
+        _TWO_SETS),
+    "rule-preimage": _op("report", _late(calculus, "preimage_rule"), _rule_code,
+        "map:multimap:d>e theta:polyset:e wrt:convex:d point:point:d"),
+    "rule-sum": _op("report", _late(multimaps, "sum_rule"), _rule_code,
+        "map1:multimap:d>e map2:multimap:d>e c1:convex:d c2:convex:d x:point:d"
+        " y:point:e y1:point:e y2:point:e ystar:point:e variant?:variant"),
+    "rule-chain": _op("report", _late(multimaps, "chain_rule"), _rule_code,
+        "inner:multimap:d>e outer:multimap:e>f wrt:convex:d x:point:d z:point:f"
+        " y:point:e zstar:point:f variant?:variant"),
+    "mpec-check": _op("report", _mpec_check, _mpec_code,
+        "f:plfunc:d g:multimap:d>e c1:convex:d c2:convex:d point:point:d"),
+}
+
+
+# -- execution ---------------------------------------------------------------
+
+
+def run_query(
+    objects: dict[str, Any],
+    query: dict,
+    quals_mode: str = QUALS_DIAGNOSTIC,
+    cross_check: bool = False,
+    decimal: bool = False,
+) -> tuple[dict, int, int]:
+    """Execute one query that `problemfile.loads` accepted; returns
+    (rendered result, exit code, oracle flags)."""
+    op = OPS[query["op"]]
+    args: list = []
+    for field in op.fields:
+        if field.name in query:
+            value = query[field.name]
+            args.append(objects[value] if field.is_ref else value)
+        elif field.is_ref:
+            args.append(ConvexPoly.whole_space(dims_of(args[0])[0]))
+    result = op.engine(*args)
+    out = {op.key: render(result, decimal)}
+    flags = 0
+    if cross_check and op.probe is not None:
+        extra, flags = op.probe(args, result, decimal)
+        out.update(extra)
+    return out, op.exit_code(result, quals_mode), flags

@@ -89,7 +89,7 @@ def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
     (they carry no sequence inside the intersection).
     """
     dim = len(base)
-    if not any(_set_contains(s, base) for s in sets):
+    if not any(s.contains(base) for s in sets):
         raise ValueError("base point outside all sets")
 
     # collect canonical hyperplanes and per-piece requirements
@@ -235,12 +235,6 @@ def _signature_closure(
     return tuple(ineqs), tuple(eqs)
 
 
-def _set_contains(s: ParticipatingSet, x: Vec) -> bool:
-    if isinstance(s, PolySet):
-        return s.contains(x)
-    return s.contains(x)
-
-
 def active_pieces(s: PolySet, x: Vec) -> tuple[int, ...]:
     """Indices of pieces containing x; empty exactly when x is outside."""
     return s.active_pieces(x)
@@ -255,7 +249,7 @@ def global_cells(sets: list[ParticipatingSet]) -> list[Cell]:
     """
     if not sets:
         return []
-    dim = _dim_of(sets[0])
+    dim = sets[0].dim
     hyperplanes: list[_Hyperplane] = []
     index: dict[tuple[Vec, Fraction], int] = {}
 
@@ -348,7 +342,3 @@ def global_cells(sets: list[ParticipatingSet]) -> list[Cell]:
     descend(0, {})
     cells.sort(key=lambda c: c.signature.signs)
     return cells
-
-
-def _dim_of(s: ParticipatingSet) -> int:
-    return s.dim
