@@ -17,7 +17,7 @@ from .exactgeom import (
     PolyUnion,
     union_subset,
 )
-from .linalg import Vec
+from .linalg import Vec, check_dim
 from .multimaps import (
     MODE_SEMICOMPACT,
     PolyMultimap,
@@ -98,7 +98,9 @@ def mixed_product_rule(
     x-dual block: the derivation pairs (x*, z*), the headline form (x*, y*);
     the latter is only meaningful when m == s and is kept behind this flag.
     """
-    assert omega1.dim == n + s and omega2.dim == m and len(point) == n + m + s
+    check_dim("omega1 (n + s)", omega1.dim, n + s)
+    check_dim("omega2 (m)", omega2.dim, m)
+    check_dim("point (n + m + s)", len(point), n + m + s)
     total = n + m + s
     x_then_z = tuple(range(n)) + tuple(range(n + m, total))
     y_block = tuple(range(n, n + m))

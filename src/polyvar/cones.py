@@ -84,7 +84,8 @@ def proximal_normal_wrt(
     """
     cone = frechet_normal_wrt(omega, wrt, point)
     if validate and not cone.empty:
-        assert _proximal_inequality_holds(omega, wrt, point, cone)
+        if not _proximal_inequality_holds(omega, wrt, point, cone):
+            raise RuntimeError("proximal inequality fails on the rational sample")
     return cone
 
 

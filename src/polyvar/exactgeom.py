@@ -23,6 +23,7 @@ from .linalg import (
     Vec,
     add,
     as_vec,
+    check_dim,
     dot,
     frozen_rows,
     is_zero,
@@ -175,7 +176,7 @@ class ConvexPoly:
         )
 
     def intersect(self, other: "ConvexPoly") -> "ConvexPoly":
-        assert self.dim == other.dim
+        check_dim("intersect", other.dim, self.dim)
         return ConvexPoly.make(
             self.dim, self.ineqs + other.ineqs, self.eqs + other.eqs
         )
@@ -190,7 +191,7 @@ class ConvexPoly:
 
     def embed(self, total_dim: int, coords: tuple[int, ...]) -> "ConvexPoly":
         """Lift into Q^total_dim placing own coordinate i at coords[i]."""
-        assert len(coords) == self.dim
+        check_dim("embed coordinates", len(coords), self.dim)
 
         def lift(v: Vec) -> Vec:
             w = [_ZERO] * total_dim
@@ -527,7 +528,7 @@ class ConeH:
     # operations -----------------------------------------------------------
 
     def intersect(self, other: "ConeH") -> "ConeH":
-        assert self.dim == other.dim
+        check_dim("intersect", other.dim, self.dim)
         if self.empty or other.empty:
             return ConeH.empty_marker(self.dim)
         return ConeH.from_ineqs(
@@ -535,7 +536,7 @@ class ConeH:
         )
 
     def minkowski(self, other: "ConeH") -> "ConeH":
-        assert self.dim == other.dim
+        check_dim("minkowski", other.dim, self.dim)
         if self.empty or other.empty:
             return ConeH.empty_marker(self.dim)
         return ConeH.from_generators(

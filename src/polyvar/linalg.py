@@ -32,6 +32,12 @@ def as_vec(entries) -> Vec:
     return tuple(rat(e) for e in entries)
 
 
+def check_dim(what: str, got: int, want: int) -> None:
+    """Argument check that survives `python -O`: both dimensions are named."""
+    if got != want:
+        raise ValueError(f"{what}: dimension {got}, expected {want}")
+
+
 def zero(dim: int) -> Vec:
     return (Fraction(0),) * dim
 

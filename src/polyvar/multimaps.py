@@ -26,7 +26,7 @@ from .exactgeom import (
     slice_cone_at_tail,
     union_subset,
 )
-from .linalg import Vec, dot, neg, zero
+from .linalg import Vec, check_dim, dot, neg, zero
 from .quals import normal_densed_check
 from .stratify import Cell, global_cells, local_cells
 from .verdicts import RuleReport, TriVerdict
@@ -104,7 +104,8 @@ class PolyMultimap:
 
     def sum(self, other: "PolyMultimap") -> "PolyMultimap":
         """(F1 + F2)(x) = F1(x) + F2(x), graph built by exact projection."""
-        assert self.in_dim == other.in_dim and self.out_dim == other.out_dim
+        check_dim("sum input", other.in_dim, self.in_dim)
+        check_dim("sum output", other.out_dim, self.out_dim)
         n, m = self.in_dim, self.out_dim
         if len(self.graph.pieces) * len(other.graph.pieces) > PIECE_LIMIT:
             raise PieceLimitError("sum graph piece limit exceeded")
@@ -127,7 +128,7 @@ class PolyMultimap:
 
     def compose_after(self, inner: "PolyMultimap") -> "PolyMultimap":
         """self o inner: first inner (n => m), then self (m => s)."""
-        assert inner.out_dim == self.in_dim
+        check_dim("inner output", inner.out_dim, self.in_dim)
         n, m, s = inner.in_dim, inner.out_dim, self.out_dim
         if len(self.graph.pieces) * len(inner.graph.pieces) > PIECE_LIMIT:
             raise PieceLimitError("composition graph piece limit exceeded")
@@ -290,8 +291,8 @@ def inner_regularity_check(
     if mode == MODE_CLOSED_GRAPH:
         return TriVerdict.holds({"reason": "finite union of closed pieces"})
     if mode == MODE_SEMICOMPACT:
+        check_dim("base point (n)", len(base), n)
         xbar = base
-        assert len(xbar) == n
         if _locally_bounded(F, c, xbar):
             return TriVerdict.holds({"reason": "locally bounded"})
         for piece in F.graph.pieces:
@@ -301,8 +302,8 @@ def inner_regularity_check(
                 return TriVerdict.holds({"reason": "selection", "target": w})
         return TriVerdict.unknown({"reason": "sufficient tests inconclusive"})
     if mode == MODE_SEMICONTINUOUS:
+        check_dim("base point (n + m)", len(base), n + m)
         xbar, ybar = base[:n], base[n:]
-        assert len(ybar) == m
         if not F.contains(xbar, ybar):
             raise ValueError("base point off the graph")
         if _selection_holds(F, c, xbar, ybar):

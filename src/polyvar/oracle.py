@@ -5,15 +5,18 @@ claimed exact answer and flag disagreement.  Grid points are exact rationals
 on an integer lattice (so membership at faces is classified exactly); only
 the scalar estimates (limsup ratios, Hausdorff-excess ratios) run in floats.
 Everything is deterministic: fixed iteration order, no randomness.
+
+numpy is imported inside the probes, on the first call, so importing this
+module (and with it ``polyvar`` and the CLI) loads only the standard
+library; the exact engine never needs numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .exactgeom import ConvexPoly, PolySet
 from .linalg import Vec
@@ -45,6 +48,8 @@ def _lattice(center: Vec, plan: SamplingPlan) -> tuple[np.ndarray, int]:
     Points are integers equal to scale * coordinate, so row tests against
     integer-canonical polyhedra are exact in int64.
     """
+    import numpy as np
+
     denom = plan.grid_step.denominator
     for x in center:
         denom = denom * x.denominator // math.gcd(denom, x.denominator)
@@ -61,6 +66,8 @@ def _lattice(center: Vec, plan: SamplingPlan) -> tuple[np.ndarray, int]:
 
 
 def _inside_poly(pts: np.ndarray, scale: int, poly: ConvexPoly) -> np.ndarray:
+    import numpy as np
+
     # canonical H-forms have jointly-primitive integer rows, so the lattice
     # test pts @ a <= scale * b is exact in int64
     if poly.is_empty():
@@ -76,6 +83,8 @@ def _inside_poly(pts: np.ndarray, scale: int, poly: ConvexPoly) -> np.ndarray:
 
 
 def _inside_set(pts: np.ndarray, scale: int, s: PolySet) -> np.ndarray:
+    import numpy as np
+
     mask = np.zeros(len(pts), dtype=bool)
     for p in s.pieces:
         mask |= _inside_poly(pts, scale, p)
@@ -91,6 +100,8 @@ def frechet_membership_probe(
     claimed: bool,
 ) -> str:
     """Grid limsup plus radial test against a claimed exact membership."""
+    import numpy as np
+
     pts, scale = _lattice(xbar, plan)
     mask = _inside_set(pts, scale, omega) & _inside_poly(pts, scale, c)
     center = np.array([int(x * scale) for x in xbar], dtype=np.int64)
@@ -126,10 +137,10 @@ def aubin_ratio_probe(
     Returns math.inf as the divergence sentinel when some F(x) is empty
     while F(u) cap V is not.
     """
+    import numpy as np
+
     if not F.graph.pieces:
         raise ValueError("empty samples")
-    n, m = F.in_dim, F.out_dim
-    import itertools
 
     x_grid = [
         pt

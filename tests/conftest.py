@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
+import polyvar
 from polyvar.exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
 from polyvar.linalg import Vec, vec
 
@@ -117,3 +123,22 @@ def random_plfunc(rng: random.Random, dim: int, max_terms: int = 3) -> "PLFunc":
         for _ in range(rng.randint(1, max_terms))
     ]
     return PLFunc.max_affine(dim, terms)
+
+
+def run_optimized(script: str) -> dict:
+    """Run `script` in a fresh `python -O` interpreter; return its JSON stdout.
+
+    `-O` strips asserts, so such a script reports what it saw as JSON for
+    the caller to assert on.
+    """
+    src = str(Path(polyvar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    return json.loads(proc.stdout)

@@ -1,0 +1,147 @@
+"""Engine entry points check their arguments without `assert`.
+
+Every dimension check raises ValueError naming both dimensions, also under
+`python -O`, which strips asserts.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from conftest import make_example1, run_optimized
+
+from polyvar import cones
+from polyvar.calculus import mixed_product_rule
+from polyvar.exactgeom import ConeH, ConvexPoly, PolySet
+from polyvar.linalg import vec
+from polyvar.multimaps import (
+    MODE_SEMICOMPACT,
+    MODE_SEMICONTINUOUS,
+    PolyMultimap,
+    inner_regularity_check,
+)
+
+
+def whole_map(n: int, m: int) -> PolyMultimap:
+    return PolyMultimap(n, m, PolySet.from_poly(ConvexPoly.whole_space(n + m)))
+
+
+def mixed_product(omega1_dim: int, omega2_dim: int, point_dim: int):
+    # n = 1, m = 1, s = 2: omega1 must be 3-dim, omega2 1-dim, the point 4-dim
+    return mixed_product_rule(
+        PolySet.from_poly(ConvexPoly.whole_space(omega1_dim)),
+        ConvexPoly.whole_space(omega1_dim),
+        PolySet.from_poly(ConvexPoly.whole_space(omega2_dim)),
+        ConvexPoly.whole_space(omega2_dim),
+        1,
+        1,
+        2,
+        (Fraction(0),) * point_dim,
+    )
+
+
+CASES = {
+    "ConvexPoly.intersect": (
+        lambda: ConvexPoly.whole_space(2).intersect(ConvexPoly.whole_space(3)),
+        "dimension 3, expected 2",
+    ),
+    "ConvexPoly.embed": (
+        lambda: ConvexPoly.whole_space(2).embed(3, (0,)),
+        "dimension 1, expected 2",
+    ),
+    "ConeH.intersect": (
+        lambda: ConeH.whole_space(3).intersect(ConeH.whole_space(2)),
+        "dimension 2, expected 3",
+    ),
+    "ConeH.minkowski": (
+        lambda: ConeH.whole_space(1).minkowski(ConeH.whole_space(2)),
+        "dimension 2, expected 1",
+    ),
+    "PolyMultimap.sum input": (
+        lambda: whole_map(1, 1).sum(whole_map(2, 1)),
+        "dimension 2, expected 1",
+    ),
+    "PolyMultimap.sum output": (
+        lambda: whole_map(1, 2).sum(whole_map(1, 1)),
+        "dimension 1, expected 2",
+    ),
+    "PolyMultimap.compose_after": (
+        lambda: whole_map(1, 1).compose_after(whole_map(1, 2)),
+        "dimension 2, expected 1",
+    ),
+    "inner_regularity_check semicompact": (
+        lambda: inner_regularity_check(
+            whole_map(1, 1), ConvexPoly.whole_space(1), vec(0, 0), MODE_SEMICOMPACT
+        ),
+        "dimension 2, expected 1",
+    ),
+    "inner_regularity_check semicontinuous": (
+        lambda: inner_regularity_check(
+            whole_map(1, 1), ConvexPoly.whole_space(1), vec(0), MODE_SEMICONTINUOUS
+        ),
+        "dimension 1, expected 2",
+    ),
+    "mixed_product_rule omega1": (
+        lambda: mixed_product(2, 1, 4),
+        "dimension 2, expected 3",
+    ),
+    "mixed_product_rule omega2": (
+        lambda: mixed_product(3, 2, 4),
+        "dimension 2, expected 1",
+    ),
+    "mixed_product_rule point": (
+        lambda: mixed_product(3, 1, 3),
+        "dimension 3, expected 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_dimension_mismatch_raises_value_error(case):
+    call, message = CASES[case]
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_dimension_checks_survive_optimize():
+    script = """
+import json, sys
+from fractions import Fraction
+from polyvar.calculus import mixed_product_rule
+from polyvar.exactgeom import ConvexPoly, PolySet
+
+def outcome(call):
+    try:
+        call()
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return None
+
+w = ConvexPoly.whole_space
+calls = {
+    "intersect": lambda: w(2).intersect(w(3)),
+    "mixed_product_rule": lambda: mixed_product_rule(
+        PolySet.from_poly(w(2)), w(2), PolySet.from_poly(w(1)), w(1),
+        1, 1, 2, (Fraction(0),) * 4),
+}
+json.dump({"optimize": sys.flags.optimize,
+           **{name: outcome(call) for name, call in calls.items()}}, sys.stdout)
+"""
+    assert run_optimized(script) == {
+        "optimize": 1,
+        "intersect": ["ValueError", "intersect: dimension 3, expected 2"],
+        "mixed_product_rule": ["ValueError", "omega1 (n + s): dimension 2, expected 3"],
+    }
+
+
+def test_proximal_validation_raises_on_a_wrong_cone(monkeypatch):
+    # -e1 leaves wrt = {x >= 0} at the origin, so no proximal normal of the
+    # set relative to wrt can have it as a ray
+    ex = make_example1()
+    wrong = ConeH.from_generators(3, rays=[vec(-1, 0, 0)])
+    monkeypatch.setattr(cones, "frechet_normal_wrt", lambda *args: wrong)
+    assert cones.proximal_normal_wrt(ex.omega1, ex.c, ex.origin) == wrong
+    with pytest.raises(RuntimeError, match="proximal inequality"):
+        cones.proximal_normal_wrt(ex.omega1, ex.c, ex.origin, validate=True)
