@@ -17,9 +17,10 @@ reference domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
-from .linalg import Vec, dot, sub
+from .linalg import Vec, dot, neg, sub
 from .stratify import local_cells
 
 KIND_PROXIMAL = "proximal"
@@ -79,41 +80,28 @@ def proximal_normal_wrt(
     """Proximal normal cone relative to wrt (Euclidean ambient norm).
 
     For unions of closed convex polyhedra this set coincides with the
-    Fréchet-relative cone; `validate` additionally spot-checks the defining
-    quadratic inequality on an exact rational sample.
+    Fréchet-relative cone; `validate` additionally checks every generator
+    against the witnesses of the adherent cells of omega cap wrt and checks
+    radial admissibility, both exactly.
     """
     cone = frechet_normal_wrt(omega, wrt, point)
     if validate and not cone.empty:
         if not _proximal_inequality_holds(omega, wrt, point, cone):
-            raise RuntimeError("proximal inequality fails on the rational sample")
+            raise RuntimeError("proximal inequality fails at a cell or radially")
     return cone
 
 
 def _proximal_inequality_holds(
     omega: PolySet, wrt: ConvexPoly, point: Vec, cone: ConeH
 ) -> bool:
-    # sample Omega cap C on a rational grid around the point and check
-    # <x*, x - p> <= (1/2p)|x - p|^2 for a small admissible p
-    from fractions import Fraction
-    from itertools import product
-
-    dim = omega.dim
-    step = Fraction(1, 4)
-    offsets = [Fraction(k) * step for k in range(-4, 5)]
-    sample = []
-    for delta in product(offsets, repeat=dim):
-        x = tuple(p + d for p, d in zip(point, delta))
-        if omega.contains(x) and wrt.contains(x):
-            sample.append(x)
+    # first order, exactly: every cell of omega cap wrt adherent to the point
+    # lies in a piece through the point, so a normal makes a non-acute angle
+    # with w - point for each cell's witness w
+    normals = cone.rays + cone.lineality + tuple(neg(l) for l in cone.lineality)
+    offsets = [sub(cell.witness, point) for cell in local_cells([omega, wrt], point)]
+    if any(dot(xstar, d) > 0 for xstar in normals for d in offsets):
+        return False
     for xstar in cone.rays + cone.lineality:
-        ratio_max = None
-        for x in sample:
-            d = sub(x, point)
-            sq = dot(d, d)
-            if sq == 0:
-                continue
-            r = dot(xstar, d) / sq
-            ratio_max = r if ratio_max is None else max(ratio_max, r)
         # radial admissibility: x + p x* in wrt for small p
         p = Fraction(1, 2)
         while p > Fraction(1, 1024) and not wrt.contains(
@@ -121,12 +109,6 @@ def _proximal_inequality_holds(
         ):
             p /= 2
         if not wrt.contains(tuple(a + p * b for a, b in zip(point, xstar))):
-            return False
-        if ratio_max is not None and ratio_max > 0:
-            needed = 1 / (2 * ratio_max)
-            if p > needed:
-                p = needed  # shrinking p keeps radial membership (wrt convex)
-        if ratio_max is not None and ratio_max > Fraction(1, 2 * p):
             return False
     return True
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from . import lp
 from .linalg import (
@@ -26,14 +27,18 @@ from .linalg import (
     check_dim,
     dot,
     frozen_rows,
+    integer_row,
     is_zero,
     neg,
-    nullspace,
+    nullspace_ints,
     primitive,
+    primitive_ints,
     reduce_mod_rowspace,
     rref,
+    rref_ints,
     scale,
     sub,
+    to_vec,
     zero,
 )
 
@@ -46,12 +51,6 @@ _ONE = Fraction(1)
 # ---------------------------------------------------------------------------
 # shared canonicalization of H-forms
 # ---------------------------------------------------------------------------
-
-
-def _norm_row(a: Vec, b: Fraction) -> Row:
-    """Primitive integer scaling of (a, b) jointly, orientation preserved."""
-    joint = primitive(a + (b,))
-    return joint[:-1], joint[-1]
 
 
 # distinct H-forms remembered per process
@@ -69,29 +68,43 @@ def _canon_h(
     return _canon_h_rows(dim, frozen_rows(ineqs), frozen_rows(eqs))
 
 
+def _split(row: list[int]) -> Row:
+    return to_vec(row[:-1]), Fraction(row[-1])
+
+
+def _reduce_rows(
+    rows, eq_rows: list[list[int]], pivots: list[int]
+) -> list[Row] | None:
+    """Rows (a, b) reduced modulo the equality space, made jointly primitive
+    and deduplicated in order; None if one reduces to 0 <= negative."""
+    out: list[Row] = []
+    seen: set[tuple[int, ...]] = set()
+    for a, b in rows:
+        red = reduce_mod_rowspace(integer_row(a + (b,))[0], eq_rows, pivots)
+        if not any(red[:-1]):
+            if red[-1] < 0:
+                return None
+            continue
+        key = tuple(red)
+        if key not in seen:
+            seen.add(key)
+            out.append(_split(red))
+    return out
+
+
 @lru_cache(maxsize=CANON_CACHE_SIZE)
 def _canon_h_rows(
     dim: int, ineqs: tuple[Row, ...], eqs: tuple[Row, ...]
 ) -> tuple[tuple[Row, ...], tuple[Row, ...]] | None:
     # equalities: RREF of the augmented rows; a pivot in the offset column
     # means 0 == nonzero
-    aug = [e + (d,) for e, d in eqs]
-    eq_rows, pivots = rref([as_vec(r) for r in aug])
+    eq_rows, pivots = rref_ints([integer_row(e + (d,))[0] for e, d in eqs])
     if dim in pivots:
         return None
-    work: list[Row] = []
-    seen: set[Row] = set()
-    for a, b in ineqs:
-        red = reduce_mod_rowspace(a + (b,), eq_rows, pivots)
-        a2, b2 = _norm_row(red[:-1], red[-1])
-        if is_zero(a2):
-            if b2 < 0:
-                return None
-            continue
-        if (a2, b2) not in seen:
-            seen.add((a2, b2))
-            work.append((a2, b2))
-    eq_out = [(r[:-1], r[-1]) for r in eq_rows]
+    work = _reduce_rows(ineqs, eq_rows, pivots)
+    if work is None:
+        return None
+    eq_out = [_split(r) for r in eq_rows]
     if lp.feasible_point(work, eq_out, dim) is None:
         return None
 
@@ -102,20 +115,10 @@ def _canon_h_rows(
         for i, (a, b) in enumerate(work):
             status, _, val = lp.solve(a, work, eq_out, dim, maximize=False)
             if status == lp.OPTIMAL and val == b:
-                eqs_new = eq_out + [(a, b)]
-                aug = [e + (d,) for e, d in eqs_new]
-                eq_rows, pivots = rref(list(aug))
-                eq_out = [(r[:-1], r[-1]) for r in eq_rows]
-                rebuilt: list[Row] = []
-                seen = set()
-                for aa, bb in work[:i] + work[i + 1 :]:
-                    red = reduce_mod_rowspace(aa + (bb,), eq_rows, pivots)
-                    a2, b2 = _norm_row(red[:-1], red[-1])
-                    if is_zero(a2) or (a2, b2) in seen:
-                        continue
-                    seen.add((a2, b2))
-                    rebuilt.append((a2, b2))
-                work = rebuilt
+                eq_rows, pivots = rref_ints(eq_rows + [integer_row(a + (b,))[0]])
+                eq_out = [_split(r) for r in eq_rows]
+                # the system is feasible, so no row reduces to 0 <= negative
+                work = _reduce_rows(work[:i] + work[i + 1 :], eq_rows, pivots)
                 changed = True
                 break
 
@@ -334,25 +337,34 @@ def _dd(dim: int, ineq_rows: list[Vec], eq_rows: list[Vec]) -> tuple[list[Vec], 
     constraint's hyperplane; otherwise rays are split by sign and adjacent
     pairs are combined.  Redundant rays are pruned after every step, which at
     this package's scale is cheaper than maintaining adjacency certificates.
+
+    Rays and lineality are integer vectors throughout, each a primitive
+    positive multiple of its rational counterpart; the returned rays are
+    reduced modulo the lineality, primitive, irredundant and sorted.
     """
-    lin: list[Vec] = nullspace(list(eq_rows), dim)
-    rays: list[Vec] = []
-    for a in ineq_rows:
-        pivot = next((l for l in lin if dot(a, l) != 0), None)
-        if pivot is not None:
-            if dot(a, pivot) > 0:
-                pivot = neg(pivot)
-            pa = dot(a, pivot)
+    lin = nullspace_ints([integer_row(e)[0] for e in eq_rows], dim)
+    rays: list[list[int]] = []
+    for row in ineq_rows:
+        a, _ = integer_row(row)
+        lin_vals = [sum(map(mul, a, l)) for l in lin]
+        k = next((i for i, v in enumerate(lin_vals) if v != 0), None)
+        if k is not None:
+            pivot, pa = lin[k], lin_vals[k]
+            if pa > 0:
+                pivot, pa = [-x for x in pivot], -pa
+            # project along the pivot onto a.x = 0, scaled by -pa > 0 so
+            # that no vector changes orientation; the lineality basis stays
+            # independent, so none of it projects to zero
             lin = [
-                sub(l, scale(pivot, dot(a, l) / pa))
-                for l in lin
-                if l is not pivot and not is_zero(sub(l, scale(pivot, dot(a, l) / pa)))
+                _project(l, v, pivot, pa)
+                for i, (l, v) in enumerate(zip(lin, lin_vals))
+                if i != k
             ]
-            rays = [sub(r, scale(pivot, dot(a, r) / pa)) for r in rays]
+            rays = [_project(r, sum(map(mul, a, r)), pivot, pa) for r in rays]
             rays.append(pivot)
             rays = _prune_rays(dim, rays, lin)
             continue
-        vals = [dot(a, r) for r in rays]
+        vals = [sum(map(mul, a, r)) for r in rays]
         if all(v <= 0 for v in vals):
             continue
         new_rays = [r for r, v in zip(rays, vals) if v <= 0]
@@ -361,29 +373,36 @@ def _dd(dim: int, ineq_rows: list[Vec], eq_rows: list[Vec]) -> tuple[list[Vec], 
                 continue
             for rn, vn in zip(rays, vals):
                 if vn < 0:
-                    comb = sub(scale(rn, vp), scale(rp, vn))
-                    if not is_zero(comb):
-                        new_rays.append(primitive(comb))
+                    comb = [vp * x - vn * y for x, y in zip(rn, rp)]
+                    if any(comb):
+                        new_rays.append(primitive_ints(comb))
         rays = _prune_rays(dim, new_rays, lin)
-    return rays, lin
+    return [to_vec(r) for r in rays], [to_vec(l) for l in lin]
 
 
-def _prune_rays(dim: int, rays: list[Vec], lin: list[Vec]) -> list[Vec]:
+def _project(v, av: int, pivot: list[int], pa: int) -> list[int]:
+    return primitive_ints([av * y - pa * x for x, y in zip(v, pivot)])
+
+
+def _prune_rays(
+    dim: int, rays: list, lin: list[list[int]]
+) -> list[tuple[int, ...]]:
     """Canonical ray list: reduced modulo lineality, primitive, irredundant."""
-    lin_rows, lin_piv = rref(list(lin))
-    canon: list[Vec] = []
-    seen: set[Vec] = set()
+    lin_rows, lin_piv = rref_ints(lin)
+    canon: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
     for r in rays:
-        rr = primitive(reduce_mod_rowspace(r, lin_rows, lin_piv))
-        if not is_zero(rr) and rr not in seen:
+        rr = tuple(reduce_mod_rowspace(r, lin_rows, lin_piv))
+        if any(rr) and rr not in seen:
             seen.add(rr)
             canon.append(rr)
+    gens = [to_vec(r) for r in canon]
+    lin_gens = [to_vec(l) for l in lin]
     i = 0
     while i < len(canon):
-        r = canon[i]
-        others = canon[:i] + canon[i + 1 :]
-        if _in_cone_of(dim, r, others, lin):
+        if _in_cone_of(dim, gens[i], gens[:i] + gens[i + 1 :], lin_gens):
             canon.pop(i)
+            gens.pop(i)
         else:
             i += 1
     canon.sort()
@@ -463,7 +482,7 @@ class ConeH:
         if self._rays is None:
             rays, lin = _dd(self.dim, list(self.ineqs), list(self.eqs))
             lin_rows, _ = rref(lin)
-            self._rays = tuple(_prune_rays(self.dim, rays, lin))
+            self._rays = tuple(rays)
             self._lineality = tuple(sorted(lin_rows))
 
     @property
@@ -563,7 +582,8 @@ class ConeH:
         return ConeH.from_ineqs(n + m, ineqs, eqs)
 
     def embed(self, total_dim: int, coords: tuple[int, ...]) -> "ConeH":
-        assert not self.empty
+        _check_not_empty("embed", self)
+        check_dim("embed coordinates", len(coords), self.dim)
 
         def lift(v: Vec) -> Vec:
             w = [_ZERO] * total_dim
@@ -576,12 +596,19 @@ class ConeH:
         )
 
     def to_poly(self) -> ConvexPoly:
-        assert not self.empty
+        _check_not_empty("to_poly", self)
         return ConvexPoly(
             self.dim,
             tuple((a, _ZERO) for a in self.ineqs),
             tuple((e, _ZERO) for e in self.eqs),
         )
+
+
+def _check_not_empty(what: str, cone: ConeH) -> None:
+    """Argument check that survives `python -O`: the empty marker stands for
+    a point outside the domain, not for a cone."""
+    if cone.empty:
+        raise ValueError(f"{what}: the empty marker is not a cone")
 
 
 def _eye(dim: int) -> list[Vec]:
@@ -596,7 +623,7 @@ def dd_convert(cone: ConeH) -> ConeH:
 
 def polar(cone: ConeH) -> ConeH:
     """The polar cone {y : y.x <= 0 for all x in the cone}."""
-    assert not cone.empty
+    _check_not_empty("polar", cone)
     rays, lin = cone.generators()
     return ConeH.from_ineqs(cone.dim, rays, lin)
 
@@ -604,7 +631,10 @@ def polar(cone: ConeH) -> ConeH:
 def slice_cone_at_tail(cone: ConeH, tail: Vec) -> ConvexPoly:
     """{x : (x, tail) in cone} as a polyhedron in the leading coordinates."""
     head = cone.dim - len(tail)
-    assert head >= 0
+    if head < 0:
+        raise ValueError(
+            f"slice_cone_at_tail: tail of dimension {len(tail)}, cone of {cone.dim}"
+        )
     if cone.empty:
         return ConvexPoly.empty(head)
     ineqs = [(a[:head], -dot(a[head:], tail)) for a in cone.ineqs]
@@ -616,7 +646,10 @@ def slice_cone_at_head(cone: ConeH, head: Vec) -> ConvexPoly:
     """{t : (head, t) in cone} as a polyhedron in the trailing coordinates."""
     k = len(head)
     tail = cone.dim - k
-    assert tail >= 0
+    if tail < 0:
+        raise ValueError(
+            f"slice_cone_at_head: head of dimension {k}, cone of {cone.dim}"
+        )
     if cone.empty:
         return ConvexPoly.empty(tail)
     ineqs = [(a[k:], -dot(a[:k], head)) for a in cone.ineqs]

@@ -1,14 +1,20 @@
 """Exact rational vectors and small-matrix routines.
 
-Everything in the package runs on `fractions.Fraction`; no floats enter the
-core.  Vectors are plain tuples of Fractions, which keeps them hashable and
-directly usable as canonical sort keys.
+Values are exact rationals and no floats enter the core.  Vectors that pass
+between modules are plain tuples of `fractions.Fraction`, which keeps them
+hashable and directly usable as canonical sort keys.  The kernels compute on
+Python ints instead: a rational row becomes its numerators over one common
+denominator (`integer_row`), and elimination is fraction-free, each row kept
+as a gcd-reduced positive multiple of its rational counterpart (Bareiss 1968
+style, with a gcd in place of the exact division).  Results turn back into
+Fractions only on return.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import attrgetter, mul
 
 Vec = tuple[Fraction, ...]
 
@@ -43,7 +49,11 @@ def zero(dim: int) -> Vec:
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+    na, da = integer_row(a)
+    nb, db = integer_row(b)
+    den = da * db
+    total = sum(map(mul, na, nb))
+    return Fraction(total, den) if den != 1 else Fraction(total)
 
 
 def add(a: Vec, b: Vec) -> Vec:
@@ -75,32 +85,44 @@ def is_zero(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
+_denominator = attrgetter("denominator")
+
+
+def integer_row(values) -> tuple[list[int], int]:
+    """Numerators of exact `values` over their least common denominator."""
+    den = lcm(*map(_denominator, values))
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def primitive_ints(row: list[int]) -> list[int]:
+    """Divide out the gcd of the entries (a positive factor); zero stays zero."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def to_vec(row: list[int]) -> Vec:
+    return tuple(map(Fraction, row))
+
+
 def primitive(a: Vec) -> Vec:
     """Scale by a positive rational so entries are coprime integers.
 
     The zero vector is returned unchanged.  Orientation is preserved, which
     makes primitive rows canonical representatives of inequality normals.
     """
-    if is_zero(a):
-        return a
-    den = 1
-    for x in a:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in a]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(Fraction(v // g) for v in ints)
+    nums, _ = integer_row(a)
+    return to_vec(primitive_ints(nums)) if any(nums) else a
 
 
-def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form with primitive-integer rows.
+def rref_ints(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of integer rows, fraction-free.
 
-    Returns (rows, pivot_columns).  The output is the canonical basis of the
-    input row space: unique for a given span, so syntactic comparison of RREF
-    rows decides row-space equality.
+    Each output row is primitive with a positive pivot: the primitive
+    integer scaling of the rational RREF row.  Returns (rows, pivots).
     """
-    mat = [list(r) for r in rows if not is_zero(r)]
+    mat = [r for r in rows if any(r)]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -111,42 +133,72 @@ def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
+        prow = mat[r]
+        if prow[c] < 0:
+            prow = [-x for x in prow]
+        prow = mat[r] = primitive_ints(prow)
+        p = prow[c]
+        # multiplying the other row by p > 0 keeps its own pivot positive
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f != 0:
+                mat[i] = primitive_ints(
+                    [p * x - f * y if y else p * x for x, y in zip(mat[i], prow)]
+                )
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    out = [primitive(tuple(row)) for row in mat[:r]]
-    return out, pivots
+    return mat[:r], pivots
 
 
-def reduce_mod_rowspace(v: Vec, rref_rows: list[Vec], pivots: list[int]) -> Vec:
-    """Eliminate the pivot coordinates of `v` against an RREF basis."""
-    w = list(v)
+def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form with primitive-integer rows.
+
+    Returns (rows, pivot_columns).  The output is the canonical basis of the
+    input row space: unique for a given span, so syntactic comparison of RREF
+    rows decides row-space equality.
+    """
+    basis, pivots = rref_ints([integer_row(r)[0] for r in rows])
+    return [to_vec(row) for row in basis], pivots
+
+
+def reduce_mod_rowspace(
+    w: list[int], rref_rows: list[list[int]], pivots: list[int]
+) -> list[int]:
+    """Primitive reduction of integer `w` against an integer RREF basis.
+
+    The pivot coordinates of the result are zero; it is the primitive
+    integer scaling of `w` minus its rational projection onto the rows.
+    """
     for row, c in zip(rref_rows, pivots):
-        if w[c] != 0:
-            f = w[c] / row[c]
-            w = [x - f * y for x, y in zip(w, row)]
-    return tuple(w)
+        f = w[c]
+        if f != 0:
+            p = row[c]
+            w = [p * x - f * y if y else p * x for x, y in zip(w, row)]
+    return primitive_ints(w)
+
+
+def nullspace_ints(rows: list[list[int]], dim: int) -> list[list[int]]:
+    """Canonical primitive basis of {x : r @ x = 0 for all integer rows r}."""
+    basis, pivots = rref_ints(rows)
+    den = lcm(*(row[p] for row, p in zip(basis, pivots)))
+    out: list[list[int]] = []
+    for c in range(dim):
+        if c in pivots:
+            continue
+        v = [0] * dim
+        v[c] = den
+        for row, p in zip(basis, pivots):
+            v[p] = -row[c] * (den // row[p])
+        out.append(primitive_ints(v))
+    return out
 
 
 def nullspace(rows: list[Vec], dim: int) -> list[Vec]:
     """Canonical primitive basis of {x : r @ x = 0 for all rows r}."""
-    basis, pivots = rref(rows)
-    free = [c for c in range(dim) if c not in pivots]
-    out: list[Vec] = []
-    for c in free:
-        v = [Fraction(0)] * dim
-        v[c] = Fraction(1)
-        for row, p in zip(basis, pivots):
-            v[p] = -row[c] / row[p]
-        out.append(primitive(tuple(v)))
-    return out
+    basis = nullspace_ints([integer_row(r)[0] for r in rows], dim)
+    return [to_vec(v) for v in basis]
 
 
 def rank(rows: list[Vec]) -> int:

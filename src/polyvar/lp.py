@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import lcm
 
-from .linalg import Vec, dot, frozen_rows
+from .linalg import Vec, dot, frozen_rows, integer_row, primitive_ints
 
 _Q = Fraction  # the exact scalar type; kept for tools that report the arithmetic
 
@@ -30,18 +30,6 @@ _ONE = Fraction(1)
 # distinct problems remembered per process: canonicalization and cell
 # enumeration pose the same small LPs many times over
 CACHE_SIZE = 128
-
-
-def _primitive(row: list[int]) -> list[int]:
-    """Divide out the gcd of the entries (a positive factor)."""
-    g = gcd(*row)
-    return [x // g for x in row] if g > 1 else row
-
-
-def _integer_row(values) -> tuple[list[int], int]:
-    """Numerators of exact `values` over their least common denominator."""
-    den = lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 class _Tableau:
@@ -75,7 +63,7 @@ class _Tableau:
         for cb, row, d in terms:
             f = cb * (den // d)
             cost = [x - f * y if y else x for x, y in zip(cost, row)]
-        self.cost = _primitive(cost)
+        self.cost = primitive_ints(cost)
 
     def pivot(self, i: int, j: int) -> None:
         prow = self.rows[i]
@@ -90,12 +78,12 @@ class _Tableau:
             if k != i:
                 f = row[j]
                 if f:
-                    self.rows[k] = _primitive(
+                    self.rows[k] = primitive_ints(
                         [p * x - f * y if y else p * x for x, y in zip(row, prow)]
                     )
         f = self.cost[j]
         if f:
-            self.cost = _primitive(
+            self.cost = primitive_ints(
                 [p * x - f * y if y else p * x for x, y in zip(self.cost, prow)]
             )
         self.basis[i] = j
@@ -168,7 +156,7 @@ def _solve(
     rows: list[list[int]] = []
     all_rows = [(a, b, True) for a, b in ineqs] + [(a, b, False) for a, b in eqs]
     for r, (a, b, is_ineq) in enumerate(all_rows):
-        nums, den = _integer_row(list(a) + [b])
+        nums, den = integer_row(list(a) + [b])
         sgn = 1 if b >= 0 else -1
         if sgn < 0:
             nums = [-x for x in nums]
@@ -179,7 +167,7 @@ def _solve(
             row[2 * dim + r] = sgn * den
         row[art_start + r] = den
         row[width] = nums[-1]
-        rows.append(_primitive(row))
+        rows.append(primitive_ints(row))
     tab = _Tableau(rows, [art_start + r for r in range(m)])
 
     # phase 1: drive the artificials to zero
@@ -196,7 +184,7 @@ def _solve(
                 tab.pivot(i, j)
 
     # phase 2
-    obj, _ = _integer_row(c)
+    obj, _ = integer_row(c)
     if not maximize:
         obj = [-x for x in obj]
     phase2 = obj + [-x for x in obj] + [0] * (width - 2 * dim)

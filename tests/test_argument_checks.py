@@ -1,6 +1,7 @@
 """Engine entry points check their arguments without `assert`.
 
-Every dimension check raises ValueError naming both dimensions, also under
+Every dimension check raises ValueError naming both dimensions, and every
+cone operation given the empty marker raises ValueError, also under
 `python -O`, which strips asserts.
 """
 
@@ -14,7 +15,14 @@ from conftest import make_example1, run_optimized
 
 from polyvar import cones
 from polyvar.calculus import mixed_product_rule
-from polyvar.exactgeom import ConeH, ConvexPoly, PolySet
+from polyvar.exactgeom import (
+    ConeH,
+    ConvexPoly,
+    PolySet,
+    polar,
+    slice_cone_at_head,
+    slice_cone_at_tail,
+)
 from polyvar.linalg import vec
 from polyvar.multimaps import (
     MODE_SEMICOMPACT,
@@ -95,6 +103,24 @@ CASES = {
         lambda: mixed_product(3, 1, 3),
         "dimension 3, expected 4",
     ),
+    "ConeH.embed": (
+        lambda: ConeH.whole_space(2).embed(3, (0,)),
+        "dimension 1, expected 2",
+    ),
+    "slice_cone_at_tail": (
+        lambda: slice_cone_at_tail(ConeH.whole_space(2), vec(0, 0, 0)),
+        "tail of dimension 3, cone of 2",
+    ),
+    "slice_cone_at_head": (
+        lambda: slice_cone_at_head(ConeH.whole_space(1), vec(0, 0)),
+        "head of dimension 2, cone of 1",
+    ),
+}
+
+EMPTY_MARKER_CASES = {
+    "polar": lambda: polar(ConeH.empty_marker(2)),
+    "embed": lambda: ConeH.empty_marker(2).embed(3, (0, 1)),
+    "to_poly": lambda: ConeH.empty_marker(2).to_poly(),
 }
 
 
@@ -103,6 +129,37 @@ def test_dimension_mismatch_raises_value_error(case):
     call, message = CASES[case]
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_MARKER_CASES))
+def test_empty_marker_raises_value_error(case):
+    with pytest.raises(ValueError, match=f"{case}: the empty marker is not a cone"):
+        EMPTY_MARKER_CASES[case]()
+
+
+def test_empty_marker_checks_survive_optimize():
+    # without the checks, -O gave the zero cone and the whole plane
+    script = """
+import json, sys
+from polyvar.exactgeom import ConeH, polar
+
+def outcome(call):
+    try:
+        call()
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+    return None
+
+empty = ConeH.empty_marker(2)
+json.dump({"optimize": sys.flags.optimize,
+           "polar": outcome(lambda: polar(empty)),
+           "to_poly": outcome(lambda: empty.to_poly())}, sys.stdout)
+"""
+    assert run_optimized(script) == {
+        "optimize": 1,
+        "polar": ["ValueError", "polar: the empty marker is not a cone"],
+        "to_poly": ["ValueError", "to_poly: the empty marker is not a cone"],
+    }
 
 
 def test_dimension_checks_survive_optimize():
@@ -145,3 +202,12 @@ def test_proximal_validation_raises_on_a_wrong_cone(monkeypatch):
     assert cones.proximal_normal_wrt(ex.omega1, ex.c, ex.origin) == wrong
     with pytest.raises(RuntimeError, match="proximal inequality"):
         cones.proximal_normal_wrt(ex.omega1, ex.c, ex.origin, validate=True)
+
+
+def test_proximal_validation_raises_on_the_whole_space(monkeypatch):
+    # every direction is radially admissible in wrt = R^3, so only the
+    # first-order check at the cell witnesses can reject this cone
+    ex = make_example1()
+    monkeypatch.setattr(cones, "frechet_normal_wrt", lambda *args: ConeH.whole_space(3))
+    with pytest.raises(RuntimeError, match="proximal inequality"):
+        cones.proximal_normal_wrt(ex.omega1, ex.c_full, ex.origin, validate=True)

@@ -261,7 +261,8 @@ def test_inclusion_chain_and_convexity_random():
         wrt = random_poly_through(rng, dim, base)
         if not (omega.contains(base) and wrt.contains(base)):
             continue
-        prox = proximal_normal_wrt(omega, wrt, base)
+        # the exact validation accepts the engine's own cone
+        prox = proximal_normal_wrt(omega, wrt, base, validate=True)
         fre = frechet_normal_wrt(omega, wrt, base)
         lim = limiting_normal_wrt(omega, wrt, base)
         assert prox == fre  # polyhedral data

@@ -1,0 +1,299 @@
+"""The integer kernels agree with the rational kernels they replaced.
+
+`linalg.dot`/`primitive`/`rref`/`nullspace`/`reduce_mod_rowspace` and
+`exactgeom._dd` compute on Python ints.  The `Fraction` versions below are
+the previous implementations, kept verbatim as the reference; seeded inputs
+(dimensions 1-7, integer and rational entries, zero and duplicate rows) must
+give equal results, and every value handed back must be a `Fraction`.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from math import gcd
+
+from polyvar import exactgeom
+from polyvar.exactgeom import ConeH, ConvexPoly
+from polyvar.linalg import (
+    Vec,
+    dot,
+    integer_row,
+    nullspace,
+    primitive,
+    reduce_mod_rowspace,
+    rref,
+    rref_ints,
+    to_vec,
+)
+
+# -- the rational reference kernels -------------------------------------------
+
+
+def ref_is_zero(a):
+    return all(x == 0 for x in a)
+
+
+def ref_dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def ref_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def ref_scale(a, s):
+    return tuple(x * s for x in a)
+
+
+def ref_neg(a):
+    return tuple(-x for x in a)
+
+
+def ref_primitive(a):
+    if ref_is_zero(a):
+        return a
+    den = 1
+    for x in a:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in a]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    return tuple(Fraction(v // g) for v in ints)
+
+
+def ref_rref(rows):
+    mat = [list(r) for r in rows if not ref_is_zero(r)]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = 1 / mat[r][c]
+        mat[r] = [x * inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return [ref_primitive(tuple(row)) for row in mat[:r]], pivots
+
+
+def ref_reduce_mod_rowspace(v, rref_rows, pivots):
+    w = list(v)
+    for row, c in zip(rref_rows, pivots):
+        if w[c] != 0:
+            f = w[c] / row[c]
+            w = [x - f * y for x, y in zip(w, row)]
+    return tuple(w)
+
+
+def ref_nullspace(rows, dim):
+    basis, pivots = ref_rref(rows)
+    out = []
+    for c in (c for c in range(dim) if c not in pivots):
+        v = [Fraction(0)] * dim
+        v[c] = Fraction(1)
+        for row, p in zip(basis, pivots):
+            v[p] = -row[c] / row[p]
+        out.append(ref_primitive(tuple(v)))
+    return out
+
+
+def ref_prune_rays(dim, rays, lin):
+    lin_rows, lin_piv = ref_rref(list(lin))
+    canon = []
+    seen = set()
+    for r in rays:
+        rr = ref_primitive(ref_reduce_mod_rowspace(r, lin_rows, lin_piv))
+        if not ref_is_zero(rr) and rr not in seen:
+            seen.add(rr)
+            canon.append(rr)
+    i = 0
+    while i < len(canon):
+        others = canon[:i] + canon[i + 1 :]
+        if exactgeom._in_cone_of(dim, canon[i], others, lin):
+            canon.pop(i)
+        else:
+            i += 1
+    canon.sort()
+    return canon
+
+
+def ref_dd(dim, ineq_rows, eq_rows):
+    lin = ref_nullspace(list(eq_rows), dim)
+    rays = []
+    for a in ineq_rows:
+        pivot = next((l for l in lin if ref_dot(a, l) != 0), None)
+        if pivot is not None:
+            if ref_dot(a, pivot) > 0:
+                pivot = ref_neg(pivot)
+            pa = ref_dot(a, pivot)
+            lin = [
+                ref_sub(l, ref_scale(pivot, ref_dot(a, l) / pa))
+                for l in lin
+                if l is not pivot
+                and not ref_is_zero(ref_sub(l, ref_scale(pivot, ref_dot(a, l) / pa)))
+            ]
+            rays = [ref_sub(r, ref_scale(pivot, ref_dot(a, r) / pa)) for r in rays]
+            rays.append(pivot)
+            rays = ref_prune_rays(dim, rays, lin)
+            continue
+        vals = [ref_dot(a, r) for r in rays]
+        if all(v <= 0 for v in vals):
+            continue
+        new_rays = [r for r, v in zip(rays, vals) if v <= 0]
+        for rp, vp in zip(rays, vals):
+            if vp <= 0:
+                continue
+            for rn, vn in zip(rays, vals):
+                if vn < 0:
+                    comb = ref_sub(ref_scale(rn, vp), ref_scale(rp, vn))
+                    if not ref_is_zero(comb):
+                        new_rays.append(ref_primitive(comb))
+        rays = ref_prune_rays(dim, new_rays, lin)
+    return rays, lin
+
+
+def ref_cone_vrep(cone):
+    """The previous `ConeH._ensure_vrep`, which pruned the rays twice."""
+    rays, lin = ref_dd(cone.dim, list(cone.ineqs), list(cone.eqs))
+    lin_rows, _ = ref_rref(lin)
+    return tuple(ref_prune_rays(cone.dim, rays, lin)), tuple(sorted(lin_rows))
+
+
+# -- seeded inputs --------------------------------------------------------------
+
+
+def rand_entry(rng: random.Random, rational: bool) -> Fraction:
+    if rational and rng.random() < 0.5:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+    return Fraction(rng.randint(-3, 3))
+
+
+def rand_vec(rng: random.Random, dim: int, rational: bool) -> Vec:
+    return tuple(rand_entry(rng, rational) for _ in range(dim))
+
+
+def rand_rows(rng: random.Random, dim: int, rational: bool, max_rows: int) -> list[Vec]:
+    rows = [rand_vec(rng, dim, rational) for _ in range(rng.randint(0, max_rows))]
+    if rows and rng.random() < 0.3:
+        rows.append(tuple(Fraction(0) for _ in range(dim)))
+    if rows and rng.random() < 0.3:
+        # a duplicate, possibly rescaled by a nonzero rational
+        s = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 3))
+        rows.append(tuple(x * s for x in rng.choice(rows)))
+    rng.shuffle(rows)
+    return rows
+
+
+def cases(seed: int, count: int, max_dim: int = 7):
+    rng = random.Random(seed)
+    for i in range(count):
+        dim = 1 + i % max_dim
+        rational = i % 2 == 1
+        yield rng, dim, rational
+
+
+def assert_fractions(*vectors) -> None:
+    for v in vectors:
+        assert all(type(x) is Fraction for x in v), v
+
+
+# -- the linalg kernels -------------------------------------------------------------
+
+
+def test_dot_and_primitive_match_reference():
+    for rng, dim, rational in cases(11, 700):
+        a, b = rand_vec(rng, dim, rational), rand_vec(rng, dim, rational)
+        got = dot(a, b)
+        assert got == ref_dot(a, b) and type(got) is Fraction
+        assert primitive(a) == ref_primitive(a)
+        assert_fractions(primitive(a))
+
+
+def test_rref_nullspace_and_reduction_match_reference():
+    for rng, dim, rational in cases(12, 700):
+        rows = rand_rows(rng, dim, rational, max_rows=6)
+        basis, pivots = rref(rows)
+        ref_basis, ref_pivots = ref_rref(rows)
+        assert (basis, pivots) == (ref_basis, ref_pivots)
+        assert_fractions(*basis)
+        null = nullspace(rows, dim)
+        assert null == ref_nullspace(rows, dim)
+        assert_fractions(*null)
+        int_basis, int_pivots = rref_ints([integer_row(r)[0] for r in rows])
+        for _ in range(3):
+            v = rand_vec(rng, dim, rational)
+            got = to_vec(
+                reduce_mod_rowspace(integer_row(v)[0], int_basis, int_pivots)
+            )
+            want = ref_reduce_mod_rowspace(v, ref_basis, ref_pivots)
+            assert got == ref_primitive(want)
+            assert_fractions(got)
+
+
+# -- double description ------------------------------------------------------------
+
+
+def positive_multiple(v: Vec, w: Vec) -> bool:
+    """Is v = s w for some rational s > 0?"""
+    k = next(i for i, x in enumerate(w) if x != 0)
+    s = v[k] / w[k]
+    return s > 0 and all(x == s * y for x, y in zip(v, w))
+
+
+def test_dd_matches_reference():
+    for rng, dim, rational in cases(13, 280):
+        ineqs = rand_rows(rng, dim, rational, max_rows=5)
+        eqs = rand_rows(rng, dim, rational, max_rows=1)
+        rays, lin = exactgeom._dd(dim, ineqs, eqs)
+        ref_rays, ref_lin = ref_dd(dim, ineqs, eqs)
+        assert rays == ref_rays
+        assert len(lin) == len(ref_lin)
+        assert all(positive_multiple(v, w) for v, w in zip(lin, ref_lin))
+        assert_fractions(*rays, *lin)
+
+
+def test_cone_generators_match_reference():
+    for rng, dim, rational in cases(14, 140):
+        cone = ConeH.from_ineqs(
+            dim,
+            [r for r in rand_rows(rng, dim, rational, max_rows=5) if any(r)],
+            [r for r in rand_rows(rng, dim, rational, max_rows=1) if any(r)],
+        )
+        assert (cone.rays, cone.lineality) == ref_cone_vrep(cone)
+        assert_fractions(*cone.rays, *cone.lineality)
+
+
+def test_poly_vrep_matches_reference(monkeypatch):
+    polys = []
+    for rng, dim, rational in cases(15, 140):
+        ineqs = [
+            (a, rand_entry(rng, rational)) for a in rand_rows(rng, dim, rational, 5)
+        ]
+        eqs = [
+            (e, rand_entry(rng, rational)) for e in rand_rows(rng, dim, rational, 1)
+        ]
+        polys.append(ConvexPoly.make(dim, ineqs, eqs))
+    got = [p.vrep() for p in polys]
+    monkeypatch.setattr(exactgeom, "_dd", ref_dd)
+    assert got == [p.vrep() for p in polys]
+    for verts, rays, lin in got:
+        assert_fractions(*verts, *rays, *lin)
+
+
+def test_int_entries_give_fraction_outputs():
+    # ints have a numerator and a denominator too; no int may leak out
+    rows = [(2, 4, 6), (1, 3, 7)]
+    assert_fractions(*rref(rows)[0], *nullspace(rows, 3), primitive(rows[0]))
+    assert type(dot(rows[0], rows[1])) is Fraction
