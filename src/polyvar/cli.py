@@ -24,6 +24,7 @@ from .runner import (
     QUALS_STRICT,
     run_query,
 )
+from .stratify import ActiveRowLimitError
 
 RULE_PREFIX = "rule-"  # op "rule-X" runs as `polyvar rule X`
 
@@ -135,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
             results.append(
                 {"name": q["name"], "op": q["op"], "exit_code": code, **rendered}
             )
-    except (ValueError, PieceLimitError) as exc:
+    except (ValueError, PieceLimitError, ActiveRowLimitError) as exc:
         sys.stderr.write(f"input error: query {q['name']!r}: {exc}\n")
         return EXIT_INPUT
 

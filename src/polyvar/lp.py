@@ -1,9 +1,12 @@
 """Exact linear programming over the rationals.
 
-A dense two-phase primal simplex with Bland's rule, pivoting fraction-free
-on Python ints: slow by floating-point standards, immune to cycling and to
-rounding.  Problem sizes in this package stay tiny (dimension <= 8, a few
-dozen rows), so clarity wins over sparsity.
+A dense primal simplex with Bland's rule, pivoting fraction-free on Python
+ints: slow by floating-point standards, immune to cycling and to rounding.
+It starts from the slack basis: an inequality a @ x <= b with b >= 0 starts
+with its slack basic, and phase 1 (minimizing a sum of artificial
+variables) covers only the equality rows and the inequalities with b < 0;
+it is skipped when there are none.  Problem sizes in this package stay tiny
+(dimension <= 8, a few dozen rows), so clarity wins over sparsity.
 
 Inequalities are (a, b) pairs meaning a @ x <= b; equalities mean a @ x == b.
 """
@@ -138,7 +141,9 @@ def _solve(
     dim: int,
     maximize: bool,
 ) -> tuple[str, Vec | None, Fraction | None]:
-    # columns: x+ (dim) | x- (dim) | slacks (#ineqs) | artificials (#rows) | rhs
+    # columns: x+ (dim) | x- (dim) | slacks (#ineqs) | artificials | rhs
+    # An inequality with b >= 0 starts with its own slack basic; only
+    # equalities and inequalities with b < 0 get an artificial column.
     n_slack = len(ineqs)
     m = len(ineqs) + len(eqs)
     if dim == 0:
@@ -152,9 +157,13 @@ def _solve(
             return OPTIMAL, tuple(_ZERO for _ in range(dim)), _ZERO
         return UNBOUNDED, None, None
     art_start = 2 * dim + n_slack
-    width = art_start + m
-    rows: list[list[int]] = []
     all_rows = [(a, b, True) for a, b in ineqs] + [(a, b, False) for a, b in eqs]
+    needs_art = [b < 0 or not is_ineq for _, b, is_ineq in all_rows]
+    n_art = sum(needs_art)
+    width = art_start + n_art
+    rows: list[list[int]] = []
+    basis: list[int] = []
+    next_art = art_start
     for r, (a, b, is_ineq) in enumerate(all_rows):
         nums, den = integer_row(list(a) + [b])
         sgn = 1 if b >= 0 else -1
@@ -165,16 +174,22 @@ def _solve(
         row[dim : 2 * dim] = [-x for x in nums[:dim]]
         if is_ineq:
             row[2 * dim + r] = sgn * den
-        row[art_start + r] = den
+        if needs_art[r]:
+            row[next_art] = den
+            basis.append(next_art)
+            next_art += 1
+        else:
+            basis.append(2 * dim + r)  # its slack entry den is positive
         row[width] = nums[-1]
         rows.append(primitive_ints(row))
-    tab = _Tableau(rows, [art_start + r for r in range(m)])
+    tab = _Tableau(rows, basis)
 
-    # phase 1: drive the artificials to zero
-    tab.set_objective([0] * art_start + [-1] * m)
-    tab.run([True] * width)
-    if tab.cost[-1] != 0:
-        return INFEASIBLE, None, None
+    if n_art:
+        # phase 1: drive the artificials to zero
+        tab.set_objective([0] * art_start + [-1] * n_art)
+        tab.run([True] * width)
+        if tab.cost[-1] != 0:
+            return INFEASIBLE, None, None
     # pivot basic artificials out; a row that cannot pivot is redundant
     for i in range(m):
         if tab.basis[i] >= art_start and tab.rows[i][-1] == 0:
@@ -189,7 +204,7 @@ def _solve(
         obj = [-x for x in obj]
     phase2 = obj + [-x for x in obj] + [0] * (width - 2 * dim)
     tab.set_objective(phase2)
-    status = tab.run([True] * art_start + [False] * m)
+    status = tab.run([True] * art_start + [False] * n_art)
     if status == UNBOUNDED:
         return UNBOUNDED, None, None
     x = [_ZERO] * dim

@@ -183,6 +183,10 @@ def loads(text: str) -> ProblemFile:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ProblemFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ProblemFileError("JSON nested too deeply") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ProblemFileError(f"invalid JSON: {exc}") from None
     _expect_keys(data, "$", {"version", "objects", "queries"})
     if data["version"] != VERSION_TAG:
         _fail("$.version", f"expected {VERSION_TAG!r}")
@@ -220,4 +224,8 @@ def loads(text: str) -> ProblemFile:
 
 def load_path(path: str) -> ProblemFile:
     with open(path, "r", encoding="utf-8") as fh:
-        return loads(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ProblemFileError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    return loads(text)

@@ -28,6 +28,21 @@ ParticipatingSet = PolySet | ConvexPoly
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# most rows one enumeration may branch on; each branches three ways, so the
+# search tree has up to 3^k leaves (the test suite reaches k = 9)
+ACTIVE_ROW_LIMIT = 12
+
+
+class ActiveRowLimitError(RuntimeError):
+    pass
+
+
+def _check_branching(k: int) -> None:
+    if k > ACTIVE_ROW_LIMIT:
+        raise ActiveRowLimitError(
+            f"active-row limit exceeded: {k} rows branch (limit {ACTIVE_ROW_LIMIT})"
+        )
+
 
 @dataclass(frozen=True)
 class CellSignature:
@@ -86,7 +101,8 @@ def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
     its sign conditions, which for rows inactive at the base pins the sign to
     the base's own.  Active rows branch three ways with LP pruning of
     infeasible prefixes.  Discarded are cells outside some participating set
-    (they carry no sequence inside the intersection).
+    (they carry no sequence inside the intersection).  Raises
+    ActiveRowLimitError when more than ACTIVE_ROW_LIMIT rows are active.
     """
     dim = len(base)
     if not any(s.contains(base) for s in sets):
@@ -123,6 +139,7 @@ def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
     n_h = len(hyperplanes)
     base_signs = [h.value_sign(base) for h in hyperplanes]
     active = [i for i in range(n_h) if base_signs[i] == 0]
+    _check_branching(len(active))
     # (value at the base, hyperplane) for the rows inactive at the base
     inactive = [
         (dot(hp.normal, base) - hp.offset, hp)
@@ -245,7 +262,8 @@ def global_cells(sets: list[ParticipatingSet]) -> list[Cell]:
 
     No base point: all rows branch.  Used to pick one representative per
     combinatorial stratum when a rule quantifies over an entire set (for
-    instance all intermediate points of a composition).
+    instance all intermediate points of a composition).  Raises
+    ActiveRowLimitError when there are more than ACTIVE_ROW_LIMIT rows.
     """
     if not sets:
         return []
@@ -276,6 +294,7 @@ def global_cells(sets: list[ParticipatingSet]) -> list[Cell]:
         piece_rows.append(rows_per_piece)
 
     n_h = len(hyperplanes)
+    _check_branching(n_h)
     cells: list[Cell] = []
 
     def pieces_possible(signs: dict[int, int]) -> bool:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from polyvar import lp
-from polyvar.linalg import dot, vec
+from polyvar.linalg import dot, frozen_rows, integer_row, primitive_ints, vec
 
 
 def test_feasible_simple_box():
@@ -190,3 +190,148 @@ def test_random_lps_agree_with_scipy():
         assert status == expected[res.status], (c, ineqs, eqs, maximize)
         if status == lp.OPTIMAL:
             assert float(value) == pytest.approx(sign * res.fun, abs=1e-7)
+
+
+# -- the all-artificial start, kept verbatim as the reference ------------------
+
+
+def ref_solve(c, ineqs, eqs, dim, maximize):
+    """The previous `lp._solve`: every row starts with an artificial basic."""
+    n_slack = len(ineqs)
+    m = len(ineqs) + len(eqs)
+    if dim == 0:
+        ok = all(b >= 0 for _, b in ineqs) and all(b == 0 for _, b in eqs)
+        if not ok:
+            return lp.INFEASIBLE, None, None
+        return lp.OPTIMAL, (), Fraction(0)
+    if m == 0:
+        if all(x == 0 for x in c):
+            return lp.OPTIMAL, tuple(Fraction(0) for _ in range(dim)), Fraction(0)
+        return lp.UNBOUNDED, None, None
+    art_start = 2 * dim + n_slack
+    width = art_start + m
+    rows = []
+    all_rows = [(a, b, True) for a, b in ineqs] + [(a, b, False) for a, b in eqs]
+    for r, (a, b, is_ineq) in enumerate(all_rows):
+        nums, den = integer_row(list(a) + [b])
+        sgn = 1 if b >= 0 else -1
+        if sgn < 0:
+            nums = [-x for x in nums]
+        row = [0] * (width + 1)
+        row[:dim] = nums[:dim]
+        row[dim : 2 * dim] = [-x for x in nums[:dim]]
+        if is_ineq:
+            row[2 * dim + r] = sgn * den
+        row[art_start + r] = den
+        row[width] = nums[-1]
+        rows.append(primitive_ints(row))
+    tab = lp._Tableau(rows, [art_start + r for r in range(m)])
+
+    tab.set_objective([0] * art_start + [-1] * m)
+    tab.run([True] * width)
+    if tab.cost[-1] != 0:
+        return lp.INFEASIBLE, None, None
+    for i in range(m):
+        if tab.basis[i] >= art_start and tab.rows[i][-1] == 0:
+            row = tab.rows[i]
+            j = next((k for k in range(art_start) if row[k] != 0), None)
+            if j is not None:
+                tab.pivot(i, j)
+
+    obj, _ = integer_row(c)
+    if not maximize:
+        obj = [-x for x in obj]
+    phase2 = obj + [-x for x in obj] + [0] * (width - 2 * dim)
+    tab.set_objective(phase2)
+    status = tab.run([True] * art_start + [False] * m)
+    if status == lp.UNBOUNDED:
+        return lp.UNBOUNDED, None, None
+    x = [Fraction(0)] * dim
+    for row, bj in zip(tab.rows, tab.basis):
+        if bj < dim:
+            x[bj] += Fraction(row[-1], row[bj])
+        elif bj < 2 * dim:
+            x[bj - dim] -= Fraction(row[-1], row[bj])
+    point = tuple(x)
+    return lp.OPTIMAL, point, dot(c, point)
+
+
+def _start_basis_lps(seed: int, count: int):
+    """Seeded LPs in dims 1-6 mixing every kind of row the start basis sorts.
+
+    Inequalities with b of both signs, equalities with zero and nonzero
+    right-hand sides, homogeneous systems, systems with no row needing an
+    artificial, duplicate and rescaled rows, contradictory pairs, zero
+    objectives, with and without a bounding box; Beale's instance first.
+    """
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 1, 2, 3, 7)))
+
+    out = [BEALE]
+    while len(out) < count:
+        dim = rng.randint(1, 6)
+        ineqs = [
+            (tuple(q() for _ in range(dim)), q()) for _ in range(rng.randint(0, 8))
+        ]
+        eqs = [
+            (tuple(q() for _ in range(dim)), q() if rng.random() < 0.5 else Fraction(0))
+            for _ in range(rng.choice((0, 0, 1, 2)))
+        ]
+        shape = rng.random()
+        if shape < 0.2:  # homogeneous: every row through the origin
+            ineqs = [(a, Fraction(0)) for a, _ in ineqs]
+            eqs = [(a, Fraction(0)) for a, _ in eqs]
+        elif shape < 0.4:  # the slack basis is feasible: no artificial at all
+            ineqs = [(a, abs(b)) for a, b in ineqs]
+            eqs = []
+        elif shape < 0.5 and ineqs:  # a . x <= b together with a . x >= b + 1
+            a, b = ineqs[0]
+            ineqs.append((tuple(-x for x in a), -b - 1))
+        if ineqs and rng.random() < 0.3:  # a duplicate and a rescaled copy
+            a, b = rng.choice(ineqs)
+            f = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            ineqs += [(a, b), (tuple(f * x for x in a), f * b)]
+        if eqs and rng.random() < 0.3:
+            e, d = rng.choice(eqs)
+            eqs.append((tuple(-2 * x for x in e), -2 * d))
+        rng.shuffle(ineqs)
+        if rng.random() < 0.5:  # bounded: a box around the origin
+            for j in range(dim):
+                e = tuple(Fraction(int(i == j)) for i in range(dim))
+                ineqs += [(e, Fraction(4)), (tuple(-x for x in e), Fraction(4))]
+        if rng.random() < 0.2:  # a feasibility LP
+            c = tuple(Fraction(0) for _ in range(dim))
+        else:
+            c = tuple(q() for _ in range(dim))
+        out.append((c, ineqs, eqs, dim, rng.random() < 0.5))
+    return out
+
+
+def test_slack_start_matches_all_artificial_reference():
+    seen = set()
+    dims = set()
+    for c, ineqs, eqs, dim, maximize in _start_basis_lps(17, 500):
+        status, x, value = lp.solve(c, ineqs, eqs, dim, maximize=maximize)
+        ref = ref_solve(c, frozen_rows(ineqs), frozen_rows(eqs), dim, maximize)
+        assert (status, value) == (ref[0], ref[2]), (c, ineqs, eqs, dim, maximize)
+        needs_artificial = bool(eqs) or any(b < 0 for _, b in ineqs)
+        seen.add((status, needs_artificial))
+        dims.add(dim)
+        if status != lp.OPTIMAL:
+            assert x is None and value is None
+            continue
+        assert len(x) == dim
+        assert all(dot(a, x) <= b for a, b in ineqs)
+        assert all(dot(a, x) == b for a, b in eqs)
+        assert dot(c, x) == value
+    # an LP whose slack basis is feasible is never infeasible
+    assert seen == {
+        (lp.OPTIMAL, False),
+        (lp.UNBOUNDED, False),
+        (lp.OPTIMAL, True),
+        (lp.UNBOUNDED, True),
+        (lp.INFEASIBLE, True),
+    }
+    assert dims == set(range(1, 7))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polyvar import multimaps
+from polyvar import multimaps, stratify
 from polyvar.cli import main
 
 EVERY_OP = Path(__file__).parent / "data" / "every_op.json"
@@ -110,3 +110,32 @@ def test_piece_limit_exits_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "query 'sum-default'" in err and "piece limit exceeded" in err
     assert not out.exists()
+
+
+
+def test_active_row_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # both of omega's and c's hyperplanes pass through the origin
+    monkeypatch.setattr(stratify, "ACTIVE_ROW_LIMIT", 1)
+    assert run(tmp_path, {**CONE, "kind": "limiting"}) == 3
+    err = capsys.readouterr().err
+    assert "query 'q'" in err and "active-row limit exceeded" in err
+    assert not (tmp_path / "report.json").exists()
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # json.loads raises RecursionError on deep nesting
+        (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply"),
+        (b"\xff\xfe", "not UTF-8 text"),
+        # an integer literal past Python's limit on digits
+        (b'{"version": "polyvar-1", "objects": {}, "queries": [' + b"9" * 5000 + b"]}",
+         "invalid JSON"),
+    ],
+    ids=["deep-nesting", "not-utf8", "long-integer"],
+)
+def test_unreadable_problem_file_exits_3(tmp_path, capsys, content, message):
+    path = tmp_path / "problem.json"
+    path.write_bytes(content)
+    assert main(["normal-cone", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and message in err

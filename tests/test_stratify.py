@@ -14,10 +14,10 @@ from conftest import (
     random_polyset_through,
     rng_vec,
 )
-from polyvar import lp
+from polyvar import lp, stratify
 from polyvar.exactgeom import ConvexPoly, PolySet
 from polyvar.linalg import dot, vec
-from polyvar.stratify import active_pieces, local_cells
+from polyvar.stratify import active_pieces, global_cells, local_cells
 
 
 def test_halfline_cells():
@@ -71,6 +71,19 @@ def test_base_outside_raises():
     halfline = PolySet.from_poly(ConvexPoly.make(1, [(vec(-1), Fraction(0))]))
     with pytest.raises(ValueError):
         local_cells([halfline], vec(-1))
+
+
+def test_active_row_limit(monkeypatch):
+    ex = make_example1()  # two hyperplanes, both active at the origin
+    assert len(local_cells([ex.omega1, ex.c], ex.origin)) == 4
+    assert global_cells([ex.c])
+    monkeypatch.setattr(stratify, "ACTIVE_ROW_LIMIT", 1)
+    with pytest.raises(stratify.ActiveRowLimitError, match="2 rows branch"):
+        local_cells([ex.omega1, ex.c], ex.origin)
+    assert len(local_cells([ex.c], ex.origin)) == 2
+    monkeypatch.setattr(stratify, "ACTIVE_ROW_LIMIT", 0)
+    with pytest.raises(stratify.ActiveRowLimitError, match="1 rows branch"):
+        global_cells([ex.c])
 
 
 def test_active_pieces_boundary_and_outside():
