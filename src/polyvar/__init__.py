@@ -58,7 +58,7 @@ from .plfunc import (
     subdiff_via_coderivative,
     subdiff_wrt,
 )
-from .stratify import Cell, CellSignature, active_pieces, global_cells, local_cells
+from .stratify import Cell, CellSignature, global_cells, local_cells
 from .verdicts import RuleReport, TriVerdict
 
 __version__ = "0.1.0"
@@ -81,7 +81,6 @@ __all__ = [
     "StationarityReport",
     "SubdiffResult",
     "TriVerdict",
-    "active_pieces",
     "aubin_ratio_probe",
     "aubin_wrt_check",
     "chain_rule",

@@ -184,14 +184,15 @@ def preimage_rule(
     """
     n, m = F.in_dim, F.out_dim
     whole_nm = ConvexPoly.whole_space(n + m)
-    preimage_pieces = []
-    for gp in F.graph.pieces:
-        for tp in theta.pieces:
-            lifted = tp.embed(n + m, tuple(range(n, n + m)))
-            preimage_pieces.append(
-                gp.intersect(lifted).eliminate(tuple(range(n, n + m)))
-            )
-    preimage = PolySet.make(n, preimage_pieces)
+    # graph of F restricted to outputs in Theta, piece by piece
+    lifted = [
+        gp.intersect(tp.embed(n + m, tuple(range(n, n + m))))
+        for gp in F.graph.pieces
+        for tp in theta.pieces
+    ]
+    preimage = PolySet.make(
+        n, [piece.eliminate(tuple(range(n, n + m))) for piece in lifted]
+    )
     if not (preimage.contains(x) and c.contains(x)):
         raise ValueError("x outside F^{-1}(Theta) cap C")
 
@@ -231,18 +232,7 @@ def preimage_rule(
         )
     rhs = PolyUnion.make(n, rhs_parts)
 
-    ftheta = PolyMultimap(
-        n,
-        m,
-        PolySet.make(
-            n + m,
-            [
-                gp.intersect(tp.embed(n + m, tuple(range(n, n + m))))
-                for gp in F.graph.pieces
-                for tp in theta.pieces
-            ],
-        ),
-    )
+    ftheta = PolyMultimap(n, m, PolySet.make(n + m, lifted))
     semicompact = inner_regularity_check(ftheta, c, x, MODE_SEMICOMPACT)
 
     ok, witness = union_subset(lhs.to_poly_union(), rhs)

@@ -715,8 +715,25 @@ class PolySet:
         )
 
 
-def _poly_key(p: ConvexPoly):
+def _poly_key(p):
     return (p.ineqs, p.eqs)
+
+
+def _maximal_parts(parts) -> tuple:
+    """The distinct parts not contained in another one, sorted by H-form.
+
+    Canonical H-forms are unique per set, so after dedup a mutual inclusion
+    cannot occur and pairwise pruning is order-free.  Serves polyhedra and
+    cones alike.
+    """
+    alive = list(dict.fromkeys(parts))
+    kept = [
+        p
+        for i, p in enumerate(alive)
+        if not any(j != i and p.subset_of(q) for j, q in enumerate(alive))
+    ]
+    kept.sort(key=_poly_key)
+    return tuple(kept)
 
 
 @dataclass(frozen=True)
@@ -732,16 +749,7 @@ class PolyUnion:
 
     @staticmethod
     def make(dim: int, parts) -> "PolyUnion":
-        # canonical H-forms are unique per set, so after dedup a mutual
-        # inclusion cannot occur and pairwise pruning is order-free
-        alive = list(dict.fromkeys(p for p in parts if not p.is_empty()))
-        kept = [
-            p
-            for i, p in enumerate(alive)
-            if not any(j != i and p.subset_of(q) for j, q in enumerate(alive))
-        ]
-        kept.sort(key=_poly_key)
-        return PolyUnion(dim, tuple(kept))
+        return PolyUnion(dim, _maximal_parts(p for p in parts if not p.is_empty()))
 
     @staticmethod
     def empty(dim: int) -> "PolyUnion":
@@ -848,14 +856,7 @@ class ConeUnion:
 
     @staticmethod
     def make(dim: int, parts) -> "ConeUnion":
-        alive = list(dict.fromkeys(p for p in parts if not p.empty))
-        kept = [
-            p
-            for i, p in enumerate(alive)
-            if not any(j != i and p.subset_of(q) for j, q in enumerate(alive))
-        ]
-        kept.sort(key=lambda c: (c.ineqs, c.eqs))
-        return ConeUnion(dim, kept)
+        return ConeUnion(dim, _maximal_parts(p for p in parts if not p.empty))
 
     @staticmethod
     def empty(dim: int) -> "ConeUnion":

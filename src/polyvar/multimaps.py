@@ -78,12 +78,8 @@ class PolyMultimap:
 
     def value_set(self, x: Vec) -> PolySet:
         """F(x) as a union of polyhedra in the output space."""
-        pieces = []
-        for p in self.graph.pieces:
-            ineqs = [(a[self.in_dim :], b - dot(a[: self.in_dim], x)) for a, b in p.ineqs]
-            eqs = [(e[self.in_dim :], d - dot(e[: self.in_dim], x)) for e, d in p.eqs]
-            pieces.append(ConvexPoly.make(self.out_dim, ineqs, eqs))
-        return PolySet.make(self.out_dim, pieces)
+        check_dim("value_set point", len(x), self.in_dim)
+        return PolySet.make(self.out_dim, [slice_fiber(p, x) for p in self.graph.pieces])
 
     def contains(self, x: Vec, y: Vec) -> bool:
         return self.graph.contains(x + y)

@@ -1,15 +1,26 @@
-"""Local cell enumeration for arrangements of polyhedral constraint rows.
+"""Sign-cell enumeration for arrangements of polyhedral constraint rows.
 
-Near a base point, the combinatorics of a finite family of polyhedral sets is
-captured by the sign cells of the arrangement of all their defining
-hyperplanes.  Rows inactive at the base point keep their sign on every cell
-whose closure contains the base, so only the active rows branch.  A sign
-vector on the active rows is an adherent nonempty cell exactly when some
-direction d from the base realizes it (the segment from the base to any
-point of the cell stays in the cell), so each surviving sign vector is
-certified by an exact slack-maximizing LP over the active rows alone, and
-the cell witness is the base moved a short way along d.  This replaces every
-"for x close enough to x̄" quantifier with a finite, exact enumeration.
+The combinatorics of a finite family of polyhedral sets is captured by the
+sign cells of the arrangement of all their defining hyperplanes: a sign per
+hyperplane (below, on, above), and a cell is nonempty when some point
+realizes its sign vector.  One depth-first enumerator serves two modes.
+
+- Near a base point (`local_cells`), rows inactive at the base keep their
+  sign on every cell whose closure contains the base, so only the active
+  rows branch.  A sign vector on the active rows is an adherent nonempty
+  cell exactly when some direction d from the base realizes it (the segment
+  from the base to any point of the cell stays in the cell), so each prefix
+  is certified by an exact slack-maximizing LP over the active normals with
+  zero offsets, and the cell witness is the base moved a short way along d.
+  This replaces every "for x close enough to x̄" quantifier with a finite,
+  exact enumeration.
+- Over a whole set (`global_cells`), every row branches and the same LP
+  keeps the offsets, so it finds a point of the region, which is the
+  witness: one representative per cell, for rules that quantify over all
+  points of a fiber.
+
+In both modes the descent starts at the origin and a child whose sign the
+parent's point already has reuses that point, so no LP runs for it.
 """
 
 from __future__ import annotations
@@ -71,9 +82,9 @@ class _Hyperplane:
     normal: Vec
     offset: Fraction
 
-    def value_sign(self, x: Vec) -> int:
-        v = dot(self.normal, x) - self.offset
-        return (v > 0) - (v < 0)
+
+def _sign(v: Fraction) -> int:
+    return (v > 0) - (v < 0)
 
 
 def _as_pieces(s: ParticipatingSet) -> tuple[ConvexPoly, ...]:
@@ -104,9 +115,27 @@ def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
     (they carry no sequence inside the intersection).  Raises
     ActiveRowLimitError when more than ACTIVE_ROW_LIMIT rows are active.
     """
-    dim = len(base)
     if not any(s.contains(base) for s in sets):
         raise ValueError("base point outside all sets")
+    return _cells(sets, base)
+
+
+def global_cells(sets: list[ParticipatingSet]) -> list[Cell]:
+    """Every nonempty sign cell of the whole arrangement inside every set.
+
+    No base point: all rows branch.  Used to pick one representative per
+    combinatorial stratum when a rule quantifies over an entire set (for
+    instance all intermediate points of a composition).  Raises
+    ActiveRowLimitError when there are more than ACTIVE_ROW_LIMIT rows.
+    """
+    if not sets:
+        return []
+    return _cells(sets, None)
+
+
+def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
+    """The enumeration behind `local_cells` (a base) and `global_cells`."""
+    dim = sets[0].dim if base is None else len(base)
 
     # collect canonical hyperplanes and per-piece requirements
     hyperplanes: list[_Hyperplane] = []
@@ -137,15 +166,21 @@ def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
         piece_rows.append(rows_per_piece)
 
     n_h = len(hyperplanes)
-    base_signs = [h.value_sign(base) for h in hyperplanes]
-    active = [i for i in range(n_h) if base_signs[i] == 0]
+    if base is None:
+        # every row branches; the region LP keeps the offsets (finds points)
+        base_signs = [0] * n_h
+        offsets = [hp.offset for hp in hyperplanes]
+        inactive = []
+    else:
+        # only rows active at the base branch; the region LP drops the
+        # offsets (finds directions from the base)
+        values = [dot(hp.normal, base) - hp.offset for hp in hyperplanes]
+        base_signs = [_sign(v) for v in values]
+        offsets = [_ZERO] * n_h
+        # (value at the base, normal) for the rows inactive at the base
+        inactive = [(v, hp.normal) for v, hp in zip(values, hyperplanes) if v]
+    active = [h for h in range(n_h) if base_signs[h] == 0]
     _check_branching(len(active))
-    # (value at the base, hyperplane) for the rows inactive at the base
-    inactive = [
-        (dot(hp.normal, base) - hp.offset, hp)
-        for hp, sgn in zip(hyperplanes, base_signs)
-        if sgn != 0
-    ]
 
     cells: list[Cell] = []
 
@@ -172,37 +207,36 @@ def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
                 return False
         return True
 
-    def direction(signs: dict[int, int]) -> Vec | None:
-        # a direction d with sign(a.d) = s on the assigned active rows
+    def region_point(signs: dict[int, int]) -> Vec | None:
+        # a point p with sign(a.p - offset) = s on the assigned rows
         strict: list[Row] = []
         eqs: list[Row] = []
         for h, sgn in signs.items():
-            normal = hyperplanes[h].normal
+            normal, offset = hyperplanes[h].normal, offsets[h]
             if sgn == 0:
-                eqs.append((normal, _ZERO))
+                eqs.append((normal, offset))
             elif sgn < 0:
-                strict.append((normal, _ZERO))
+                strict.append((normal, offset))
             else:
-                strict.append((neg(normal), _ZERO))
+                strict.append((neg(normal), -offset))
         return lp.strict_feasible_point([], strict, eqs, dim)
 
     def witness_along(d: Vec) -> Vec:
         # base + t.d keeps every inactive row's sign for 0 < t < the least
         # ratio of a row that d approaches; take half of it (at most 1/2)
         t = _ONE
-        for value, hp in inactive:
-            slope = dot(hp.normal, d)
+        for value, normal in inactive:
+            slope = dot(normal, d)
             if slope and (slope > 0) != (value > 0):
                 t = min(t, -value / slope)
         t /= 2
         return tuple(x + t * y for x, y in zip(base, d))
 
-    def descend(pos: int, signs: dict[int, int], d: Vec) -> None:
+    def descend(pos: int, signs: dict[int, int], p: Vec) -> None:
         if pos == len(active):
             full = list(base_signs)
             for h, sgn in signs.items():
                 full[h] = sgn
-            sig = CellSignature(tuple(full))
             memberships = []
             inside_all = True
             for rows_per_piece in piece_rows:
@@ -214,19 +248,23 @@ def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
                 memberships.append(inside)
                 inside_all = inside_all and bool(inside)
             if inside_all:
-                closure = _signature_closure(dim, hyperplanes, full)
                 cells.append(
-                    Cell(sig, witness_along(d), True, tuple(memberships), closure)
+                    Cell(
+                        CellSignature(tuple(full)),
+                        p if base is None else witness_along(p),
+                        base is not None,
+                        tuple(memberships),
+                        _signature_closure(hyperplanes, full),
+                    )
                 )
             return
         h = active[pos]
-        slope = dot(hyperplanes[h].normal, d)
+        value = dot(hyperplanes[h].normal, p) - offsets[h]
         for sgn in (-1, 0, 1):
             signs[h] = sgn
             if pieces_possible(signs):
-                # the parent's direction serves every child whose sign it has
-                same = (slope > 0) - (slope < 0) == sgn
-                child = d if same else direction(signs)
+                # the parent's point serves every child whose sign it has
+                child = p if _sign(value) == sgn else region_point(signs)
                 if child is not None:
                     descend(pos + 1, signs, child)
             del signs[h]
@@ -238,7 +276,7 @@ def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
 
 
 def _signature_closure(
-    dim: int, hyperplanes: list[_Hyperplane], signs: list[int]
+    hyperplanes: list[_Hyperplane], signs: list[int]
 ) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
     ineqs: list[Row] = []
     eqs: list[Row] = []
@@ -250,114 +288,3 @@ def _signature_closure(
         else:
             ineqs.append((neg(hp.normal), -hp.offset))
     return tuple(ineqs), tuple(eqs)
-
-
-def active_pieces(s: PolySet, x: Vec) -> tuple[int, ...]:
-    """Indices of pieces containing x; empty exactly when x is outside."""
-    return s.active_pieces(x)
-
-
-def global_cells(sets: list[ParticipatingSet]) -> list[Cell]:
-    """Every nonempty sign cell of the whole arrangement inside every set.
-
-    No base point: all rows branch.  Used to pick one representative per
-    combinatorial stratum when a rule quantifies over an entire set (for
-    instance all intermediate points of a composition).  Raises
-    ActiveRowLimitError when there are more than ACTIVE_ROW_LIMIT rows.
-    """
-    if not sets:
-        return []
-    dim = sets[0].dim
-    hyperplanes: list[_Hyperplane] = []
-    index: dict[tuple[Vec, Fraction], int] = {}
-
-    def hyperplane_id(a: Vec, b: Fraction) -> tuple[int, int]:
-        av, bv, flip = _canonical_hyperplane(a, b)
-        key = (av, bv)
-        if key not in index:
-            index[key] = len(hyperplanes)
-            hyperplanes.append(_Hyperplane(av, bv))
-        return index[key], flip
-
-    piece_rows: list[list[list[tuple[int, frozenset[int]]]]] = []
-    for s in sets:
-        rows_per_piece = []
-        for piece in _as_pieces(s):
-            reqs: list[tuple[int, frozenset[int]]] = []
-            for a, b in piece.ineqs:
-                h, flip = hyperplane_id(a, b)
-                reqs.append((h, frozenset({-1, 0} if flip == 1 else {0, 1})))
-            for e, d in piece.eqs:
-                h, _ = hyperplane_id(e, d)
-                reqs.append((h, frozenset({0})))
-            rows_per_piece.append(reqs)
-        piece_rows.append(rows_per_piece)
-
-    n_h = len(hyperplanes)
-    _check_branching(n_h)
-    cells: list[Cell] = []
-
-    def pieces_possible(signs: dict[int, int]) -> bool:
-        for rows_per_piece in piece_rows:
-            ok = False
-            for reqs in rows_per_piece:
-                if all(
-                    h not in signs or signs[h] in allowed for h, allowed in reqs
-                ):
-                    ok = True
-                    break
-            if not ok:
-                return False
-        return True
-
-    def region_witness(signs: dict[int, int]) -> Vec | None:
-        strict: list[Row] = []
-        eqs: list[Row] = []
-        for h, sgn in signs.items():
-            hp = hyperplanes[h]
-            if sgn == 0:
-                eqs.append((hp.normal, hp.offset))
-            elif sgn < 0:
-                strict.append((hp.normal, hp.offset))
-            else:
-                strict.append((neg(hp.normal), -hp.offset))
-        return lp.strict_feasible_point([], strict, eqs, dim)
-
-    def descend(pos: int, signs: dict[int, int]) -> None:
-        if not pieces_possible(signs):
-            return
-        witness = region_witness(signs)
-        if witness is None:
-            return
-        if pos == n_h:
-            full = [signs[h] for h in range(n_h)]
-            memberships = []
-            inside_all = True
-            for rows_per_piece in piece_rows:
-                inside = tuple(
-                    i
-                    for i, reqs in enumerate(rows_per_piece)
-                    if all(full[h] in allowed for h, allowed in reqs)
-                )
-                memberships.append(inside)
-                inside_all = inside_all and bool(inside)
-            if inside_all:
-                closure = _signature_closure(dim, hyperplanes, full)
-                cells.append(
-                    Cell(
-                        CellSignature(tuple(full)),
-                        witness,
-                        False,
-                        tuple(memberships),
-                        closure,
-                    )
-                )
-            return
-        for sgn in (-1, 0, 1):
-            signs[pos] = sgn
-            descend(pos + 1, signs)
-            del signs[pos]
-
-    descend(0, {})
-    cells.sort(key=lambda c: c.signature.signs)
-    return cells

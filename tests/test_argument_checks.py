@@ -75,6 +75,10 @@ CASES = {
         lambda: whole_map(1, 2).sum(whole_map(1, 1)),
         "dimension 1, expected 2",
     ),
+    "PolyMultimap.value_set": (
+        lambda: whole_map(2, 1).value_set(vec(0)),
+        "dimension 1, expected 2",
+    ),
     "PolyMultimap.compose_after": (
         lambda: whole_map(1, 1).compose_after(whole_map(1, 2)),
         "dimension 2, expected 1",

@@ -17,7 +17,7 @@ from conftest import (
 from polyvar import lp, stratify
 from polyvar.exactgeom import ConvexPoly, PolySet
 from polyvar.linalg import dot, vec
-from polyvar.stratify import active_pieces, global_cells, local_cells
+from polyvar.stratify import global_cells, local_cells
 
 
 def test_halfline_cells():
@@ -88,10 +88,10 @@ def test_active_row_limit(monkeypatch):
 
 def test_active_pieces_boundary_and_outside():
     ex = make_example1()
-    assert active_pieces(ex.omega2, vec(0, 0, 5)) == (0,)
-    assert active_pieces(ex.omega2, vec(-1, 0, 0)) == ()
+    assert ex.omega2.active_pieces(vec(0, 0, 5)) == (0,)
+    assert ex.omega2.active_pieces(vec(-1, 0, 0)) == ()
     interior = PolySet.from_poly(ConvexPoly.make(1, [(vec(1), Fraction(1))]))
-    assert active_pieces(interior, vec(0)) == (0,)
+    assert interior.active_pieces(vec(0)) == (0,)
 
 
 def test_partition_and_constancy_random():
@@ -147,7 +147,7 @@ def _hyperplanes(cell, s):
 
 
 def _arrangement(sets):
-    # the hyperplanes of several sets, in the order local_cells numbers them
+    # the hyperplanes of several sets, in the order the enumerator numbers them
     from polyvar.stratify import _canonical_hyperplane
 
     out = []
@@ -165,10 +165,11 @@ def _sign(v):
     return (v > 0) - (v < 0)
 
 
-def _brute_force_cells(sets, base, hyper):
-    # every sign vector on the active rows, tested on the full system with
-    # the inactive rows held strictly at the base's side
-    base_signs = [_sign(dot(a, base) - b) for a, b in hyper]
+def _brute_force_cells(sets, hyper, dim, base=None):
+    # every sign vector on the rows active at the base (on all rows without
+    # a base), tested on the full system with the inactive rows held
+    # strictly at the base's side
+    base_signs = [0 if base is None else _sign(dot(a, base) - b) for a, b in hyper]
     active = [i for i, s in enumerate(base_signs) if s == 0]
     found = set()
     for choice in itertools.product((-1, 0, 1), repeat=len(active)):
@@ -183,7 +184,7 @@ def _brute_force_cells(sets, base, hyper):
                 strict.append((a, b))
             else:
                 strict.append((tuple(-x for x in a), -b))
-        point = lp.strict_feasible_point([], strict, eqs, len(base))
+        point = lp.strict_feasible_point([], strict, eqs, dim)
         if point is not None and all(s.contains(point) for s in sets):
             found.add(tuple(signs))
     return found
@@ -204,10 +205,35 @@ def test_local_cells_match_brute_force_over_sign_vectors():
             continue
         cells = local_cells(sets, base)
         assert {c.signature.signs for c in cells} == _brute_force_cells(
-            sets, base, hyper
+            sets, hyper, dim, base
         )
         for cell in cells:
             w = cell.witness
             assert tuple(_sign(dot(a, w) - b) for a, b in hyper) == cell.signature.signs
             assert all(s.contains(w) for s in sets)
         checked += 1
+
+
+def test_global_cells_match_brute_force_over_sign_vectors():
+    rng = random.Random(77)
+    checked = nonempty = 0
+    while checked < 40:
+        dim = rng.randint(1, 3)
+        # sets through different points, so the hyperplanes have offsets and
+        # the sets may meet in a bounded region or not at all
+        sets = [random_polyset_through(rng, dim, rng_vec(rng, dim, -1, 1), max_pieces=2)]
+        if rng.random() < 0.5:
+            sets.append(random_poly_through(rng, dim, rng_vec(rng, dim, -1, 1)))
+        hyper = _arrangement(sets)
+        if not 1 <= len(hyper) <= 5:
+            continue
+        cells = global_cells(sets)
+        assert {c.signature.signs for c in cells} == _brute_force_cells(sets, hyper, dim)
+        for cell in cells:
+            w = cell.witness
+            assert tuple(_sign(dot(a, w) - b) for a, b in hyper) == cell.signature.signs
+            assert all(s.contains(w) for s in sets)
+            assert not cell.adherent
+        nonempty += bool(cells)
+        checked += 1
+    assert nonempty >= 30
