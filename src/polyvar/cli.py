@@ -14,6 +14,7 @@ import os
 import sys
 import tempfile
 
+from .exactgeom import RayLimitError
 from .multimaps import PieceLimitError
 from .presets import load_preset, preset_ids
 from .problemfile import ProblemFile, ProblemFileError, load_path
@@ -136,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
             results.append(
                 {"name": q["name"], "op": q["op"], "exit_code": code, **rendered}
             )
-    except (ValueError, PieceLimitError, ActiveRowLimitError) as exc:
+    except (ValueError, PieceLimitError, ActiveRowLimitError, RayLimitError) as exc:
         sys.stderr.write(f"input error: query {q['name']!r}: {exc}\n")
         return EXIT_INPUT
 

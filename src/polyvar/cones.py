@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
-from .linalg import Vec, dot, neg, sub
+from .linalg import Vec, check_dim, dot, neg, sub
 from .stratify import local_cells
 
 KIND_PROXIMAL = "proximal"
@@ -40,6 +40,7 @@ class ConeRequest:
 
 def radial_cone(c: ConvexPoly, x: Vec) -> ConeH:
     """Directions d with x + p d in c for some p > 0 (exact for polyhedra)."""
+    check_dim("radial_cone point", len(x), c.dim)
     if not c.contains(x):
         raise ValueError("point outside the set")
     ineqs = [a for a, b in c.ineqs if dot(a, x) == b]
@@ -57,6 +58,7 @@ def _piece_normal_cone(piece: ConvexPoly, x: Vec) -> ConeH:
 
 def frechet_normal(omega: PolySet, x: Vec) -> ConeH:
     """Classical Fréchet normal cone of a union of closed convex polyhedra."""
+    check_dim("frechet_normal point", len(x), omega.dim)
     active = omega.active_pieces(x)
     if not active:
         raise ValueError("point outside the set")
@@ -68,6 +70,7 @@ def frechet_normal(omega: PolySet, x: Vec) -> ConeH:
 
 def frechet_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
     """Fréchet normal cone of omega at the point, relative to the set wrt."""
+    check_dim("frechet_normal_wrt point", len(point), omega.dim)
     request_domain = omega.intersect_poly(wrt)
     if not request_domain.contains(point):
         return ConeH.empty_marker(omega.dim)
@@ -115,6 +118,7 @@ def _proximal_inequality_holds(
 
 def limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnion:
     """Limiting normal cone relative to wrt: the outer limit over adherent cells."""
+    check_dim("limiting_normal_wrt point", len(point), omega.dim)
     request_domain = omega.intersect_poly(wrt)
     if not request_domain.contains(point):
         return ConeUnion.empty(omega.dim)

@@ -105,27 +105,38 @@ def _canon_h_rows(
     if work is None:
         return None
     eq_out = [_split(r) for r in eq_rows]
-    if lp.feasible_point(work, eq_out, dim) is None:
+
+    # one LP for emptiness and implied equalities: the largest t with
+    # a.x + t <= b on every row.  t < 0: empty; t > 0: some point meets every
+    # row strictly, so none is an implied equality; t = 0: only rows tight at
+    # the optimum can be implied equalities (a.x <= b that the whole system
+    # forces to bind), and each is tested on its own.  The equalities are
+    # consistent, so the LP is feasible, and without rows the set is their
+    # solution space.
+    t, x = lp.max_slack([], work, eq_out, dim) if work else (_ONE, None)
+    if t < 0:
         return None
+    if t == 0:
+        implied = [
+            i
+            for i, (a, b) in enumerate(work)
+            if dot(a, x) == b
+            and lp.solve(a, work, eq_out, dim, maximize=False)[2] == b
+        ]
+        eq_rows, pivots = rref_ints(
+            eq_rows + [integer_row(work[i][0] + (work[i][1],))[0] for i in implied]
+        )
+        eq_out = [_split(r) for r in eq_rows]
+        # the system is feasible, so no row reduces to 0 <= negative
+        work = _reduce_rows(
+            [row for i, row in enumerate(work) if i not in implied], eq_rows, pivots
+        )
 
-    # implied equalities: a.x <= b that the whole system forces to bind
-    changed = True
-    while changed:
-        changed = False
-        for i, (a, b) in enumerate(work):
-            status, _, val = lp.solve(a, work, eq_out, dim, maximize=False)
-            if status == lp.OPTIMAL and val == b:
-                eq_rows, pivots = rref_ints(eq_rows + [integer_row(a + (b,))[0]])
-                eq_out = [_split(r) for r in eq_rows]
-                # the system is feasible, so no row reduces to 0 <= negative
-                work = _reduce_rows(work[:i] + work[i + 1 :], eq_rows, pivots)
-                changed = True
-                break
-
-    # redundant inequalities
+    # redundant inequalities; over a nonempty set a last row, nonzero modulo
+    # the equalities, bounds it and is never redundant
     keep = list(work)
     i = 0
-    while i < len(keep):
+    while i < len(keep) and len(keep) > 1:
         a, b = keep[i]
         others = keep[:i] + keep[i + 1 :]
         status, _, val = lp.solve(a, others, eq_out, dim, maximize=True)
@@ -328,102 +339,93 @@ def _eliminate_one(
 # ---------------------------------------------------------------------------
 
 
+# most rays one double-description step may leave; the test suite reaches
+# 10, one pass of each benchmark workload at most 8
+RAY_LIMIT = 128
+
+
+class RayLimitError(RuntimeError):
+    pass
+
+
 def _dd(dim: int, ineq_rows: list[Vec], eq_rows: list[Vec]) -> tuple[list[Vec], list[Vec]]:
     """Double description: generators of {x : a.x <= 0, e.x == 0}.
 
     Maintains a (rays, lineality) pair generating the intersection of the
-    constraints processed so far.  A constraint that cuts a lineality
-    direction turns it into a ray and projects everything else onto the
-    constraint's hyperplane; otherwise rays are split by sign and adjacent
-    pairs are combined.  Redundant rays are pruned after every step, which at
-    this package's scale is cheaper than maintaining adjacency certificates.
+    constraints processed so far, the rays being exactly its extreme rays
+    modulo the lineality.  Each ray carries its zero set, a bitmask of the
+    processed rows it meets with equality.  A constraint that cuts a
+    lineality direction turns it into a ray meeting every earlier row, and
+    projects everything else onto the constraint's hyperplane: the projected
+    rays stay extreme and gain the new row.  Otherwise rays are split by sign
+    and a (+, -) pair is combined only when it is adjacent, that is when no
+    third ray's zero set contains the pair's common zero set (the
+    combinatorial test of Fukuda & Prodon 1996).  No ray is ever redundant,
+    so no LP is needed.
 
     Rays and lineality are integer vectors throughout, each a primitive
     positive multiple of its rational counterpart; the returned rays are
-    reduced modulo the lineality, primitive, irredundant and sorted.
+    reduced modulo the lineality, primitive and sorted.  RayLimitError when a
+    step leaves more than RAY_LIMIT rays.
     """
     lin = nullspace_ints([integer_row(e)[0] for e in eq_rows], dim)
     rays: list[list[int]] = []
-    for row in ineq_rows:
+    zeros: list[int] = []
+    for i, row in enumerate(ineq_rows):
         a, _ = integer_row(row)
+        bit = 1 << i
         lin_vals = [sum(map(mul, a, l)) for l in lin]
-        k = next((i for i, v in enumerate(lin_vals) if v != 0), None)
+        k = next((j for j, v in enumerate(lin_vals) if v != 0), None)
         if k is not None:
             pivot, pa = lin[k], lin_vals[k]
             if pa > 0:
                 pivot, pa = [-x for x in pivot], -pa
             # project along the pivot onto a.x = 0, scaled by -pa > 0 so
             # that no vector changes orientation; the lineality basis stays
-            # independent, so none of it projects to zero
+            # independent, so none of it projects to zero.  Every earlier row
+            # vanishes on the old lineality, the pivot included, so the
+            # projection leaves their values on the rays unchanged.
             lin = [
                 _project(l, v, pivot, pa)
-                for i, (l, v) in enumerate(zip(lin, lin_vals))
-                if i != k
+                for j, (l, v) in enumerate(zip(lin, lin_vals))
+                if j != k
             ]
             rays = [_project(r, sum(map(mul, a, r)), pivot, pa) for r in rays]
             rays.append(pivot)
-            rays = _prune_rays(dim, rays, lin)
-            continue
-        vals = [sum(map(mul, a, r)) for r in rays]
-        if all(v <= 0 for v in vals):
-            continue
-        new_rays = [r for r, v in zip(rays, vals) if v <= 0]
-        for rp, vp in zip(rays, vals):
-            if vp <= 0:
-                continue
-            for rn, vn in zip(rays, vals):
-                if vn < 0:
-                    comb = [vp * x - vn * y for x, y in zip(rn, rp)]
-                    if any(comb):
-                        new_rays.append(primitive_ints(comb))
-        rays = _prune_rays(dim, new_rays, lin)
-    return [to_vec(r) for r in rays], [to_vec(l) for l in lin]
+            zeros = [z | bit for z in zeros] + [bit - 1]
+        else:
+            vals = [sum(map(mul, a, r)) for r in rays]
+            new_rays = [r for r, v in zip(rays, vals) if v <= 0]
+            new_zeros = [z | bit if v == 0 else z for z, v in zip(zeros, vals) if v <= 0]
+            for p, (rp, vp, zp) in enumerate(zip(rays, vals, zeros)):
+                if vp <= 0:
+                    continue
+                for n, (rn, vn, zn) in enumerate(zip(rays, vals, zeros)):
+                    if vn >= 0:
+                        continue
+                    common = zp & zn
+                    if any(
+                        z & common == common
+                        for j, z in enumerate(zeros)
+                        if j != p and j != n
+                    ):
+                        continue
+                    new_rays.append(
+                        primitive_ints([vp * x - vn * y for x, y in zip(rn, rp)])
+                    )
+                    new_zeros.append(common | bit)
+            rays, zeros = new_rays, new_zeros
+        if len(rays) > RAY_LIMIT:
+            raise RayLimitError(
+                f"ray limit exceeded: {len(rays)} rays (limit {RAY_LIMIT})"
+            )
+    lin_rows, lin_piv = rref_ints(lin)
+    out = sorted(tuple(reduce_mod_rowspace(r, lin_rows, lin_piv)) for r in rays)
+    return [to_vec(r) for r in out], [to_vec(l) for l in lin]
 
 
 def _project(v, av: int, pivot: list[int], pa: int) -> list[int]:
     return primitive_ints([av * y - pa * x for x, y in zip(v, pivot)])
-
-
-def _prune_rays(
-    dim: int, rays: list, lin: list[list[int]]
-) -> list[tuple[int, ...]]:
-    """Canonical ray list: reduced modulo lineality, primitive, irredundant."""
-    lin_rows, lin_piv = rref_ints(lin)
-    canon: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for r in rays:
-        rr = tuple(reduce_mod_rowspace(r, lin_rows, lin_piv))
-        if any(rr) and rr not in seen:
-            seen.add(rr)
-            canon.append(rr)
-    gens = [to_vec(r) for r in canon]
-    lin_gens = [to_vec(l) for l in lin]
-    i = 0
-    while i < len(canon):
-        if _in_cone_of(dim, gens[i], gens[:i] + gens[i + 1 :], lin_gens):
-            canon.pop(i)
-            gens.pop(i)
-        else:
-            i += 1
-    canon.sort()
-    return canon
-
-
-def _in_cone_of(dim: int, x: Vec, rays: list[Vec], lin: list[Vec]) -> bool:
-    """Is x in cone(rays) + span(lin)?  LP in the coefficients."""
-    k, s = len(rays), len(lin)
-    if k == 0 and s == 0:
-        return is_zero(x)
-    eqs: list[Row] = []
-    for c in range(dim):
-        coeff = tuple(r[c] for r in rays) + tuple(l[c] for l in lin)
-        eqs.append((coeff, x[c]))
-    ineqs: list[Row] = []
-    for j in range(k):
-        e = [_ZERO] * (k + s)
-        e[j] = Fraction(-1)
-        ineqs.append((tuple(e), _ZERO))
-    return lp.feasible_point(ineqs, eqs, k + s) is not None
 
 
 class ConeH:

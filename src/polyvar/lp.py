@@ -222,17 +222,19 @@ def feasible_point(ineqs: list[Row], eqs: list[Row], dim: int) -> Vec | None:
     return x if status == OPTIMAL else None
 
 
-def strict_feasible_point(
+def max_slack(
     ineqs: list[Row],
     strict: list[Row],
     eqs: list[Row],
     dim: int,
-) -> Vec | None:
-    """A point satisfying `strict` rows strictly and the rest weakly.
+) -> tuple[Fraction, Vec] | None:
+    """Largest common slack of the `strict` rows: (t, x), or None if infeasible.
 
-    Solves max t <= 1 with a @ x + t <= b on the strict rows; the optimum is
-    positive exactly when the mixed system is solvable, and the returned point
-    maximizes the worst strict slack (a deterministic relative-interior pick).
+    Solves max t <= 1 with a @ x + t <= b on the strict rows and the other
+    rows as given.  The optimum t is positive exactly when some point
+    satisfies the strict rows strictly, zero when the rows hold at some
+    point but never all strictly, and negative when they cannot hold
+    together; x maximizes the worst strict slack (capped at 1).
     """
     lift_ineqs: list[Row] = [(a + (_ZERO,), b) for a, b in ineqs]
     for a, b in strict:
@@ -241,7 +243,23 @@ def strict_feasible_point(
     lift_eqs: list[Row] = [(a + (_ZERO,), b) for a, b in eqs]
     t_obj = (_ZERO,) * dim + (_ONE,)
     status, x, value = solve(t_obj, lift_ineqs, lift_eqs, dim + 1)
-    if status != OPTIMAL or value is None or value <= 0:
+    if status != OPTIMAL:
         return None
-    assert x is not None
-    return x[:dim]
+    return value, x[:dim]
+
+
+def strict_feasible_point(
+    ineqs: list[Row],
+    strict: list[Row],
+    eqs: list[Row],
+    dim: int,
+) -> Vec | None:
+    """A point satisfying `strict` rows strictly and the rest weakly.
+
+    The point of `max_slack` when its slack is positive: it maximizes the
+    worst strict slack (a deterministic relative-interior pick).
+    """
+    best = max_slack(ineqs, strict, eqs, dim)
+    if best is None or best[0] <= 0:
+        return None
+    return best[1]

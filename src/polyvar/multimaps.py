@@ -82,7 +82,12 @@ class PolyMultimap:
         return PolySet.make(self.out_dim, [slice_fiber(p, x) for p in self.graph.pieces])
 
     def contains(self, x: Vec, y: Vec) -> bool:
+        self.check_point(x, y)
         return self.graph.contains(x + y)
+
+    def check_point(self, x: Vec, y: Vec) -> None:
+        check_dim("point x", len(x), self.in_dim)
+        check_dim("point y", len(y), self.out_dim)
 
     def inverse(self) -> "PolyMultimap":
         n, m = self.in_dim, self.out_dim
@@ -151,6 +156,7 @@ class CoderivativeSlice:
 
 def graph_normal_cone(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> ConeUnion:
     """N_{C x R^m}((x, y), gph F_C), the cone behind every coderivative."""
+    F.check_point(x, y)
     wrt = c.product(ConvexPoly.whole_space(F.out_dim))
     return limiting_normal_wrt(F.graph, wrt, x + y)
 
@@ -158,6 +164,7 @@ def graph_normal_cone(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> ConeUni
 def coderivative_wrt(
     F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec, ystar: Vec
 ) -> CoderivativeSlice:
+    check_dim("ystar", len(ystar), F.out_dim)
     if not F.contains(x, y):
         raise ValueError("base point off the graph")
     if not c.contains(x):

@@ -24,7 +24,7 @@ from .exactgeom import (
     homogeneous_union_to_cones,
     slice_cone_at_tail,
 )
-from .linalg import Vec, as_vec, neg, zero
+from .linalg import Vec, as_vec, check_dim, neg, zero
 from .multimaps import PolyMultimap, coderivative_wrt
 from .verdicts import TriVerdict
 
@@ -77,6 +77,7 @@ class PLFunc:
 
     def value(self, x: Vec) -> Fraction | None:
         """f(x) = min{alpha : (x, alpha) in epi}; None encodes +infinity."""
+        check_dim("value point", len(x), self.dim)
         best: Fraction | None = None
         obj = zero(self.dim) + (Fraction(1),)
         for p in self.epi.pieces:

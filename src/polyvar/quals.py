@@ -22,13 +22,14 @@ from __future__ import annotations
 
 from .cones import limiting_normal, limiting_normal_wrt
 from .exactgeom import ConeUnion, ConvexPoly, PolySet
-from .linalg import Vec, dot, zero
+from .linalg import Vec, check_dim, dot, zero
 from .stratify import local_cells
 from .verdicts import TriVerdict
 
 
 def _require_membership(sets: list[tuple[str, PolySet | ConvexPoly]], x: Vec):
     for name, s in sets:
+        check_dim(f"base point ({name})", len(x), s.dim)
         if not s.contains(x):
             raise ValueError(f"base point outside {name}")
 

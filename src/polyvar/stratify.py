@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import lp
 from .exactgeom import ConvexPoly, PolySet
-from .linalg import Vec, dot, neg, primitive, zero
+from .linalg import Vec, check_dim, dot, neg, primitive, zero
 
 Row = tuple[Vec, Fraction]
 
@@ -115,6 +115,8 @@ def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
     (they carry no sequence inside the intersection).  Raises
     ActiveRowLimitError when more than ACTIVE_ROW_LIMIT rows are active.
     """
+    for s in sets:
+        check_dim("local_cells base", len(base), s.dim)
     if not any(s.contains(base) for s in sets):
         raise ValueError("base point outside all sets")
     return _cells(sets, base)

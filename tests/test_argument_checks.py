@@ -28,8 +28,13 @@ from polyvar.multimaps import (
     MODE_SEMICOMPACT,
     MODE_SEMICONTINUOUS,
     PolyMultimap,
+    coderivative_wrt,
+    graph_normal_cone,
     inner_regularity_check,
 )
+from polyvar.plfunc import PLFunc, subdiff_wrt
+from polyvar.quals import lqc_wrt_check, normal_densed_check
+from polyvar.stratify import local_cells
 
 
 def whole_map(n: int, m: int) -> PolyMultimap:
@@ -120,6 +125,69 @@ CASES = {
         "head of dimension 2, cone of 1",
     ),
 }
+
+# a point of the wrong length: `linalg.dot` truncates, so without the checks
+# most of these returned a result computed on part of the point
+HALF_PLANE = PolySet.from_poly(ConvexPoly.make(2, [(vec(1, 0), Fraction(0))]))
+PLANE = ConvexPoly.whole_space(2)
+LINE = ConvexPoly.whole_space(1)
+POINT_CASES = {
+    "radial_cone": (lambda: cones.radial_cone(PLANE, vec(0)), "dimension 1, expected 2"),
+    "frechet_normal": (
+        lambda: cones.frechet_normal(HALF_PLANE, vec(0)),
+        "dimension 1, expected 2",
+    ),
+    "frechet_normal_wrt": (
+        lambda: cones.frechet_normal_wrt(HALF_PLANE, PLANE, vec(0)),
+        "dimension 1, expected 2",
+    ),
+    "proximal_normal_wrt": (
+        lambda: cones.proximal_normal_wrt(HALF_PLANE, PLANE, vec(0, 0, 0)),
+        "dimension 3, expected 2",
+    ),
+    "limiting_normal_wrt": (
+        lambda: cones.limiting_normal_wrt(HALF_PLANE, PLANE, vec(0)),
+        "dimension 1, expected 2",
+    ),
+    "limiting_normal": (
+        lambda: cones.limiting_normal(HALF_PLANE, vec(0)),
+        "dimension 1, expected 2",
+    ),
+    "local_cells": (lambda: local_cells([HALF_PLANE], vec(0)), "dimension 1, expected 2"),
+    "graph_normal_cone x": (
+        lambda: graph_normal_cone(whole_map(1, 1), LINE, vec(), vec(0, 0)),
+        "dimension 0, expected 1",
+    ),
+    "graph_normal_cone y": (
+        lambda: graph_normal_cone(whole_map(1, 1), LINE, vec(0), vec(0, 0)),
+        "dimension 2, expected 1",
+    ),
+    "coderivative_wrt x": (
+        lambda: coderivative_wrt(whole_map(1, 1), LINE, vec(), vec(0, 0), vec(1)),
+        "dimension 0, expected 1",
+    ),
+    "coderivative_wrt ystar": (
+        lambda: coderivative_wrt(whole_map(1, 1), LINE, vec(0), vec(0), vec(1, 1)),
+        "dimension 2, expected 1",
+    ),
+    "PLFunc.value": (
+        lambda: PLFunc.affine(2, vec(1, 1), 0).value(vec(0)),
+        "dimension 1, expected 2",
+    ),
+    "subdiff_wrt": (
+        lambda: subdiff_wrt(PLFunc.affine(2, vec(1, 1), 0), PLANE, vec(0), "limiting"),
+        "dimension 1, expected 2",
+    ),
+    "lqc_wrt_check": (
+        lambda: lqc_wrt_check(HALF_PLANE, HALF_PLANE, PLANE, PLANE, vec(0)),
+        "dimension 1, expected 2",
+    ),
+    "normal_densed_check": (
+        lambda: normal_densed_check(HALF_PLANE, HALF_PLANE, PLANE, PLANE, vec(0)),
+        "dimension 1, expected 2",
+    ),
+}
+CASES.update({f"point: {name}": case for name, case in POINT_CASES.items()})
 
 EMPTY_MARKER_CASES = {
     "polar": lambda: polar(ConeH.empty_marker(2)),

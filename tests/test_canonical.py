@@ -7,13 +7,24 @@ import random
 from fractions import Fraction
 
 from conftest import random_cone, random_cone_union, rng_vec
+from polyvar import exactgeom, lp
 from polyvar.exactgeom import (
     ConeH,
     ConvexPoly,
     PolyUnion,
     union_subset,
 )
-from polyvar.linalg import add, as_vec, dot, scale, vec
+from polyvar.linalg import (
+    add,
+    as_vec,
+    dot,
+    frozen_rows,
+    integer_row,
+    neg,
+    rref_ints,
+    scale,
+    vec,
+)
 
 
 def test_canonical_form_invariant_under_presentation():
@@ -157,3 +168,133 @@ def test_dd_round_trip_dim_five_and_six():
         dim = rng.randint(5, 6)
         c = random_cone(rng, dim, max_rows=4)
         assert ConeH.from_generators(dim, c.rays, c.lineality) == c
+
+
+# -- canonicalization against the LP-per-row reference -------------------------
+
+
+def ref_canon_h_rows(dim, ineqs, eqs):
+    """The previous `_canon_h_rows`: a feasibility LP, one implied-equality
+    LP per row with a restart after every hit, then one LP per row for
+    redundancy."""
+    eq_rows, pivots = rref_ints([integer_row(e + (d,))[0] for e, d in eqs])
+    if dim in pivots:
+        return None
+    work = exactgeom._reduce_rows(ineqs, eq_rows, pivots)
+    if work is None:
+        return None
+    eq_out = [exactgeom._split(r) for r in eq_rows]
+    if lp.feasible_point(work, eq_out, dim) is None:
+        return None
+
+    # implied equalities: a.x <= b that the whole system forces to bind
+    changed = True
+    while changed:
+        changed = False
+        for i, (a, b) in enumerate(work):
+            status, _, val = lp.solve(a, work, eq_out, dim, maximize=False)
+            if status == lp.OPTIMAL and val == b:
+                eq_rows, pivots = rref_ints(eq_rows + [integer_row(a + (b,))[0]])
+                eq_out = [exactgeom._split(r) for r in eq_rows]
+                # the system is feasible, so no row reduces to 0 <= negative
+                work = exactgeom._reduce_rows(work[:i] + work[i + 1 :], eq_rows, pivots)
+                changed = True
+                break
+
+    # redundant inequalities
+    keep = list(work)
+    i = 0
+    while i < len(keep):
+        a, b = keep[i]
+        others = keep[:i] + keep[i + 1 :]
+        status, _, val = lp.solve(a, others, eq_out, dim, maximize=True)
+        if status == lp.OPTIMAL and val is not None and val <= b:
+            keep.pop(i)
+        else:
+            i += 1
+    keep.sort()
+    eq_out.sort()
+    return tuple(keep), tuple(eq_out)
+
+
+def canon_cases(seed: int, count: int):
+    """Seeded (dim, ineqs, eqs): random rows, plus rows that bind only
+    together (a1 + a2 <= -(b1 + b2) beside a1 <= b1, a2 <= b2) with a
+    zero, negative or positive total, and single-row systems."""
+    rng = random.Random(seed)
+    for i in range(count):
+        dim = 1 + i % 4
+        ineqs = []
+        for _ in range(rng.randint(0, 4)):
+            a = rng_vec(rng, dim, -3, 3)
+            ineqs.append((a, Fraction(rng.randint(-3, 3), rng.randint(1, 2))))
+        if i % 3 == 0:
+            a1, a2 = rng_vec(rng, dim, -2, 2), rng_vec(rng, dim, -2, 2)
+            b1, b2 = Fraction(rng.randint(-2, 2)), Fraction(rng.randint(-2, 2))
+            gap = rng.choice([0, 0, -1, 1])
+            ineqs += [(a1, b1), (a2, b2), (neg(add(a1, a2)), gap - b1 - b2)]
+        if i % 5 == 0:
+            ineqs = ineqs[:1]
+        eqs = []
+        if rng.random() < 0.3:
+            eqs.append((rng_vec(rng, dim, -2, 2), Fraction(rng.randint(-2, 2))))
+        rng.shuffle(ineqs)
+        yield dim, ineqs, eqs
+
+
+def test_canon_matches_reference(monkeypatch):
+    slacks = []
+    max_slack = lp.max_slack
+
+    def spy(*args):
+        out = max_slack(*args)
+        slacks.append(out[0])
+        return out
+
+    monkeypatch.setattr(lp, "max_slack", spy)
+    exactgeom._canon_h_rows.cache_clear()
+    zero = Fraction(0)
+    fixed = [
+        # x + y <= 0, -x <= 0, -y <= 0: all three bind, but only together
+        (2, [(vec(1, 1), zero), (vec(-1, 0), zero), (vec(0, -1), zero)], []),
+        (3, [(vec(1, 1, 1), zero), (vec(-1, 0, 0), zero), (vec(0, -1, 0), zero),
+             (vec(0, 0, -1), zero)], []),
+        (2, [(vec(1, 0), Fraction(-1)), (vec(-1, 0), zero)], []),  # empty
+        (2, [(vec(1, 0), Fraction(1))], [(vec(1, 0), Fraction(1))]),
+        (1, [(vec(0), zero)], []),
+        (2, [(vec(1, 2), Fraction(3))], []),
+    ]
+    for dim, ineqs, eqs in fixed + list(canon_cases(641, 400)):
+        got = exactgeom._canon_h(dim, ineqs, eqs)
+        want = ref_canon_h_rows(dim, frozen_rows(ineqs), frozen_rows(eqs))
+        assert got == want, (dim, ineqs, eqs)
+    # every outcome of the slack LP is reached: empty, implied equalities, none
+    assert {(t > 0) - (t < 0) for t in slacks} == {-1, 0, 1}
+    assert sum(t == 0 for t in slacks) >= 20 and sum(t < 0 for t in slacks) >= 20
+
+
+def test_full_dimensional_canon_makes_one_lp_before_redundancy(monkeypatch):
+    rng = random.Random(643)
+    solve = lp.solve
+    calls = []
+
+    def spy(c, ineqs, eqs, dim, maximize=True):
+        calls.append((dim, maximize))
+        return solve(c, ineqs, eqs, dim, maximize)
+
+    monkeypatch.setattr(lp, "solve", spy)
+    exactgeom._canon_h_rows.cache_clear()
+    for k in range(1, 7):
+        dim = rng.randint(1, 4)
+        center = rng_vec(rng, dim, -2, 2)
+        rows = []
+        while len(rows) < k:
+            a = rng_vec(rng, dim, -3, 3)
+            if any(a):
+                rows.append((a, dot(a, center) + rng.randint(1, 3)))
+        calls.clear()
+        assert exactgeom._canon_h(dim, rows, []) is not None
+        # the slack LP over (x, t), then only redundancy LPs, none for one row
+        assert calls[0] == (dim + 1, True)
+        assert all(call == (dim, True) for call in calls[1:])
+        assert len(calls) == 1 if k == 1 else 2 <= len(calls) <= k + 1

@@ -5,15 +5,20 @@
 the previous implementations, kept verbatim as the reference; seeded inputs
 (dimensions 1-7, integer and rational entries, zero and duplicate rows) must
 give equal results, and every value handed back must be a `Fraction`.
+`ref_dd` combines every (+, -) pair and prunes redundant rays by LP, where
+`_dd` combines adjacent pairs only; degenerate inputs check that as well.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
 
-from polyvar import exactgeom
+import pytest
+
+from polyvar import exactgeom, lp
 from polyvar.exactgeom import ConeH, ConvexPoly
 from polyvar.linalg import (
     Vec,
@@ -109,6 +114,23 @@ def ref_nullspace(rows, dim):
     return out
 
 
+def ref_in_cone_of(dim, x, rays, lin):
+    """Is x in cone(rays) + span(lin)?  LP in the coefficients."""
+    k, s = len(rays), len(lin)
+    if k == 0 and s == 0:
+        return ref_is_zero(x)
+    eqs = []
+    for c in range(dim):
+        coeff = tuple(r[c] for r in rays) + tuple(l[c] for l in lin)
+        eqs.append((coeff, x[c]))
+    ineqs = []
+    for j in range(k):
+        e = [Fraction(0)] * (k + s)
+        e[j] = Fraction(-1)
+        ineqs.append((tuple(e), Fraction(0)))
+    return lp.feasible_point(ineqs, eqs, k + s) is not None
+
+
 def ref_prune_rays(dim, rays, lin):
     lin_rows, lin_piv = ref_rref(list(lin))
     canon = []
@@ -121,7 +143,7 @@ def ref_prune_rays(dim, rays, lin):
     i = 0
     while i < len(canon):
         others = canon[:i] + canon[i + 1 :]
-        if exactgeom._in_cone_of(dim, canon[i], others, lin):
+        if ref_in_cone_of(dim, canon[i], others, lin):
             canon.pop(i)
         else:
             i += 1
@@ -262,6 +284,102 @@ def test_dd_matches_reference():
         assert len(lin) == len(ref_lin)
         assert all(positive_multiple(v, w) for v, w in zip(lin, ref_lin))
         assert_fractions(*rays, *lin)
+
+
+def lifted(points) -> list[Vec]:
+    """Points of an affine slice t = 1 as vectors (p, 1)."""
+    return [tuple(Fraction(x) for x in p) + (Fraction(1),) for p in points]
+
+
+def degenerate_cases():
+    """(dim, ineqs, eqs) where many rays share a face, rows repeat, are
+    rescaled or redundant, or nothing but lineality remains."""
+    parabola = [(t, t * t) for t in range(-3, 4)]
+    octagon = [(2, 0), (1, 1), (0, 2), (-1, 1), (-2, 0), (-1, -1), (0, -2), (1, -1)]
+    cube = list(itertools.product((-1, 1), repeat=3))
+    cross = [tuple(s if i == j else 0 for i in range(3)) for j in range(3) for s in (-1, 1)]
+    # pyramids over polygons: every base vertex lies on the base facet
+    pyramid = [p + (0,) for p in parabola] + [(0, 3, 1)]
+    prism = [p + (h,) for p in octagon[::2] for h in (0, 1)]
+    solids = [parabola, parabola + [(0, 12)], octagon, cube, cross, pyramid, prism]
+    out = []
+    for gens in solids:
+        dim = len(gens[0]) + 1
+        # the cone's polar (rows -v) and the cone itself (its facet rows)
+        polar_rows = [tuple(-x for x in v) for v in lifted(gens)]
+        facets, _ = ref_dd(dim, polar_rows, [])
+        out.append((dim, polar_rows, []))
+        out.append((dim, list(facets), []))
+    rng = random.Random(16)
+    for dim, rows, _ in list(out):
+        rows = list(rows)
+        rows += [rng.choice(rows) for _ in range(2)]  # duplicates
+        rows += [tuple(x * rng.randint(2, 5) for x in rng.choice(rows))]  # rescaled
+        a, b = rng.sample(rows, 2)
+        rows.append(tuple(x + y for x, y in zip(a, b)))  # redundant
+        for _ in range(3):
+            out.append((dim, rng.sample(rows, len(rows)), []))
+    # an opposite pair cuts out a hyperplane; equalities shrink the lineality
+    for dim, rows, _ in out[: len(solids) * 2 : 3]:
+        out.append((dim, rows + [tuple(-x for x in rows[0])], []))
+        out.append((dim, rows, [rows[1]]))
+    # nothing but lineality: no rows, zero rows, rows fixed by the equalities
+    for dim in range(1, 5):
+        zero_row = tuple(Fraction(0) for _ in range(dim))
+        unit = tuple(Fraction(int(i == 0)) for i in range(dim))
+        out.append((dim, [], []))
+        out.append((dim, [zero_row, zero_row], []))
+        out.append((dim, [unit, tuple(-x for x in unit)], [unit]))
+        out.append((dim, [], [unit]))
+    return out
+
+
+def test_dd_matches_reference_on_degenerate_inputs():
+    for dim, ineqs, eqs in degenerate_cases():
+        rays, lin = exactgeom._dd(dim, ineqs, eqs)
+        ref_rays, ref_lin = ref_dd(dim, ineqs, eqs)
+        assert rays == ref_rays, (dim, ineqs, eqs)
+        assert len(lin) == len(ref_lin)
+        assert all(positive_multiple(v, w) for v, w in zip(lin, ref_lin))
+
+
+def test_dd_and_cone_rays_solve_no_lp(monkeypatch):
+    cones = []
+    for rng, dim, rational in cases(17, 70):
+        cones.append(
+            ConeH.from_ineqs(
+                dim,
+                [r for r in rand_rows(rng, dim, rational, max_rows=5) if any(r)],
+                [r for r in rand_rows(rng, dim, rational, max_rows=1) if any(r)],
+            )
+        )
+    inputs = degenerate_cases()
+
+    def no_lp(*args, **kwargs):
+        raise RuntimeError("an LP inside the double description")
+
+    monkeypatch.setattr(lp, "solve", no_lp)
+    for dim, ineqs, eqs in inputs:
+        exactgeom._dd(dim, ineqs, eqs)
+    for cone in cones:
+        assert cone._rays is None
+        cone.rays
+
+
+def test_ray_limit(monkeypatch):
+    # the cone over a cube, |x_i| <= t, has eight extreme rays
+    dim = 4
+    rows = [
+        tuple(Fraction(s * (i == j) - (j == 3)) for j in range(dim))
+        for i in range(3)
+        for s in (-1, 1)
+    ]
+    assert len(exactgeom._dd(dim, rows, [])[0]) == 8
+    monkeypatch.setattr(exactgeom, "RAY_LIMIT", 8)
+    assert len(exactgeom._dd(dim, rows, [])[0]) == 8
+    monkeypatch.setattr(exactgeom, "RAY_LIMIT", 7)
+    with pytest.raises(exactgeom.RayLimitError, match=r"8 rays \(limit 7\)"):
+        exactgeom._dd(dim, rows, [])
 
 
 def test_cone_generators_match_reference():

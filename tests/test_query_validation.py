@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polyvar import multimaps, stratify
+from polyvar import exactgeom, multimaps, stratify
 from polyvar.cli import main
 
 EVERY_OP = Path(__file__).parent / "data" / "every_op.json"
@@ -119,6 +119,15 @@ def test_active_row_limit_exits_3(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, {**CONE, "kind": "limiting"}) == 3
     err = capsys.readouterr().err
     assert "query 'q'" in err and "active-row limit exceeded" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_ray_limit_exits_3(tmp_path, capsys, monkeypatch):
+    # the Fréchet cone at the origin is generated by two normals
+    monkeypatch.setattr(exactgeom, "RAY_LIMIT", 1)
+    assert run(tmp_path, CONE) == 3
+    err = capsys.readouterr().err
+    assert "query 'q'" in err and "ray limit exceeded: 2 rays (limit 1)" in err
     assert not (tmp_path / "report.json").exists()
 
 @pytest.mark.parametrize(
