@@ -17,7 +17,6 @@ reference domain.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
 from .linalg import Vec, check_dim, dot, neg, sub
@@ -104,16 +103,10 @@ def _proximal_inequality_holds(
     offsets = [sub(cell.witness, point) for cell in local_cells([omega, wrt], point)]
     if any(dot(xstar, d) > 0 for xstar in normals for d in offsets):
         return False
-    for xstar in cone.rays + cone.lineality:
-        # radial admissibility: x + p x* in wrt for small p
-        p = Fraction(1, 2)
-        while p > Fraction(1, 1024) and not wrt.contains(
-            tuple(a + p * b for a, b in zip(point, xstar))
-        ):
-            p /= 2
-        if not wrt.contains(tuple(a + p * b for a, b in zip(point, xstar))):
-            return False
-    return True
+    # radial admissibility, x + p x* in wrt for some p > 0, is membership in
+    # the radial cone of wrt at the point
+    radial = radial_cone(wrt, point)
+    return all(radial.contains(xstar) for xstar in normals)
 
 
 def limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnion:

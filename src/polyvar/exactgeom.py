@@ -10,6 +10,12 @@ checks are provided on top).
 Cones additionally carry a lazily computed V-representation (extreme rays
 modulo lineality plus a lineality basis) obtained by the double description
 method, so polars and Minkowski sums are generator transpositions.
+
+Rows enter the kernels as int tuples: `as_row` turns every integral entry
+into an int before `_canon_h` and `_dd`, canonicalization works and poses
+its LPs on primitive int rows, and the generators are the int rows `_dd`
+returns.  The H-form fields (`ineqs`, `eqs`) hold `Fraction` entries, which
+reports and stored digests of results read.
 """
 
 from __future__ import annotations
@@ -23,9 +29,10 @@ from . import lp
 from .linalg import (
     Vec,
     add,
-    as_vec,
+    as_row,
     check_dim,
     dot,
+    exact,
     frozen_rows,
     integer_row,
     is_zero,
@@ -34,7 +41,6 @@ from .linalg import (
     primitive,
     primitive_ints,
     reduce_mod_rowspace,
-    rref,
     rref_ints,
     scale,
     sub,
@@ -43,6 +49,7 @@ from .linalg import (
 )
 
 Row = tuple[Vec, Fraction]
+IntRow = tuple[tuple[int, ...], int]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -62,22 +69,27 @@ def _canon_h(
 ) -> tuple[tuple[Row, ...], tuple[Row, ...]] | None:
     """Canonical (ineqs, eqs) of {x : a.x <= b, e.x == d}; None if empty.
 
-    Identical calls (same rows in the same order) are answered from a
-    bounded per-process cache with the same immutable result.
+    Row entries may be ints or Fractions.  Identical calls (same rows in the
+    same order) are answered from a bounded per-process cache with the same
+    immutable result, whose entries are Fractions.
     """
     return _canon_h_rows(dim, frozen_rows(ineqs), frozen_rows(eqs))
 
 
-def _split(row: list[int]) -> Row:
-    return to_vec(row[:-1]), Fraction(row[-1])
+def _split(row: list[int]) -> IntRow:
+    return tuple(row[:-1]), row[-1]
+
+
+def _rational(rows: list[IntRow]) -> tuple[Row, ...]:
+    return tuple((to_vec(a), Fraction(b)) for a, b in rows)
 
 
 def _reduce_rows(
     rows, eq_rows: list[list[int]], pivots: list[int]
-) -> list[Row] | None:
+) -> list[IntRow] | None:
     """Rows (a, b) reduced modulo the equality space, made jointly primitive
     and deduplicated in order; None if one reduces to 0 <= negative."""
-    out: list[Row] = []
+    out: list[IntRow] = []
     seen: set[tuple[int, ...]] = set()
     for a, b in rows:
         red = reduce_mod_rowspace(integer_row(a + (b,))[0], eq_rows, pivots)
@@ -133,7 +145,8 @@ def _canon_h_rows(
         )
 
     # redundant inequalities; over a nonempty set a last row, nonzero modulo
-    # the equalities, bounds it and is never redundant
+    # the equalities, bounds it and is never redundant.  Every LP above and
+    # here is posed on the int working rows, so its cache key hashes ints.
     keep = list(work)
     i = 0
     while i < len(keep) and len(keep) > 1:
@@ -146,7 +159,7 @@ def _canon_h_rows(
             i += 1
     keep.sort()
     eq_out.sort()
-    return tuple(keep), tuple(eq_out)
+    return _rational(keep), _rational(eq_out)
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +177,7 @@ class ConvexPoly:
 
     @staticmethod
     def make(dim: int, ineqs=(), eqs=()) -> "ConvexPoly":
-        rows_i = [(as_vec(a), Fraction(b)) for a, b in ineqs]
-        rows_e = [(as_vec(e), Fraction(d)) for e, d in eqs]
-        canon = _canon_h(dim, rows_i, rows_e)
+        canon = _canon(dim, ineqs, eqs)
         if canon is None:
             return ConvexPoly.empty(dim)
         return ConvexPoly(dim, canon[0], canon[1])
@@ -177,10 +188,10 @@ class ConvexPoly:
 
     @staticmethod
     def empty(dim: int) -> "ConvexPoly":
-        return ConvexPoly(dim, ((zero(dim), Fraction(-1)),), ())
+        return ConvexPoly(dim, _empty_rows(dim), ())
 
     def is_empty(self) -> bool:
-        return self.ineqs == ((zero(self.dim), Fraction(-1)),)
+        return self.ineqs == _empty_rows(self.dim)
 
     def contains(self, x: Vec) -> bool:
         if self.is_empty():
@@ -227,7 +238,7 @@ class ConvexPoly:
         for k in sorted(coords, reverse=True):
             ineqs, eqs = _eliminate_one(ineqs, eqs, k)
             d -= 1
-            canon = _canon_h(d, ineqs, eqs)
+            canon = _canon(d, ineqs, eqs)
             if canon is None:
                 return ConvexPoly.empty(self.dim - len(coords))
             ineqs, eqs = list(canon[0]), list(canon[1])
@@ -245,16 +256,16 @@ class ConvexPoly:
         if self.is_empty():
             return (), (), ()
         n = self.dim
-        rows = [(a + (-b,)) for a, b in self.ineqs]
-        rows.append(zero(n) + (Fraction(-1),))  # t >= 0
-        eq_rows = [(e + (-d,)) for e, d in self.eqs]
+        rows = [as_row(a + (-b,)) for a, b in self.ineqs]
+        rows.append((0,) * n + (-1,))  # t >= 0
+        eq_rows = [as_row(e + (-d,)) for e, d in self.eqs]
         rays, lin = _dd(n + 1, rows, eq_rows)
         verts: list[Vec] = []
         rec: list[Vec] = []
         for r in rays:
             t = r[-1]
             if t > 0:
-                verts.append(tuple(x / t for x in r[:-1]))
+                verts.append(tuple(Fraction(x, t) for x in r[:-1]))
             else:
                 rec.append(primitive(r[:-1]))
         lin_out = [primitive(v[:-1]) for v in lin]
@@ -300,6 +311,25 @@ class ConvexPoly:
         )
 
 
+def _canon(dim: int, ineqs, eqs) -> tuple[tuple[Row, ...], tuple[Row, ...]] | None:
+    """`_canon_h` of rows in any exact form, integral entries made ints."""
+    return _canon_h(
+        dim,
+        [(as_row(a), _offset(b)) for a, b in ineqs],
+        [(as_row(e), _offset(d)) for e, d in eqs],
+    )
+
+
+def _offset(b) -> int | Fraction:
+    return b if type(b) is int else exact(Fraction(b))
+
+
+@lru_cache(maxsize=None)
+def _empty_rows(dim: int) -> tuple[Row, ...]:
+    """The H-form of the empty polyhedron, 0 <= -1: one object per dim."""
+    return ((zero(dim), Fraction(-1)),)
+
+
 def _eliminate_one(
     ineqs: list[Row], eqs: list[Row], k: int
 ) -> tuple[list[Row], list[Row]]:
@@ -313,13 +343,13 @@ def _eliminate_one(
         e0, d0 = eqs[pivot_eq]
         out_i: list[Row] = []
         for a, b in ineqs:
-            f = a[k] / e0[k]
+            f = Fraction(a[k], e0[k])
             out_i.append((drop(sub(a, scale(e0, f))), b - f * d0))
         out_e: list[Row] = []
         for i, (e, d) in enumerate(eqs):
             if i == pivot_eq:
                 continue
-            f = e[k] / e0[k]
+            f = Fraction(e[k], e0[k])
             out_e.append((drop(sub(e, scale(e0, f))), d - f * d0))
         return out_i, out_e
     pos = [(a, b) for a, b in ineqs if a[k] > 0]
@@ -348,7 +378,9 @@ class RayLimitError(RuntimeError):
     pass
 
 
-def _dd(dim: int, ineq_rows: list[Vec], eq_rows: list[Vec]) -> tuple[list[Vec], list[Vec]]:
+def _dd(
+    dim: int, ineq_rows: list[Vec], eq_rows: list[Vec]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Double description: generators of {x : a.x <= 0, e.x == 0}.
 
     Maintains a (rays, lineality) pair generating the intersection of the
@@ -364,9 +396,9 @@ def _dd(dim: int, ineq_rows: list[Vec], eq_rows: list[Vec]) -> tuple[list[Vec], 
     so no LP is needed.
 
     Rays and lineality are integer vectors throughout, each a primitive
-    positive multiple of its rational counterpart; the returned rays are
-    reduced modulo the lineality, primitive and sorted.  RayLimitError when a
-    step leaves more than RAY_LIMIT rays.
+    positive multiple of its rational counterpart, and are returned as int
+    tuples; the returned rays are reduced modulo the lineality, primitive and
+    sorted.  RayLimitError when a step leaves more than RAY_LIMIT rays.
     """
     lin = nullspace_ints([integer_row(e)[0] for e in eq_rows], dim)
     rays: list[list[int]] = []
@@ -421,7 +453,7 @@ def _dd(dim: int, ineq_rows: list[Vec], eq_rows: list[Vec]) -> tuple[list[Vec], 
             )
     lin_rows, lin_piv = rref_ints(lin)
     out = sorted(tuple(reduce_mod_rowspace(r, lin_rows, lin_piv)) for r in rays)
-    return [to_vec(r) for r in out], [to_vec(l) for l in lin]
+    return out, [tuple(l) for l in lin]
 
 
 def _project(v, av: int, pivot: list[int], pa: int) -> list[int]:
@@ -449,9 +481,7 @@ class ConeH:
 
     @staticmethod
     def from_ineqs(dim: int, ineqs=(), eqs=()) -> "ConeH":
-        rows_i = [(as_vec(a), _ZERO) for a in ineqs]
-        rows_e = [(as_vec(e), _ZERO) for e in eqs]
-        canon = _canon_h(dim, rows_i, rows_e)
+        canon = _canon(dim, [(a, 0) for a in ineqs], [(e, 0) for e in eqs])
         assert canon is not None  # homogeneous systems contain 0
         return ConeH(
             dim,
@@ -461,8 +491,8 @@ class ConeH:
 
     @staticmethod
     def from_generators(dim: int, rays=(), lineality=()) -> "ConeH":
-        rays = [as_vec(r) for r in rays]
-        lins = [as_vec(l) for l in lineality]
+        rays = [as_row(r) for r in rays]
+        lins = [as_row(l) for l in lineality]
         polar_rays, polar_lin = _dd(dim, rays, lins)
         return ConeH.from_ineqs(dim, polar_rays, polar_lin)
 
@@ -482,10 +512,12 @@ class ConeH:
 
     def _ensure_vrep(self) -> None:
         if self._rays is None:
-            rays, lin = _dd(self.dim, list(self.ineqs), list(self.eqs))
-            lin_rows, _ = rref(lin)
+            rays, lin = _dd(
+                self.dim, list(map(as_row, self.ineqs)), list(map(as_row, self.eqs))
+            )
+            lin_rows, _ = rref_ints(lin)
             self._rays = tuple(rays)
-            self._lineality = tuple(sorted(lin_rows))
+            self._lineality = tuple(sorted(map(tuple, lin_rows)))
 
     @property
     def rays(self) -> tuple[Vec, ...]:
@@ -929,12 +961,13 @@ class ConeUnion:
         return all(p.is_zero() for p in self.parts)
 
     def nonzero_vector(self) -> Vec | None:
-        """A canonical nonzero member, if any (first ray or lineality)."""
+        """A canonical nonzero member, if any (first ray or lineality), as
+        a certificate: Fraction entries, like every witness."""
         for p in self.parts:
             if p.rays:
-                return p.rays[0]
+                return to_vec(p.rays[0])
             if p.lineality:
-                return p.lineality[0]
+                return to_vec(p.lineality[0])
         return None
 
 

@@ -1,13 +1,22 @@
 """Exact rational vectors and small-matrix routines.
 
 Values are exact rationals and no floats enter the core.  Vectors that pass
-between modules are plain tuples of `fractions.Fraction`, which keeps them
-hashable and directly usable as canonical sort keys.  The kernels compute on
-Python ints instead: a rational row becomes its numerators over one common
-denominator (`integer_row`), and elimination is fraction-free, each row kept
-as a gcd-reduced positive multiple of its rational counterpart (Bareiss 1968
-style, with a gcd in place of the exact division).  Results turn back into
-Fractions only on return.
+between modules are plain tuples, which keeps them hashable and directly
+usable as canonical sort keys.  Rows of the kernels (the working rows of
+H-form canonicalization, the rows the LP keys its cache on, the rays and
+lineality of double description, the hyperplanes of cell enumeration) are
+tuples of Python `int`, each primitive, so they hash and compare without
+`Fraction` code; `as_row` turns the integral entries of a row into ints on
+its way in.  Points, witnesses and LP solutions are tuples of
+`fractions.Fraction`, `dot` returns a Fraction, and the H-form fields of the
+set objects, which reports and stored digests read, hold Fractions too.
+`Fraction(3) == 3` and `hash(Fraction(3)) == hash(3)`, so both kinds of
+entry meet in one cache and sort alike.  The kernels compute on ints: a
+rational row becomes its numerators over one common denominator
+(`integer_row`, at once for an int row), and elimination is fraction-free,
+each row kept as a gcd-reduced positive multiple of its rational
+counterpart (Bareiss 1968 style, with a gcd in place of the exact
+division).
 """
 
 from __future__ import annotations
@@ -36,6 +45,20 @@ def vec(*entries) -> Vec:
 
 def as_vec(entries) -> Vec:
     return tuple(rat(e) for e in entries)
+
+
+def exact(value: int | Fraction) -> int | Fraction:
+    """An exact value as an int when it is integral, else as a Fraction, so
+    that its type depends on the value alone."""
+    if type(value) is int:
+        return value
+    return value.numerator if value.denominator == 1 else value
+
+
+def as_row(entries) -> tuple:
+    """Entries of a constraint row or generator coerced by `rat`, the
+    integral ones as ints (the kernels' own type)."""
+    return tuple(e if type(e) is int else exact(rat(e)) for e in entries)
 
 
 def check_dim(what: str, got: int, want: int) -> None:
@@ -86,10 +109,13 @@ def is_zero(a: Vec) -> bool:
 
 
 _denominator = attrgetter("denominator")
+_INT_ONLY = frozenset((int,))
 
 
 def integer_row(values) -> tuple[list[int], int]:
     """Numerators of exact `values` over their least common denominator."""
+    if _INT_ONLY.issuperset(map(type, values)):
+        return list(values), 1
     den = lcm(*map(_denominator, values))
     if den == 1:
         return [v.numerator for v in values], 1

@@ -9,6 +9,8 @@ it is skipped when there are none.  Problem sizes in this package stay tiny
 (dimension <= 8, a few dozen rows), so clarity wins over sparsity.
 
 Inequalities are (a, b) pairs meaning a @ x <= b; equalities mean a @ x == b.
+Entries are ints or Fractions; the kernels pose theirs as ints, which hash
+and convert cheaply.  Points and optimal values are Fractions.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ INFEASIBLE = "infeasible"
 Row = tuple[Vec, Fraction]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 # distinct problems remembered per process: canonicalization and cell
 # enumeration pose the same small LPs many times over
@@ -218,7 +219,7 @@ def _solve(
 
 
 def feasible_point(ineqs: list[Row], eqs: list[Row], dim: int) -> Vec | None:
-    status, x, _ = solve(tuple(_ZERO for _ in range(dim)), ineqs, eqs, dim)
+    status, x, _ = solve((0,) * dim, ineqs, eqs, dim)
     return x if status == OPTIMAL else None
 
 
@@ -236,12 +237,12 @@ def max_slack(
     point but never all strictly, and negative when they cannot hold
     together; x maximizes the worst strict slack (capped at 1).
     """
-    lift_ineqs: list[Row] = [(a + (_ZERO,), b) for a, b in ineqs]
+    lift_ineqs: list[Row] = [(a + (0,), b) for a, b in ineqs]
     for a, b in strict:
-        lift_ineqs.append((a + (_ONE,), b))
-    lift_ineqs.append(((_ZERO,) * dim + (_ONE,), _ONE))
-    lift_eqs: list[Row] = [(a + (_ZERO,), b) for a, b in eqs]
-    t_obj = (_ZERO,) * dim + (_ONE,)
+        lift_ineqs.append((a + (1,), b))
+    lift_ineqs.append(((0,) * dim + (1,), 1))
+    lift_eqs: list[Row] = [(a + (0,), b) for a, b in eqs]
+    t_obj = (0,) * dim + (1,)
     status, x, value = solve(t_obj, lift_ineqs, lift_eqs, dim + 1)
     if status != OPTIMAL:
         return None

@@ -29,14 +29,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
-from .exactgeom import ConvexPoly, PolySet
-from .linalg import Vec, check_dim, dot, neg, primitive, zero
-
-Row = tuple[Vec, Fraction]
+from .exactgeom import ConvexPoly, IntRow, PolySet
+from .linalg import Vec, check_dim, dot, integer_row, neg, primitive_ints, zero
 
 ParticipatingSet = PolySet | ConvexPoly
 
-_ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 # most rows one enumeration may branch on; each branches three ways, so the
@@ -68,7 +65,7 @@ class Cell:
     witness: Vec
     adherent: bool
     memberships: tuple[tuple[int, ...], ...]  # per input set: pieces containing the cell
-    closure_rows: tuple[tuple[Row, ...], tuple[Row, ...]]  # weak (ineqs, eqs)
+    closure_rows: tuple[tuple[IntRow, ...], tuple[IntRow, ...]]  # weak (ineqs, eqs)
 
     @property
     def closure(self) -> ConvexPoly:
@@ -79,8 +76,10 @@ class Cell:
 
 @dataclass(frozen=True)
 class _Hyperplane:
-    normal: Vec
-    offset: Fraction
+    """a.x = b as a primitive int row, the first nonzero of a positive."""
+
+    normal: tuple[int, ...]
+    offset: int
 
 
 def _sign(v: Fraction) -> int:
@@ -93,10 +92,10 @@ def _as_pieces(s: ParticipatingSet) -> tuple[ConvexPoly, ...]:
     return (s,)
 
 
-def _canonical_hyperplane(a: Vec, b: Fraction) -> tuple[Vec, Fraction, int]:
-    """Oriented primitive (a, b) with the first nonzero of `a` positive."""
-    joint = primitive(a + (b,))
-    av, bv = joint[:-1], joint[-1]
+def _canonical_hyperplane(a: Vec, b: Fraction) -> tuple[tuple[int, ...], int, int]:
+    """Oriented primitive int (a, b) with the first nonzero of `a` positive."""
+    joint = primitive_ints(integer_row(a + (b,))[0])
+    av, bv = tuple(joint[:-1]), joint[-1]
     for x in av:
         if x != 0:
             if x < 0:
@@ -141,7 +140,7 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
 
     # collect canonical hyperplanes and per-piece requirements
     hyperplanes: list[_Hyperplane] = []
-    index: dict[tuple[Vec, Fraction], int] = {}
+    index: dict[IntRow, int] = {}
 
     def hyperplane_id(a: Vec, b: Fraction) -> tuple[int, int]:
         av, bv, flip = _canonical_hyperplane(a, b)
@@ -178,7 +177,7 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         # offsets (finds directions from the base)
         values = [dot(hp.normal, base) - hp.offset for hp in hyperplanes]
         base_signs = [_sign(v) for v in values]
-        offsets = [_ZERO] * n_h
+        offsets = [0] * n_h
         # (value at the base, normal) for the rows inactive at the base
         inactive = [(v, hp.normal) for v, hp in zip(values, hyperplanes) if v]
     active = [h for h in range(n_h) if base_signs[h] == 0]
@@ -211,8 +210,8 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
 
     def region_point(signs: dict[int, int]) -> Vec | None:
         # a point p with sign(a.p - offset) = s on the assigned rows
-        strict: list[Row] = []
-        eqs: list[Row] = []
+        strict: list[IntRow] = []
+        eqs: list[IntRow] = []
         for h, sgn in signs.items():
             normal, offset = hyperplanes[h].normal, offsets[h]
             if sgn == 0:
@@ -279,9 +278,9 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
 
 def _signature_closure(
     hyperplanes: list[_Hyperplane], signs: list[int]
-) -> tuple[tuple[Row, ...], tuple[Row, ...]]:
-    ineqs: list[Row] = []
-    eqs: list[Row] = []
+) -> tuple[tuple[IntRow, ...], tuple[IntRow, ...]]:
+    ineqs: list[IntRow] = []
+    eqs: list[IntRow] = []
     for hp, sgn in zip(hyperplanes, signs):
         if sgn == 0:
             eqs.append((hp.normal, hp.offset))

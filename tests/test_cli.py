@@ -55,6 +55,16 @@ def test_intersection_failure_report_contents(tmp_path):
     assert quals["normal_densed"]["verdict"] == "fails"
 
 
+def test_aubin_final_classical_witness_bytes(tmp_path):
+    # the certificate is taken from a cone's int generators; it must render
+    # as an exact string like every other rational, not as a JSON number
+    code, text = run_cli(["paper-example", "aubin-final-classical"], tmp_path)
+    assert code == 1
+    assert '"vector": [\n            "-1"\n          ]' in text
+    cert = json.loads(text)["queries"][0]["aubin"]["certificate"]
+    assert cert == {"vector": ["-1"]}
+
+
 def test_mpec_final_2_inconclusive(tmp_path):
     code, text = run_cli(["paper-example", "mpec-final-2"], tmp_path)
     assert code == 2

@@ -183,6 +183,28 @@ def test_proximal_outside_wrt_empty():
     assert proximal_normal_wrt(ex.omega2, ex.c, vec(-2, 1, 0)).empty
 
 
+def test_proximal_validation_near_an_inactive_facet():
+    # wrt's facet x <= 1/4096 is inactive at 0 but closer than any fixed step
+    omega = PolySet.from_poly(ConvexPoly.make(1, [(vec(1), Fraction(0))]))
+    wrt = ConvexPoly.make(1, [(vec(-1), Fraction(1)), (vec(1), Fraction(1, 4096))])
+    n = proximal_normal_wrt(omega, wrt, vec(0), validate=True)
+    assert n == frechet_normal_wrt(omega, wrt, vec(0))
+    assert n.contains(vec(1)) and not n.contains(vec(-1))
+
+
+def test_proximal_validation_rejects_a_direction_leaving_wrt():
+    from polyvar.cones import _proximal_inequality_holds
+
+    omega = PolySet.from_poly(ConvexPoly.make(1, [(vec(1), Fraction(0))]))
+    # (1,) makes an obtuse angle with every cell of omega cap wrt below 0;
+    # it is radially admissible for the wide wrt only
+    outward = ConeH.from_generators(1, [vec(1)])
+    wide = ConvexPoly.make(1, [(vec(-1), Fraction(1)), (vec(1), Fraction(1))])
+    assert _proximal_inequality_holds(omega, wide, vec(0), outward)
+    narrow = ConvexPoly.make(1, [(vec(-1), Fraction(1)), (vec(1), Fraction(0))])
+    assert not _proximal_inequality_holds(omega, narrow, vec(0), outward)
+
+
 # -- limiting ------------------------------------------------------------------
 
 

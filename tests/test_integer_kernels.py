@@ -4,7 +4,8 @@
 `exactgeom._dd` compute on Python ints.  The `Fraction` versions below are
 the previous implementations, kept verbatim as the reference; seeded inputs
 (dimensions 1-7, integer and rational entries, zero and duplicate rows) must
-give equal results, and every value handed back must be a `Fraction`.
+give equal results.  The linalg kernels hand back `Fraction`s; the rays and
+lineality of `_dd` and of a cone are canonical rows and must be all `int`.
 `ref_dd` combines every (+, -) pair and prunes redundant rays by LP, where
 `_dd` combines adjacent pairs only; degenerate inputs check that as well.
 """
@@ -231,6 +232,11 @@ def assert_fractions(*vectors) -> None:
         assert all(type(x) is Fraction for x in v), v
 
 
+def assert_ints(*vectors) -> None:
+    for v in vectors:
+        assert type(v) is tuple and all(type(x) is int for x in v), v
+
+
 # -- the linalg kernels -------------------------------------------------------------
 
 
@@ -283,7 +289,7 @@ def test_dd_matches_reference():
         assert rays == ref_rays
         assert len(lin) == len(ref_lin)
         assert all(positive_multiple(v, w) for v, w in zip(lin, ref_lin))
-        assert_fractions(*rays, *lin)
+        assert_ints(*rays, *lin)
 
 
 def lifted(points) -> list[Vec]:
@@ -390,7 +396,7 @@ def test_cone_generators_match_reference():
             [r for r in rand_rows(rng, dim, rational, max_rows=1) if any(r)],
         )
         assert (cone.rays, cone.lineality) == ref_cone_vrep(cone)
-        assert_fractions(*cone.rays, *cone.lineality)
+        assert_ints(*cone.rays, *cone.lineality)
 
 
 def test_poly_vrep_matches_reference(monkeypatch):
@@ -404,7 +410,16 @@ def test_poly_vrep_matches_reference(monkeypatch):
         ]
         polys.append(ConvexPoly.make(dim, ineqs, eqs))
     got = [p.vrep() for p in polys]
-    monkeypatch.setattr(exactgeom, "_dd", ref_dd)
+
+    def ref_dd_of_fractions(dim, ineq_rows, eq_rows):
+        # vrep hands `_dd` int rows; the reference divides them, so it gets
+        # Fraction copies
+        def fractions(rows):
+            return [tuple(map(Fraction, r)) for r in rows]
+
+        return ref_dd(dim, fractions(ineq_rows), fractions(eq_rows))
+
+    monkeypatch.setattr(exactgeom, "_dd", ref_dd_of_fractions)
     assert got == [p.vrep() for p in polys]
     for verts, rays, lin in got:
         assert_fractions(*verts, *rays, *lin)
