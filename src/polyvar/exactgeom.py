@@ -7,15 +7,20 @@ sorted.  Two objects built through the factory methods therefore describe the
 same set exactly when their fields compare equal (cones; for unions semantic
 checks are provided on top).
 
-Cones additionally carry a lazily computed V-representation (extreme rays
-modulo lineality plus a lineality basis) obtained by the double description
-method, so polars and Minkowski sums are generator transpositions.
+Canonicalization solves no LP: one double description of the set (of its
+homogenization when an offset is nonzero) decides emptiness, implied
+equalities and facets by bit tests on the zero sets of the rows.
+
+Cones additionally carry a V-representation (extreme rays modulo lineality
+plus a lineality basis), so polars and Minkowski sums are generator
+transpositions.  A cone built from rows keeps the generators its
+canonicalization found; any other cone computes them on first use.
 
 Rows enter the kernels as int tuples: `as_row` turns every integral entry
-into an int before `_canon_h` and `_dd`, canonicalization works and poses
-its LPs on primitive int rows, and the generators are the int rows `_dd`
-returns.  The H-form fields (`ineqs`, `eqs`) hold `Fraction` entries, which
-reports and stored digests of results read.
+into an int before `_canon_h` and `_dd`, canonicalization works on primitive
+int rows, and the generators are the int rows `_dd` returns.  The H-form
+fields (`ineqs`, `eqs`) hold `Fraction` entries, which reports and stored
+digests of results read.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .linalg import (
     nullspace_ints,
     primitive,
     primitive_ints,
+    rat,
     reduce_mod_rowspace,
     rref_ints,
     scale,
@@ -50,6 +56,8 @@ from .linalg import (
 
 Row = tuple[Vec, Fraction]
 IntRow = tuple[tuple[int, ...], int]
+Gens = tuple[tuple[int, ...], ...] | None
+Canon = tuple[tuple[Row, ...], tuple[Row, ...], Gens, Gens]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -64,14 +72,15 @@ _ONE = Fraction(1)
 CANON_CACHE_SIZE = 64
 
 
-def _canon_h(
-    dim: int, ineqs: list[Row], eqs: list[Row]
-) -> tuple[tuple[Row, ...], tuple[Row, ...]] | None:
-    """Canonical (ineqs, eqs) of {x : a.x <= b, e.x == d}; None if empty.
+def _canon_h(dim: int, ineqs: list[Row], eqs: list[Row]) -> Canon | None:
+    """Canonical (ineqs, eqs, rays, lineality) of {x : a.x <= b, e.x == d};
+    None if empty.
 
+    When every offset is 0 the set is a cone, and rays and lineality are its
+    generators exactly as `ConeH` keeps them; otherwise both are None.
     Row entries may be ints or Fractions.  Identical calls (same rows in the
     same order) are answered from a bounded per-process cache with the same
-    immutable result, whose entries are Fractions.
+    immutable result; its H-form entries are Fractions, its generators ints.
     """
     return _canon_h_rows(dim, frozen_rows(ineqs), frozen_rows(eqs))
 
@@ -107,7 +116,7 @@ def _reduce_rows(
 @lru_cache(maxsize=CANON_CACHE_SIZE)
 def _canon_h_rows(
     dim: int, ineqs: tuple[Row, ...], eqs: tuple[Row, ...]
-) -> tuple[tuple[Row, ...], tuple[Row, ...]] | None:
+) -> Canon | None:
     # equalities: RREF of the augmented rows; a pivot in the offset column
     # means 0 == nonzero
     eq_rows, pivots = rref_ints([integer_row(e + (d,))[0] for e, d in eqs])
@@ -116,50 +125,53 @@ def _canon_h_rows(
     work = _reduce_rows(ineqs, eq_rows, pivots)
     if work is None:
         return None
-    eq_out = [_split(r) for r in eq_rows]
 
-    # one LP for emptiness and implied equalities: the largest t with
-    # a.x + t <= b on every row.  t < 0: empty; t > 0: some point meets every
-    # row strictly, so none is an implied equality; t = 0: only rows tight at
-    # the optimum can be implied equalities (a.x <= b that the whole system
-    # forces to bind), and each is tested on its own.  The equalities are
-    # consistent, so the LP is feasible, and without rows the set is their
-    # solution space.
-    t, x = lp.max_slack([], work, eq_out, dim) if work else (_ONE, None)
-    if t < 0:
+    # one double description: of the set itself when it is a cone, else of
+    # its homogenization K = {(x, t) : a.x <= b.t, t >= 0, e.x == d.t}, which
+    # has a ray with t > 0 exactly when the set is nonempty
+    homogeneous = not any(b for _, b in work) and not any(r[-1] for r in eq_rows)
+    if homogeneous:
+        rows = [a for a, _ in work]
+        cone_eqs = [r[:-1] for r in eq_rows]
+    else:
+        rows = [a + (-b,) for a, b in work] + [(0,) * dim + (-1,)]
+        cone_eqs = [r[:-1] + [-r[-1]] for r in eq_rows]
+    rays, lin = _dd(dim + (not homogeneous), rows, cone_eqs)
+    if not homogeneous and not any(r[-1] for r in rays):
         return None
-    if t == 0:
-        implied = [
-            i
-            for i, (a, b) in enumerate(work)
-            if dot(a, x) == b
-            and lp.solve(a, work, eq_out, dim, maximize=False)[2] == b
-        ]
-        eq_rows, pivots = rref_ints(
-            eq_rows + [integer_row(work[i][0] + (work[i][1],))[0] for i in implied]
-        )
-        eq_out = [_split(r) for r in eq_rows]
-        # the system is feasible, so no row reduces to 0 <= negative
-        work = _reduce_rows(
-            [row for i, row in enumerate(work) if i not in implied], eq_rows, pivots
-        )
 
-    # redundant inequalities; over a nonempty set a last row, nonzero modulo
-    # the equalities, bounds it and is never redundant.  Every LP above and
-    # here is posed on the int working rows, so its cache key hashes ints.
-    keep = list(work)
-    i = 0
-    while i < len(keep) and len(keep) > 1:
-        a, b = keep[i]
-        others = keep[:i] + keep[i + 1 :]
-        status, _, val = lp.solve(a, others, eq_out, dim, maximize=True)
-        if status == lp.OPTIMAL and val is not None and val <= b:
-            keep.pop(i)
-        else:
-            i += 1
-    keep.sort()
-    eq_out.sort()
-    return _rational(keep), _rational(eq_out)
+    # a row's zero set is the bitmask of the rays it vanishes on (every row
+    # vanishes on the lineality).  A row vanishing on every ray is an implied
+    # equality.  A face is fixed by its rays, so the other rows whose zero
+    # set is no proper subset of another's are the facets; in K, t >= 0 takes
+    # part but is never output.  Over a nonempty set the facets other than
+    # t >= 0 are exactly the irredundant rows.
+    zero_sets = [
+        sum(1 << j for j, r in enumerate(rays) if not sum(map(mul, a, r)))
+        for a in rows
+    ]
+    full = (1 << len(rays)) - 1
+    live = [z for z in zero_sets if z != full]
+    implied, facets = [], []
+    for (a, b), z in zip(work, zero_sets):
+        if z == full:
+            implied.append([*a, b])
+        elif not any(z & y == z != y for y in live):
+            facets.append((a, b))
+    # facets duplicated modulo the implied equalities, and rows constant on
+    # the set, reduce to one row or to 0 <= positive
+    eq_rows, pivots = rref_ints(eq_rows + implied)
+    keep = sorted(_reduce_rows(facets, eq_rows, pivots))
+    eq_out = sorted(_split(r) for r in eq_rows)
+    if not homogeneous:
+        return _rational(keep), _rational(eq_out), None, None
+    lin_rows, _ = rref_ints(lin)
+    return (
+        _rational(keep),
+        _rational(eq_out),
+        tuple(rays),
+        tuple(sorted(map(tuple, lin_rows))),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +323,7 @@ class ConvexPoly:
         )
 
 
-def _canon(dim: int, ineqs, eqs) -> tuple[tuple[Row, ...], tuple[Row, ...]] | None:
+def _canon(dim: int, ineqs, eqs) -> Canon | None:
     """`_canon_h` of rows in any exact form, integral entries made ints."""
     return _canon_h(
         dim,
@@ -321,7 +333,7 @@ def _canon(dim: int, ineqs, eqs) -> tuple[tuple[Row, ...], tuple[Row, ...]] | No
 
 
 def _offset(b) -> int | Fraction:
-    return b if type(b) is int else exact(Fraction(b))
+    return b if type(b) is int else exact(rat(b))
 
 
 @lru_cache(maxsize=None)
@@ -369,8 +381,9 @@ def _eliminate_one(
 # ---------------------------------------------------------------------------
 
 
-# most rays one double-description step may leave; the test suite reaches
-# 10, one pass of each benchmark workload at most 8
+# most rays one double-description step may leave; canonicalization runs a
+# DD on every H-form, and the test suite reaches 20, one pass of each
+# benchmark workload at most 8
 RAY_LIMIT = 128
 
 
@@ -483,10 +496,13 @@ class ConeH:
     def from_ineqs(dim: int, ineqs=(), eqs=()) -> "ConeH":
         canon = _canon(dim, [(a, 0) for a in ineqs], [(e, 0) for e in eqs])
         assert canon is not None  # homogeneous systems contain 0
+        rows, eq_rows, rays, lin = canon
         return ConeH(
             dim,
-            tuple(a for a, _ in canon[0]),
-            tuple(e for e, _ in canon[1]),
+            tuple(a for a, _ in rows),
+            tuple(e for e, _ in eq_rows),
+            _rays=rays,
+            _lineality=lin,
         )
 
     @staticmethod

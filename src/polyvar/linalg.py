@@ -8,8 +8,9 @@ lineality of double description, the hyperplanes of cell enumeration) are
 tuples of Python `int`, each primitive, so they hash and compare without
 `Fraction` code; `as_row` turns the integral entries of a row into ints on
 its way in.  Points, witnesses and LP solutions are tuples of
-`fractions.Fraction`, `dot` returns a Fraction, and the H-form fields of the
-set objects, which reports and stored digests read, hold Fractions too.
+`fractions.Fraction`, `dot` returns a Fraction (and refuses vectors of
+unequal length), and the H-form fields of the set objects, which reports
+and stored digests read, hold Fractions too.
 `Fraction(3) == 3` and `hash(Fraction(3)) == hash(3)`, so both kinds of
 entry meet in one cache and sort alike.  The kernels compute on ints: a
 rational row becomes its numerators over one common denominator
@@ -72,6 +73,8 @@ def zero(dim: int) -> Vec:
 
 
 def dot(a: Vec, b: Vec) -> Fraction:
+    if len(a) != len(b):
+        raise ValueError(f"dot: dimension {len(b)}, expected {len(a)}")
     na, da = integer_row(a)
     nb, db = integer_row(b)
     den = da * db

@@ -31,8 +31,8 @@ Row = tuple[Vec, Fraction]
 
 _ZERO = Fraction(0)
 
-# distinct problems remembered per process: canonicalization and cell
-# enumeration pose the same small LPs many times over
+# distinct problems remembered per process: cell enumeration and containment
+# tests pose the same small LPs many times over
 CACHE_SIZE = 128
 
 

@@ -26,7 +26,7 @@ from .exactgeom import (
     slice_cone_at_tail,
     union_subset,
 )
-from .linalg import Vec, check_dim, dot, neg, zero
+from .linalg import Vec, check_dim, dot, neg, sub, zero
 from .quals import normal_densed_check
 from .stratify import Cell, global_cells, local_cells
 from .verdicts import RuleReport, TriVerdict
@@ -209,46 +209,34 @@ def _affine_selection_exists(
     F: PolyMultimap, cell: Cell, xbar: Vec, ybar: Vec
 ) -> bool:
     """Is there sigma(x) = Mx + c with sigma(xbar) = ybar mapping the closed
-    cell into some graph piece?  LP over the entries of (M, c) using the
-    cell's V-representation."""
+    cell into some graph piece?  LP over the entries of M using the cell's
+    V-representation: c = ybar - M xbar is substituted, so sigma(x) =
+    ybar + M(x - xbar), and M = 0 is feasible when the piece holds ybar on
+    the whole cell."""
     n, m = F.in_dim, F.out_dim
     verts, rays, lins = cell.closure.vrep()
-    nvars = m * n + m
+    nvars = m * n
 
-    def sel_coeffs(gy: Vec, point: Vec, scale_c: Fraction) -> list[Fraction]:
-        # coefficients of <gy, M @ point + scale_c * c> in the (M, c) entries
-        coeff = [Fraction(0)] * nvars
-        for i in range(m):
-            for j in range(n):
-                coeff[i * n + j] = gy[i] * point[j]
-            coeff[m * n + i] = gy[i] * scale_c
-        return coeff
+    def sel_coeffs(gy: Vec, d: Vec) -> list[Fraction]:
+        # coefficients of <gy, M @ d> in the entries of M
+        return [gy[i] * d[j] for i in range(m) for j in range(n)]
 
     for piece in F.graph.pieces:
         ineqs: list[tuple[Vec, Fraction]] = []
         eqs: list[tuple[Vec, Fraction]] = []
-        for i in range(m):
-            row = [Fraction(0)] * nvars
-            for j in range(n):
-                row[i * n + j] = xbar[j]
-            row[m * n + i] = Fraction(1)
-            eqs.append((tuple(row), ybar[i]))
         for gall, h, is_eq in [(r, b, False) for r, b in piece.ineqs] + [
             (r, d, True) for r, d in piece.eqs
         ]:
             gx, gy = gall[:n], gall[n:]
             for v in verts:
-                coeff = sel_coeffs(gy, v, Fraction(1))
-                bound = h - dot(gx, v)
+                coeff = sel_coeffs(gy, sub(v, xbar))
+                bound = h - dot(gx, v) - dot(gy, ybar)
                 (eqs if is_eq else ineqs).append((tuple(coeff), bound))
             for r in rays:
-                coeff = sel_coeffs(gy, r, Fraction(0))
-                bound = -dot(gx, r)
-                (eqs if is_eq else ineqs).append((tuple(coeff), bound))
+                coeff = sel_coeffs(gy, r)
+                (eqs if is_eq else ineqs).append((tuple(coeff), -dot(gx, r)))
             for l in lins:
-                coeff = sel_coeffs(gy, l, Fraction(0))
-                bound = -dot(gx, l)
-                eqs.append((tuple(coeff), bound))
+                eqs.append((tuple(sel_coeffs(gy, l)), -dot(gx, l)))
         if lp.feasible_point(ineqs, eqs, nvars) is not None:
             return True
     return False

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
-from .exactgeom import ConvexPoly, PolySet
+from .exactgeom import ConvexPoly, PolySet, RayLimitError
 from .linalg import Vec, rat
 from .multimaps import PolyMultimap
 from .plfunc import PLFunc
@@ -192,10 +192,13 @@ def loads(text: str) -> ProblemFile:
         _fail("$.version", f"expected {VERSION_TAG!r}")
     if not isinstance(data["objects"], dict):
         _fail("$.objects", "expected an object map")
-    objects = {
-        name: _build_object(name, spec, f"$.objects.{name}")
-        for name, spec in data["objects"].items()
-    }
+    objects = {}
+    for name, spec in data["objects"].items():
+        path = f"$.objects.{name}"
+        try:
+            objects[name] = _build_object(name, spec, path)
+        except RayLimitError as exc:  # canonicalizing a piece runs a DD
+            _fail(path, str(exc))
     if not isinstance(data["queries"], list):
         _fail("$.queries", "expected a list")
     queries = []

@@ -23,7 +23,7 @@ from polyvar.exactgeom import (
     slice_cone_at_head,
     slice_cone_at_tail,
 )
-from polyvar.linalg import vec
+from polyvar.linalg import dot, vec
 from polyvar.multimaps import (
     MODE_SEMICOMPACT,
     MODE_SEMICONTINUOUS,
@@ -124,10 +124,11 @@ CASES = {
         lambda: slice_cone_at_head(ConeH.whole_space(1), vec(0, 0)),
         "head of dimension 2, cone of 1",
     ),
+    "dot": (lambda: dot(vec(1, 2), vec(3)), "dimension 1, expected 2"),
 }
 
-# a point of the wrong length: `linalg.dot` truncates, so without the checks
-# most of these returned a result computed on part of the point
+# a point of the wrong length: `linalg.dot` raises on it as well, but only
+# these checks name the argument
 HALF_PLANE = PolySet.from_poly(ConvexPoly.make(2, [(vec(1, 0), Fraction(0))]))
 PLANE = ConvexPoly.whole_space(2)
 LINE = ConvexPoly.whole_space(1)
@@ -194,6 +195,14 @@ EMPTY_MARKER_CASES = {
     "embed": lambda: ConeH.empty_marker(2).embed(3, (0, 1)),
     "to_poly": lambda: ConeH.empty_marker(2).to_poly(),
 }
+
+
+@pytest.mark.parametrize("ineqs, eqs", [([((1,), 0.1)], []), ([], [((1,), 0.5)])])
+def test_float_offset_raises_type_error(ineqs, eqs):
+    # normals and offsets alike are exact: a float is refused, not converted
+    # to its binary value
+    with pytest.raises(TypeError, match="not an exact rational"):
+        ConvexPoly.make(1, ineqs, eqs)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

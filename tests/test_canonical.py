@@ -242,17 +242,25 @@ def canon_cases(seed: int, count: int):
         yield dim, ineqs, eqs
 
 
-def test_canon_matches_reference(monkeypatch):
-    slacks = []
-    max_slack = lp.max_slack
+def no_lp(*args, **kwargs):
+    raise AssertionError("an LP inside canonicalization")
 
-    def spy(*args):
-        out = max_slack(*args)
-        slacks.append(out[0])
-        return out
 
-    monkeypatch.setattr(lp, "max_slack", spy)
+def canon_without_lp(monkeypatch, cases):
+    """`_canon_h` of every case, computed afresh with `lp.solve` disabled."""
     exactgeom._canon_h_rows.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(lp, "solve", no_lp)
+        return [exactgeom._canon_h(dim, ineqs, eqs) for dim, ineqs, eqs in cases]
+
+
+def assert_matches_reference(cases, got):
+    for (dim, ineqs, eqs), canon in zip(cases, got):
+        want = ref_canon_h_rows(dim, frozen_rows(ineqs), frozen_rows(eqs))
+        assert (None if canon is None else canon[:2]) == want, (dim, ineqs, eqs)
+
+
+def test_canon_matches_reference(monkeypatch):
     zero = Fraction(0)
     fixed = [
         # x + y <= 0, -x <= 0, -y <= 0: all three bind, but only together
@@ -264,37 +272,90 @@ def test_canon_matches_reference(monkeypatch):
         (1, [(vec(0), zero)], []),
         (2, [(vec(1, 2), Fraction(3))], []),
     ]
-    for dim, ineqs, eqs in fixed + list(canon_cases(641, 400)):
-        got = exactgeom._canon_h(dim, ineqs, eqs)
-        want = ref_canon_h_rows(dim, frozen_rows(ineqs), frozen_rows(eqs))
-        assert got == want, (dim, ineqs, eqs)
-    # every outcome of the slack LP is reached: empty, implied equalities, none
-    assert {(t > 0) - (t < 0) for t in slacks} == {-1, 0, 1}
-    assert sum(t == 0 for t in slacks) >= 20 and sum(t < 0 for t in slacks) >= 20
+    cases = fixed + list(canon_cases(641, 400))
+    got = canon_without_lp(monkeypatch, cases)
+    assert_matches_reference(cases, got)
+    # every outcome is reached: empty, implied equalities beyond the given
+    # ones, and full dimension inside the given equalities
+    outcomes = {"empty": 0, "implied": 0, "full": 0}
+    for (dim, ineqs, eqs), canon in zip(cases, got):
+        if canon is None:
+            outcomes["empty"] += 1
+        else:
+            rank = len(rref_ints([integer_row(e + (d,))[0] for e, d in eqs])[0])
+            outcomes["implied" if len(canon[1]) > rank else "full"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
 
 
-def test_full_dimensional_canon_makes_one_lp_before_redundancy(monkeypatch):
+def degenerate_canon_cases():
+    """(dim, ineqs, eqs): a point, affine subspaces with redundant rows,
+    facets duplicated modulo implied equalities, unbounded sets and cones
+    with lineality."""
+
+    def rows(*pairs):
+        return [(vec(*a), Fraction(b)) for a, b in pairs]
+
+    return [
+        # the point (1, 2), cut out by inequalities, with slack rows
+        (2, rows(((1, 0), 1), ((-1, 0), -1), ((0, 1), 2), ((0, -1), -2),
+                 ((1, 1), 5), ((1, -1), 0), ((-1, 1), 3)), []),
+        # the same point from a tight triangle of rows
+        (2, rows(((-1, 0), -1), ((0, -1), -2), ((1, 1), 3), ((1, 0), 4)), []),
+        # the origin of a cone, plus a scaled and a summed row
+        (2, rows(((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((-1, -1), 0),
+                 ((2, 0), 0), ((1, 1), 0)), []),
+        # the line y = x from inequalities, with redundant rows
+        (2, rows(((1, -1), 0), ((-1, 1), 0), ((1, -1), 1), ((-2, 2), 3)), []),
+        # the plane z = 1 in 3-space from inequalities, with redundant rows
+        (3, rows(((0, 0, 1), 1), ((0, 0, -1), -1), ((0, 0, 2), 3),
+                 ((1, 0, 1), 1), ((1, 0, 0), 5)), []),
+        # the same plane given as an equality, with rows constant on it
+        (3, rows(((0, 0, 1), 2), ((0, 0, -1), 0)), rows(((0, 0, 1), 1))),
+        # y = 0 implied; x + y <= 1 and x + 2y <= 1 duplicate x <= 1 on it
+        (2, rows(((0, 1), 0), ((0, -1), 0), ((1, 0), 1), ((1, 1), 1),
+                 ((1, 2), 1), ((-1, 0), 0), ((-1, 1), 0)), []),
+        # the same in a cone: x = 0 implied, x - y <= 0 duplicates -y <= 0
+        (2, rows(((1, 0), 0), ((-1, 0), 0), ((0, -1), 0), ((1, -1), 0)), []),
+        # a slab in x, lines in y and z, a redundant and a duplicated row
+        (3, rows(((1, 0, 0), 1), ((-1, 0, 0), 0), ((1, 0, 0), 2),
+                 ((2, 0, 0), 2)), []),
+        # a half-space with lineality (1, -1, 0) and (0, 0, 1), redundant rows
+        (3, rows(((1, 1, 0), 1), ((1, 1, 0), 2), ((2, 2, 0), 2),
+                 ((3, 3, 0), 4)), []),
+        # an unbounded wedge inside the plane z = x, rows duplicated modulo it
+        (3, rows(((-1, 0, 0), 0), ((0, -1, 0), 0), ((-1, 0, 1), 0),
+                 ((1, 0, -1), 0), ((-2, -1, 1), 0), ((0, -1, 1), 1)),
+         rows(((1, 0, -1), 0))),
+        # a cone with lineality (0, 0, 1) and a redundant row
+        (3, rows(((-1, 0, 0), 0), ((0, -1, 0), 0), ((-1, -1, 0), 0)), []),
+        # a cone that is a line: x = y = 0 implied
+        (3, rows(((1, 0, 0), 0), ((-1, 0, 0), 0), ((0, 1, 0), 0),
+                 ((-1, -1, 0), 0)), []),
+    ]
+
+
+def test_canon_degenerate_cases_match_reference(monkeypatch):
+    cases = degenerate_canon_cases()
+    got = canon_without_lp(monkeypatch, cases)
+    assert_matches_reference(cases, got)
+    assert all(canon is not None for canon in got)
+
+
+def test_canon_solves_no_lp(monkeypatch):
+    """Full-dimensional polyhedra, polytopes around a centre, and cones:
+    canonicalization is one double description, with no LP at all."""
     rng = random.Random(643)
-    solve = lp.solve
-    calls = []
-
-    def spy(c, ineqs, eqs, dim, maximize=True):
-        calls.append((dim, maximize))
-        return solve(c, ineqs, eqs, dim, maximize)
-
-    monkeypatch.setattr(lp, "solve", spy)
-    exactgeom._canon_h_rows.cache_clear()
-    for k in range(1, 7):
+    cases = []
+    for k in range(1, 13):
         dim = rng.randint(1, 4)
         center = rng_vec(rng, dim, -2, 2)
         rows = []
         while len(rows) < k:
             a = rng_vec(rng, dim, -3, 3)
             if any(a):
-                rows.append((a, dot(a, center) + rng.randint(1, 3)))
-        calls.clear()
-        assert exactgeom._canon_h(dim, rows, []) is not None
-        # the slack LP over (x, t), then only redundancy LPs, none for one row
-        assert calls[0] == (dim + 1, True)
-        assert all(call == (dim, True) for call in calls[1:])
-        assert len(calls) == 1 if k == 1 else 2 <= len(calls) <= k + 1
+                rows.append((a, dot(a, center) + rng.randint(0, 3)))
+        cases.append((dim, rows, []))
+        cases.append((dim, [(a, 0) for a, _ in rows], []))
+    got = canon_without_lp(monkeypatch, cases)
+    assert all(canon is not None for canon in got)
+    assert_matches_reference(cases, got)

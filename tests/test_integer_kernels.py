@@ -350,26 +350,41 @@ def test_dd_matches_reference_on_degenerate_inputs():
 
 
 def test_dd_and_cone_rays_solve_no_lp(monkeypatch):
-    cones = []
-    for rng, dim, rational in cases(17, 70):
-        cones.append(
-            ConeH.from_ineqs(
-                dim,
-                [r for r in rand_rows(rng, dim, rational, max_rows=5) if any(r)],
-                [r for r in rand_rows(rng, dim, rational, max_rows=1) if any(r)],
-            )
-        )
-    inputs = degenerate_cases()
-
     def no_lp(*args, **kwargs):
         raise RuntimeError("an LP inside the double description")
 
+    inputs = degenerate_cases()  # built with the LP-pruned reference
     monkeypatch.setattr(lp, "solve", no_lp)
+    exactgeom._canon_h_rows.cache_clear()
     for dim, ineqs, eqs in inputs:
         exactgeom._dd(dim, ineqs, eqs)
-    for cone in cones:
-        assert cone._rays is None
+    for rng, dim, rational in cases(17, 70):
+        cone = ConeH.from_ineqs(
+            dim,
+            [r for r in rand_rows(rng, dim, rational, max_rows=5) if any(r)],
+            [r for r in rand_rows(rng, dim, rational, max_rows=1) if any(r)],
+        )
         cone.rays
+
+
+def test_seeded_cone_generators_equal_dd_of_canonical_rows():
+    """`ConeH.from_ineqs` takes its rays and lineality from canonicalization;
+    they equal, in value and order, what `_ensure_vrep` computes from the
+    canonical rows, which certificates reading `rays[0]` rely on."""
+    inputs = [
+        (
+            dim,
+            [r for r in rand_rows(rng, dim, rational, max_rows=5) if any(r)],
+            [r for r in rand_rows(rng, dim, rational, max_rows=1) if any(r)],
+        )
+        for rng, dim, rational in cases(18, 140)
+    ]
+    exactgeom._canon_h_rows.cache_clear()
+    for dim, ineqs, eqs in inputs + degenerate_cases():
+        cone = ConeH.from_ineqs(dim, ineqs, eqs)
+        fresh = ConeH(dim, cone.ineqs, cone.eqs)
+        assert fresh._rays is None
+        assert (cone._rays, cone._lineality) == (fresh.rays, fresh.lineality)
 
 
 def test_ray_limit(monkeypatch):

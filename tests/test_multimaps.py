@@ -14,12 +14,14 @@ from conftest import (
 )
 from polyvar.exactgeom import ConeUnion, ConvexPoly, PolySet, PolyUnion
 from polyvar.cones import limiting_normal_wrt
-from polyvar.linalg import vec, zero
+from polyvar import lp
+from polyvar.linalg import dot, vec, zero
 from polyvar.multimaps import (
     MODE_CLOSED_GRAPH,
     MODE_SEMICOMPACT,
     MODE_SEMICONTINUOUS,
     PolyMultimap,
+    _affine_selection_exists,
     aubin_wrt_check,
     chain_rule,
     coderivative_wrt,
@@ -27,6 +29,7 @@ from polyvar.multimaps import (
     inner_regularity_check,
     sum_rule,
 )
+from polyvar.stratify import global_cells, local_cells
 from polyvar.verdicts import HOLDS, UNKNOWN
 
 
@@ -195,6 +198,81 @@ def test_unknown_on_sloped_escape():
     # fibers: dom F's cell structure rules that out exactly, so the check
     # still decides; accept either a sound Holds or Unknown here
     assert v.value in (HOLDS, UNKNOWN)
+
+
+def ref_affine_selection_exists(F, cell, xbar, ybar):
+    """The previous `_affine_selection_exists`: an LP over the entries of
+    (M, c) with the m equality rows sigma(xbar) = ybar."""
+    n, m = F.in_dim, F.out_dim
+    verts, rays, lins = cell.closure.vrep()
+    nvars = m * n + m
+
+    def sel_coeffs(gy, point, scale_c):
+        # coefficients of <gy, M @ point + scale_c * c> in the (M, c) entries
+        coeff = [Fraction(0)] * nvars
+        for i in range(m):
+            for j in range(n):
+                coeff[i * n + j] = gy[i] * point[j]
+            coeff[m * n + i] = gy[i] * scale_c
+        return coeff
+
+    for piece in F.graph.pieces:
+        ineqs = []
+        eqs = []
+        for i in range(m):
+            row = [Fraction(0)] * nvars
+            for j in range(n):
+                row[i * n + j] = xbar[j]
+            row[m * n + i] = Fraction(1)
+            eqs.append((tuple(row), ybar[i]))
+        for gall, h, is_eq in [(r, b, False) for r, b in piece.ineqs] + [
+            (r, d, True) for r, d in piece.eqs
+        ]:
+            gx, gy = gall[:n], gall[n:]
+            for v in verts:
+                coeff = sel_coeffs(gy, v, Fraction(1))
+                bound = h - dot(gx, v)
+                (eqs if is_eq else ineqs).append((tuple(coeff), bound))
+            for r in rays:
+                coeff = sel_coeffs(gy, r, Fraction(0))
+                bound = -dot(gx, r)
+                (eqs if is_eq else ineqs).append((tuple(coeff), bound))
+            for l in lins:
+                coeff = sel_coeffs(gy, l, Fraction(0))
+                bound = -dot(gx, l)
+                eqs.append((tuple(coeff), bound))
+        if lp.feasible_point(ineqs, eqs, nvars) is not None:
+            return True
+    return False
+
+
+def test_affine_selection_matches_reference():
+    """Substituting c = ybar - M xbar keeps every verdict, on local cells
+    at xbar and on cells of the whole domain."""
+    rng = random.Random(233)
+    seen = {"vertex": 0, "rays": 0, "lineality": 0, "eqs": 0, True: 0, False: 0}
+    for _ in range(60):
+        n, m = rng.randint(1, 2), rng.randint(1, 2)
+        xbar, ybar = rng_vec(rng, n, -1, 1), rng_vec(rng, m, -1, 1)
+        F = random_multimap_through(rng, n, m, xbar, ybar)
+        if rng.random() < 0.5:
+            # a piece with an equality row through (xbar, ybar)
+            e = rng_vec(rng, n + m, -2, 2)
+            piece = ConvexPoly.make(n + m, [], [(e, dot(e, xbar + ybar))])
+            F = PolyMultimap(n, m, PolySet.make(n + m, F.graph.pieces + (piece,)))
+        dom = F.domain()
+        # the LPs agree for any target, on the graph or off it
+        target = rng.choice([ybar, rng_vec(rng, m, -2, 2)])
+        for cell in local_cells([dom], xbar) + global_cells([dom]):
+            got = _affine_selection_exists(F, cell, xbar, target)
+            assert got == ref_affine_selection_exists(F, cell, xbar, target)
+            verts, rays, lins = cell.closure.vrep()
+            seen["vertex"] += xbar in verts
+            seen["rays"] += bool(rays)
+            seen["lineality"] += bool(lins)
+            seen["eqs"] += any(p.eqs for p in F.graph.pieces)
+            seen[got] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 # -- sum rule ----------------------------------------------------------------------

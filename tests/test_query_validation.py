@@ -123,11 +123,26 @@ def test_active_row_limit_exits_3(tmp_path, capsys, monkeypatch):
 
 
 def test_ray_limit_exits_3(tmp_path, capsys, monkeypatch):
-    # the Fréchet cone at the origin is generated by two normals
+    # the Fréchet cone at the origin is generated by two normals; loading
+    # canonicalizes each object with one DD, so only the objects the query
+    # reads are given, and each of them has one ray
     monkeypatch.setattr(exactgeom, "RAY_LIMIT", 1)
-    assert run(tmp_path, CONE) == 3
+    objects = {name: OBJECTS[name] for name in ("omega", "c", "origin")}
+    assert run(tmp_path, CONE, objects) == 3
     err = capsys.readouterr().err
     assert "query 'q'" in err and "ray limit exceeded: 2 rays (limit 1)" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_ray_limit_while_loading_exits_3(tmp_path, capsys, monkeypatch):
+    # canonicalizing the cube |x_i| <= 1 runs a DD over the cone on it,
+    # whose eight rays exceed the limit before any query runs
+    cube = [[[s * (i == j) for j in range(3)], 1] for i in range(3) for s in (-1, 1)]
+    objects = {**OBJECTS, "c": {"type": "convex", "dim": 3, "ineqs": cube}}
+    monkeypatch.setattr(exactgeom, "RAY_LIMIT", 4)
+    assert run(tmp_path, CONE, objects) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: $.objects.c: ray limit exceeded")
     assert not (tmp_path / "report.json").exists()
 
 @pytest.mark.parametrize(
