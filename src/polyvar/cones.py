@@ -3,15 +3,18 @@
 The three flavors are tied together by two exact facts about polyhedral data:
 
 * at a point of a finite union of closed convex polyhedra, proximal and
-  Fréchet normals coincide and equal the intersection, over the pieces
-  containing the point, of the polars of the pieces' tangent cones;
+  Fréchet normals coincide and equal the polar of the sum of the tangent
+  cones of the pieces containing the point (Rockafellar & Wets 1998,
+  Thm. 6.28(a) and Thm. 6.46), computed as one canonicalization: the
+  generators of each tangent cone become rows of one H-form, rays as
+  inequalities and lineality as equalities;
 * the limiting cone relative to a convex set C is the finite union of the
   Fréchet-relative cones over the sign cells adherent to the base point,
   because those cones are constant on every cell.
 
-The relative ("with respect to C") versions intersect with the radial cone
-of C, and use the empty-marker convention when the base point leaves the
-reference domain.
+The relative ("with respect to C") versions add the rows of the radial cone
+of C at the point to that H-form, and use the empty-marker convention when
+the base point leaves the reference domain.
 """
 
 from __future__ import annotations
@@ -37,43 +40,69 @@ class ConeRequest:
     kind: str
 
 
+def _active_rows(p: ConvexPoly, x: Vec) -> tuple[list[Vec], list[Vec]] | None:
+    """(normals of the inequalities tight at x, equality normals) of p, or
+    None when x lies outside p: the rows of p's tangent cone at x."""
+    active = []
+    for a, b in p.ineqs:
+        value = dot(a, x)
+        if value > b:
+            return None
+        if value == b:
+            active.append(a)
+    if any(dot(e, x) != d for e, d in p.eqs):
+        return None
+    return active, [e for e, _ in p.eqs]
+
+
 def radial_cone(c: ConvexPoly, x: Vec) -> ConeH:
     """Directions d with x + p d in c for some p > 0 (exact for polyhedra)."""
     check_dim("radial_cone point", len(x), c.dim)
-    if not c.contains(x):
+    rows = _active_rows(c, x)
+    if rows is None:
         raise ValueError("point outside the set")
-    ineqs = [a for a, b in c.ineqs if dot(a, x) == b]
-    eqs = [e for e, _ in c.eqs]
-    return ConeH.from_ineqs(c.dim, ineqs, eqs)
+    return ConeH.from_ineqs(c.dim, *rows)
 
 
-def _piece_normal_cone(piece: ConvexPoly, x: Vec) -> ConeH:
-    # polar of the piece's tangent cone: active inequality normals plus the
-    # equality normals as lineality
-    rays = [a for a, b in piece.ineqs if dot(a, x) == b]
-    lins = [e for e, _ in piece.eqs]
-    return ConeH.from_generators(piece.dim, rays, lins)
+def _frechet_cone(
+    omega: PolySet, x: Vec, wrt: ConvexPoly | None = None
+) -> ConeH | None:
+    # one H-form: the generators of every active piece's tangent cone as
+    # rows (rays as inequalities, lineality as equalities), plus the radial
+    # rows of wrt when given; None when no piece contains x
+    tangents = [_active_rows(p, x) for p in omega.pieces]
+    tangents = [rows for rows in tangents if rows is not None]
+    if not tangents:
+        return None
+    ineqs, eqs = ([], []) if wrt is None else _active_rows(wrt, x)
+    for rows in tangents:
+        rays, lineality = ConeH.from_ineqs(omega.dim, *rows).generators()
+        ineqs += rays
+        eqs += lineality
+    return ConeH.from_ineqs(omega.dim, ineqs, eqs)
 
 
 def frechet_normal(omega: PolySet, x: Vec) -> ConeH:
-    """Classical Fréchet normal cone of a union of closed convex polyhedra."""
+    """Classical Fréchet normal cone of a union of closed convex polyhedra.
+
+    It is the polar of the sum of the tangent cones of the pieces through x
+    (Rockafellar & Wets 1998, Thm. 6.28(a) and Thm. 6.46), computed as one
+    canonicalization: the tangent cones' generators are its rows.
+    """
     check_dim("frechet_normal point", len(x), omega.dim)
-    active = omega.active_pieces(x)
-    if not active:
+    cone = _frechet_cone(omega, x)
+    if cone is None:
         raise ValueError("point outside the set")
-    cone = ConeH.whole_space(omega.dim)
-    for i in active:
-        cone = cone.intersect(_piece_normal_cone(omega.pieces[i], x))
     return cone
 
 
 def frechet_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
     """Fréchet normal cone of omega at the point, relative to the set wrt."""
     check_dim("frechet_normal_wrt point", len(point), omega.dim)
-    request_domain = omega.intersect_poly(wrt)
-    if not request_domain.contains(point):
+    cone = _frechet_cone(omega.intersect_poly(wrt), point, wrt)
+    if cone is None:
         return ConeH.empty_marker(omega.dim)
-    return frechet_normal(request_domain, point).intersect(radial_cone(wrt, point))
+    return cone
 
 
 def proximal_normal_wrt(
@@ -115,13 +144,10 @@ def limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnio
     request_domain = omega.intersect_poly(wrt)
     if not request_domain.contains(point):
         return ConeUnion.empty(omega.dim)
-    cells = local_cells([omega, wrt], point)
-    inter_pieces = request_domain
-    parts = []
-    for cell in cells:
-        x = cell.witness
-        part = frechet_normal(inter_pieces, x).intersect(radial_cone(wrt, x))
-        parts.append(part)
+    parts = [
+        _frechet_cone(request_domain, cell.witness, wrt)
+        for cell in local_cells([omega, wrt], point)
+    ]
     return ConeUnion.make(omega.dim, parts)
 
 

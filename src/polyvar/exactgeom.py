@@ -283,10 +283,6 @@ class ConvexPoly:
         lin_out = [primitive(v[:-1]) for v in lin]
         return tuple(sorted(verts)), tuple(sorted(rec)), tuple(sorted(lin_out))
 
-    def is_bounded(self) -> bool:
-        rec = self.recession()
-        return rec.is_zero()
-
     def subset_of(self, other: "ConvexPoly") -> bool:
         """Exact containment: every row of `other` is valid on self."""
         if self.is_empty():

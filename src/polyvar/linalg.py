@@ -181,17 +181,6 @@ def rref_ints(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return mat[:r], pivots
 
 
-def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form with primitive-integer rows.
-
-    Returns (rows, pivot_columns).  The output is the canonical basis of the
-    input row space: unique for a given span, so syntactic comparison of RREF
-    rows decides row-space equality.
-    """
-    basis, pivots = rref_ints([integer_row(r)[0] for r in rows])
-    return [to_vec(row) for row in basis], pivots
-
-
 def reduce_mod_rowspace(
     w: list[int], rref_rows: list[list[int]], pivots: list[int]
 ) -> list[int]:
@@ -222,13 +211,3 @@ def nullspace_ints(rows: list[list[int]], dim: int) -> list[list[int]]:
             v[p] = -row[c] * (den // row[p])
         out.append(primitive_ints(v))
     return out
-
-
-def nullspace(rows: list[Vec], dim: int) -> list[Vec]:
-    """Canonical primitive basis of {x : r @ x = 0 for all rows r}."""
-    basis = nullspace_ints([integer_row(r)[0] for r in rows], dim)
-    return [to_vec(v) for v in basis]
-
-
-def rank(rows: list[Vec]) -> int:
-    return len(rref(rows)[0])

@@ -20,7 +20,7 @@ with zero sum; both are Minkowski/intersection computations on cone unions.
 
 from __future__ import annotations
 
-from .cones import limiting_normal, limiting_normal_wrt
+from .cones import limiting_normal, limiting_normal_wrt, radial_cone
 from .exactgeom import ConeUnion, ConvexPoly, PolySet
 from .linalg import Vec, check_dim, dot, zero
 from .stratify import local_cells
@@ -63,8 +63,6 @@ def boundary_radial_limit(
     when x is interior to c), which makes the normal-densedness premise
     vacuous.
     """
-    from .cones import radial_cone
-
     lower_dimensional = bool(c.eqs)
     cells = local_cells([omega1, omega2, c], x)
     parts = []

@@ -27,6 +27,7 @@ from polyvar.cones import (
 )
 from polyvar.exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet, polar
 from polyvar.linalg import Vec, dot, sub, vec
+from polyvar.stratify import local_cells
 
 
 def grid_frechet_oracle(
@@ -303,8 +304,6 @@ def test_limiting_cone_realized_pointwise():
     """Independent check of the outer-limit construction: cones computed
     directly at points sliding into each adherent cell reproduce the cell's
     contribution, and cones at nearby grid points never leave the union."""
-    from polyvar.stratify import local_cells
-
     rng = random.Random(61)
     done = 0
     while done < 10:
@@ -353,3 +352,134 @@ def test_limiting_parts_are_closed_cones():
             assert part.contains(tuple(Fraction(0) for _ in range(dim)))
             for r in part.rays:
                 assert part.contains(tuple(3 * x for x in r))
+
+
+# -- the tangent-generator form against the per-piece polar form ---------------
+
+
+def ref_piece_normal_cone(piece: ConvexPoly, x: Vec) -> ConeH:
+    # polar of the piece's tangent cone: active inequality normals plus the
+    # equality normals as lineality
+    rays = [a for a, b in piece.ineqs if dot(a, x) == b]
+    lins = [e for e, _ in piece.eqs]
+    return ConeH.from_generators(piece.dim, rays, lins)
+
+
+def ref_frechet_normal(omega: PolySet, x: Vec) -> ConeH:
+    """The Fréchet cone as the intersection of per-piece polar cones, one
+    double description per piece, as `cones` computed it before."""
+    active = omega.active_pieces(x)
+    if not active:
+        raise ValueError("point outside the set")
+    cone = ConeH.whole_space(omega.dim)
+    for i in active:
+        cone = cone.intersect(ref_piece_normal_cone(omega.pieces[i], x))
+    return cone
+
+
+def ref_frechet_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
+    request_domain = omega.intersect_poly(wrt)
+    if not request_domain.contains(point):
+        return ConeH.empty_marker(omega.dim)
+    return ref_frechet_normal(request_domain, point).intersect(radial_cone(wrt, point))
+
+
+def ref_limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnion:
+    request_domain = omega.intersect_poly(wrt)
+    if not request_domain.contains(point):
+        return ConeUnion.empty(omega.dim)
+    cells = local_cells([omega, wrt], point)
+    inter_pieces = request_domain
+    parts = []
+    for cell in cells:
+        x = cell.witness
+        part = ref_frechet_normal(inter_pieces, x).intersect(radial_cone(wrt, x))
+        parts.append(part)
+    return ConeUnion.make(omega.dim, parts)
+
+
+def hyperplane_through(rng: random.Random, dim: int, point: Vec) -> ConvexPoly:
+    e = rng_vec(rng, dim)
+    while not any(e):
+        e = rng_vec(rng, dim)
+    return ConvexPoly.make(dim, [], [(e, dot(e, point))])
+
+
+def frechet_instances(seed: int = 71, count: int = 200):
+    """(omega, wrt, base, probe) with the base in omega and wrt.
+
+    Every third omega gains a piece inside a hyperplane through the base and
+    every second a piece whose rows are all tight at the base; every fourth
+    wrt is cut down to such a hyperplane and every fifth is the whole space.
+    The probe is a random point, inside omega cap wrt or not.
+    """
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        dim = rng.randint(1, 3)
+        base = rng_vec(rng, dim, -1, 1)
+        pieces = list(random_polyset_through(rng, dim, base).pieces)
+        if k % 3 == 0:
+            flat = random_poly_through(rng, dim, base)
+            pieces.append(flat.intersect(hyperplane_through(rng, dim, base)))
+        if k % 2 == 0:
+            corner = [rng_vec(rng, dim), rng_vec(rng, dim)]
+            pieces.append(ConvexPoly.make(dim, [(a, dot(a, base)) for a in corner]))
+        wrt = random_poly_through(rng, dim, base)
+        if k % 4 == 1:
+            wrt = wrt.intersect(hyperplane_through(rng, dim, base))
+        elif k % 5 == 2:
+            wrt = ConvexPoly.whole_space(dim)
+        probe = rng_vec(rng, dim, -1, 1)
+        out.append((PolySet.make(dim, pieces), wrt, base, probe))
+    return out
+
+
+def assert_seeded_generators_canonical(cone: ConeH) -> None:
+    fresh = ConeH(cone.dim, cone.ineqs, cone.eqs)
+    assert (cone._rays, cone._lineality) == (fresh.rays, fresh.lineality)
+
+
+def test_frechet_cones_match_per_piece_reference():
+    """One canonicalization of stacked tangent generators gives the cone the
+    per-piece polars and their k + 1 intersections gave, field for field."""
+    coverage = {"equality piece": 0, "flat wrt": 0, "two facets": 0, "outside": 0}
+    for omega, wrt, base, probe in frechet_instances():
+        coverage["equality piece"] += any(p.eqs for p in omega.pieces)
+        coverage["flat wrt"] += bool(wrt.eqs)
+        coverage["two facets"] += any(
+            sum(dot(a, base) == b for a, b in p.ineqs) >= 2 for p in omega.pieces
+        )
+        for x in (base, probe):
+            if omega.contains(x):
+                got = frechet_normal(omega, x)
+                assert got == ref_frechet_normal(omega, x)
+                assert_seeded_generators_canonical(got)
+            else:
+                with pytest.raises(ValueError):
+                    frechet_normal(omega, x)
+            got = frechet_normal_wrt(omega, wrt, x)
+            ref = ref_frechet_normal_wrt(omega, wrt, x)
+            assert got == ref
+            coverage["outside"] += got.empty
+            if not got.empty:
+                assert_seeded_generators_canonical(got)
+        lim = limiting_normal_wrt(omega, wrt, base)
+        assert lim.parts == ref_limiting_normal_wrt(omega, wrt, base).parts
+        for part in lim.parts:
+            assert_seeded_generators_canonical(part)
+    assert min(coverage.values()) >= 30, coverage
+
+
+def test_frechet_cones_build_no_polar_dd(monkeypatch):
+    """No polar double description: no cone is built from generators."""
+    instances = frechet_instances()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ConeH.from_generators called")
+
+    monkeypatch.setattr(ConeH, "from_generators", staticmethod(refuse))
+    for omega, wrt, base, _ in instances:
+        assert not frechet_normal(omega, base).empty
+        assert not frechet_normal_wrt(omega, wrt, base).empty
+        assert not limiting_normal_wrt(omega, wrt, base).is_empty()

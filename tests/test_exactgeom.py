@@ -26,7 +26,32 @@ from polyvar.exactgeom import (
     polar,
     slice_cone_at_tail,
 )
-from polyvar.linalg import Vec, as_vec, dot, is_zero, neg, primitive, rank, vec
+from polyvar.linalg import (
+    Vec,
+    as_vec,
+    dot,
+    integer_row,
+    is_zero,
+    neg,
+    nullspace_ints,
+    primitive,
+    rref_ints,
+    to_vec,
+    vec,
+)
+
+
+def rank(rows: list[Vec]) -> int:
+    return len(rref_ints([integer_row(r)[0] for r in rows])[0])
+
+
+def nullspace(rows: list[Vec], dim: int) -> list[Vec]:
+    """Canonical primitive basis of {x : r @ x = 0 for all rows r}."""
+    return [to_vec(v) for v in nullspace_ints([integer_row(r)[0] for r in rows], dim)]
+
+
+def is_bounded(p: ConvexPoly) -> bool:
+    return p.recession().is_zero()
 
 
 def brute_force_rays(dim: int, rows: list[Vec]) -> set[Vec]:
@@ -41,8 +66,6 @@ def brute_force_rays(dim: int, rows: list[Vec]) -> set[Vec]:
         for subset in itertools.combinations(rows, size):
             if rank(list(subset)) != dim - 1:
                 continue
-            from polyvar.linalg import nullspace
-
             basis = nullspace(list(subset), dim)
             if len(basis) != 1:
                 continue
@@ -262,7 +285,7 @@ def test_poly_vrep_square():
     verts, rays, lin = square.vrep()
     assert set(verts) == {vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 1)}
     assert rays == () and lin == ()
-    assert square.is_bounded()
+    assert is_bounded(square)
 
 
 def test_poly_eliminate_projection():

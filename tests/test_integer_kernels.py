@@ -1,7 +1,7 @@
 """The integer kernels agree with the rational kernels they replaced.
 
-`linalg.dot`/`primitive`/`rref`/`nullspace`/`reduce_mod_rowspace` and
-`exactgeom._dd` compute on Python ints.  The `Fraction` versions below are
+`linalg.dot`/`primitive`/`rref_ints`/`nullspace_ints`/`reduce_mod_rowspace`
+and `exactgeom._dd` compute on Python ints.  The `Fraction` versions below are
 the previous implementations, kept verbatim as the reference; seeded inputs
 (dimensions 1-7, integer and rational entries, zero and duplicate rows) must
 give equal results.  The linalg kernels hand back `Fraction`s; the rays and
@@ -25,13 +25,33 @@ from polyvar.linalg import (
     Vec,
     dot,
     integer_row,
-    nullspace,
+    nullspace_ints,
     primitive,
     reduce_mod_rowspace,
-    rref,
     rref_ints,
     to_vec,
 )
+
+
+# -- Fraction wrappers of the int kernels, as `linalg` had them ---------------
+
+
+def rref(rows: list[Vec]) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form with primitive-integer rows.
+
+    Returns (rows, pivot_columns).  The output is the canonical basis of the
+    input row space: unique for a given span, so syntactic comparison of RREF
+    rows decides row-space equality.
+    """
+    basis, pivots = rref_ints([integer_row(r)[0] for r in rows])
+    return [to_vec(row) for row in basis], pivots
+
+
+def nullspace(rows: list[Vec], dim: int) -> list[Vec]:
+    """Canonical primitive basis of {x : r @ x = 0 for all rows r}."""
+    basis = nullspace_ints([integer_row(r)[0] for r in rows], dim)
+    return [to_vec(v) for v in basis]
+
 
 # -- the rational reference kernels -------------------------------------------
 
