@@ -19,7 +19,7 @@ from .exactgeom import (
 )
 from .linalg import Vec, check_dim
 from .multimaps import (
-    MODE_SEMICOMPACT,
+    VARIANT_SEMICOMPACT,
     PolyMultimap,
     _compose_slices,
     coderivative_kernel,
@@ -233,7 +233,7 @@ def preimage_rule(
     rhs = PolyUnion.make(n, rhs_parts)
 
     ftheta = PolyMultimap(n, m, PolySet.make(n + m, lifted))
-    semicompact = inner_regularity_check(ftheta, c, x, MODE_SEMICOMPACT)
+    semicompact = inner_regularity_check(ftheta, c, x, VARIANT_SEMICOMPACT)
 
     ok, witness = union_subset(lhs.to_poly_union(), rhs)
     quals = (

@@ -43,7 +43,6 @@ from .linalg import (
     is_zero,
     neg,
     nullspace_ints,
-    primitive,
     primitive_ints,
     rat,
     reduce_mod_rowspace,
@@ -262,26 +261,6 @@ class ConvexPoly:
         return ConeH.from_ineqs(
             self.dim, [a for a, _ in self.ineqs], [e for e, _ in self.eqs]
         )
-
-    def vrep(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
-        """(vertices, rays, lineality) via the homogenization cone."""
-        if self.is_empty():
-            return (), (), ()
-        n = self.dim
-        rows = [as_row(a + (-b,)) for a, b in self.ineqs]
-        rows.append((0,) * n + (-1,))  # t >= 0
-        eq_rows = [as_row(e + (-d,)) for e, d in self.eqs]
-        rays, lin = _dd(n + 1, rows, eq_rows)
-        verts: list[Vec] = []
-        rec: list[Vec] = []
-        for r in rays:
-            t = r[-1]
-            if t > 0:
-                verts.append(tuple(Fraction(x, t) for x in r[:-1]))
-            else:
-                rec.append(primitive(r[:-1]))
-        lin_out = [primitive(v[:-1]) for v in lin]
-        return tuple(sorted(verts)), tuple(sorted(rec)), tuple(sorted(lin_out))
 
     def subset_of(self, other: "ConvexPoly") -> bool:
         """Exact containment: every row of `other` is valid on self."""
@@ -732,9 +711,6 @@ class PolySet:
     def contains(self, x: Vec) -> bool:
         return any(p.contains(x) for p in self.pieces)
 
-    def active_pieces(self, x: Vec) -> tuple[int, ...]:
-        return tuple(i for i, p in enumerate(self.pieces) if p.contains(x))
-
     def intersect_poly(self, c: ConvexPoly) -> "PolySet":
         return PolySet.make(self.dim, [p.intersect(c) for p in self.pieces])
 
@@ -992,21 +968,6 @@ def homogeneous_union_to_cones(pu: PolyUnion) -> ConeUnion:
             ConeH.from_ineqs(p.dim, [a for a, _ in p.ineqs], [e for e, _ in p.eqs])
         )
     return ConeUnion.make(pu.dim, parts)
-
-
-def box_rows(
-    center: Vec, radius: Fraction, total_dim: int, coords: tuple[int, ...]
-) -> list[Row]:
-    """Inequality rows |x_c - center_i| <= radius on selected coordinates."""
-    rows: list[Row] = []
-    for i, c in enumerate(coords):
-        e = [_ZERO] * total_dim
-        e[c] = _ONE
-        rows.append((tuple(e), center[i] + radius))
-        e2 = [_ZERO] * total_dim
-        e2[c] = Fraction(-1)
-        rows.append((tuple(e2), radius - center[i]))
-    return rows
 
 
 def cone_union_ops(a: ConeUnion, b: ConeUnion) -> dict:

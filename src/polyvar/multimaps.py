@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import lp
 from .cones import limiting_normal_wrt
 from .exactgeom import (
     ConeH,
@@ -20,22 +19,17 @@ from .exactgeom import (
     ConvexPoly,
     PolySet,
     PolyUnion,
-    box_rows,
     homogeneous_union_to_cones,
     slice_cone_at_head,
     slice_cone_at_tail,
     union_subset,
 )
-from .linalg import Vec, check_dim, dot, neg, sub, zero
+from .linalg import Vec, check_dim, dot, neg, zero
 from .quals import normal_densed_check
-from .stratify import Cell, global_cells, local_cells
+from .stratify import global_cells, local_cells
 from .verdicts import RuleReport, TriVerdict
 
 PIECE_LIMIT = 4096
-
-MODE_SEMICOMPACT = "semicompact"
-MODE_SEMICONTINUOUS = "semicontinuous"
-MODE_CLOSED_GRAPH = "closed_graph_wrt"
 
 VARIANT_SEMICONTINUOUS = "semicontinuous"
 VARIANT_SEMICOMPACT = "semicompact"
@@ -201,114 +195,60 @@ def aubin_wrt_check(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> TriVerdic
 
 
 # ---------------------------------------------------------------------------
-# inner semicontinuity / semicompactness (sufficient exact tests)
+# inner semicontinuity / semicompactness (decided exactly)
 # ---------------------------------------------------------------------------
-
-
-def _affine_selection_exists(
-    F: PolyMultimap, cell: Cell, xbar: Vec, ybar: Vec
-) -> bool:
-    """Is there sigma(x) = Mx + c with sigma(xbar) = ybar mapping the closed
-    cell into some graph piece?  LP over the entries of M using the cell's
-    V-representation: c = ybar - M xbar is substituted, so sigma(x) =
-    ybar + M(x - xbar), and M = 0 is feasible when the piece holds ybar on
-    the whole cell."""
-    n, m = F.in_dim, F.out_dim
-    verts, rays, lins = cell.closure.vrep()
-    nvars = m * n
-
-    def sel_coeffs(gy: Vec, d: Vec) -> list[Fraction]:
-        # coefficients of <gy, M @ d> in the entries of M
-        return [gy[i] * d[j] for i in range(m) for j in range(n)]
-
-    for piece in F.graph.pieces:
-        ineqs: list[tuple[Vec, Fraction]] = []
-        eqs: list[tuple[Vec, Fraction]] = []
-        for gall, h, is_eq in [(r, b, False) for r, b in piece.ineqs] + [
-            (r, d, True) for r, d in piece.eqs
-        ]:
-            gx, gy = gall[:n], gall[n:]
-            for v in verts:
-                coeff = sel_coeffs(gy, sub(v, xbar))
-                bound = h - dot(gx, v) - dot(gy, ybar)
-                (eqs if is_eq else ineqs).append((tuple(coeff), bound))
-            for r in rays:
-                coeff = sel_coeffs(gy, r)
-                (eqs if is_eq else ineqs).append((tuple(coeff), -dot(gx, r)))
-            for l in lins:
-                eqs.append((tuple(sel_coeffs(gy, l)), -dot(gx, l)))
-        if lp.feasible_point(ineqs, eqs, nvars) is not None:
-            return True
-    return False
-
-
-def _locally_bounded(F: PolyMultimap, c: ConvexPoly, xbar: Vec) -> bool:
-    """Output-local-boundedness of F restricted to c near xbar."""
-    n, m = F.in_dim, F.out_dim
-    wrt = c.product(ConvexPoly.whole_space(m))
-    for radius in (Fraction(1), Fraction(1, 8), Fraction(1, 64)):
-        ok = True
-        for piece in F.graph.pieces:
-            q = piece.intersect(wrt).intersect(
-                ConvexPoly.make(n + m, box_rows(xbar, radius, n + m, tuple(range(n))))
-            )
-            if q.is_empty():
-                continue
-            rec = q.recession()
-            vertical = rec.intersect(
-                ConeH.from_ineqs(
-                    n + m, [], [tuple(Fraction(1 if j == i else 0) for j in range(n + m)) for i in range(n)]
-                )
-            )
-            if not vertical.is_zero():
-                ok = False
-                break
-        if ok:
-            return True
-    return False
 
 
 def inner_regularity_check(
     F: PolyMultimap, c: ConvexPoly, base: Vec, mode: str
 ) -> TriVerdict:
-    """Sufficient exact tests for the semicontinuity-type side conditions.
+    """Decide the inner semicontinuity-type side conditions of F relative to c.
 
-    semicompact: local output-boundedness via recession cones, else an affine
-    selection toward some value at the base point; semicontinuous: an affine
-    selection to the prescribed value over every adherent domain cell.
-    Returns Unknown rather than guessing when neither test certifies.
+    Sequences run in D = dom F ∩ c (Mordukhovich 2006, Def. 1.63):
+
+    - VARIANT_SEMICOMPACT, base = x̄: every x_k -> x̄ in D has y_k in F(x_k)
+      with a convergent subsequence;
+    - VARIANT_SEMICONTINUOUS, base = (x̄, ȳ) on the graph: every x_k -> x̄ in
+      D has y_k in F(x_k) with y_k -> ȳ.
+
+    D is closed, so both are vacuous when x̄ is not in D.  Both rest on one
+    fact: a graph piece P is a closed convex polyhedron, so its fiber map
+    x |-> P(x) is Lipschitz on its domain, the projection proj P (Walkup &
+    Wets 1969).
+
+    Semicompactness always holds: a sequence in D has a subsequence in one
+    proj P, which is closed and so holds x̄, and P(x_k) has points within
+    L|x_k - x̄| of a fixed point of P(x̄), so bounded y_k exist.
+
+    Semicontinuity holds exactly when every cell of D adherent to x̄ lies in
+    proj P for some piece P of A, the pieces through (x̄, ȳ).  One local cell
+    enumeration over D and the rows of proj A decides it, since each sign
+    cell lies in or misses each proj P.  If every cell lies in some proj P
+    with P in A, the tail of any sequence runs in those cells and
+    dist(ȳ, P(x_k)) <= L|x_k - x̄| -> 0.  A cell that misses them all gives
+    Fails with its witness w: for 0 < t <= 1 the points x̄ + t(w - x̄) stay in
+    the cell, hence in D, and F there meets only pieces outside A, closed
+    sets that miss (x̄, ȳ), so no y_t -> ȳ as t -> 0.  Never Unknown.
     """
     n, m = F.in_dim, F.out_dim
-    if mode == MODE_CLOSED_GRAPH:
-        return TriVerdict.holds({"reason": "finite union of closed pieces"})
-    if mode == MODE_SEMICOMPACT:
+    if mode == VARIANT_SEMICOMPACT:
         check_dim("base point (n)", len(base), n)
-        xbar = base
-        if _locally_bounded(F, c, xbar):
-            return TriVerdict.holds({"reason": "locally bounded"})
-        for piece in F.graph.pieces:
-            fiber = slice_fiber(piece, xbar)
-            w = fiber.feasible_point()
-            if w is not None and _selection_holds(F, c, xbar, w):
-                return TriVerdict.holds({"reason": "selection", "target": w})
-        return TriVerdict.unknown({"reason": "sufficient tests inconclusive"})
-    if mode == MODE_SEMICONTINUOUS:
-        check_dim("base point (n + m)", len(base), n + m)
-        xbar, ybar = base[:n], base[n:]
-        if not F.contains(xbar, ybar):
-            raise ValueError("base point off the graph")
-        if _selection_holds(F, c, xbar, ybar):
-            return TriVerdict.holds({"reason": "selection"})
-        return TriVerdict.unknown({"reason": "no affine selection found"})
-    raise ValueError(f"unknown mode: {mode}")
-
-
-def _selection_holds(F: PolyMultimap, c: ConvexPoly, xbar: Vec, ybar: Vec) -> bool:
-    dom = F.domain().intersect_poly(c)
-    if not dom.contains(xbar):
-        return False
-    cells = local_cells([dom], xbar)
-    return all(_affine_selection_exists(F, cell, xbar, ybar) for cell in cells)
+        return TriVerdict.holds({"reason": "polyhedral fiber maps are Lipschitz"})
+    if mode != VARIANT_SEMICONTINUOUS:
+        raise ValueError(f"unknown mode: {mode}")
+    check_dim("base point (n + m)", len(base), n + m)
+    xbar, ybar = base[:n], base[n:]
+    if not F.contains(xbar, ybar):
+        raise ValueError("base point off the graph")
+    if not c.contains(xbar):
+        return TriVerdict.holds({"reason": "base point outside dom F ∩ C"})
+    proj = [p.eliminate(tuple(range(n, n + m))) for p in F.graph.pieces]
+    proj_a = [q for p, q in zip(F.graph.pieces, proj) if p.contains(base)]
+    dom = PolySet.make(n, [q.intersect(c) for q in proj])
+    for cell in local_cells([dom, PolySet.make(n, dom.pieces + tuple(proj_a))], xbar):
+        if not any(q.contains(cell.witness) for q in proj_a):
+            return TriVerdict.fails({"witness": cell.witness})
+    return TriVerdict.holds({"reason": "adherent cells lie over pieces through the base"})
 
 
 def slice_fiber(piece: ConvexPoly, x: Vec) -> ConvexPoly:
@@ -394,14 +334,10 @@ def sum_rule(
 
     s_map = _s_map(F1, F2)
     c_lift = c.product(ConvexPoly.whole_space(m))
+    base = xbar + ybar
     if variant == VARIANT_SEMICONTINUOUS:
-        regularity = inner_regularity_check(
-            s_map, c_lift, xbar + ybar + y1bar + y2bar, MODE_SEMICONTINUOUS
-        )
-    else:
-        regularity = inner_regularity_check(
-            s_map, c_lift, xbar + ybar, MODE_SEMICOMPACT
-        )
+        base += y1bar + y2bar
+    regularity = inner_regularity_check(s_map, c_lift, base, variant)
 
     fsum = F1.sum(F2)
     lhs = coderivative_wrt(fsum, c, xbar, ybar, ystar).result
@@ -496,14 +432,10 @@ def chain_rule(
 
     s_map = _script_s(G, F)
     c_lift = c.product(ConvexPoly.whole_space(s))
+    base = xbar + zbar
     if variant == VARIANT_SEMICONTINUOUS:
-        regularity = inner_regularity_check(
-            s_map, c_lift, xbar + zbar + ybar, MODE_SEMICONTINUOUS
-        )
-    else:
-        regularity = inner_regularity_check(
-            s_map, c_lift, xbar + zbar, MODE_SEMICOMPACT
-        )
+        base += ybar
+    regularity = inner_regularity_check(s_map, c_lift, base, variant)
 
     comp = F.compose_after(G)
     lhs = coderivative_wrt(comp, c, xbar, zbar, zstar).result

@@ -65,13 +65,6 @@ class Cell:
     witness: Vec
     adherent: bool
     memberships: tuple[tuple[int, ...], ...]  # per input set: pieces containing the cell
-    closure_rows: tuple[tuple[IntRow, ...], tuple[IntRow, ...]]  # weak (ineqs, eqs)
-
-    @property
-    def closure(self) -> ConvexPoly:
-        """The closed cell; canonicalized on demand (it is rarely needed)."""
-        ineqs, eqs = self.closure_rows
-        return ConvexPoly.make(len(self.witness), ineqs, eqs)
 
 
 @dataclass(frozen=True)
@@ -255,7 +248,6 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
                         p if base is None else witness_along(p),
                         base is not None,
                         tuple(memberships),
-                        _signature_closure(hyperplanes, full),
                     )
                 )
             return
@@ -275,17 +267,3 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
     cells.sort(key=lambda c: c.signature.signs)
     return cells
 
-
-def _signature_closure(
-    hyperplanes: list[_Hyperplane], signs: list[int]
-) -> tuple[tuple[IntRow, ...], tuple[IntRow, ...]]:
-    ineqs: list[IntRow] = []
-    eqs: list[IntRow] = []
-    for hp, sgn in zip(hyperplanes, signs):
-        if sgn == 0:
-            eqs.append((hp.normal, hp.offset))
-        elif sgn < 0:
-            ineqs.append((hp.normal, hp.offset))
-        else:
-            ineqs.append((neg(hp.normal), -hp.offset))
-    return tuple(ineqs), tuple(eqs)

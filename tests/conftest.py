@@ -12,8 +12,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import polyvar
+from polyvar import exactgeom
 from polyvar.exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
-from polyvar.linalg import Vec, vec
+from polyvar.linalg import Vec, as_row, primitive, vec
 
 
 @dataclass(frozen=True)
@@ -123,6 +124,36 @@ def random_plfunc(rng: random.Random, dim: int, max_terms: int = 3) -> "PLFunc":
         for _ in range(rng.randint(1, max_terms))
     ]
     return PLFunc.max_affine(dim, terms)
+
+
+def vrep(p: ConvexPoly) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
+    """(vertices, rays, lineality) of `p` via its homogenization cone.
+
+    Looks `_dd` up on the module at each call, so a test can swap in a
+    reference double description.
+    """
+    if p.is_empty():
+        return (), (), ()
+    n = p.dim
+    rows = [as_row(a + (-b,)) for a, b in p.ineqs]
+    rows.append((0,) * n + (-1,))  # t >= 0
+    eq_rows = [as_row(e + (-d,)) for e, d in p.eqs]
+    rays, lin = exactgeom._dd(n + 1, rows, eq_rows)
+    verts: list[Vec] = []
+    rec: list[Vec] = []
+    for r in rays:
+        t = r[-1]
+        if t > 0:
+            verts.append(tuple(Fraction(x, t) for x in r[:-1]))
+        else:
+            rec.append(primitive(r[:-1]))
+    lin_out = [primitive(v[:-1]) for v in lin]
+    return tuple(sorted(verts)), tuple(sorted(rec)), tuple(sorted(lin_out))
+
+
+def active_pieces(s: PolySet, x: Vec) -> tuple[int, ...]:
+    """Indices of the pieces of `s` that contain `x`."""
+    return tuple(i for i, p in enumerate(s.pieces) if p.contains(x))
 
 
 def run_optimized(script: str) -> dict:

@@ -25,8 +25,8 @@ from polyvar.exactgeom import (
 )
 from polyvar.linalg import dot, vec
 from polyvar.multimaps import (
-    MODE_SEMICOMPACT,
-    MODE_SEMICONTINUOUS,
+    VARIANT_SEMICOMPACT,
+    VARIANT_SEMICONTINUOUS,
     PolyMultimap,
     coderivative_wrt,
     graph_normal_cone,
@@ -90,13 +90,13 @@ CASES = {
     ),
     "inner_regularity_check semicompact": (
         lambda: inner_regularity_check(
-            whole_map(1, 1), ConvexPoly.whole_space(1), vec(0, 0), MODE_SEMICOMPACT
+            whole_map(1, 1), ConvexPoly.whole_space(1), vec(0, 0), VARIANT_SEMICOMPACT
         ),
         "dimension 2, expected 1",
     ),
     "inner_regularity_check semicontinuous": (
         lambda: inner_regularity_check(
-            whole_map(1, 1), ConvexPoly.whole_space(1), vec(0), MODE_SEMICONTINUOUS
+            whole_map(1, 1), ConvexPoly.whole_space(1), vec(0), VARIANT_SEMICONTINUOUS
         ),
         "dimension 1, expected 2",
     ),

@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import random_cone, random_cone_union, rng_vec
+from conftest import random_cone, random_cone_union, rng_vec, vrep
 from polyvar import exactgeom, lp
 from polyvar.exactgeom import (
     ConeH,
@@ -142,7 +142,7 @@ def test_eliminate_matches_vertex_ray_projection():
             continue
         keep = rng.randint(1, dim - 1)
         proj = p.eliminate(tuple(range(keep, dim)))
-        verts, rays, lins = p.vrep()
+        verts, rays, lins = vrep(p)
         gen_rays = [r[:keep] + (Fraction(0),) for r in rays]
         gen_rays += [l[:keep] + (Fraction(0),) for l in lins]
         gen_rays += [tuple(-x for x in l[:keep]) + (Fraction(0),) for l in lins]

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    active_pieces,
     cone3,
     make_example1,
     random_polyset_through,
@@ -368,7 +369,7 @@ def ref_piece_normal_cone(piece: ConvexPoly, x: Vec) -> ConeH:
 def ref_frechet_normal(omega: PolySet, x: Vec) -> ConeH:
     """The Fréchet cone as the intersection of per-piece polar cones, one
     double description per piece, as `cones` computed it before."""
-    active = omega.active_pieces(x)
+    active = active_pieces(omega, x)
     if not active:
         raise ValueError("point outside the set")
     cone = ConeH.whole_space(omega.dim)

@@ -196,3 +196,17 @@ def test_cli_matches_library(op, tmp_path):
         worst = max(worst, expected_code)
     assert report["exit_code"] == worst
     assert code == worst
+
+
+def test_failed_inner_hypothesis_is_rendered_with_its_witness(tmp_path):
+    # in sum-split-jumps only inner semicontinuity fails: the split (1, 0)
+    # of y = 1 at x = 0 is not a limit of the splits (0, 1) for x > 0
+    out = tmp_path / "report.json"
+    code = main(["rule", "sum", str(DATA), "--quals", "strict", "--out", str(out)])
+    (got,) = [
+        q for q in json.loads(out.read_text())["queries"] if q["name"] == "sum-split-jumps"
+    ]
+    quals = dict(got["report"]["qualifications"])
+    assert [v["verdict"] for v in quals.values()] == ["holds", "holds", "fails"]
+    assert quals["inner_semicontinuous"]["certificate"] == {"witness": ["1/2", "1"]}
+    assert got["exit_code"] == 1 and code == 1

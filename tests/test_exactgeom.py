@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_cone, random_cone_union
+from conftest import active_pieces, random_cone, random_cone_union, vrep
 from polyvar.exactgeom import (
     ConeH,
     ConeUnion,
@@ -282,7 +282,7 @@ def test_poly_vrep_square():
             (vec(0, -1), Fraction(0)),
         ],
     )
-    verts, rays, lin = square.vrep()
+    verts, rays, lin = vrep(square)
     assert set(verts) == {vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 1)}
     assert rays == () and lin == ()
     assert is_bounded(square)
@@ -330,5 +330,5 @@ def test_polyset_membership_and_pieces():
     right = ConvexPoly.make(1, [(vec(-1), Fraction(0))])
     s = PolySet.make(1, [left, right])
     assert s.contains(vec(5)) and s.contains(vec(-5))
-    assert s.active_pieces(vec(0)) == (0, 1)
-    assert s.active_pieces(vec(2)) in ((0,), (1,))
+    assert active_pieces(s, vec(0)) == (0, 1)
+    assert active_pieces(s, vec(2)) in ((0,), (1,))

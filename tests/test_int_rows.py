@@ -16,6 +16,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+from conftest import vrep
 from polyvar import runner
 from polyvar.cli import main
 from polyvar.exactgeom import (
@@ -146,8 +147,8 @@ def _assert_rational_poly(p: ConvexPoly) -> None:
 
 def test_vrep_of_int_rows_is_exact():
     for p_int, p_frac in _rand_polys(31, 200):
-        got = p_int.vrep()
-        assert got == p_frac.vrep()
+        got = vrep(p_int)
+        assert got == vrep(p_frac)
         for part in got:
             for v in part:
                 assert all(type(x) is Fraction for x in v), v

@@ -19,6 +19,7 @@ from math import gcd
 
 import pytest
 
+from conftest import vrep
 from polyvar import exactgeom, lp
 from polyvar.exactgeom import ConeH, ConvexPoly
 from polyvar.linalg import (
@@ -444,7 +445,7 @@ def test_poly_vrep_matches_reference(monkeypatch):
             (e, rand_entry(rng, rational)) for e in rand_rows(rng, dim, rational, 1)
         ]
         polys.append(ConvexPoly.make(dim, ineqs, eqs))
-    got = [p.vrep() for p in polys]
+    got = [vrep(p) for p in polys]
 
     def ref_dd_of_fractions(dim, ineq_rows, eq_rows):
         # vrep hands `_dd` int rows; the reference divides them, so it gets
@@ -455,7 +456,7 @@ def test_poly_vrep_matches_reference(monkeypatch):
         return ref_dd(dim, fractions(ineq_rows), fractions(eq_rows))
 
     monkeypatch.setattr(exactgeom, "_dd", ref_dd_of_fractions)
-    assert got == [p.vrep() for p in polys]
+    assert got == [vrep(p) for p in polys]
     for verts, rays, lin in got:
         assert_fractions(*verts, *rays, *lin)
 

@@ -10,27 +10,28 @@ import pytest
 from conftest import (
     random_linear_map,
     random_multimap_through,
+    random_poly_through,
     rng_vec,
+    vrep,
 )
 from polyvar.exactgeom import ConeUnion, ConvexPoly, PolySet, PolyUnion
 from polyvar.cones import limiting_normal_wrt
 from polyvar import lp
 from polyvar.linalg import dot, vec, zero
 from polyvar.multimaps import (
-    MODE_CLOSED_GRAPH,
-    MODE_SEMICOMPACT,
-    MODE_SEMICONTINUOUS,
+    VARIANT_SEMICOMPACT,
+    VARIANT_SEMICONTINUOUS,
     PolyMultimap,
-    _affine_selection_exists,
     aubin_wrt_check,
     chain_rule,
     coderivative_wrt,
     graph_normal_cone,
     inner_regularity_check,
+    slice_fiber,
     sum_rule,
 )
-from polyvar.stratify import global_cells, local_cells
-from polyvar.verdicts import HOLDS, UNKNOWN
+from polyvar.stratify import local_cells
+from polyvar.verdicts import FAILS, HOLDS
 
 
 def final_example_map() -> PolyMultimap:
@@ -130,14 +131,35 @@ def test_semicompact_polytope_values():
         ],
     )
     F = PolyMultimap(1, 1, PolySet.from_poly(box))
-    v = inner_regularity_check(F, ConvexPoly.whole_space(1), vec(0), MODE_SEMICOMPACT)
-    assert v.value == HOLDS and v.certificate["reason"] == "locally bounded"
+    v = inner_regularity_check(F, ConvexPoly.whole_space(1), vec(0), VARIANT_SEMICOMPACT)
+    assert v.value == HOLDS
+    assert v.certificate["reason"] == "polyhedral fiber maps are Lipschitz"
+
+
+def test_semicompact_ignores_a_nearby_unrelated_piece():
+    # graph {x <= 0, y = 0} u {x >= 0, y = 1} u {x >= d, y >= 0}: locally
+    # bounded near 0 whatever d is, so the verdict must not depend on d
+    for d in (Fraction(1, 100), Fraction(1, 10)):
+        pieces = [
+            ConvexPoly.make(2, [(vec(1, 0), Fraction(0))], [(vec(0, 1), Fraction(0))]),
+            ConvexPoly.make(2, [(vec(-1, 0), Fraction(0))], [(vec(0, 1), Fraction(1))]),
+            ConvexPoly.make(2, [(vec(-1, 0), -d), (vec(0, -1), Fraction(0))]),
+        ]
+        F = PolyMultimap(1, 1, PolySet.make(2, pieces))
+        whole = ConvexPoly.whole_space(1)
+        assert inner_regularity_check(F, whole, vec(0), VARIANT_SEMICOMPACT).value == HOLDS
+        # the value 1 at 0 is reached only from x >= 0
+        v = inner_regularity_check(F, whole, vec(0, 1), VARIANT_SEMICONTINUOUS)
+        assert v.is_fails() and v.certificate["witness"][0] < 0
 
 
 def test_semicontinuous_selection():
     G = final_example_map()
-    v = inner_regularity_check(G, halfline(), vec(0, 0), MODE_SEMICONTINUOUS)
+    v = inner_regularity_check(G, halfline(), vec(0, 0), VARIANT_SEMICONTINUOUS)
     assert v.value == HOLDS
+    # no sequence of dom F ∩ {x >= 1} reaches 0: the condition is vacuous
+    beyond = ConvexPoly.make(1, [(vec(-1), Fraction(-1))])
+    assert inner_regularity_check(G, beyond, vec(0, 0), VARIANT_SEMICONTINUOUS).value == HOLDS
 
 
 def test_escape_map_unknown():
@@ -149,62 +171,67 @@ def test_escape_map_unknown():
         2, [(vec(0, -1), Fraction(-1))], [(vec(1, 0), Fraction(0))]
     )  # x = 0, y >= 1
     F = PolyMultimap(1, 1, PolySet.from_poly(graph))
-    v = inner_regularity_check(F, ConvexPoly.whole_space(1), vec(0), MODE_SEMICOMPACT)
+    v = inner_regularity_check(F, ConvexPoly.whole_space(1), vec(0), VARIANT_SEMICOMPACT)
     # unbounded fiber with a constant selection y = 1: still certifiable
     assert v.value == HOLDS
     # but semicontinuity toward a point off the fiber cannot be certified
     with pytest.raises(ValueError):
         inner_regularity_check(
-            F, ConvexPoly.whole_space(1), vec(0, 0), MODE_SEMICONTINUOUS
+            F, ConvexPoly.whole_space(1), vec(0, 0), VARIANT_SEMICONTINUOUS
         )
 
 
-def test_closed_graph_always_holds():
-    G = final_example_map()
-    assert (
-        inner_regularity_check(G, halfline(), vec(0), MODE_CLOSED_GRAPH).value == HOLDS
-    )
-
-
-def test_semicontinuous_unknown_documents_three_valuedness():
+def test_semicontinuous_fails_on_isolated_value():
     # F(x) = {0} everywhere plus an isolated extra value 5 at x = 0: no
-    # selection converges to (0, 5) along x > 0, and the checker answers
-    # Unknown (it cannot certify; indeed semicontinuity truly fails there)
+    # y_k -> 5 exists along x_k -> 0 from either side, and the witness is a
+    # point of such a side
     p1 = ConvexPoly.make(2, [], [(vec(0, 1), Fraction(0))])  # y = 0
     p2 = ConvexPoly.make(
         2, [], [(vec(1, 0), Fraction(0)), (vec(0, 1), Fraction(5))]
     )  # the point (0, 5)
     F = PolyMultimap(1, 1, PolySet.make(2, [p1, p2]))
     v = inner_regularity_check(
-        F, ConvexPoly.whole_space(1), vec(0, 5), MODE_SEMICONTINUOUS
+        F, ConvexPoly.whole_space(1), vec(0, 5), VARIANT_SEMICONTINUOUS
     )
-    assert v.value == UNKNOWN
+    assert v.is_fails() and v.certificate["witness"][0] != 0
+    # relative to x >= 0 only the side x > 0 is left
+    v = inner_regularity_check(F, halfline(), vec(0, 5), VARIANT_SEMICONTINUOUS)
+    assert v.is_fails() and v.certificate["witness"][0] > 0
 
 
 def test_unknown_on_sloped_escape():
-    # fibers are rays {y : y >= 1/x-like slope}: graph {y >= 1 - k x} union
-    # over pieces makes no constant/affine selection into a single piece
-    # impossible, so construct a piece whose selection must grow: y >= 1,
-    # y <= 1 at x = 0 only -- i.e. {(x,y): x y = ...} is out of reach, so
-    # document three-valuedness with a wedge that excludes affine selections
-    # through (0, 0): y >= 1 for x > 0 and (0,0) in the graph
+    # {(0,0)} u {x>=1, y>=1}: near 0 the domain is {0} alone, so every
+    # sequence in it is constant and semicontinuity at (0, 0) holds
     p1 = ConvexPoly.make(2, [], [(vec(1, 0), Fraction(0)), (vec(0, 1), Fraction(0))])
     p2 = ConvexPoly.make(2, [(vec(-1, 0), Fraction(-1)), (vec(0, -1), Fraction(-1))])
     F = PolyMultimap(1, 1, PolySet.make(2, [p1, p2]))  # {(0,0)} u {x>=1, y>=1}
     v = inner_regularity_check(
-        F, ConvexPoly.whole_space(1), vec(0, 0), MODE_SEMICONTINUOUS
+        F, ConvexPoly.whole_space(1), vec(0, 0), VARIANT_SEMICONTINUOUS
     )
-    # domain cells around 0 include {x > 0} whose points (x < 1) have empty
-    # fibers: dom F's cell structure rules that out exactly, so the check
-    # still decides; accept either a sound Holds or Unknown here
-    assert v.value in (HOLDS, UNKNOWN)
+    assert v.value == HOLDS
 
 
-def ref_affine_selection_exists(F, cell, xbar, ybar):
-    """The previous `_affine_selection_exists`: an LP over the entries of
-    (M, c) with the m equality rows sigma(xbar) = ybar."""
+def closed_cell(dom: PolySet, w) -> ConvexPoly:
+    """The closure of the sign cell of `dom`'s rows that holds `w`."""
+    ineqs, eqs = [], []
+    for piece in dom.pieces:
+        for a, b in piece.ineqs + piece.eqs:
+            value = dot(a, w) - b
+            if value < 0:
+                ineqs.append((a, b))
+            elif value > 0:
+                ineqs.append((tuple(-x for x in a), -b))
+            else:
+                eqs.append((a, b))
+    return ConvexPoly.make(len(w), ineqs, eqs)
+
+
+def ref_affine_selection_exists(F, closed, xbar, ybar):
+    """An affine selection sigma(x) = Mx + c with sigma(xbar) = ybar from
+    the closed cell into some graph piece: an LP over the entries of (M, c)
+    with the m equality rows sigma(xbar) = ybar."""
     n, m = F.in_dim, F.out_dim
-    verts, rays, lins = cell.closure.vrep()
+    verts, rays, lins = vrep(closed)
     nvars = m * n + m
 
     def sel_coeffs(gy, point, scale_c):
@@ -246,33 +273,74 @@ def ref_affine_selection_exists(F, cell, xbar, ybar):
     return False
 
 
-def test_affine_selection_matches_reference():
-    """Substituting c = ybar - M xbar keeps every verdict, on local cells
-    at xbar and on cells of the whole domain."""
-    rng = random.Random(233)
-    seen = {"vertex": 0, "rays": 0, "lineality": 0, "eqs": 0, True: 0, False: 0}
-    for _ in range(60):
+def ref_selection_holds(F, c, xbar, ybar):
+    """The former sufficient test for inner semicontinuity: an affine
+    selection through (xbar, ybar) on every closed domain cell at xbar."""
+    dom = F.domain().intersect_poly(c)
+    if not dom.contains(xbar):
+        return False
+    cells = local_cells([dom], xbar)
+    return all(
+        ref_affine_selection_exists(F, closed_cell(dom, cell.witness), xbar, ybar)
+        for cell in cells
+    )
+
+
+def test_semicontinuity_decision_random():
+    """Every former `holds` stays `holds`; after a `holds`, short steps from
+    xbar that stay in D = dom F ∩ c meet a piece through (xbar, ybar); every
+    `fails` witness w gives points xbar + t (w - xbar) in D with empty fibers
+    in every piece through (xbar, ybar), down to t = 10^-6."""
+    rng = random.Random(239)
+    seen = {"former holds": 0, HOLDS: 0, FAILS: 0, "wrt": 0}
+    small = [Fraction(0), Fraction(1, 10), Fraction(-1, 100)]
+    for k in range(240):
         n, m = rng.randint(1, 2), rng.randint(1, 2)
         xbar, ybar = rng_vec(rng, n, -1, 1), rng_vec(rng, m, -1, 1)
+        base = xbar + ybar
         F = random_multimap_through(rng, n, m, xbar, ybar)
+        if k % 2:
+            # cut the pieces to a halfspace of inputs through xbar, and add a
+            # piece through a point near xbar with another value
+            a = rng_vec(rng, n, -2, 2)
+            cut = ConvexPoly.make(n + m, [(a + zero(m), dot(a, xbar))])
+            near = tuple(x + rng.choice(small) for x in xbar)
+            extra = random_poly_through(rng, n + m, near + rng_vec(rng, m, -2, 2))
+            pieces = [p.intersect(cut) for p in F.graph.pieces] + [extra]
+            F = PolyMultimap(n, m, PolySet.make(n + m, pieces))
+        c = ConvexPoly.whole_space(n)
         if rng.random() < 0.5:
-            # a piece with an equality row through (xbar, ybar)
-            e = rng_vec(rng, n + m, -2, 2)
-            piece = ConvexPoly.make(n + m, [], [(e, dot(e, xbar + ybar))])
-            F = PolyMultimap(n, m, PolySet.make(n + m, F.graph.pieces + (piece,)))
-        dom = F.domain()
-        # the LPs agree for any target, on the graph or off it
-        target = rng.choice([ybar, rng_vec(rng, m, -2, 2)])
-        for cell in local_cells([dom], xbar) + global_cells([dom]):
-            got = _affine_selection_exists(F, cell, xbar, target)
-            assert got == ref_affine_selection_exists(F, cell, xbar, target)
-            verts, rays, lins = cell.closure.vrep()
-            seen["vertex"] += xbar in verts
-            seen["rays"] += bool(rays)
-            seen["lineality"] += bool(lins)
-            seen["eqs"] += any(p.eqs for p in F.graph.pieces)
-            seen[got] += 1
-    assert min(seen.values()) >= 10, seen
+            a = rng_vec(rng, n, -2, 2)
+            if any(a):
+                c = ConvexPoly.make(n, [(a, dot(a, xbar))])
+                seen["wrt"] += 1
+        assert inner_regularity_check(F, c, xbar, VARIANT_SEMICOMPACT).value == HOLDS
+        v = inner_regularity_check(F, c, base, VARIANT_SEMICONTINUOUS)
+        seen[v.value] += 1
+        through = [p for p in F.graph.pieces if p.contains(base)]
+
+        def over_a(x):
+            return any(not slice_fiber(p, x).is_empty() for p in through)
+
+        def in_d(x):
+            return c.contains(x) and not F.value_set(x).is_empty()
+
+        if ref_selection_holds(F, c, xbar, ybar):
+            seen["former holds"] += 1
+            assert v.value == HOLDS, (F.graph, c, base)
+        if v.value == HOLDS:
+            # short steps from xbar that stay in D have values near ybar
+            for _ in range(4):
+                x = tuple(xi + di / 10**6 for xi, di in zip(xbar, rng_vec(rng, n)))
+                assert over_a(x) or not in_d(x), (F.graph, c, base, x)
+            continue
+        assert v.value == FAILS, v
+        w = v.certificate["witness"]
+        for t in (Fraction(1), Fraction(1, 10), Fraction(1, 1000), Fraction(1, 10**6)):
+            x = tuple(xi + t * (wi - xi) for xi, wi in zip(xbar, w))
+            assert in_d(x) and not over_a(x), (F.graph, c, base, w, t)
+    assert seen["former holds"] >= 150 and seen[FAILS] >= 25, seen
+    assert seen[HOLDS] >= seen["former holds"] + 8 and seen["wrt"] >= 80, seen
 
 
 # -- sum rule ----------------------------------------------------------------------
@@ -385,7 +453,7 @@ def test_sum_graph_vertices_realizable_by_exact_splits():
         F2 = random_multimap_through(rng, n, m, x, y2, max_pieces=2)
         fsum = F1.sum(F2)
         for piece in fsum.graph.pieces:
-            verts, _, _ = piece.vrep()
+            verts, _, _ = vrep(piece)
             for v in verts:
                 vx, vy = v[:n], v[n:]
                 found = False

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    active_pieces,
     make_example1,
     random_poly_through,
     random_polyset_through,
@@ -88,10 +89,10 @@ def test_active_row_limit(monkeypatch):
 
 def test_active_pieces_boundary_and_outside():
     ex = make_example1()
-    assert ex.omega2.active_pieces(vec(0, 0, 5)) == (0,)
-    assert ex.omega2.active_pieces(vec(-1, 0, 0)) == ()
+    assert active_pieces(ex.omega2, vec(0, 0, 5)) == (0,)
+    assert active_pieces(ex.omega2, vec(-1, 0, 0)) == ()
     interior = PolySet.from_poly(ConvexPoly.make(1, [(vec(1), Fraction(1))]))
-    assert interior.active_pieces(vec(0)) == (0,)
+    assert active_pieces(interior, vec(0)) == (0,)
 
 
 def test_partition_and_constancy_random():
