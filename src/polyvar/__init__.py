@@ -49,7 +49,6 @@ from .multimaps import (
     inner_regularity_check,
     sum_rule,
 )
-from .oracle import SamplingPlan, aubin_ratio_probe, frechet_membership_probe
 from .plfunc import (
     PLFunc,
     SubdiffResult,
@@ -62,6 +61,19 @@ from .stratify import Cell, CellSignature, global_cells, local_cells
 from .verdicts import RuleReport, TriVerdict
 
 __version__ = "0.1.0"
+
+_ORACLE_NAMES = ("SamplingPlan", "aubin_ratio_probe", "frechet_membership_probe")
+
+
+def __getattr__(name: str):
+    """The floating-point oracle's names, imported on first use: only
+    `--cross-check` needs the oracle, so the CLI does not load it."""
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "Cell",

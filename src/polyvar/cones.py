@@ -19,8 +19,7 @@ the base point leaves the reference domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
 from .linalg import Vec, check_dim, dot, neg, sub
 from .stratify import local_cells
@@ -30,7 +29,7 @@ KIND_FRECHET = "frechet"
 KIND_LIMITING = "limiting"
 
 
-@dataclass(frozen=True)
+@record
 class ConeRequest:
     """The (Omega, C, point) triple plus the requested cone kind."""
 

@@ -25,12 +25,12 @@ digests of results read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from . import lp
+from ._record import record
 from .linalg import (
     Vec,
     add,
@@ -178,7 +178,7 @@ def _canon_h_rows(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class ConvexPoly:
     """A convex polyhedron {x : a.x <= b, e.x == d} in canonical H-form."""
 
@@ -687,7 +687,7 @@ def slice_cone_at_head(cone: ConeH, head: Vec) -> ConvexPoly:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class PolySet:
     """A finite union of nonempty convex polyhedra (a closed set)."""
 
@@ -758,7 +758,7 @@ def _maximal_parts(parts) -> tuple:
     return tuple(kept)
 
 
-@dataclass(frozen=True)
+@record
 class PolyUnion:
     """A finite union of convex polyhedra used for cone slices and rule sides.
 

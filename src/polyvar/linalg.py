@@ -135,16 +135,6 @@ def to_vec(row: list[int]) -> Vec:
     return tuple(map(Fraction, row))
 
 
-def primitive(a: Vec) -> Vec:
-    """Scale by a positive rational so entries are coprime integers.
-
-    The zero vector is returned unchanged.  Orientation is preserved, which
-    makes primitive rows canonical representatives of inequality normals.
-    """
-    nums, _ = integer_row(a)
-    return to_vec(primitive_ints(nums)) if any(nums) else a
-
-
 def rref_ints(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form of integer rows, fraction-free.
 

@@ -10,8 +10,7 @@ diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import record
 from .exactgeom import ConvexPoly, PolyUnion, homogeneous_union_to_cones
 from .linalg import Vec, zero
 from .multimaps import PolyMultimap, aubin_wrt_check, coderivative_zero_cone
@@ -24,7 +23,7 @@ NECESSARY_CONDITIONS_HOLD = "NecessaryConditionsHold"
 INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
+@record
 class MPECProblem:
     n: int
     m: int
@@ -34,7 +33,7 @@ class MPECProblem:
     c2: ConvexPoly
 
 
-@dataclass(frozen=True)
+@record
 class StationarityReport:
     candidate: Vec
     q1: TriVerdict

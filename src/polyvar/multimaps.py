@@ -9,9 +9,9 @@ relative to C x R^m, so every slice is a finite union of polyhedra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .cones import limiting_normal_wrt
 from .exactgeom import (
     ConeH,
@@ -39,7 +39,7 @@ class PieceLimitError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
+@record
 class PolyMultimap:
     """A set-valued map R^n => R^m given by its polyhedral graph."""
 
@@ -138,7 +138,7 @@ class PolyMultimap:
         return PolyMultimap(n, s, PolySet.make(n + s, pieces))
 
 
-@dataclass(frozen=True)
+@record
 class CoderivativeSlice:
     """D*_C F(x, y)(ystar): a finite union of polyhedra in the input dual."""
 

@@ -6,18 +6,19 @@ on an integer lattice (so membership at faces is classified exactly); only
 the scalar estimates (limsup ratios, Hausdorff-excess ratios) run in floats.
 Everything is deterministic: fixed iteration order, no randomness.
 
-numpy is imported inside the probes, on the first call, so importing this
-module (and with it ``polyvar`` and the CLI) loads only the standard
-library; the exact engine never needs numpy.
+Only ``--cross-check`` loads this module: ``runner`` imports it inside its
+probes and ``polyvar`` on the first use of one of its names.  numpy is
+imported inside the probes as well, on the first call; the exact engine
+never needs either.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .exactgeom import ConvexPoly, PolySet
 from .linalg import Vec
 from .multimaps import PolyMultimap
@@ -28,7 +29,7 @@ INCONSISTENT = "inconsistent"
 DIVERGENCE_SENTINEL = 1e3
 
 
-@dataclass(frozen=True)
+@record
 class SamplingPlan:
     radius: Fraction = Fraction(1)
     grid_step: Fraction = Fraction(1, 64)

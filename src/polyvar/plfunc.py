@@ -12,10 +12,10 @@ from epi f cap (C x R) uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
+from ._record import record
 from .cones import frechet_normal_wrt, limiting_normal_wrt
 from .exactgeom import (
     ConvexPoly,
@@ -35,7 +35,7 @@ KIND_HORIZON = "horizon"
 _UP = "improper function: a fiber of the epigraph is unbounded below"
 
 
-@dataclass(frozen=True)
+@record
 class PLFunc:
     """dim, epigraph (in R^{dim+1}) and its projected domain."""
 
@@ -115,7 +115,7 @@ def _upward_close(p: ConvexPoly) -> ConvexPoly:
     return big.eliminate((d,))
 
 
-@dataclass(frozen=True)
+@record
 class SubdiffResult:
     """A subdifferential slice: kind, reference set, union of polyhedra."""
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
 
+from ._record import record
 from .exactgeom import ConvexPoly, PolySet, RayLimitError
 from .linalg import Vec, rat
 from .multimaps import PolyMultimap
@@ -169,7 +169,7 @@ def _check_dims(fields: tuple[Field, ...], query: dict, objects: dict, path: str
                 _fail(f"{path}.{f.name}", f"dimension {dim} does not match {against!r} ({want})")
 
 
-@dataclass(frozen=True)
+@record
 class ProblemFile:
     objects: dict[str, Any]
     queries: tuple[dict, ...]

@@ -8,11 +8,11 @@ read it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from . import calculus, cones, mpec, multimaps, oracle, plfunc
+from . import calculus, cones, mpec, multimaps, plfunc
+from ._record import record
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet, PolyUnion, dd_convert
 from .linalg import Vec, neg
 from .verdicts import FAILS, HOLDS, UNKNOWN, RuleReport, TriVerdict
@@ -120,7 +120,7 @@ def render(obj: Any, decimal: bool = False):
 # -- the op table ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Field:
     """A query field.  `dims` names its dimension, and fields that share a
     symbol must agree: "d" for a set, function or point, "d>e" for a map's
@@ -136,7 +136,7 @@ class Field:
         return isinstance(self.type, type) and self.type is not int
 
 
-@dataclass(frozen=True)
+@record
 class Op:
     key: str  # report key of the result
     engine: Callable
@@ -201,6 +201,8 @@ def _probe_cone(args, result, decimal: bool) -> tuple[dict, int]:
     the exact Fréchet cone at the point even when the query computed the
     limiting cone (whose extra generators are claimed non-members).
     """
+    from . import oracle
+
     omega, wrt, point, _ = args
     plan = oracle.SamplingPlan()
     union = result if isinstance(result, ConeUnion) else ConeUnion.single(result)
@@ -222,6 +224,8 @@ def _probe_cone(args, result, decimal: bool) -> tuple[dict, int]:
 
 
 def _probe_aubin(args, result: TriVerdict, decimal: bool) -> tuple[dict, int]:
+    from . import oracle
+
     ratio = oracle.aubin_ratio_probe(*args, oracle.SamplingPlan())
     flagged = result.is_holds() and ratio > oracle.DIVERGENCE_SENTINEL
     return {"sampled_ratio": render(ratio, decimal)}, int(flagged)

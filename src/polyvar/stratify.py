@@ -25,10 +25,10 @@ parent's point already has reuses that point, so no LP runs for it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import lp
+from ._record import record
 from .exactgeom import ConvexPoly, IntRow, PolySet
 from .linalg import Vec, check_dim, dot, integer_row, neg, primitive_ints, zero
 
@@ -52,14 +52,14 @@ def _check_branching(k: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+@record
 class CellSignature:
     """Sign of (a.x - b) per arrangement hyperplane: -1 below, 0 on, 1 above."""
 
     signs: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@record
 class Cell:
     signature: CellSignature
     witness: Vec
@@ -67,7 +67,7 @@ class Cell:
     memberships: tuple[tuple[int, ...], ...]  # per input set: pieces containing the cell
 
 
-@dataclass(frozen=True)
+@record
 class _Hyperplane:
     """a.x = b as a primitive int row, the first nonzero of a positive."""
 

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
+
+from ._record import record
 
 HOLDS = "holds"
 FAILS = "fails"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
+@record
 class TriVerdict:
     """Holds / Fails / Unknown with an exact certificate where decisive."""
 
@@ -36,7 +37,7 @@ class TriVerdict:
         return self.value == FAILS
 
 
-@dataclass(frozen=True)
+@record
 class RuleReport:
     """Both sides of a calculus rule plus the checked hypotheses.
 
@@ -48,7 +49,7 @@ class RuleReport:
     rule_id: str
     lhs: Any
     rhs: Any
-    qualifications: tuple[tuple[str, TriVerdict], ...] = field(default=())
+    qualifications: tuple[tuple[str, TriVerdict], ...] = ()
     inclusion_holds: bool = True
     equality_holds: bool | None = None
     witness: Any = None

@@ -14,7 +14,7 @@ from pathlib import Path
 import polyvar
 from polyvar import exactgeom
 from polyvar.exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
-from polyvar.linalg import Vec, as_row, primitive, vec
+from polyvar.linalg import Vec, as_row, integer_row, primitive_ints, to_vec, vec
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,16 @@ def random_plfunc(rng: random.Random, dim: int, max_terms: int = 3) -> "PLFunc":
         for _ in range(rng.randint(1, max_terms))
     ]
     return PLFunc.max_affine(dim, terms)
+
+
+def primitive(a: Vec) -> Vec:
+    """Scale by a positive rational so entries are coprime integers.
+
+    The zero vector is returned unchanged.  Orientation is preserved, which
+    makes primitive rows canonical representatives of inequality normals.
+    """
+    nums, _ = integer_row(a)
+    return to_vec(primitive_ints(nums)) if any(nums) else a
 
 
 def vrep(p: ConvexPoly) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:

@@ -1,8 +1,8 @@
 """The presets in a fresh `python -O` interpreter: same bytes, no numpy.
 
-numpy serves only the floating-point oracle, so a run without
-`--cross-check` must not load it; `-O` strips `assert`, so the exact path
-must not rely on one.
+numpy and `polyvar.oracle` serve only `--cross-check`, so a run without it
+must not load them, nor `dataclasses`, whose import costs more than some
+queries; `-O` strips `assert`, so the exact path must not rely on one.
 """
 
 from __future__ import annotations
@@ -30,10 +30,11 @@ def run(argv):
 
 facts = {{"optimize": sys.flags.optimize}}
 facts["reports"] = {{p: run(["paper-example", p]) for p in preset_ids()}}
-facts["numpy_without_cross_check"] = "numpy" in sys.modules
+LAZY = ("numpy", "polyvar.oracle", "dataclasses")
+facts["without_cross_check"] = [m for m in LAZY if m in sys.modules]
 code, text = run(["paper-example", {CROSS_CHECKED!r}, "--cross-check"])
 facts["cross_check"] = [code, json.loads(text)["oracle_flags"]]
-facts["numpy_with_cross_check"] = "numpy" in sys.modules
+facts["with_cross_check"] = [m for m in LAZY if m in sys.modules]
 json.dump(facts, sys.stdout)
 """
 
@@ -48,8 +49,8 @@ def _in_process(argv):
 def test_presets_under_optimize_without_numpy():
     facts = run_optimized(SCRIPT)
     assert facts["optimize"] == 1
-    assert facts["numpy_without_cross_check"] is False
+    assert facts["without_cross_check"] == []
     expected = {p: _in_process(["paper-example", p]) for p in preset_ids()}
     assert facts["reports"] == expected
     assert facts["cross_check"] == [expected[CROSS_CHECKED][0], 0]
-    assert facts["numpy_with_cross_check"] is True
+    assert {"numpy", "polyvar.oracle"} <= set(facts["with_cross_check"])

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import active_pieces, random_cone, random_cone_union, vrep
+from conftest import active_pieces, primitive, random_cone, random_cone_union, vrep
 from polyvar.exactgeom import (
     ConeH,
     ConeUnion,
@@ -34,7 +34,6 @@ from polyvar.linalg import (
     is_zero,
     neg,
     nullspace_ints,
-    primitive,
     rref_ints,
     to_vec,
     vec,

@@ -11,7 +11,6 @@ routines that divide rows and compare them with the same calls on the
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -63,9 +62,11 @@ def _walk(obj, counts: Counter) -> None:
         for p in obj.parts if isinstance(obj, PolyUnion) else obj.pieces:
             _walk(p, counts)
         return
-    if dataclasses.is_dataclass(obj):
-        for f in dataclasses.fields(obj):
-            _walk(getattr(obj, f.name), counts)
+    fields = getattr(type(obj), "__match_args__", None)
+    if fields is not None:
+        counts["record"] += 1
+        for name in fields:
+            _walk(getattr(obj, name), counts)
         return
     if isinstance(obj, dict):
         for v in obj.values():
@@ -103,7 +104,7 @@ def test_preset_results_keep_the_type_contract(tmp_path, monkeypatch):
         _walk(result, counts)
     # the walk reaches every kind of value it checks
     assert counts["H-form row"] >= 50 and counts["generator"] >= 20, counts
-    assert counts["point"] >= 5, counts
+    assert counts["point"] >= 5 and counts["record"] >= 1, counts
 
 
 def test_nonzero_vector_is_rational():

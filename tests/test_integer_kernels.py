@@ -1,11 +1,12 @@
 """The integer kernels agree with the rational kernels they replaced.
 
-`linalg.dot`/`primitive`/`rref_ints`/`nullspace_ints`/`reduce_mod_rowspace`
-and `exactgeom._dd` compute on Python ints.  The `Fraction` versions below are
-the previous implementations, kept verbatim as the reference; seeded inputs
-(dimensions 1-7, integer and rational entries, zero and duplicate rows) must
-give equal results.  The linalg kernels hand back `Fraction`s; the rays and
-lineality of `_dd` and of a cone are canonical rows and must be all `int`.
+`linalg.dot`/`rref_ints`/`nullspace_ints`/`reduce_mod_rowspace`, the test
+helper `primitive` and `exactgeom._dd` compute on Python ints.  The
+`Fraction` versions below are the previous implementations, kept verbatim
+as the reference; seeded inputs (dimensions 1-7, integer and rational
+entries, zero and duplicate rows) must give equal results.  The linalg
+kernels hand back `Fraction`s; the rays and lineality of `_dd` and of a cone
+are canonical rows and must be all `int`.
 `ref_dd` combines every (+, -) pair and prunes redundant rays by LP, where
 `_dd` combines adjacent pairs only; degenerate inputs check that as well.
 """
@@ -19,7 +20,7 @@ from math import gcd
 
 import pytest
 
-from conftest import vrep
+from conftest import primitive, vrep
 from polyvar import exactgeom, lp
 from polyvar.exactgeom import ConeH, ConvexPoly
 from polyvar.linalg import (
@@ -27,7 +28,6 @@ from polyvar.linalg import (
     dot,
     integer_row,
     nullspace_ints,
-    primitive,
     reduce_mod_rowspace,
     rref_ints,
     to_vec,
