@@ -10,13 +10,7 @@ made.
 from __future__ import annotations
 
 from .cones import frechet_normal_wrt, limiting_normal, limiting_normal_wrt
-from .exactgeom import (
-    ConeUnion,
-    ConvexPoly,
-    PolySet,
-    PolyUnion,
-    union_subset,
-)
+from .exactgeom import ConeUnion, ConvexPoly, PolySet, PolyUnion
 from .linalg import Vec, check_dim
 from .multimaps import (
     VARIANT_SEMICOMPACT,
@@ -225,7 +219,7 @@ def preimage_rule(
         rhs_parts.extend(
             _compose_slices(
                 graph_normal_cone(F, c, x, ybar).parts,
-                n_theta.to_poly_union(),
+                [q.to_poly() for q in n_theta.parts],
                 n,
                 m,
             ).parts
@@ -235,7 +229,7 @@ def preimage_rule(
     ftheta = PolyMultimap(n, m, PolySet.make(n + m, lifted))
     semicompact = inner_regularity_check(ftheta, c, x, VARIANT_SEMICOMPACT)
 
-    ok, witness = union_subset(lhs.to_poly_union(), rhs)
+    ok, witness = lhs.subset_of(rhs)
     quals = (
         ("kernel_condition", kernel_verdict),
         ("normal_densed", densed_verdict),

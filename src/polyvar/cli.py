@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 from .exactgeom import RayLimitError
 from .multimaps import PieceLimitError
@@ -86,8 +85,11 @@ def _emit(report: dict, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
+    # a fresh file next to the target, renamed onto it: no reader sees a
+    # partial report
     directory = os.path.dirname(os.path.abspath(out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".polyvar-")
+    tmp = os.path.join(directory, f".polyvar-{os.getpid()}-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -4,8 +4,8 @@ All sets live in Q^n.  H-forms are canonicalized at construction: equalities
 as an RREF basis, inequalities reduced modulo the equality space, scaled to
 primitive integers, stripped of implied equalities and redundant rows, and
 sorted.  Two objects built through the factory methods therefore describe the
-same set exactly when their fields compare equal (cones; for unions semantic
-checks are provided on top).
+same set exactly when their fields compare equal.  A finite union keeps the
+parts not contained in another part, and unions compare as sets.
 
 Canonicalization solves no LP: one double description of the set (of its
 homogenization when an offset is nonzero) decides emptiness, implied
@@ -281,21 +281,20 @@ class ConvexPoly:
                     return False
         return True
 
-    def same_set(self, other: "ConvexPoly") -> bool:
-        return self == other  # canonical form identity
-
     def feasible_point(self) -> Vec | None:
         return lp.feasible_point(list(self.ineqs), list(self.eqs), self.dim)
 
-    def reflect(self) -> "ConvexPoly":
-        """The set {-x : x in self}."""
-        if self.is_empty():
-            return self
-        return ConvexPoly.make(
-            self.dim,
-            [(neg(a), b) for a, b in self.ineqs],
-            [(neg(e), d) for e, d in self.eqs],
-        )
+    def minkowski(self, other: "ConvexPoly") -> "ConvexPoly":
+        """self + other by projecting {(x, u) : u in self, x - u in other}
+        onto x."""
+        check_dim("minkowski", other.dim, self.dim)
+        n = self.dim
+        ineqs: list[Row] = [((zero(n) + a), b) for a, b in self.ineqs]
+        eqs: list[Row] = [((zero(n) + e), d) for e, d in self.eqs]
+        ineqs += [(a + neg(a), b) for a, b in other.ineqs]
+        eqs += [(e + neg(e), d) for e, d in other.eqs]
+        big = ConvexPoly.make(2 * n, ineqs, eqs)
+        return big.eliminate(tuple(range(n, 2 * n)))
 
 
 def _canon(dim: int, ineqs, eqs) -> Canon | None:
@@ -541,6 +540,9 @@ class ConeH:
 
     # queries --------------------------------------------------------------
 
+    def is_empty(self) -> bool:
+        return self.empty
+
     def contains(self, x: Vec) -> bool:
         if self.empty:
             return False
@@ -667,21 +669,6 @@ def slice_cone_at_tail(cone: ConeH, tail: Vec) -> ConvexPoly:
     return ConvexPoly.make(head, ineqs, eqs)
 
 
-def slice_cone_at_head(cone: ConeH, head: Vec) -> ConvexPoly:
-    """{t : (head, t) in cone} as a polyhedron in the trailing coordinates."""
-    k = len(head)
-    tail = cone.dim - k
-    if tail < 0:
-        raise ValueError(
-            f"slice_cone_at_head: head of dimension {k}, cone of {cone.dim}"
-        )
-    if cone.empty:
-        return ConvexPoly.empty(tail)
-    ineqs = [(a[k:], -dot(a[:k], head)) for a in cone.ineqs]
-    eqs = [(e[k:], -dot(e[:k], head)) for e in cone.eqs]
-    return ConvexPoly.make(tail, ineqs, eqs)
-
-
 # ---------------------------------------------------------------------------
 # finite unions
 # ---------------------------------------------------------------------------
@@ -758,116 +745,16 @@ def _maximal_parts(parts) -> tuple:
     return tuple(kept)
 
 
-@record
-class PolyUnion:
-    """A finite union of convex polyhedra used for cone slices and rule sides.
+class FiniteUnion:
+    """A finite union of canonical convex parts of one kind: polyhedra
+    (`ConvexPoly`, for coderivative and subdifferential slices and rule
+    sides) or cones (`ConeH`, for limiting normal cones).
 
-    Unlike PolySet (which models ground sets Omega), a PolyUnion may be empty
-    and is canonicalized by dropping parts contained in other parts.
-    """
-
-    dim: int
-    parts: tuple[ConvexPoly, ...]
-
-    @staticmethod
-    def make(dim: int, parts) -> "PolyUnion":
-        return PolyUnion(dim, _maximal_parts(p for p in parts if not p.is_empty()))
-
-    @staticmethod
-    def empty(dim: int) -> "PolyUnion":
-        return PolyUnion(dim, ())
-
-    def is_empty(self) -> bool:
-        return not self.parts
-
-    def contains(self, x: Vec) -> bool:
-        return any(p.contains(x) for p in self.parts)
-
-    def subset_of(self, other: "PolyUnion") -> bool:
-        return union_subset(self, other)[0]
-
-    def same_set(self, other: "PolyUnion") -> bool:
-        return self.subset_of(other) and other.subset_of(self)
-
-    def intersect(self, other: "PolyUnion") -> "PolyUnion":
-        return PolyUnion.make(
-            self.dim,
-            [p.intersect(q) for p in self.parts for q in other.parts],
-        )
-
-    def minkowski(self, other: "PolyUnion") -> "PolyUnion":
-        return PolyUnion.make(
-            self.dim,
-            [
-                _poly_minkowski(p, q)
-                for p in self.parts
-                for q in other.parts
-            ],
-        )
-
-
-def _poly_minkowski(p: ConvexPoly, q: ConvexPoly) -> ConvexPoly:
-    """p + q by projecting {(x, u) : u in p, x - u in q} onto x."""
-    n = p.dim
-    ineqs: list[Row] = [((zero(n) + a), b) for a, b in p.ineqs]
-    eqs: list[Row] = [((zero(n) + e), d) for e, d in p.eqs]
-    ineqs += [(a + neg(a), b) for a, b in q.ineqs]
-    eqs += [(e + neg(e), d) for e, d in q.eqs]
-    big = ConvexPoly.make(2 * n, ineqs, eqs)
-    return big.eliminate(tuple(range(n, 2 * n)))
-
-
-def union_subset(a: PolyUnion, b: PolyUnion) -> tuple[bool, Vec | None]:
-    """Region-subtraction containment test with an exact witness on failure.
-
-    Each part of `a` is split along the defining rows of b's parts; a
-    surviving region yields a point of a \\ b found by slack-maximizing LP.
-    """
-    if a.is_empty():
-        return True, None
-    for part in a.parts:
-        regions: list[tuple[list[Row], list[Row], list[Row]]] = [
-            (list(part.ineqs), [], list(part.eqs))
-        ]
-        for bp in b.parts:
-            rows = list(bp.ineqs)
-            for e, d in bp.eqs:
-                rows.append((e, d))
-                rows.append((neg(e), -d))
-            next_regions = []
-            for weak, strict, eqs in regions:
-                prefix: list[Row] = []
-                for av, bv in rows:
-                    cand = (
-                        weak + prefix,
-                        strict + [(neg(av), -bv)],  # a.x > b
-                        eqs,
-                    )
-                    if (
-                        lp.strict_feasible_point(
-                            cand[0], cand[1], cand[2], a.dim
-                        )
-                        is not None
-                    ):
-                        next_regions.append(cand)
-                    prefix.append((av, bv))
-            regions = next_regions
-            if not regions:
-                break
-        if regions:
-            weak, strict, eqs = regions[0]
-            witness = lp.strict_feasible_point(weak, strict, eqs, a.dim)
-            assert witness is not None
-            return False, witness
-    return True, None
-
-
-class ConeUnion:
-    """A finite union of closed convex polyhedral cones.
-
-    Canonical form drops parts contained in other parts (no convex merging,
-    by design); an empty part list is the "empty set" marker used for points
-    outside the reference domain.
+    Unlike PolySet (which models ground sets Omega), a union may be empty,
+    the "empty set" marker for points outside the reference domain, and is
+    canonicalized by dropping parts contained in other parts (no convex
+    merging, by design).  Every operation delegates to the parts; `==` is
+    set equality.
     """
 
     __slots__ = ("dim", "parts")
@@ -877,18 +764,16 @@ class ConeUnion:
         self.parts = tuple(parts)
 
     @staticmethod
-    def make(dim: int, parts) -> "ConeUnion":
-        return ConeUnion(dim, _maximal_parts(p for p in parts if not p.empty))
+    def make(dim: int, parts) -> "FiniteUnion":
+        return FiniteUnion(dim, _maximal_parts(p for p in parts if not p.is_empty()))
 
     @staticmethod
-    def empty(dim: int) -> "ConeUnion":
-        return ConeUnion(dim, ())
+    def empty(dim: int) -> "FiniteUnion":
+        return FiniteUnion(dim, ())
 
     @staticmethod
-    def single(cone: ConeH) -> "ConeUnion":
-        if cone.empty:
-            return ConeUnion.empty(cone.dim)
-        return ConeUnion.make(cone.dim, [cone])
+    def single(part) -> "FiniteUnion":
+        return FiniteUnion.make(part.dim, [part])
 
     def is_empty(self) -> bool:
         return not self.parts
@@ -896,52 +781,46 @@ class ConeUnion:
     def contains(self, x: Vec) -> bool:
         return any(p.contains(x) for p in self.parts)
 
-    def to_poly_union(self) -> PolyUnion:
-        return PolyUnion.make(self.dim, [p.to_poly() for p in self.parts])
+    def subset_of(self, other: "FiniteUnion") -> tuple[bool, Vec | None]:
+        return union_subset(self, other)
 
-    def subset_of(self, other: "ConeUnion") -> tuple[bool, Vec | None]:
-        if self.is_empty():
-            return True, None
-        if other.is_empty():
-            return False, zero(self.dim)
-        return union_subset(self.to_poly_union(), other.to_poly_union())
-
-    def same_set(self, other: "ConeUnion") -> bool:
+    def same_set(self, other: "FiniteUnion") -> bool:
         return self.subset_of(other)[0] and other.subset_of(self)[0]
 
     def __eq__(self, other):
         return (
-            isinstance(other, ConeUnion)
+            isinstance(other, FiniteUnion)
             and self.dim == other.dim
             and self.same_set(other)
         )
 
-    def __hash__(self):  # pragma: no cover - unions are not dict keys
+    def __hash__(self):
         return hash(self.dim)
 
     def __repr__(self):
-        return f"ConeUnion(dim={self.dim}, {len(self.parts)} parts)"
+        return f"FiniteUnion(dim={self.dim}, {len(self.parts)} parts)"
 
-    def intersect(self, other: "ConeUnion") -> "ConeUnion":
-        return ConeUnion.make(
+    def intersect(self, other: "FiniteUnion") -> "FiniteUnion":
+        return FiniteUnion.make(
             self.dim,
             [p.intersect(q) for p in self.parts for q in other.parts],
         )
 
-    def minkowski(self, other: "ConeUnion") -> "ConeUnion":
-        return ConeUnion.make(
+    def minkowski(self, other: "FiniteUnion") -> "FiniteUnion":
+        return FiniteUnion.make(
             self.dim,
             [p.minkowski(q) for p in self.parts for q in other.parts],
         )
 
-    def negate(self) -> "ConeUnion":
-        return ConeUnion.make(self.dim, [p.negate() for p in self.parts])
-
-    def product(self, other: "ConeUnion") -> "ConeUnion":
-        return ConeUnion.make(
+    def product(self, other: "FiniteUnion") -> "FiniteUnion":
+        return FiniteUnion.make(
             self.dim + other.dim,
             [p.product(q) for p in self.parts for q in other.parts],
         )
+
+    def negate(self) -> "FiniteUnion":
+        """{-x : x in self}, for unions of cones."""
+        return FiniteUnion.make(self.dim, [p.negate() for p in self.parts])
 
     def is_zero_cone(self) -> bool:
         if self.is_empty():
@@ -949,8 +828,9 @@ class ConeUnion:
         return all(p.is_zero() for p in self.parts)
 
     def nonzero_vector(self) -> Vec | None:
-        """A canonical nonzero member, if any (first ray or lineality), as
-        a certificate: Fraction entries, like every witness."""
+        """A canonical nonzero member of a union of cones, if any (first ray
+        or lineality), as a certificate: Fraction entries, like every
+        witness."""
         for p in self.parts:
             if p.rays:
                 return to_vec(p.rays[0])
@@ -959,15 +839,49 @@ class ConeUnion:
         return None
 
 
-def homogeneous_union_to_cones(pu: PolyUnion) -> ConeUnion:
-    """Reinterpret a union of polyhedra through the origin as a cone union."""
-    parts = []
-    for p in pu.parts:
-        assert all(b == 0 for _, b in p.ineqs) and all(d == 0 for _, d in p.eqs)
-        parts.append(
-            ConeH.from_ineqs(p.dim, [a for a, _ in p.ineqs], [e for e, _ in p.eqs])
-        )
-    return ConeUnion.make(pu.dim, parts)
+# both public names of the one union class
+ConeUnion = PolyUnion = FiniteUnion
+
+
+def union_subset(a: FiniteUnion, b: FiniteUnion) -> tuple[bool, Vec | None]:
+    """Region-subtraction containment test with an exact witness on failure.
+
+    Each part of `a` is split along the defining rows of b's parts, a cone
+    part read as its polyhedral rows; a surviving region yields a point of
+    a \\ b found by slack-maximizing LP.
+    """
+    for part in map(_rows_of, a.parts):
+        # (weak rows, strict rows, equalities, a point of the region)
+        regions: list[tuple[list[Row], list[Row], list[Row], Vec | None]] = [
+            (list(part.ineqs), [], list(part.eqs), None)
+        ]
+        for bp in map(_rows_of, b.parts):
+            rows = list(bp.ineqs)
+            for e, d in bp.eqs:
+                rows.append((e, d))
+                rows.append((neg(e), -d))
+            next_regions = []
+            for weak, strict, eqs, _ in regions:
+                prefix: list[Row] = []
+                for av, bv in rows:
+                    cand = (weak + prefix, strict + [(neg(av), -bv)], eqs)  # a.x > b
+                    point = lp.strict_feasible_point(*cand, a.dim)
+                    if point is not None:
+                        next_regions.append((*cand, point))
+                    prefix.append((av, bv))
+            regions = next_regions
+            if not regions:
+                break
+        if regions:
+            weak, strict, eqs, point = regions[0]
+            if point is None:  # b has no parts: the part itself survives
+                point = lp.strict_feasible_point(weak, strict, eqs, a.dim)
+            return False, point
+    return True, None
+
+
+def _rows_of(part) -> ConvexPoly:
+    return part.to_poly() if isinstance(part, ConeH) else part
 
 
 def cone_union_ops(a: ConeUnion, b: ConeUnion) -> dict:

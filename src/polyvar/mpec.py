@@ -11,7 +11,7 @@ diagnostics.
 from __future__ import annotations
 
 from ._record import record
-from .exactgeom import ConvexPoly, PolyUnion, homogeneous_union_to_cones
+from .exactgeom import ConeUnion, ConvexPoly, PolyUnion
 from .linalg import Vec, zero
 from .multimaps import PolyMultimap, aubin_wrt_check, coderivative_zero_cone
 from .plfunc import KIND_HORIZON, KIND_LIMITING, PLFunc, subdiff_wrt
@@ -59,11 +59,10 @@ def _check_feasible(p: MPECProblem, x: Vec) -> None:
 def check_q1(p: MPECProblem, x: Vec) -> TriVerdict:
     """Horizon subdifferential against the coderivative zero-slice of G."""
     _check_feasible(p, x)
-    horizon = homogeneous_union_to_cones(
-        subdiff_wrt(p.f, p.c1, x, KIND_HORIZON).value
-    )
+    horizon = subdiff_wrt(p.f, p.c1, x, KIND_HORIZON).value
+    cones = ConeUnion.make(horizon.dim, [q.recession() for q in horizon.parts])
     dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
-    overlap = horizon.intersect(dzero.negate())
+    overlap = cones.intersect(dzero.negate())
     if overlap.is_zero_cone():
         return TriVerdict.holds()
     return TriVerdict.fails({"vector": overlap.nonzero_vector()})
@@ -96,9 +95,7 @@ def stationarity_check(p: MPECProblem, x: Vec) -> StationarityReport:
     dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
 
     # 0 in subdiff + dzero  <=>  subdiff meets -dzero
-    reflected = PolyUnion.make(
-        p.n, [c.to_poly().reflect() for c in dzero.parts]
-    )
+    reflected = PolyUnion(p.n, [c.to_poly() for c in dzero.negate().parts])
     condition_sum = not subdiff.intersect(reflected).is_empty()
     condition_obj = subdiff.contains(zero(p.n))
 

@@ -19,10 +19,7 @@ from .exactgeom import (
     ConvexPoly,
     PolySet,
     PolyUnion,
-    homogeneous_union_to_cones,
-    slice_cone_at_head,
     slice_cone_at_tail,
-    union_subset,
 )
 from .linalg import Vec, check_dim, dot, neg, zero
 from .quals import normal_densed_check
@@ -171,19 +168,22 @@ def coderivative_wrt(
 def coderivative_zero_cone(
     F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec
 ) -> ConeUnion:
-    """D*_C F(x,y)(0) as a cone union (the slice at zero is homogeneous)."""
+    """D*_C F(x,y)(0) as a cone union: the slice at zero is homogeneous, so
+    each part is its own recession cone."""
     sl = coderivative_wrt(F, c, x, y, zero(F.out_dim))
-    return homogeneous_union_to_cones(sl.result)
+    return ConeUnion.make(F.in_dim, [p.recession() for p in sl.result.parts])
 
 
 def coderivative_kernel(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> ConeUnion:
-    """ker D*_C F(x,y) = {ystar : 0 in D*_C F(x,y)(ystar)}."""
+    """ker D*_C F(x,y) = {ystar : (0, -ystar) in the graph cone}."""
+    n, m = F.in_dim, F.out_dim
     cone = graph_normal_cone(F, c, x, y)
-    parts = [slice_cone_at_head(p, zero(F.in_dim)) for p in cone.parts]
-    # parts hold -ystar values; the kernel is their reflection
-    return homogeneous_union_to_cones(
-        PolyUnion.make(F.out_dim, [p.reflect() for p in parts])
-    )
+    # the slices {t : (0, t) in a part} hold -ystar
+    slices = [
+        ConeH.from_ineqs(m, [a[n:] for a in p.ineqs], [e[n:] for e in p.eqs])
+        for p in cone.parts
+    ]
+    return ConeUnion.make(m, [s.negate() for s in slices])
 
 
 def aubin_wrt_check(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> TriVerdict:
@@ -358,7 +358,7 @@ def sum_rule(
             )
         rhs = PolyUnion.make(n, parts)
 
-    ok, witness = union_subset(lhs, rhs)
+    ok, witness = lhs.subset_of(rhs)
     quals = (
         ("q1", q1),
         ("q2", q2),
@@ -373,12 +373,12 @@ def sum_rule(
 
 
 def _compose_slices(
-    ng_parts: tuple[ConeH, ...], b_union: PolyUnion, n: int, m: int
+    ng_parts: tuple[ConeH, ...], b_parts: tuple[ConvexPoly, ...], n: int, m: int
 ) -> PolyUnion:
-    """{x* : exists y* in b_union with (x*, -y*) in some graph-cone part}."""
+    """{x* : exists y* in some b part with (x*, -y*) in some graph-cone part}."""
     parts = []
     for w in ng_parts:
-        for v in b_union.parts:
+        for v in b_parts:
             rows_i: list[tuple[Vec, Fraction]] = []
             rows_e: list[tuple[Vec, Fraction]] = []
             for a in w.ineqs:
@@ -443,7 +443,7 @@ def chain_rule(
     def rhs_at(y: Vec) -> PolyUnion:
         b_union = coderivative_wrt(F, whole_m, y, zbar, zstar).result
         ng = graph_normal_cone(G, c, xbar, y)
-        return _compose_slices(ng.parts, b_union, n, m)
+        return _compose_slices(ng.parts, b_union.parts, n, m)
 
     if variant == VARIANT_SEMICONTINUOUS:
         rhs = rhs_at(ybar)
@@ -454,7 +454,7 @@ def chain_rule(
             parts.extend(rhs_at(cell.witness).parts)
         rhs = PolyUnion.make(n, parts)
 
-    ok, witness = union_subset(lhs, rhs)
+    ok, witness = lhs.subset_of(rhs)
     quals = (
         ("q1", q1),
         ("q2", q2),

@@ -18,10 +18,10 @@ from . import lp
 from ._record import record
 from .cones import frechet_normal_wrt, limiting_normal_wrt
 from .exactgeom import (
+    ConeUnion,
     ConvexPoly,
     PolySet,
     PolyUnion,
-    homogeneous_union_to_cones,
     slice_cone_at_tail,
 )
 from .linalg import Vec, as_vec, check_dim, neg, zero
@@ -167,8 +167,8 @@ def lipschitz_wrt_check(f: PLFunc, c: ConvexPoly, xbar: Vec) -> TriVerdict:
     fx = f.value(xbar)
     if fx is None or not c.contains(xbar):
         raise ValueError("base point outside dom f cap c")
-    horizon = subdiff_wrt(f, c, xbar, KIND_HORIZON)
-    cones = homogeneous_union_to_cones(horizon.value)
+    horizon = subdiff_wrt(f, c, xbar, KIND_HORIZON).value
+    cones = ConeUnion.make(horizon.dim, [p.recession() for p in horizon.parts])
     if cones.is_zero_cone():
         return TriVerdict.holds()
     return TriVerdict.fails({"vector": cones.nonzero_vector()})

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from importlib import resources
+import pkgutil
 
 from .problemfile import ProblemFile, loads
 
@@ -46,5 +46,5 @@ def load_preset(preset_id: str) -> tuple[ProblemFile, tuple[str, ...] | None]:
     if preset_id not in _REGISTRY:
         raise KeyError(preset_id)
     fname, names = _REGISTRY[preset_id]
-    text = resources.files("polyvar").joinpath("problems", fname).read_text()
+    text = pkgutil.get_data(__package__, f"problems/{fname}").decode("utf-8")
     return loads(text), names

@@ -13,7 +13,7 @@ from typing import Any, Callable
 
 from . import calculus, cones, mpec, multimaps, plfunc
 from ._record import record
-from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet, PolyUnion, dd_convert
+from .exactgeom import ConeH, ConvexPoly, FiniteUnion, PolySet, dd_convert
 from .linalg import Vec, neg
 from .verdicts import FAILS, HOLDS, UNKNOWN, RuleReport, TriVerdict
 
@@ -60,7 +60,7 @@ def render(obj: Any, decimal: bool = False):
             "rays": [_vec(r, decimal) for r in obj.rays],
             "lineality": [_vec(l, decimal) for l in obj.lineality],
         }
-    if isinstance(obj, ConeUnion):
+    if isinstance(obj, FiniteUnion):
         return {"parts": [render(p, decimal) for p in obj.parts]}
     if isinstance(obj, ConvexPoly):
         if obj.is_empty():
@@ -69,10 +69,6 @@ def render(obj: Any, decimal: bool = False):
             "ineqs": _rows(obj.ineqs, decimal),
             "eqs": _rows(obj.eqs, decimal),
         }
-    if isinstance(obj, (PolyUnion, PolySet)):
-        key = "parts" if isinstance(obj, PolyUnion) else "pieces"
-        items = obj.parts if isinstance(obj, PolyUnion) else obj.pieces
-        return {key: [render(p, decimal) for p in items]}
     if isinstance(obj, TriVerdict):
         return {"verdict": obj.value, "certificate": render(obj.certificate, decimal)}
     if isinstance(obj, RuleReport):
@@ -205,7 +201,7 @@ def _probe_cone(args, result, decimal: bool) -> tuple[dict, int]:
 
     omega, wrt, point, _ = args
     plan = oracle.SamplingPlan()
-    union = result if isinstance(result, ConeUnion) else ConeUnion.single(result)
+    union = result if isinstance(result, FiniteUnion) else FiniteUnion.single(result)
     if union.is_empty():
         return {}, 0
     frechet = cones.frechet_normal_wrt(omega, wrt, point)

@@ -20,7 +20,6 @@ from polyvar.exactgeom import (
     ConvexPoly,
     PolySet,
     polar,
-    slice_cone_at_head,
     slice_cone_at_tail,
 )
 from polyvar.linalg import dot, vec
@@ -62,6 +61,10 @@ CASES = {
     ),
     "ConvexPoly.embed": (
         lambda: ConvexPoly.whole_space(2).embed(3, (0,)),
+        "dimension 1, expected 2",
+    ),
+    "ConvexPoly.minkowski": (
+        lambda: ConvexPoly.whole_space(2).minkowski(ConvexPoly.whole_space(1)),
         "dimension 1, expected 2",
     ),
     "ConeH.intersect": (
@@ -119,10 +122,6 @@ CASES = {
     "slice_cone_at_tail": (
         lambda: slice_cone_at_tail(ConeH.whole_space(2), vec(0, 0, 0)),
         "tail of dimension 3, cone of 2",
-    ),
-    "slice_cone_at_head": (
-        lambda: slice_cone_at_head(ConeH.whole_space(1), vec(0, 0)),
-        "head of dimension 2, cone of 1",
     ),
     "dot": (lambda: dot(vec(1, 2), vec(3)), "dimension 1, expected 2"),
 }

@@ -1,8 +1,9 @@
 """The presets in a fresh `python -O` interpreter: same bytes, no numpy.
 
 numpy and `polyvar.oracle` serve only `--cross-check`, so a run without it
-must not load them, nor `dataclasses`, whose import costs more than some
-queries; `-O` strips `assert`, so the exact path must not rely on one.
+must not load them, nor `dataclasses` or `tempfile` (for `--out`), whose
+imports cost more than some queries; `-O` strips `assert`, so the exact
+path must not rely on one.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ from polyvar.presets import preset_ids
 
 CROSS_CHECKED = "ex1-frechet-omega1"
 
-SCRIPT = f"""
-import contextlib, io, json, sys
+SCRIPT = """
+import contextlib, io, json, os, sys
+# a site hook (a .pth file) may have loaded tempfile already; drop it so that
+# only polyvar's own imports can bring it back
+sys.modules.pop("tempfile", None)
 import polyvar, polyvar.cli
 from polyvar.presets import preset_ids
 
@@ -30,9 +34,14 @@ def run(argv):
 
 facts = {{"optimize": sys.flags.optimize}}
 facts["reports"] = {{p: run(["paper-example", p]) for p in preset_ids()}}
-LAZY = ("numpy", "polyvar.oracle", "dataclasses")
+out = os.path.join({out!r}, "report.json")
+code = polyvar.cli.main(["paper-example", {cross_checked!r}, "--out", out])
+with open(out) as fh:
+    facts["out"] = [code, fh.read(), os.stat(out).st_mode & 0o777]
+facts["out_dir"] = sorted(os.listdir({out!r}))
+LAZY = ("numpy", "polyvar.oracle", "dataclasses", "tempfile")
 facts["without_cross_check"] = [m for m in LAZY if m in sys.modules]
-code, text = run(["paper-example", {CROSS_CHECKED!r}, "--cross-check"])
+code, text = run(["paper-example", {cross_checked!r}, "--cross-check"])
 facts["cross_check"] = [code, json.loads(text)["oracle_flags"]]
 facts["with_cross_check"] = [m for m in LAZY if m in sys.modules]
 json.dump(facts, sys.stdout)
@@ -46,11 +55,15 @@ def _in_process(argv):
     return [code, buf.getvalue()]
 
 
-def test_presets_under_optimize_without_numpy():
-    facts = run_optimized(SCRIPT)
+def test_presets_under_optimize_without_numpy(tmp_path):
+    facts = run_optimized(SCRIPT.format(out=str(tmp_path), cross_checked=CROSS_CHECKED))
     assert facts["optimize"] == 1
     assert facts["without_cross_check"] == []
     expected = {p: _in_process(["paper-example", p]) for p in preset_ids()}
     assert facts["reports"] == expected
+    # --out writes the stdout bytes atomically, owner-only, and leaves no
+    # temporary file behind
+    assert facts["out"] == [*expected[CROSS_CHECKED], 0o600]
+    assert facts["out_dir"] == ["report.json"]
     assert facts["cross_check"] == [expected[CROSS_CHECKED][0], 0]
     assert {"numpy", "polyvar.oracle"} <= set(facts["with_cross_check"])

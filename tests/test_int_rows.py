@@ -23,8 +23,6 @@ from polyvar.exactgeom import (
     ConeUnion,
     ConvexPoly,
     PolySet,
-    PolyUnion,
-    _poly_minkowski,
     dd_convert,
 )
 from polyvar.presets import preset_ids
@@ -54,12 +52,8 @@ def _walk(obj, counts: Counter) -> None:
     if isinstance(obj, ConvexPoly):
         _check_rows((a + (b,) for a, b in obj.ineqs + obj.eqs), Fraction, counts, "H-form row")
         return
-    if isinstance(obj, ConeUnion):
-        for p in obj.parts:
-            _walk(p, counts)
-        return
-    if isinstance(obj, (PolyUnion, PolySet)):
-        for p in obj.parts if isinstance(obj, PolyUnion) else obj.pieces:
+    if isinstance(obj, (ConeUnion, PolySet)):
+        for p in obj.parts if isinstance(obj, ConeUnion) else obj.pieces:
             _walk(p, counts)
         return
     fields = getattr(type(obj), "__match_args__", None)
@@ -173,6 +167,6 @@ def test_poly_minkowski_of_int_rows_is_exact():
     for (p_int, p_frac), (q_int, q_frac) in zip(polys, polys[1:]):
         if p_int.dim != q_int.dim:
             continue
-        got = _poly_minkowski(p_int, q_int)
-        assert got == _poly_minkowski(p_frac, q_frac)
+        got = p_int.minkowski(q_int)
+        assert got == p_frac.minkowski(q_frac)
         _assert_rational_poly(got)

@@ -45,7 +45,7 @@ RECORDS = _record_classes()
 def test_every_record_class_is_found():
     src = Path(polyvar.__file__).parent
     decorated = sum(p.read_text().count("\n@record\n") for p in src.glob("*.py"))
-    assert decorated == len(RECORDS) >= 19
+    assert decorated == len(RECORDS) >= 18
     assert not any("dataclass" in p.read_text() for p in src.glob("*.py"))
 
 
