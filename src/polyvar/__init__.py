@@ -9,70 +9,45 @@ conditions, Aubin property, stationarity) carries an exact certificate.
 
 from __future__ import annotations
 
-from .calculus import (
-    intersection_rule,
-    lqc_wrt_check,
-    mixed_product_rule,
-    normal_densed_check,
-    preimage_rule,
-    product_rule,
-)
-from .cones import (
-    ConeRequest,
-    frechet_normal,
-    frechet_normal_wrt,
-    limiting_normal,
-    limiting_normal_wrt,
-    normal_cone,
-    proximal_normal_wrt,
-    radial_cone,
-)
-from .exactgeom import (
-    ConeH,
-    ConeUnion,
-    ConvexPoly,
-    PolySet,
-    PolyUnion,
-    cone_union_ops,
-    dd_convert,
-    is_zero_cone,
-    polar,
-)
-from .linalg import rat, vec
-from .mpec import MPECProblem, StationarityReport, stationarity_check
-from .multimaps import (
-    CoderivativeSlice,
-    PolyMultimap,
-    aubin_wrt_check,
-    chain_rule,
-    coderivative_wrt,
-    inner_regularity_check,
-    sum_rule,
-)
-from .plfunc import (
-    PLFunc,
-    SubdiffResult,
-    fermat_check,
-    lipschitz_wrt_check,
-    subdiff_via_coderivative,
-    subdiff_wrt,
-)
-from .stratify import Cell, CellSignature, global_cells, local_cells
-from .verdicts import RuleReport, TriVerdict
+import importlib
 
 __version__ = "0.1.0"
 
-_ORACLE_NAMES = ("SamplingPlan", "aubin_ratio_probe", "frechet_membership_probe")
+# public name -> the module that defines it; `import polyvar` loads none of
+# them, and each is imported on first use (PEP 562), so a CLI start compiles
+# only the modules its query needs and only `--cross-check` loads the oracle
+_EXPORTS = {
+    name: module
+    for module, names in (
+        ("calculus", "intersection_rule mixed_product_rule preimage_rule product_rule"),
+        ("cones", "ConeRequest frechet_normal frechet_normal_wrt limiting_normal"
+                  " limiting_normal_wrt normal_cone proximal_normal_wrt radial_cone"),
+        ("exactgeom", "ConeH ConeUnion ConvexPoly PolySet PolyUnion cone_union_ops"
+                      " dd_convert is_zero_cone polar"),
+        ("linalg", "rat vec"),
+        ("mpec", "MPECProblem StationarityReport stationarity_check"),
+        ("multimaps", "CoderivativeSlice PolyMultimap aubin_wrt_check chain_rule"
+                      " coderivative_wrt inner_regularity_check sum_rule"),
+        ("oracle", "SamplingPlan aubin_ratio_probe frechet_membership_probe"),
+        ("plfunc", "PLFunc SubdiffResult fermat_check lipschitz_wrt_check"
+                   " subdiff_via_coderivative subdiff_wrt"),
+        ("quals", "lqc_wrt_check normal_densed_check"),
+        ("stratify", "Cell CellSignature global_cells local_cells"),
+        ("verdicts", "RuleReport TriVerdict"),
+    )
+    for name in names.split()
+}
 
 
 def __getattr__(name: str):
-    """The floating-point oracle's names, imported on first use: only
-    `--cross-check` needs the oracle, so the CLI does not load it."""
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
 
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})
 
 
 __all__ = [

@@ -9,20 +9,23 @@ made.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .cones import frechet_normal_wrt, limiting_normal, limiting_normal_wrt
 from .exactgeom import ConeUnion, ConvexPoly, PolySet, PolyUnion
 from .linalg import Vec, check_dim
-from .multimaps import (
-    VARIANT_SEMICOMPACT,
-    PolyMultimap,
-    _compose_slices,
-    coderivative_kernel,
-    graph_normal_cone,
-    inner_regularity_check,
-)
 from .quals import lqc_wrt_check, normal_densed_check
 from .stratify import global_cells
-from .verdicts import RuleReport, TriVerdict
+from .verdicts import (
+    PAIRING_PROOF,
+    PAIRING_STATEMENT,
+    VARIANT_SEMICOMPACT,
+    RuleReport,
+    TriVerdict,
+)
+
+if TYPE_CHECKING:
+    from .multimaps import PolyMultimap
 
 __all__ = [
     "RuleReport",
@@ -34,9 +37,6 @@ __all__ = [
     "intersection_rule",
     "preimage_rule",
 ]
-
-PAIRING_PROOF = "proof"
-PAIRING_STATEMENT = "statement"
 
 
 def product_rule(
@@ -176,6 +176,15 @@ def preimage_rule(
     sign cell of the fiber arrangement, on which both N(., Theta) and the
     graph cone are constant.
     """
+    # the only rule on maps here: the other rules do not load multimaps
+    from .multimaps import (
+        PolyMultimap,
+        _compose_slices,
+        coderivative_kernel,
+        graph_normal_cone,
+        inner_regularity_check,
+    )
+
     n, m = F.in_dim, F.out_dim
     whole_nm = ConvexPoly.whole_space(n + m)
     # graph of F restricted to outputs in Theta, piece by piece

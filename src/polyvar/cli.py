@@ -13,8 +13,7 @@ import json
 import os
 import sys
 
-from .exactgeom import RayLimitError
-from .multimaps import PieceLimitError
+from .exactgeom import LimitError
 from .presets import load_preset, preset_ids
 from .problemfile import ProblemFile, ProblemFileError, load_path
 from .runner import (
@@ -24,7 +23,6 @@ from .runner import (
     QUALS_STRICT,
     run_query,
 )
-from .stratify import ActiveRowLimitError
 
 RULE_PREFIX = "rule-"  # op "rule-X" runs as `polyvar rule X`
 
@@ -44,26 +42,35 @@ def _common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--query", action="append", help="run only the named query")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or only of `command` if it names one:
+    parsing a command line that starts with its name needs no other."""
     parser = argparse.ArgumentParser(
         prog="polyvar",
         description="exact normal cones, coderivatives and subdifferentials "
         "relative to a convex set",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in OPS:
-        if not name.startswith(RULE_PREFIX):
+    commands = [name for name in OPS if not name.startswith(RULE_PREFIX)]
+    commands += ["rule", "paper-example"]
+    built = [command] if command in commands else commands
+    # a parser of one command still lists every command in its usage, which
+    # its only top-level error (an unrecognized argument) prints; the full
+    # parser names the command argument "command" in its errors
+    metavar = "{" + ",".join(commands) + "}" if len(built) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in built:
+        if name == "rule":
+            p = sub.add_parser("rule", help="run calculus-rule queries")
+            rules = (op[len(RULE_PREFIX) :] for op in OPS if op.startswith(RULE_PREFIX))
+            p.add_argument("which", choices=sorted(rules))
+            p.add_argument("file")
+        elif name == "paper-example":
+            p = sub.add_parser(name, help="run a bundled worked example")
+            p.add_argument("id", choices=preset_ids())
+        else:
             p = sub.add_parser(name, help=f"run {name} queries from a problem file")
             p.add_argument("file")
-            _common_flags(p)
-    rule = sub.add_parser("rule", help="run calculus-rule queries")
-    rules = (op[len(RULE_PREFIX) :] for op in OPS if op.startswith(RULE_PREFIX))
-    rule.add_argument("which", choices=sorted(rules))
-    rule.add_argument("file")
-    _common_flags(rule)
-    pe = sub.add_parser("paper-example", help="run a bundled worked example")
-    pe.add_argument("id", choices=preset_ids())
-    _common_flags(pe)
+        _common_flags(p)
     return parser
 
 
@@ -101,7 +108,8 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "paper-example":
             pf, preset_names = load_preset(args.id)
@@ -139,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
             results.append(
                 {"name": q["name"], "op": q["op"], "exit_code": code, **rendered}
             )
-    except (ValueError, PieceLimitError, ActiveRowLimitError, RayLimitError) as exc:
+    except (ValueError, LimitError) as exc:
         sys.stderr.write(f"input error: query {q['name']!r}: {exc}\n")
         return EXIT_INPUT
 

@@ -23,10 +23,7 @@ from ._record import record
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
 from .linalg import Vec, check_dim, dot, neg, sub
 from .stratify import local_cells
-
-KIND_PROXIMAL = "proximal"
-KIND_FRECHET = "frechet"
-KIND_LIMITING = "limiting"
+from .verdicts import KIND_FRECHET, KIND_LIMITING, KIND_PROXIMAL
 
 
 @record

@@ -361,7 +361,11 @@ def _eliminate_one(
 RAY_LIMIT = 128
 
 
-class RayLimitError(RuntimeError):
+class LimitError(RuntimeError):
+    """A computation stopped at one of the engine's explicit size limits."""
+
+
+class RayLimitError(LimitError):
     pass
 
 

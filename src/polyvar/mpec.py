@@ -14,9 +14,9 @@ from ._record import record
 from .exactgeom import ConeUnion, ConvexPoly, PolyUnion
 from .linalg import Vec, zero
 from .multimaps import PolyMultimap, aubin_wrt_check, coderivative_zero_cone
-from .plfunc import KIND_HORIZON, KIND_LIMITING, PLFunc, subdiff_wrt
+from .plfunc import PLFunc, subdiff_wrt
 from .quals import normal_densed_check
-from .verdicts import TriVerdict
+from .verdicts import KIND_HORIZON, KIND_LIMITING, TriVerdict
 
 CERTIFIED_NON_OPTIMAL = "CertifiedNonOptimal"
 NECESSARY_CONDITIONS_HOLD = "NecessaryConditionsHold"

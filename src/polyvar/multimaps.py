@@ -17,6 +17,7 @@ from .exactgeom import (
     ConeH,
     ConeUnion,
     ConvexPoly,
+    LimitError,
     PolySet,
     PolyUnion,
     slice_cone_at_tail,
@@ -24,15 +25,17 @@ from .exactgeom import (
 from .linalg import Vec, check_dim, dot, neg, zero
 from .quals import normal_densed_check
 from .stratify import global_cells, local_cells
-from .verdicts import RuleReport, TriVerdict
+from .verdicts import (
+    VARIANT_SEMICOMPACT,
+    VARIANT_SEMICONTINUOUS,
+    RuleReport,
+    TriVerdict,
+)
 
 PIECE_LIMIT = 4096
 
-VARIANT_SEMICONTINUOUS = "semicontinuous"
-VARIANT_SEMICOMPACT = "semicompact"
 
-
-class PieceLimitError(RuntimeError):
+class PieceLimitError(LimitError):
     pass
 
 

@@ -26,11 +26,7 @@ from .exactgeom import (
 )
 from .linalg import Vec, as_vec, check_dim, neg, zero
 from .multimaps import PolyMultimap, coderivative_wrt
-from .verdicts import TriVerdict
-
-KIND_FRECHET = "frechet"
-KIND_LIMITING = "limiting"
-KIND_HORIZON = "horizon"
+from .verdicts import KIND_FRECHET, KIND_HORIZON, KIND_LIMITING, TriVerdict
 
 _UP = "improper function: a fiber of the epigraph is unbounded below"
 

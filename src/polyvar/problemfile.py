@@ -16,11 +16,14 @@ from typing import Any
 from ._record import record
 from .exactgeom import ConvexPoly, PolySet, RayLimitError
 from .linalg import Vec, rat
-from .multimaps import PolyMultimap
-from .plfunc import PLFunc
-from .runner import FIELD_TYPES, OPS, Field, dims_of
+from .runner import OPS, Field, dims_of
 
 VERSION_TAG = "polyvar-1"
+
+# the largest ambient dimension of an object, counting a map's graph
+# (in_dim + out_dim) and a function's epigraph (dim + 1): well above the
+# desk scale (<= 6) the engine is for, far below what exhausts memory
+DIM_LIMIT = 16
 
 
 class ProblemFileError(ValueError):
@@ -80,9 +83,18 @@ def _positive_int(value: Any, path: str) -> int:
     return value
 
 
+def _dim(spec: dict, key: str, path: str, extra: int = 0) -> int:
+    """`spec[key]`, a positive integer that leaves the object's ambient
+    dimension, `spec[key] + extra`, within DIM_LIMIT."""
+    dim = _positive_int(spec[key], f"{path}.{key}")
+    if dim + extra > DIM_LIMIT:
+        _fail(f"{path}.{key}", f"ambient dimension {dim + extra} exceeds the limit {DIM_LIMIT}")
+    return dim
+
+
 def _convex(spec: dict, path: str) -> ConvexPoly:
     _expect_keys(spec, path, {"type", "dim"}, {"ineqs", "eqs"})
-    dim = _positive_int(spec["dim"], f"{path}.dim")
+    dim = _dim(spec, "dim", path)
     return ConvexPoly.make(
         dim,
         _rows(spec.get("ineqs", []), dim, f"{path}.ineqs"),
@@ -115,17 +127,21 @@ def _build_object(name: str, spec: Any, path: str):
         return _convex(spec, path)
     if t == "polyset":
         _expect_keys(spec, path, {"type", "dim", "pieces"})
-        dim = _positive_int(spec["dim"], f"{path}.dim")
+        dim = _dim(spec, "dim", path)
         return PolySet.make(dim, _pieces(spec["pieces"], dim, f"{path}.pieces"))
     if t == "multimap":
+        from .multimaps import PolyMultimap
+
         _expect_keys(spec, path, {"type", "in_dim", "out_dim", "pieces"})
-        n = _positive_int(spec["in_dim"], f"{path}.in_dim")
-        m = _positive_int(spec["out_dim"], f"{path}.out_dim")
+        n = _dim(spec, "in_dim", path)
+        m = _dim(spec, "out_dim", path, n)
         pieces = _pieces(spec["pieces"], n + m, f"{path}.pieces")
         return PolyMultimap(n, m, PolySet.make(n + m, pieces))
     if t == "plfunc":
+        from .plfunc import PLFunc
+
         _expect_keys(spec, path, {"type", "dim", "epi_pieces"})
-        dim = _positive_int(spec["dim"], f"{path}.dim")
+        dim = _dim(spec, "dim", path, 1)
         return PLFunc.from_epigraph_pieces(
             dim, _pieces(spec["epi_pieces"], dim + 1, f"{path}.epi_pieces")
         )
@@ -138,16 +154,13 @@ def _build_object(name: str, spec: Any, path: str):
     _fail(f"{path}.type", f"unknown object type {t!r}")
 
 
-_TYPE_NAMES = {t: name for name, t in FIELD_TYPES.items() if isinstance(t, type)}
-
-
-def _check_field(field: Field, value: Any, objects: dict, path: str) -> None:
+def _check_field(field: Field, value: Any, types: dict[str, str], path: str) -> None:
+    """`types` maps each object's name to its type in the file."""
     if field.is_ref:
-        if not isinstance(value, str) or value not in objects:
+        if not isinstance(value, str) or value not in types:
             _fail(path, f"unknown object reference {value!r}")
-        if not isinstance(objects[value], field.type):
-            actual = _TYPE_NAMES[type(objects[value])]
-            _fail(path, f"{value!r} is a {actual}, expected a {_TYPE_NAMES[field.type]}")
+        if types[value] != field.type:
+            _fail(path, f"{value!r} is a {types[value]}, expected a {field.type}")
     elif field.type is int:
         _positive_int(value, path)
     elif value not in field.type:
@@ -193,12 +206,14 @@ def loads(text: str) -> ProblemFile:
     if not isinstance(data["objects"], dict):
         _fail("$.objects", "expected an object map")
     objects = {}
+    types = {}
     for name, spec in data["objects"].items():
         path = f"$.objects.{name}"
         try:
             objects[name] = _build_object(name, spec, path)
         except RayLimitError as exc:  # canonicalizing a piece runs a DD
             _fail(path, str(exc))
+        types[name] = spec["type"]
     if not isinstance(data["queries"], list):
         _fail("$.queries", "expected a list")
     queries = []
@@ -219,7 +234,7 @@ def loads(text: str) -> ProblemFile:
         seen.add(q["name"])
         for f in op.fields:
             if f.name in q:
-                _check_field(f, q[f.name], objects, f"{path}.{f.name}")
+                _check_field(f, q[f.name], types, f"{path}.{f.name}")
         _check_dims(op.fields, q, objects, path)
         queries.append(q)
     return ProblemFile(objects, tuple(queries))

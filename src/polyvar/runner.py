@@ -2,18 +2,24 @@
 
 `OPS` is the one table of query operations: the problem-file schema
 (`problemfile.loads`), the CLI subcommands (`cli`) and `run_query` all
-read it.
+read it.  An op names its engine as (module, function) and `run_query`
+imports that module when the op runs, so a query loads only the engine
+modules it calls; the function is looked up on the module at each call,
+so a rebinding of the module attribute (perfbench's tracer rebinds them)
+is seen.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import sys
 from fractions import Fraction
 from typing import Any, Callable
 
-from . import calculus, cones, mpec, multimaps, plfunc
+from . import verdicts
 from ._record import record
-from .exactgeom import ConeH, ConvexPoly, FiniteUnion, PolySet, dd_convert
+from .exactgeom import ConeH, ConvexPoly, FiniteUnion, dd_convert
 from .linalg import Vec, neg
 from .verdicts import FAILS, HOLDS, UNKNOWN, RuleReport, TriVerdict
 
@@ -39,6 +45,13 @@ def _vec(v: Vec, decimal: bool):
 
 def _rows(rows, decimal: bool):
     return [[_vec(a, decimal), _num(b, decimal)] for a, b in rows]
+
+
+def _is(obj: Any, module: str, cls: str) -> bool:
+    """isinstance(obj, polyvar.<module>.<cls>), False while that module is
+    not loaded: no object of the class can exist before its module."""
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return loaded is not None and isinstance(obj, getattr(loaded, cls))
 
 
 def render(obj: Any, decimal: bool = False):
@@ -83,15 +96,15 @@ def render(obj: Any, decimal: bool = False):
             "equality_holds": obj.equality_holds,
             "witness": render(obj.witness, decimal),
         }
-    if isinstance(obj, multimaps.CoderivativeSlice):
+    if _is(obj, "multimaps", "CoderivativeSlice"):
         return {
             "base": [render(obj.base[0], decimal), render(obj.base[1], decimal)],
             "ystar": render(obj.ystar, decimal),
             "result": render(obj.result, decimal),
         }
-    if isinstance(obj, plfunc.SubdiffResult):
+    if _is(obj, "plfunc", "SubdiffResult"):
         return {"kind": obj.kind, "value": render(obj.value, decimal)}
-    if isinstance(obj, mpec.StationarityReport):
+    if _is(obj, "mpec", "StationarityReport"):
         return {
             "candidate": render(obj.candidate, decimal),
             "q1": render(obj.q1, decimal),
@@ -129,13 +142,13 @@ class Field:
 
     @property
     def is_ref(self) -> bool:
-        return isinstance(self.type, type) and self.type is not int
+        return isinstance(self.type, str)
 
 
 @record
 class Op:
     key: str  # report key of the result
-    engine: Callable
+    engine: tuple[str, str]  # (module of polyvar, function)
     exit_code: Callable[[Any, str], int]  # (result, quals mode) -> exit code
     fields: tuple[Field, ...]  # in the engine's call order
     probe: Callable | None  # --cross-check: (args, result, decimal) -> (extra, flags)
@@ -143,22 +156,20 @@ class Op:
 
 def dims_of(obj) -> tuple[int, ...]:
     """(input, output) dimensions of a map; (dimension,) of anything else."""
-    if isinstance(obj, multimaps.PolyMultimap):
+    if _is(obj, "multimaps", "PolyMultimap"):
         return obj.in_dim, obj.out_dim
     return (len(obj),) if isinstance(obj, tuple) else (obj.dim,)
 
 
-def _late(module, name: str) -> Callable:
-    """`module.name`, looked up at each call, so that a rebinding of the
-    module attribute (perfbench's tracer rebinds them) is seen."""
-    return lambda *args: getattr(module, name)(*args)
-
-
 def _normal_cone(omega, wrt, point, kind):
+    from . import cones
+
     return cones.normal_cone(cones.ConeRequest(omega, wrt, point, kind))
 
 
 def _mpec_check(f, g, c1, c2, point):
+    from . import mpec
+
     problem = mpec.MPECProblem(f.dim, g.out_dim, f, g, c1, c2)
     return mpec.stationarity_check(problem, point)
 
@@ -182,7 +193,9 @@ def _rule_code(report: RuleReport, quals_mode: str) -> int:
     return base
 
 
-def _mpec_code(report: mpec.StationarityReport, quals_mode: str) -> int:
+def _mpec_code(report, quals_mode: str) -> int:
+    from . import mpec
+
     return {
         mpec.NECESSARY_CONDITIONS_HOLD: EXIT_OK,
         mpec.CERTIFIED_NON_OPTIMAL: EXIT_FAILS,
@@ -197,7 +210,7 @@ def _probe_cone(args, result, decimal: bool) -> tuple[dict, int]:
     the exact Fréchet cone at the point even when the query computed the
     limiting cone (whose extra generators are claimed non-members).
     """
-    from . import oracle
+    from . import cones, oracle
 
     omega, wrt, point, _ = args
     plan = oracle.SamplingPlan()
@@ -227,23 +240,23 @@ def _probe_aubin(args, result: TriVerdict, decimal: bool) -> tuple[dict, int]:
     return {"sampled_ratio": render(ratio, decimal)}, int(flagged)
 
 
-# a reference names an object of the class; a literal is a positive int or
-# one of the engine's own constants
+# a reference names an object of that type in the problem file; a literal is
+# a positive int or one of the engine's own constants
 FIELD_TYPES: dict[str, Any] = {
-    "polyset": PolySet,
-    "convex": ConvexPoly,
-    "multimap": multimaps.PolyMultimap,
-    "plfunc": plfunc.PLFunc,
-    "point": tuple,
+    "polyset": "polyset",
+    "convex": "convex",
+    "multimap": "multimap",
+    "plfunc": "plfunc",
+    "point": "point",
     "int": int,
-    "cone-kind": (cones.KIND_PROXIMAL, cones.KIND_FRECHET, cones.KIND_LIMITING),
-    "subdiff-kind": (plfunc.KIND_FRECHET, plfunc.KIND_LIMITING, plfunc.KIND_HORIZON),
-    "pairing": (calculus.PAIRING_PROOF, calculus.PAIRING_STATEMENT),
-    "variant": (multimaps.VARIANT_SEMICONTINUOUS, multimaps.VARIANT_SEMICOMPACT),
+    "cone-kind": (verdicts.KIND_PROXIMAL, verdicts.KIND_FRECHET, verdicts.KIND_LIMITING),
+    "subdiff-kind": (verdicts.KIND_FRECHET, verdicts.KIND_LIMITING, verdicts.KIND_HORIZON),
+    "pairing": (verdicts.PAIRING_PROOF, verdicts.PAIRING_STATEMENT),
+    "variant": (verdicts.VARIANT_SEMICONTINUOUS, verdicts.VARIANT_SEMICOMPACT),
 }
 
 
-def _op(key: str, engine: Callable, exit_code: Callable, spec: str, probe=None) -> Op:
+def _op(key: str, engine: tuple[str, str], exit_code: Callable, spec: str, probe=None) -> Op:
     """`spec` lists the fields in call order as `name[?]:type[:dims]`; a `?`
     marks an optional field.  An absent optional reference is the whole
     space of the first argument's input dimension; an absent optional
@@ -260,36 +273,36 @@ _TWO_SETS = "omega1:polyset:d omega2:polyset:d c1:convex:d c2:convex:d point:poi
 
 # the CLI runs a "rule-X" op as `polyvar rule X` and every other op as itself
 OPS: dict[str, Op] = {
-    "normal-cone": _op("cone", _normal_cone, _computed,
+    "normal-cone": _op("cone", ("runner", "_normal_cone"), _computed,
         "omega:polyset:d wrt?:convex:d point:point:d kind:cone-kind", _probe_cone),
-    "coderivative": _op("slice", _late(multimaps, "coderivative_wrt"), _computed,
+    "coderivative": _op("slice", ("multimaps", "coderivative_wrt"), _computed,
         "map:multimap:d>e wrt?:convex:d x:point:d y:point:e ystar:point:e"),
-    "subdiff": _op("subdifferential", _late(plfunc, "subdiff_wrt"), _computed,
+    "subdiff": _op("subdifferential", ("plfunc", "subdiff_wrt"), _computed,
         "func:plfunc:d wrt?:convex:d point:point:d kind:subdiff-kind"),
-    "check-aubin": _op("aubin", _late(multimaps, "aubin_wrt_check"), _verdict_code,
+    "check-aubin": _op("aubin", ("multimaps", "aubin_wrt_check"), _verdict_code,
         "map:multimap:d>e wrt?:convex:d x:point:d y:point:e", _probe_aubin),
-    "check-lipschitz": _op("lipschitz", _late(plfunc, "lipschitz_wrt_check"), _verdict_code,
+    "check-lipschitz": _op("lipschitz", ("plfunc", "lipschitz_wrt_check"), _verdict_code,
         "func:plfunc:d wrt?:convex:d point:point:d"),
-    "check-lqc": _op("qualification", _late(calculus, "lqc_wrt_check"), _verdict_code,
+    "check-lqc": _op("qualification", ("quals", "lqc_wrt_check"), _verdict_code,
         _TWO_SETS),
-    "check-normal-densed": _op("qualification", _late(calculus, "normal_densed_check"),
+    "check-normal-densed": _op("qualification", ("quals", "normal_densed_check"),
         _verdict_code, _TWO_SETS),
-    "rule-product": _op("report", _late(calculus, "product_rule"), _rule_code,
+    "rule-product": _op("report", ("calculus", "product_rule"), _rule_code,
         "omega1:polyset:d c1:convex:d omega2:polyset:e c2:convex:e x1:point:d x2:point:e"),
-    "rule-mixed-product": _op("report", _late(calculus, "mixed_product_rule"), _rule_code,
+    "rule-mixed-product": _op("report", ("calculus", "mixed_product_rule"), _rule_code,
         "omega1:polyset:n+s c1:convex:n+s omega2:polyset:m c2:convex:m"
         " n:int m:int s:int point:point:n+m+s pairing?:pairing"),
-    "rule-intersection": _op("report", _late(calculus, "intersection_rule"), _rule_code,
+    "rule-intersection": _op("report", ("calculus", "intersection_rule"), _rule_code,
         _TWO_SETS),
-    "rule-preimage": _op("report", _late(calculus, "preimage_rule"), _rule_code,
+    "rule-preimage": _op("report", ("calculus", "preimage_rule"), _rule_code,
         "map:multimap:d>e theta:polyset:e wrt:convex:d point:point:d"),
-    "rule-sum": _op("report", _late(multimaps, "sum_rule"), _rule_code,
+    "rule-sum": _op("report", ("multimaps", "sum_rule"), _rule_code,
         "map1:multimap:d>e map2:multimap:d>e c1:convex:d c2:convex:d x:point:d"
         " y:point:e y1:point:e y2:point:e ystar:point:e variant?:variant"),
-    "rule-chain": _op("report", _late(multimaps, "chain_rule"), _rule_code,
+    "rule-chain": _op("report", ("multimaps", "chain_rule"), _rule_code,
         "inner:multimap:d>e outer:multimap:e>f wrt:convex:d x:point:d z:point:f"
         " y:point:e zstar:point:f variant?:variant"),
-    "mpec-check": _op("report", _mpec_check, _mpec_code,
+    "mpec-check": _op("report", ("runner", "_mpec_check"), _mpec_code,
         "f:plfunc:d g:multimap:d>e c1:convex:d c2:convex:d point:point:d"),
 }
 
@@ -314,7 +327,9 @@ def run_query(
             args.append(objects[value] if field.is_ref else value)
         elif field.is_ref:
             args.append(ConvexPoly.whole_space(dims_of(args[0])[0]))
-    result = op.engine(*args)
+    module, function = op.engine
+    engine = getattr(importlib.import_module(f"{__package__}.{module}"), function)
+    result = engine(*args)
     out = {op.key: render(result, decimal)}
     flags = 0
     if cross_check and op.probe is not None:

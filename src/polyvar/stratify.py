@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from . import lp
 from ._record import record
-from .exactgeom import ConvexPoly, IntRow, PolySet
+from .exactgeom import ConvexPoly, IntRow, LimitError, PolySet
 from .linalg import Vec, check_dim, dot, integer_row, neg, primitive_ints, zero
 
 ParticipatingSet = PolySet | ConvexPoly
@@ -41,7 +41,7 @@ _ONE = Fraction(1)
 ACTIVE_ROW_LIMIT = 12
 
 
-class ActiveRowLimitError(RuntimeError):
+class ActiveRowLimitError(LimitError):
     pass
 
 

@@ -1,4 +1,5 @@
-"""Three-valued verdicts and rule reports shared by the calculus modules."""
+"""Three-valued verdicts and rule reports shared by the calculus modules,
+and the literal values of query fields shared by the engines and `runner`."""
 
 from __future__ import annotations
 
@@ -9,6 +10,18 @@ from ._record import record
 HOLDS = "holds"
 FAILS = "fails"
 UNKNOWN = "unknown"
+
+# cone kinds; subdifferentials take KIND_FRECHET, KIND_LIMITING, KIND_HORIZON
+KIND_PROXIMAL = "proximal"
+KIND_FRECHET = "frechet"
+KIND_LIMITING = "limiting"
+KIND_HORIZON = "horizon"
+# which index pairing the mixed product rule uses
+PAIRING_PROOF = "proof"
+PAIRING_STATEMENT = "statement"
+# which inner condition the sum and chain rules check
+VARIANT_SEMICONTINUOUS = "semicontinuous"
+VARIANT_SEMICOMPACT = "semicompact"
 
 
 @record

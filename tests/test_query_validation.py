@@ -9,6 +9,7 @@ import pytest
 
 from polyvar import exactgeom, multimaps, stratify
 from polyvar.cli import main
+from polyvar.problemfile import DIM_LIMIT, loads
 
 EVERY_OP = Path(__file__).parent / "data" / "every_op.json"
 
@@ -19,6 +20,7 @@ OBJECTS = {
     "s1": {"type": "polyset", "dim": 1, "pieces": [{"ineqs": [[[-1], 0]]}]},
     "c1": {"type": "convex", "dim": 1},
     "f": {"type": "plfunc", "dim": 3, "epi_pieces": [{"ineqs": [[[1, 0, 0, -1], 0]]}]},
+    "F": {"type": "multimap", "in_dim": 3, "out_dim": 1, "pieces": [{"ineqs": [[[1, 0, 0, -1], 0]]}]},
     "origin": {"type": "point", "values": [0, 0, 0]},
     "p2": {"type": "point", "values": [0, 0]},
 }
@@ -66,6 +68,10 @@ BAD = [
     ({**MIXED, "m": 2}, "omega2", "dimension 1 does not match 'm' (2)"),
     ({"name": "q", "op": "check-lqc", "omega1": "omega", "omega2": "omega", "c1": "c",
       "c2": "c1", "point": "origin"}, "c2", "dimension 1 does not match 'omega1' (3)"),
+    # references to maps and functions of the wrong type
+    ({"name": "q", "op": "coderivative", "map": "f", "x": "origin", "y": "p2", "ystar": "p2"},
+     "map", "'f' is a plfunc, expected a multimap"),
+    ({**CONE, "omega": "F"}, "omega", "'F' is a multimap, expected a polyset"),
 ]
 
 
@@ -99,6 +105,39 @@ def test_bad_object_dimension_exits_3(tmp_path, capsys, key):
     query = json.loads(EVERY_OP.read_text())["queries"][3]
     assert run(tmp_path, query, objects) == 3
     assert f"$.objects.F.{key}: expected a positive integer" in capsys.readouterr().err
+
+
+BIG = 10**9  # a graph of this dimension once died of MemoryError, exit 1
+
+TOO_BIG = [
+    ({"type": "convex", "dim": BIG}, "dim", BIG),
+    ({"type": "polyset", "dim": DIM_LIMIT + 1, "pieces": [{}]}, "dim", DIM_LIMIT + 1),
+    ({"type": "multimap", "in_dim": BIG, "out_dim": 1, "pieces": [{}]}, "in_dim", BIG),
+    ({"type": "multimap", "in_dim": 1, "out_dim": BIG, "pieces": [{}]}, "out_dim", BIG + 1),
+    # each within the limit, the graph beyond it
+    ({"type": "multimap", "in_dim": 8, "out_dim": 9, "pieces": [{}]}, "out_dim", 17),
+    # the epigraph has one more dimension than the function
+    ({"type": "plfunc", "dim": DIM_LIMIT, "epi_pieces": [{}]}, "dim", DIM_LIMIT + 1),
+]
+
+
+@pytest.mark.parametrize("spec, key, ambient", TOO_BIG, ids=lambda v: str(v)[:24])
+def test_dimension_limit_exits_3(tmp_path, capsys, spec, key, ambient):
+    assert run(tmp_path, CONE, {**OBJECTS, "big": spec}) == 3
+    err = capsys.readouterr().err
+    assert f"$.objects.big.{key}: ambient dimension {ambient} exceeds the limit" in err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_dimension_limit_is_inclusive():
+    epi = [{"ineqs": [[[0] * (DIM_LIMIT - 1) + [-1], 0]]}]
+    objects = {
+        "c": {"type": "convex", "dim": DIM_LIMIT},
+        "F": {"type": "multimap", "in_dim": 8, "out_dim": DIM_LIMIT - 8, "pieces": [{}]},
+        "f": {"type": "plfunc", "dim": DIM_LIMIT - 1, "epi_pieces": epi},
+    }
+    pf = loads(json.dumps({"version": "polyvar-1", "objects": objects, "queries": []}))
+    assert sorted(pf.objects) == ["F", "c", "f"]
 
 
 def test_piece_limit_exits_3(tmp_path, capsys, monkeypatch):
