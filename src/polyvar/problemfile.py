@@ -142,9 +142,11 @@ def _build_object(name: str, spec: Any, path: str):
 
         _expect_keys(spec, path, {"type", "dim", "epi_pieces"})
         dim = _dim(spec, "dim", path, 1)
-        return PLFunc.from_epigraph_pieces(
-            dim, _pieces(spec["epi_pieces"], dim + 1, f"{path}.epi_pieces")
-        )
+        pieces = _pieces(spec["epi_pieces"], dim + 1, f"{path}.epi_pieces")
+        try:
+            return PLFunc.from_epigraph_pieces(dim, pieces)
+        except ValueError as exc:  # an improper function
+            _fail(f"{path}.epi_pieces", str(exc))
     if t == "point":
         _expect_keys(spec, path, {"type", "values"})
         values = spec["values"]

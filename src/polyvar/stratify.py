@@ -20,12 +20,19 @@ realizes its sign vector.  One depth-first enumerator serves two modes.
   points of a fiber.
 
 In both modes the descent starts at the origin and a child whose sign the
-parent's point already has reuses that point, so no LP runs for it.
+parent's point already has reuses that point, so no LP runs for it.  The
+parent's region R is relatively open and convex and holds its point p.  If
+p lies off a hyperplane h and R meets h at q, the line from p through q
+goes on within R to the far side of h; if p lies on h, a point of R on one
+side gives, through p, one on the other.  So the far side's LP (below h
+when p lies on h) runs first, and when that side is empty, so is the other
+new child, with no LP.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from . import lp
 from ._record import record
@@ -219,10 +226,11 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         # base + t.d keeps every inactive row's sign for 0 < t < the least
         # ratio of a row that d approaches; take half of it (at most 1/2)
         t = _ONE
+        nd, den = integer_row(d)  # d = nd / den with den > 0
         for value, normal in inactive:
-            slope = dot(normal, d)
+            slope = sum(map(mul, normal, nd))  # den times normal.d
             if slope and (slope > 0) != (value > 0):
-                t = min(t, -value / slope)
+                t = min(t, -value * den / slope)
         t /= 2
         return tuple(x + t * y for x, y in zip(base, d))
 
@@ -252,12 +260,21 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
                 )
             return
         h = active[pos]
-        value = dot(hyperplanes[h].normal, p) - offsets[h]
-        for sgn in (-1, 0, 1):
+        side = _sign(dot(hyperplanes[h].normal, p) - offsets[h])
+        # the child on p's side reuses p; an empty far side (module
+        # docstring) settles the other new child
+        far = 1 if side < 0 else -1
+        far_empty = False
+        for sgn in (far, 0 if side else 1, side):
             signs[h] = sgn
             if pieces_possible(signs):
-                # the parent's point serves every child whose sign it has
-                child = p if _sign(value) == sgn else region_point(signs)
+                if sgn == side:
+                    child = p
+                elif sgn != far and far_empty:
+                    child = None
+                else:
+                    child = region_point(signs)
+                    far_empty = child is None
                 if child is not None:
                     descend(pos + 1, signs, child)
             del signs[h]

@@ -16,6 +16,7 @@ from conftest import (
     random_poly_through,
     rng_vec,
 )
+from polyvar import cones
 from polyvar.cones import (
     ConeRequest,
     frechet_normal,
@@ -27,7 +28,7 @@ from polyvar.cones import (
     radial_cone,
 )
 from polyvar.exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet, polar
-from polyvar.linalg import Vec, dot, sub, vec
+from polyvar.linalg import Vec, add, dot, sub, vec
 from polyvar.stratify import local_cells
 
 
@@ -484,3 +485,65 @@ def test_frechet_cones_build_no_polar_dd(monkeypatch):
         assert not frechet_normal(omega, base).empty
         assert not frechet_normal_wrt(omega, wrt, base).empty
         assert not limiting_normal_wrt(omega, wrt, base).is_empty()
+
+
+def ref_active_rows(p: ConvexPoly, x: Vec):
+    """`cones._active_rows` through `dot`, one conversion per row and point."""
+    active = []
+    for a, b in p.ineqs:
+        value = dot(a, x)
+        if value > b:
+            return None
+        if value == b:
+            active.append(a)
+    if any(dot(e, x) != d for e, d in p.eqs):
+        return None
+    return active, [e for e, _ in p.eqs]
+
+
+def _onto(a: Vec, b: Fraction, x: Vec) -> Vec:
+    # x moved along its first coordinate where a is nonzero onto a.x = b
+    j = next(i for i, v in enumerate(a) if v)
+    y = list(x)
+    y[j] += (b - dot(a, x)) / a[j]
+    return tuple(y)
+
+
+def test_active_rows_match_dot_reference():
+    rng = random.Random(4077)
+
+    def q(den: int) -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, den))
+
+    nones = actives = 0
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        rows = [(rng_vec(rng, dim), q(4)) for _ in range(rng.randint(1, 5))]
+        rows = [(a, b) for a, b in rows if any(a)]
+        if not rows:
+            continue
+        n_eqs = int(rng.random() < 0.4)
+        canonical = ConvexPoly.make(dim, rows[n_eqs:], rows[:n_eqs])
+        # rows kept as given: rational entries, not primitive, not reduced
+        raw = ConvexPoly(
+            dim,
+            tuple((tuple(v / 3 for v in a), b / 3) for a, b in rows[n_eqs:]),
+            tuple(rows[:n_eqs]),
+        )
+        for poly in (canonical, raw):
+            start = tuple(q(5) for _ in range(dim))
+            points = [start]
+            for a, b in poly.ineqs + poly.eqs:
+                if not any(a):
+                    continue
+                on = _onto(a, b, start)
+                if poly.eqs:  # also on the first equality, where it allows
+                    on = _onto(*poly.eqs[0], on)
+                d = tuple(v / rng.randint(2, 7) for v in a)
+                points += [on, sub(on, d), add(on, d)]  # on, inside, outside
+            for x in points:
+                got = cones._active_rows(poly, x)
+                assert got == ref_active_rows(poly, x), (poly, x)
+                nones += got is None
+                actives += bool(got and got[0])
+    assert nones > 100 and actives > 100

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -192,11 +193,100 @@ def test_random_lps_agree_with_scipy():
             assert float(value) == pytest.approx(sign * res.fun, abs=1e-7)
 
 
-# -- the all-artificial start, kept verbatim as the reference ------------------
+# -- the full-width kernel, kept verbatim as an independent reference ---------
+
+OPTIMAL, UNBOUNDED = lp.OPTIMAL, lp.UNBOUNDED
 
 
-def ref_solve(c, ineqs, eqs, dim, maximize):
-    """The previous `lp._solve`: every row starts with an artificial basic."""
+class RefTableau:
+    """Fraction-free simplex tableau in equality standard form.
+
+    Constraint rows are lists of ints with the right-hand side last.  Row i
+    is a positive multiple of the rational tableau row, which is
+    rows[i] / rows[i][basis[i]].  The reduced-cost row (its last entry is
+    minus the objective) is likewise a positive multiple of the rational
+    one; signs and zero tests are all the pivot rule needs from it.  Every
+    updated row is divided by the gcd of its entries, so the integers stay
+    as small as the rational numerators.  Pivot choices depend only on
+    signs and on ratios within a row, which the scaling leaves unchanged,
+    so the pivot path is that of a rational tableau under the same rule.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int]):
+        self.rows = rows
+        self.basis = basis
+        self.n = len(rows[0]) - 1
+        self.cost: list[int] = []
+
+    def set_objective(self, c: list[int]) -> None:
+        # reduced-cost row for the current basis: r = c - c_B . B^-1 A
+        rows, basis = self.rows, self.basis
+        terms = [
+            (c[bj], rows[i], rows[i][bj]) for i, bj in enumerate(basis) if c[bj]
+        ]
+        den = lcm(*(d for _, _, d in terms)) if terms else 1
+        cost = [x * den for x in c] + [0]
+        for cb, row, d in terms:
+            f = cb * (den // d)
+            cost = [x - f * y if y else x for x, y in zip(cost, row)]
+        self.cost = primitive_ints(cost)
+
+    def pivot(self, i: int, j: int) -> None:
+        prow = self.rows[i]
+        p = prow[j]
+        if p < 0:
+            prow = [-x for x in prow]
+            p = -p
+            self.rows[i] = prow
+        # a basic column is zero outside its own row, so every other row
+        # keeps a positive entry p * d in its basic column
+        for k, row in enumerate(self.rows):
+            if k != i:
+                f = row[j]
+                if f:
+                    self.rows[k] = primitive_ints(
+                        [p * x - f * y if y else p * x for x, y in zip(row, prow)]
+                    )
+        f = self.cost[j]
+        if f:
+            self.cost = primitive_ints(
+                [p * x - f * y if y else p * x for x, y in zip(self.cost, prow)]
+            )
+        self.basis[i] = j
+
+    def run(self, allowed: list[bool]) -> str:
+        """Maximize until optimal/unbounded, entering only `allowed` columns.
+
+        Bland's rule: the first improving column enters; the row of least
+        ratio leaves, ties going to the smallest basic column.
+        """
+        while True:
+            cost = self.cost
+            j = next((k for k in range(self.n) if allowed[k] and cost[k] > 0), None)
+            if j is None:
+                return OPTIMAL
+            best = None
+            for i, row in enumerate(self.rows):
+                a = row[j]
+                if a > 0:
+                    if best is None:
+                        best, num, den = i, row[-1], a
+                        continue
+                    lhs, rhs = row[-1] * den, num * a
+                    if lhs < rhs or (lhs == rhs and self.basis[i] < self.basis[best]):
+                        best, num, den = i, row[-1], a
+            if best is None:
+                return UNBOUNDED
+            self.pivot(best, j)
+
+
+def ref_solve(c, ineqs, eqs, dim, maximize, all_artificial=False):
+    """`lp._solve` on a full-width tableau that stores the x- columns.
+
+    With `all_artificial` every row starts with an artificial basic (the
+    start before the slack basis); otherwise only equalities and rows with
+    b < 0 do, as in the kernel, which then takes the same pivot path.
+    """
     n_slack = len(ineqs)
     m = len(ineqs) + len(eqs)
     if dim == 0:
@@ -209,9 +299,13 @@ def ref_solve(c, ineqs, eqs, dim, maximize):
             return lp.OPTIMAL, tuple(Fraction(0) for _ in range(dim)), Fraction(0)
         return lp.UNBOUNDED, None, None
     art_start = 2 * dim + n_slack
-    width = art_start + m
-    rows = []
     all_rows = [(a, b, True) for a, b in ineqs] + [(a, b, False) for a, b in eqs]
+    needs_art = [all_artificial or b < 0 or not is_ineq for _, b, is_ineq in all_rows]
+    n_art = sum(needs_art)
+    width = art_start + n_art
+    rows = []
+    basis = []
+    next_art = art_start
     for r, (a, b, is_ineq) in enumerate(all_rows):
         nums, den = integer_row(list(a) + [b])
         sgn = 1 if b >= 0 else -1
@@ -222,15 +316,21 @@ def ref_solve(c, ineqs, eqs, dim, maximize):
         row[dim : 2 * dim] = [-x for x in nums[:dim]]
         if is_ineq:
             row[2 * dim + r] = sgn * den
-        row[art_start + r] = den
+        if needs_art[r]:
+            row[next_art] = den
+            basis.append(next_art)
+            next_art += 1
+        else:
+            basis.append(2 * dim + r)
         row[width] = nums[-1]
         rows.append(primitive_ints(row))
-    tab = lp._Tableau(rows, [art_start + r for r in range(m)])
+    tab = RefTableau(rows, basis)
 
-    tab.set_objective([0] * art_start + [-1] * m)
-    tab.run([True] * width)
-    if tab.cost[-1] != 0:
-        return lp.INFEASIBLE, None, None
+    if n_art:
+        tab.set_objective([0] * art_start + [-1] * n_art)
+        tab.run([True] * width)
+        if tab.cost[-1] != 0:
+            return lp.INFEASIBLE, None, None
     for i in range(m):
         if tab.basis[i] >= art_start and tab.rows[i][-1] == 0:
             row = tab.rows[i]
@@ -243,7 +343,7 @@ def ref_solve(c, ineqs, eqs, dim, maximize):
         obj = [-x for x in obj]
     phase2 = obj + [-x for x in obj] + [0] * (width - 2 * dim)
     tab.set_objective(phase2)
-    status = tab.run([True] * art_start + [False] * m)
+    status = tab.run([True] * art_start + [False] * n_art)
     if status == lp.UNBOUNDED:
         return lp.UNBOUNDED, None, None
     x = [Fraction(0)] * dim
@@ -314,8 +414,10 @@ def test_slack_start_matches_all_artificial_reference():
     dims = set()
     for c, ineqs, eqs, dim, maximize in _start_basis_lps(17, 500):
         status, x, value = lp.solve(c, ineqs, eqs, dim, maximize=maximize)
-        ref = ref_solve(c, frozen_rows(ineqs), frozen_rows(eqs), dim, maximize)
-        assert (status, value) == (ref[0], ref[2]), (c, ineqs, eqs, dim, maximize)
+        args = (c, frozen_rows(ineqs), frozen_rows(eqs), dim, maximize)
+        assert (status, x, value) == ref_solve(*args), args
+        ref = ref_solve(*args, all_artificial=True)
+        assert (status, value) == (ref[0], ref[2]), args
         needs_artificial = bool(eqs) or any(b < 0 for _, b in ineqs)
         seen.add((status, needs_artificial))
         dims.add(dim)
@@ -335,3 +437,68 @@ def test_slack_start_matches_all_artificial_reference():
         (lp.INFEASIBLE, True),
     }
     assert dims == set(range(1, 7))
+
+
+def _strict_point_lps(seed: int, count: int):
+    """Seeded LPs shaped as `lp.strict_feasible_point` poses them, in dim + 1.
+
+    Weak rows, strict rows lifted with a slack column, equalities, the cap
+    t <= 1 and the objective t, over offsets that are zero (the directions
+    of local cells) or not (the points of global cells and containment).
+    """
+    rng = random.Random(seed)
+
+    def q():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 5)))
+
+    out = []
+    while len(out) < count:
+        dim = rng.randint(1, 5)
+        homogeneous = rng.random() < 0.5
+
+        def rows(n):
+            return [
+                (tuple(q() for _ in range(dim)), Fraction(0) if homogeneous else q())
+                for _ in range(n)
+            ]
+
+        weak = rows(rng.choice((0, 0, 1, 3)))
+        strict = rows(rng.randint(1, 6))
+        eqs = rows(rng.choice((0, 0, 1, 2)))
+        if strict and rng.random() < 0.3:  # a row and its negation: no interior
+            a, b = strict[0]
+            strict.append((tuple(-x for x in a), -b))
+        ineqs = [(a + (0,), b) for a, b in weak]
+        ineqs += [(a + (1,), b) for a, b in strict]
+        ineqs.append(((0,) * dim + (1,), 1))
+        lifted = [(a + (0,), b) for a, b in eqs]
+        out.append(((0,) * dim + (1,), ineqs, lifted, dim + 1))
+    return out
+
+
+def test_strict_point_lps_match_full_width_reference():
+    statuses = set()
+    for c, ineqs, eqs, dim in _strict_point_lps(23, 400):
+        got = lp.solve(c, ineqs, eqs, dim)
+        assert got == ref_solve(c, frozen_rows(ineqs), frozen_rows(eqs), dim, True)
+        statuses.add((got[0], got[2] is not None and got[2] > 0))
+    # strictly feasible, feasible without interior, and infeasible LPs all occur
+    assert {(lp.OPTIMAL, True), (lp.OPTIMAL, False), (lp.INFEASIBLE, False)} <= statuses
+
+
+def test_no_variables_or_no_rows_match_reference():
+    # dim 0: rows read 0 <= b and 0 == b; no rows: optimum 0 or unbounded
+    cases = [
+        ((), [], [], 0, lp.OPTIMAL),
+        ((), [((), 1), ((), 0)], [((), 0)], 0, lp.OPTIMAL),
+        ((), [((), Fraction(-1, 2))], [], 0, lp.INFEASIBLE),
+        ((), [], [((), 2)], 0, lp.INFEASIBLE),
+        ((0, 0), [], [], 2, lp.OPTIMAL),
+        ((1, 0), [], [], 2, lp.UNBOUNDED),
+        ((0, Fraction(-2, 3)), [], [], 2, lp.UNBOUNDED),
+    ]
+    for c, ineqs, eqs, dim, status in cases:
+        for maximize in (True, False):
+            got = lp.solve(c, ineqs, eqs, dim, maximize)
+            assert got[0] == status
+            assert got == ref_solve(c, frozen_rows(ineqs), frozen_rows(eqs), dim, maximize)

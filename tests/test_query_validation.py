@@ -129,6 +129,21 @@ def test_dimension_limit_exits_3(tmp_path, capsys, spec, key, ambient):
     assert not (tmp_path / "report.json").exists()
 
 
+def test_improper_function_exits_3(tmp_path, capsys):
+    # no row bounds the epigraph from below, so f would take -infinity
+    objects = {
+        **OBJECTS,
+        "g": {"type": "plfunc", "dim": 1, "epi_pieces": [{}]},
+        "p1": {"type": "point", "values": [0]},
+    }
+    query = {"name": "q", "op": "subdiff", "func": "g", "point": "p1", "kind": "limiting"}
+    assert run(tmp_path, query, objects) == 3
+    err = capsys.readouterr().err
+    assert "$.objects.g.epi_pieces: improper function" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_dimension_limit_is_inclusive():
     epi = [{"ineqs": [[[0] * (DIM_LIMIT - 1) + [-1], 0]]}]
     objects = {

@@ -238,3 +238,167 @@ def test_global_cells_match_brute_force_over_sign_vectors():
         nonempty += bool(cells)
         checked += 1
     assert nonempty >= 30
+
+
+# -- the enumerator that runs every region LP, kept as a reference ------------
+
+
+def ref_cells(sets, base):
+    """`stratify._cells` as it was before the convexity skip: every child off
+    the parent's side runs its region LP, in the order -1, 0, 1."""
+    dim = sets[0].dim if base is None else len(base)
+    hyperplanes, index = [], {}
+
+    def hyperplane_id(a, b):
+        av, bv, flip = stratify._canonical_hyperplane(a, b)
+        if (av, bv) not in index:
+            index[(av, bv)] = len(hyperplanes)
+            hyperplanes.append(stratify._Hyperplane(av, bv))
+        return index[(av, bv)], flip
+
+    piece_rows = []
+    for s in sets:
+        rows_per_piece = []
+        for piece in stratify._as_pieces(s):
+            reqs = []
+            for a, b in piece.ineqs:
+                h, flip = hyperplane_id(a, b)
+                reqs.append((h, frozenset({-1, 0} if flip == 1 else {0, 1})))
+            for e, d in piece.eqs:
+                reqs.append((hyperplane_id(e, d)[0], frozenset({0})))
+            rows_per_piece.append(reqs)
+        piece_rows.append(rows_per_piece)
+
+    n_h = len(hyperplanes)
+    if base is None:
+        base_signs = [0] * n_h
+        offsets = [hp.offset for hp in hyperplanes]
+        inactive = []
+    else:
+        values = [dot(hp.normal, base) - hp.offset for hp in hyperplanes]
+        base_signs = [_sign(v) for v in values]
+        offsets = [0] * n_h
+        inactive = [(v, hp.normal) for v, hp in zip(values, hyperplanes) if v]
+    active = [h for h in range(n_h) if base_signs[h] == 0]
+    cells = []
+
+    def known_sign(signs, h):
+        if h in signs:
+            return signs[h]
+        return base_signs[h] if base_signs[h] != 0 else None
+
+    def pieces_possible(signs):
+        return all(
+            any(
+                all(
+                    known_sign(signs, h) is None or known_sign(signs, h) in allowed
+                    for h, allowed in reqs
+                )
+                for reqs in rows_per_piece
+            )
+            for rows_per_piece in piece_rows
+        )
+
+    def region_point(signs):
+        strict, eqs = [], []
+        for h, sgn in signs.items():
+            normal, offset = hyperplanes[h].normal, offsets[h]
+            if sgn == 0:
+                eqs.append((normal, offset))
+            elif sgn < 0:
+                strict.append((normal, offset))
+            else:
+                strict.append((tuple(-x for x in normal), -offset))
+        return lp.strict_feasible_point([], strict, eqs, dim)
+
+    def witness_along(d):
+        t = Fraction(1)
+        for value, normal in inactive:
+            slope = dot(normal, d)
+            if slope and (slope > 0) != (value > 0):
+                t = min(t, -value / slope)
+        t /= 2
+        return tuple(x + t * y for x, y in zip(base, d))
+
+    def descend(pos, signs, p):
+        if pos == len(active):
+            full = list(base_signs)
+            for h, sgn in signs.items():
+                full[h] = sgn
+            memberships = tuple(
+                tuple(
+                    i
+                    for i, reqs in enumerate(rows_per_piece)
+                    if all(full[h] in allowed for h, allowed in reqs)
+                )
+                for rows_per_piece in piece_rows
+            )
+            if all(memberships):
+                cells.append(
+                    stratify.Cell(
+                        stratify.CellSignature(tuple(full)),
+                        p if base is None else witness_along(p),
+                        base is not None,
+                        memberships,
+                    )
+                )
+            return
+        h = active[pos]
+        value = dot(hyperplanes[h].normal, p) - offsets[h]
+        for sgn in (-1, 0, 1):
+            signs[h] = sgn
+            if pieces_possible(signs):
+                child = p if _sign(value) == sgn else region_point(signs)
+                if child is not None:
+                    descend(pos + 1, signs, child)
+            del signs[h]
+
+    if pieces_possible({}):
+        descend(0, {}, (Fraction(0),) * dim)
+    cells.sort(key=lambda c: c.signature.signs)
+    return cells
+
+
+def _counting(monkeypatch):
+    """Count the region LPs (`lp.strict_feasible_point` calls)."""
+    calls = [0]
+    solve = lp.strict_feasible_point
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "strict_feasible_point", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_cells_skip_region_lps_convexity_decides(monkeypatch, mode):
+    calls = _counting(monkeypatch)
+    rng = random.Random(f"convexity-skip/{mode}")
+    checked = saved = 0
+    while checked < 40:
+        dim = rng.randint(1, 4)
+        base = rng_vec(rng, dim, -1, 1)
+        at = base if mode == "local" else rng_vec(rng, dim, -1, 1)
+        sets = [random_polyset_through(rng, dim, at, max_pieces=3)]
+        if rng.random() < 0.6:
+            at = base if mode == "local" else rng_vec(rng, dim, -1, 1)
+            sets.append(random_poly_through(rng, dim, at, max_rows=4))
+        hyper = _arrangement(sets)
+        if mode == "local":
+            k = sum(1 for a, b in hyper if dot(a, base) == b)
+        else:
+            k, base = len(hyper), None
+        if not 1 <= k <= 6:
+            continue
+        calls[0] = 0
+        ref = ref_cells(sets, base)
+        ref_calls = calls[0]
+        calls[0] = 0
+        got = stratify._cells(sets, base)
+        assert got == ref, (sets, base)
+        assert calls[0] <= ref_calls
+        saved += calls[0] < ref_calls
+        checked += 1
+    assert saved > 0
