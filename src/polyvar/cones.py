@@ -19,11 +19,9 @@ the base point leaves the reference domain.
 
 from __future__ import annotations
 
-from operator import mul
-
 from ._record import record
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
-from .linalg import Vec, check_dim, dot, integer_row, neg, sub
+from .linalg import Vec, check_dim, dot, excess_at, neg, sub
 from .stratify import local_cells
 from .verdicts import KIND_FRECHET, KIND_LIMITING, KIND_PROXIMAL
 
@@ -41,13 +39,7 @@ class ConeRequest:
 def _active_rows(p: ConvexPoly, x: Vec) -> tuple[list[Vec], list[Vec]] | None:
     """(normals of the inequalities tight at x, equality normals) of p, or
     None when x lies outside p: the rows of p's tangent cone at x."""
-    nx, dx = integer_row(x)  # converted once, not once per row
-
-    def excess(a: Vec, b) -> int:
-        # (a, b) = nums / den with den > 0, so a.x - b has the sign below
-        nums, _ = integer_row((*a, b))
-        return sum(map(mul, nums, nx)) - nums[-1] * dx
-
+    excess = excess_at(x)
     active = []
     for a, b in p.ineqs:
         value = excess(a, b)

@@ -38,6 +38,7 @@ from .linalg import (
     check_dim,
     dot,
     exact,
+    excess_at,
     frozen_rows,
     integer_row,
     is_zero,
@@ -205,10 +206,12 @@ class ConvexPoly:
         return self.ineqs == _empty_rows(self.dim)
 
     def contains(self, x: Vec) -> bool:
+        check_dim("contains point", len(x), self.dim)
         if self.is_empty():
             return False
-        return all(dot(a, x) <= b for a, b in self.ineqs) and all(
-            dot(e, x) == d for e, d in self.eqs
+        excess = excess_at(x)
+        return all(excess(a, b) <= 0 for a, b in self.ineqs) and not any(
+            excess(e, d) for e, d in self.eqs
         )
 
     def intersect(self, other: "ConvexPoly") -> "ConvexPoly":
@@ -472,9 +475,10 @@ class ConeH:
 
     @staticmethod
     def from_ineqs(dim: int, ineqs=(), eqs=()) -> "ConeH":
-        canon = _canon(dim, [(a, 0) for a in ineqs], [(e, 0) for e in eqs])
-        assert canon is not None  # homogeneous systems contain 0
-        rows, eq_rows, rays, lin = canon
+        # never None: a homogeneous system contains 0
+        rows, eq_rows, rays, lin = _canon(
+            dim, [(a, 0) for a in ineqs], [(e, 0) for e in eqs]
+        )
         return ConeH(
             dim,
             tuple(a for a, _ in rows),
@@ -548,10 +552,12 @@ class ConeH:
         return self.empty
 
     def contains(self, x: Vec) -> bool:
+        check_dim("contains point", len(x), self.dim)
         if self.empty:
             return False
-        return all(dot(a, x) <= 0 for a in self.ineqs) and all(
-            dot(e, x) == 0 for e in self.eqs
+        excess = excess_at(x)
+        return all(excess(a) <= 0 for a in self.ineqs) and not any(
+            excess(e) for e in self.eqs
         )
 
     def is_zero(self) -> bool:
@@ -563,17 +569,22 @@ class ConeH:
         return not self.empty and not self.ineqs and not self.eqs
 
     def subset_of(self, other: "ConeH") -> bool:
+        """Exact containment by generators: every ray of self satisfies the
+        rows of `other`, and every row of `other` vanishes on the lineality
+        of self.  The generators are int rows, so each test is an int dot
+        product against `other`'s rows, each converted once."""
         if self.empty:
             return True
         if other.empty:
             return False
-        for r in self.rays:
-            if not other.contains(r):
-                return False
-        for l in self.lineality:
-            if not other.contains(l) or not other.contains(neg(l)):
-                return False
-        return True
+        ineqs = [integer_row(a)[0] for a in other.ineqs]
+        eqs = [integer_row(e)[0] for e in other.eqs]
+        rows = ineqs + eqs
+        return all(
+            all(sum(map(mul, a, r)) <= 0 for a in ineqs)
+            and not any(sum(map(mul, e, r)) for e in eqs)
+            for r in self.rays
+        ) and not any(sum(map(mul, a, l)) for l in self.lineality for a in rows)
 
     # operations -----------------------------------------------------------
 
@@ -848,13 +859,22 @@ ConeUnion = PolyUnion = FiniteUnion
 
 
 def union_subset(a: FiniteUnion, b: FiniteUnion) -> tuple[bool, Vec | None]:
-    """Region-subtraction containment test with an exact witness on failure.
+    """Containment test with an exact witness on failure.
 
-    Each part of `a` is split along the defining rows of b's parts, a cone
-    part read as its polyhedral rows; a surviving region yields a point of
-    a \\ b found by slack-maximizing LP.
+    A part of `a` inside one part of `b` is settled with no LP: it equals
+    that part (canonical H-forms are unique, so equal fields mean equal
+    sets), or it is a cone whose generators satisfy the rows of a cone part
+    (`ConeH.subset_of`).  Every other part is split along the defining rows
+    of b's parts, a cone part read as its polyhedral rows, one strict LP per
+    region; a surviving region yields a point of a \\ b found by
+    slack-maximizing LP.  A settled part would leave no region, so the
+    first failing part and its witness are those of region subtraction
+    alone.
     """
-    for part in map(_rows_of, a.parts):
+    for part in a.parts:
+        if _inside_one_part(part, b):
+            continue
+        part = _rows_of(part)
         # (weak rows, strict rows, equalities, a point of the region)
         regions: list[tuple[list[Row], list[Row], list[Row], Vec | None]] = [
             (list(part.ineqs), [], list(part.eqs), None)
@@ -882,6 +902,14 @@ def union_subset(a: FiniteUnion, b: FiniteUnion) -> tuple[bool, Vec | None]:
                 point = lp.strict_feasible_point(weak, strict, eqs, a.dim)
             return False, point
     return True, None
+
+
+def _inside_one_part(part, b: FiniteUnion) -> bool:
+    if part in b.parts:
+        return True
+    return isinstance(part, ConeH) and any(
+        isinstance(q, ConeH) and part.subset_of(q) for q in b.parts
+    )
 
 
 def _rows_of(part) -> ConvexPoly:

@@ -73,8 +73,7 @@ def check_q2(p: MPECProblem, x: Vec) -> TriVerdict:
     _check_feasible(p, x)
     n, m = p.n, p.m
     total = n + m + 1
-    fx = p.f.value(x)
-    assert fx is not None
+    fx = p.f.value(x)  # not None: `_check_feasible` rejects x outside dom f
     # (x, y, z) with (x, z) in epi f, y free; and gph G x R
     omega1 = p.f.epi.embed(total, tuple(range(n)) + (n + m,))
     omega2 = p.G.graph.embed(total, tuple(range(n + m)))

@@ -7,12 +7,15 @@ cone operation given the empty marker raises ValueError, also under
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import make_example1, run_optimized
 
+import polyvar
 from polyvar import cones
 from polyvar.calculus import mixed_product_rule
 from polyvar.exactgeom import (
@@ -132,6 +135,11 @@ HALF_PLANE = PolySet.from_poly(ConvexPoly.make(2, [(vec(1, 0), Fraction(0))]))
 PLANE = ConvexPoly.whole_space(2)
 LINE = ConvexPoly.whole_space(1)
 POINT_CASES = {
+    "ConvexPoly.contains": (lambda: PLANE.contains(vec(0)), "dimension 1, expected 2"),
+    "ConeH.contains": (
+        lambda: ConeH.whole_space(2).contains(vec(0, 0, 0)),
+        "dimension 3, expected 2",
+    ),
     "radial_cone": (lambda: cones.radial_cone(PLANE, vec(0)), "dimension 1, expected 2"),
     "frechet_normal": (
         lambda: cones.frechet_normal(HALF_PLANE, vec(0)),
@@ -291,3 +299,16 @@ def test_proximal_validation_raises_on_the_whole_space(monkeypatch):
     monkeypatch.setattr(cones, "frechet_normal_wrt", lambda *args: ConeH.whole_space(3))
     with pytest.raises(RuntimeError, match="proximal inequality"):
         cones.proximal_normal_wrt(ex.omega1, ex.c_full, ex.origin, validate=True)
+
+
+def test_no_assert_in_engine_sources():
+    # validation must survive `python -O`, which strips every `assert`
+    src = Path(polyvar.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list(src.glob("*.py"))) > 10
+    assert not found, found

@@ -13,11 +13,20 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import active_pieces, primitive, random_cone, random_cone_union, vrep
+from conftest import (
+    active_pieces,
+    primitive,
+    random_cone,
+    random_cone_union,
+    rng_vec,
+    vrep,
+)
+from polyvar import lp
 from polyvar.exactgeom import (
     ConeH,
     ConeUnion,
     ConvexPoly,
+    FiniteUnion,
     PolySet,
     PolyUnion,
     cone_union_ops,
@@ -25,9 +34,11 @@ from polyvar.exactgeom import (
     is_zero_cone,
     polar,
     slice_cone_at_tail,
+    union_subset,
 )
 from polyvar.linalg import (
     Vec,
+    add,
     as_vec,
     dot,
     integer_row,
@@ -35,6 +46,7 @@ from polyvar.linalg import (
     neg,
     nullspace_ints,
     rref_ints,
+    sub,
     to_vec,
     vec,
 )
@@ -331,3 +343,240 @@ def test_polyset_membership_and_pieces():
     assert s.contains(vec(5)) and s.contains(vec(-5))
     assert active_pieces(s, vec(0)) == (0, 1)
     assert active_pieces(s, vec(2)) in ((0,), (1,))
+
+
+# -- membership and containment against the `dot` versions --------------------
+
+
+def ref_contains(part, x: Vec) -> bool:
+    """`contains` through `dot`, one conversion per row and point."""
+    if part.is_empty():
+        return False
+    if isinstance(part, ConeH):
+        ineqs = [(a, 0) for a in part.ineqs]
+        eqs = [(e, 0) for e in part.eqs]
+    else:
+        ineqs, eqs = part.ineqs, part.eqs
+    return all(dot(a, x) <= b for a, b in ineqs) and all(
+        dot(e, x) == d for e, d in eqs
+    )
+
+
+def ref_cone_subset(c: ConeH, other: ConeH) -> bool:
+    """`ConeH.subset_of` by `contains` of every ray and of +- each lineality
+    vector."""
+    if c.empty:
+        return True
+    if other.empty:
+        return False
+    gens = list(c.rays) + list(c.lineality) + [neg(l) for l in c.lineality]
+    return all(ref_contains(other, to_vec(g)) for g in gens)
+
+
+def _onto(a: Vec, b: Fraction, x: Vec) -> Vec:
+    # x moved along its first coordinate where a is nonzero onto a.x = b
+    j = next(i for i, v in enumerate(a) if v)
+    y = list(x)
+    y[j] += (b - dot(a, x)) / a[j]
+    return tuple(y)
+
+
+def test_contains_matches_dot_reference():
+    rng = random.Random(5209)
+
+    def q(den: int) -> Fraction:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, den))
+
+    verdicts = {True: 0, False: 0}
+    for _ in range(120):
+        dim = rng.randint(1, 4)
+        rows = [(rng_vec(rng, dim), q(4)) for _ in range(rng.randint(1, 5))]
+        rows = [(a, b) for a, b in rows if any(a)]
+        if not rows:
+            continue
+        n_eqs = int(rng.random() < 0.4)
+        polys = [
+            ConvexPoly.make(dim, rows[n_eqs:], rows[:n_eqs]),
+            # rows kept as given: rational entries, not primitive, not reduced
+            ConvexPoly(
+                dim,
+                tuple((tuple(v / 3 for v in a), b / 3) for a, b in rows[n_eqs:]),
+                tuple(rows[:n_eqs]),
+            ),
+        ]
+        cone_rows = [tuple(v / rng.randint(1, 4) for v in a) for a, _ in rows]
+        sets = polys + [
+            ConeH.from_ineqs(dim, cone_rows[n_eqs:], cone_rows[:n_eqs]),
+            ConeH(dim, cone_rows[n_eqs:], cone_rows[:n_eqs]),
+        ]
+        for part in sets:
+            rows_of = part.to_poly() if isinstance(part, ConeH) else part
+            start = tuple(q(5) for _ in range(dim))
+            points = [start]
+            for a, b in rows_of.ineqs + rows_of.eqs:
+                if not any(a):
+                    continue
+                on = _onto(a, b, start)
+                if rows_of.eqs:  # also on the first equality, where it allows
+                    on = _onto(*rows_of.eqs[0], on)
+                d = tuple(v / rng.randint(2, 7) for v in a)
+                points += [on, sub(on, d), add(on, d)]  # on, inside, outside
+            for x in points:
+                got = part.contains(x)
+                assert got == ref_contains(part, x), (part, x)
+                verdicts[got] += 1
+    assert min(verdicts.values()) > 200, verdicts
+
+
+def test_cone_subset_of_matches_contains_reference():
+    rng = random.Random(5227)
+    verdicts = {True: 0, False: 0}
+    for _ in range(150):
+        dim = rng.randint(1, 4)
+        c = random_cone(rng, dim)
+        if rng.random() < 0.3:
+            c = c.intersect(random_cone(rng, dim))
+        others = [random_cone(rng, dim), c.intersect(random_cone(rng, dim))]
+        if rng.random() < 0.3:  # an equality row, so lineality meets eqs
+            e = rng_vec(rng, dim)
+            others.append(ConeH.from_ineqs(dim, [], [e]) if any(e) else c)
+        for other in others + [c.minkowski(random_cone(rng, dim))]:
+            for x, y in ((c, other), (other, c)):
+                got = x.subset_of(y)
+                assert got == ref_cone_subset(x, y), (x, y)
+                verdicts[got] += 1
+    assert ConeH.empty_marker(2).subset_of(ConeH.zero(2))
+    assert not ConeH.zero(2).subset_of(ConeH.empty_marker(2))
+    assert min(verdicts.values()) > 100, verdicts
+
+
+# -- union containment against region subtraction ----------------------------
+
+
+def ref_union_subset(a, b):
+    """The region-subtraction `union_subset` of the parent tree, verbatim:
+    every part of `a`, settled or not, is split along b's rows with one
+    strict LP per region."""
+    for part in map(_ref_rows_of, a.parts):
+        regions = [(list(part.ineqs), [], list(part.eqs), None)]
+        for bp in map(_ref_rows_of, b.parts):
+            rows = list(bp.ineqs)
+            for e, d in bp.eqs:
+                rows.append((e, d))
+                rows.append((neg(e), -d))
+            next_regions = []
+            for weak, strict, eqs, _ in regions:
+                prefix = []
+                for av, bv in rows:
+                    cand = (weak + prefix, strict + [(neg(av), -bv)], eqs)  # a.x > b
+                    point = lp.strict_feasible_point(*cand, a.dim)
+                    if point is not None:
+                        next_regions.append((*cand, point))
+                    prefix.append((av, bv))
+            regions = next_regions
+            if not regions:
+                break
+        if regions:
+            weak, strict, eqs, point = regions[0]
+            if point is None:  # b has no parts: the part itself survives
+                point = lp.strict_feasible_point(weak, strict, eqs, a.dim)
+            return False, point
+    return True, None
+
+
+def _ref_rows_of(part) -> ConvexPoly:
+    return part.to_poly() if isinstance(part, ConeH) else part
+
+
+def _random_poly(rng: random.Random, dim: int) -> ConvexPoly:
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        a = rng_vec(rng, dim, -2, 2)
+        if any(a):
+            rows.append((a, Fraction(rng.randint(-1, 3), rng.randint(1, 2))))
+    return ConvexPoly.make(dim, rows)
+
+
+def _random_part(rng: random.Random, dim: int, cones: bool):
+    while True:
+        part = random_cone(rng, dim) if cones else _random_poly(rng, dim)
+        if not part.is_empty():
+            return part
+
+
+def _union_cases(rng: random.Random):
+    """Seeded (a, b, every part of a sits in one part of b) triples.
+
+    Kinds: a part equal to a part of b, a cone inside one part of b, a cone
+    inside b's union but in no single part, random (mostly not contained),
+    an empty side, and cones against polyhedra.
+    """
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        for cones in (True, False):
+            make = ConeUnion.make if cones else PolyUnion.make
+            parts = [_random_part(rng, dim, cones) for _ in range(rng.randint(1, 4))]
+            b = make(dim, parts)
+            k = rng.randint(1, len(b.parts))
+            equal = rng.sample(b.parts, k)
+            yield make(dim, equal), b, True
+            if cones:
+                inside = [q.intersect(random_cone(rng, dim)) for q in equal]
+                yield ConeUnion.make(dim, inside + equal[1:]), b, True
+                # a cone cut in two by a row: in the union, in neither half
+                c = _random_part(rng, dim, True)
+                h = rng_vec(rng, dim)
+                if any(h):
+                    halves = [
+                        ConeH.from_ineqs(dim, c.ineqs + (h,), c.eqs),
+                        ConeH.from_ineqs(dim, c.ineqs + (neg(h),), c.eqs),
+                    ]
+                    cover = ConeUnion.make(dim, halves + list(b.parts))
+                    yield ConeUnion.single(c), cover, False
+                # cones against polyhedra, both ways
+                polys = PolyUnion.make(
+                    dim, [_random_part(rng, dim, False) for _ in range(2)]
+                )
+                as_polys = PolyUnion.make(dim, [q.to_poly() for q in b.parts])
+                yield b, polys, False
+                yield polys, b, False
+                yield b, as_polys, False
+                yield ConeUnion.make(dim, inside), as_polys, False
+            else:
+                inside = [q.intersect(_random_poly(rng, dim)) for q in equal]
+                yield make(dim, inside + equal[1:]), b, False
+            parts = [_random_part(rng, dim, cones) for _ in range(rng.randint(1, 4))]
+            other = make(dim, parts)
+            yield other, b, False
+            yield b, other, False
+            yield make(dim, list(other.parts) + equal), b, False
+            empty = FiniteUnion.empty(dim)
+            yield empty, b, True
+            yield b, empty, False
+
+
+def test_union_subset_matches_region_subtraction_reference(monkeypatch):
+    rng = random.Random(5303)
+    calls = 0
+    solve = lp.strict_feasible_point
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "strict_feasible_point", counted)
+    seen = {"settled_only": 0, "true_by_regions": 0, "false": 0, "empty_b": 0}
+    for a, b, in_one_part in _union_cases(rng):
+        calls = 0
+        got = union_subset(a, b)
+        lps = calls
+        assert got == ref_union_subset(a, b), (a.parts, b.parts)
+        if in_one_part:
+            assert lps == 0, (a.parts, b.parts)
+            seen["settled_only"] += bool(a.parts)
+        elif got[0] and lps:
+            seen["true_by_regions"] += 1
+        seen["false"] += not got[0]
+        seen["empty_b"] += b.is_empty() and bool(a.parts)
+    assert min(seen.values()) >= 20, seen
