@@ -2,9 +2,8 @@
 checked exactly, verdicts never asserted past what the checks certify.
 
 Each rule returns a RuleReport carrying lhs, rhs, the hypothesis verdicts and
-an exact witness whenever an inclusion fails.  When a hypothesis is Fails or
-Unknown the report is diagnostic: both sides are still computed, no claim is
-made.
+an exact witness whenever an inclusion fails.  When a hypothesis fails the
+report is diagnostic: both sides are still computed, no claim is made.
 """
 
 from __future__ import annotations
@@ -180,6 +179,7 @@ def preimage_rule(
     from .multimaps import (
         PolyMultimap,
         _compose_slices,
+        _piece_product,
         coderivative_kernel,
         graph_normal_cone,
         inner_regularity_check,
@@ -188,11 +188,9 @@ def preimage_rule(
     n, m = F.in_dim, F.out_dim
     whole_nm = ConvexPoly.whole_space(n + m)
     # graph of F restricted to outputs in Theta, piece by piece
-    lifted = [
-        gp.intersect(tp.embed(n + m, tuple(range(n, n + m))))
-        for gp in F.graph.pieces
-        for tp in theta.pieces
-    ]
+    lifted = _piece_product(
+        n + m, [(F.graph.pieces, None), (theta.pieces, tuple(range(n, n + m)))]
+    )
     preimage = PolySet.make(
         n, [piece.eliminate(tuple(range(n, n + m))) for piece in lifted]
     )

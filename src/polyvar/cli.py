@@ -1,8 +1,8 @@
 """Command-line front end: problem files in, deterministic reports out.
 
 Exit codes: 0 computed / condition holds; 1 condition fails or an inclusion
-is violated (a witness is in the report); 2 some verdict is Unknown or a
-candidate is Inconclusive; 3 malformed input.  Reports are canonical JSON
+is violated (a witness is in the report); 2 an MPEC candidate is
+Inconclusive; 3 malformed input.  Reports are canonical JSON
 (sorted keys, exact rationals), byte-identical across runs.
 """
 

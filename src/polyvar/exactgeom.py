@@ -13,8 +13,7 @@ equalities and facets by bit tests on the zero sets of the rows.
 
 Cones additionally carry a V-representation (extreme rays modulo lineality
 plus a lineality basis), so polars and Minkowski sums are generator
-transpositions.  A cone built from rows keeps the generators its
-canonicalization found; any other cone computes them on first use.
+transpositions.  A cone keeps the generators its canonicalization found.
 
 Rows enter the kernels as int tuples: `as_row` turns every integral entry
 into an int before `_canon_h` and `_dd`, canonicalization works on primitive
@@ -454,22 +453,23 @@ def _project(v, av: int, pivot: list[int], pa: int) -> list[int]:
     return primitive_ints([av * y - pa * x for x, y in zip(v, pivot)])
 
 
+@record
 class ConeH:
-    """A closed convex polyhedral cone {x : a.x <= 0, e.x == 0}.
+    """A closed convex polyhedral cone {x : a.x <= 0, e.x == 0} with its
+    generators: extreme rays modulo the lineality, and a lineality basis.
 
     `empty` marks the artifact's "point outside the domain" convention; a
-    homogeneous system itself always contains the origin.
+    homogeneous system itself always contains the origin.  Canonical rows
+    fix the generators (`_dd` sorts primitive rays reduced modulo the
+    lineality, which is in RREF), so comparing fields compares sets.
     """
 
-    __slots__ = ("dim", "ineqs", "eqs", "empty", "_rays", "_lineality")
-
-    def __init__(self, dim, ineqs=(), eqs=(), empty=False, _rays=None, _lineality=None):
-        self.dim = dim
-        self.ineqs = tuple(ineqs)
-        self.eqs = tuple(eqs)
-        self.empty = empty
-        self._rays = _rays
-        self._lineality = _lineality
+    dim: int
+    ineqs: tuple[Vec, ...]
+    eqs: tuple[Vec, ...]
+    rays: tuple[tuple[int, ...], ...]
+    lineality: tuple[tuple[int, ...], ...]
+    empty: bool = False
 
     # construction ---------------------------------------------------------
 
@@ -479,13 +479,8 @@ class ConeH:
         rows, eq_rows, rays, lin = _canon(
             dim, [(a, 0) for a in ineqs], [(e, 0) for e in eqs]
         )
-        return ConeH(
-            dim,
-            tuple(a for a, _ in rows),
-            tuple(e for e, _ in eq_rows),
-            _rays=rays,
-            _lineality=lin,
-        )
+        ineqs = tuple(a for a, _ in rows)
+        return ConeH(dim, ineqs, tuple(e for e, _ in eq_rows), rays, lin, False)
 
     @staticmethod
     def from_generators(dim: int, rays=(), lineality=()) -> "ConeH":
@@ -496,7 +491,7 @@ class ConeH:
 
     @staticmethod
     def whole_space(dim: int) -> "ConeH":
-        return ConeH(dim)
+        return ConeH.from_ineqs(dim)
 
     @staticmethod
     def zero(dim: int) -> "ConeH":
@@ -504,47 +499,10 @@ class ConeH:
 
     @staticmethod
     def empty_marker(dim: int) -> "ConeH":
-        return ConeH(dim, (), (), empty=True)
-
-    # representation -------------------------------------------------------
-
-    def _ensure_vrep(self) -> None:
-        if self._rays is None:
-            rays, lin = _dd(
-                self.dim, list(map(as_row, self.ineqs)), list(map(as_row, self.eqs))
-            )
-            lin_rows, _ = rref_ints(lin)
-            self._rays = tuple(rays)
-            self._lineality = tuple(sorted(map(tuple, lin_rows)))
-
-    @property
-    def rays(self) -> tuple[Vec, ...]:
-        self._ensure_vrep()
-        return self._rays
-
-    @property
-    def lineality(self) -> tuple[Vec, ...]:
-        self._ensure_vrep()
-        return self._lineality
+        return ConeH(dim, (), (), (), (), True)
 
     def generators(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         return self.rays, self.lineality
-
-    # comparisons ----------------------------------------------------------
-
-    def _key(self):
-        return (self.dim, self.empty, self.ineqs, self.eqs)
-
-    def __eq__(self, other):
-        return isinstance(other, ConeH) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        if self.empty:
-            return f"ConeH(dim={self.dim}, empty)"
-        return f"ConeH(dim={self.dim}, ineqs={self.ineqs}, eqs={self.eqs})"
 
     # queries --------------------------------------------------------------
 
@@ -658,8 +616,7 @@ def _eye(dim: int) -> list[Vec]:
 
 
 def dd_convert(cone: ConeH) -> ConeH:
-    """Populate both representations; idempotent by construction."""
-    cone._ensure_vrep()
+    """The cone itself: every cone carries both representations."""
     return cone
 
 

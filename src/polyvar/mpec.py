@@ -3,8 +3,8 @@
 The stationarity test is necessary-only, so the verdict is three-state:
 a candidate is CertifiedNonOptimal only when every hypothesis of the
 applicable condition holds exactly and the condition itself fails; candidates
-passing the condition get NecessaryConditionsHold (never "optimal"); any
-Fails/Unknown hypothesis downgrades the report to Inconclusive with full
+passing the condition get NecessaryConditionsHold (never "optimal"); a
+failed hypothesis downgrades the report to Inconclusive with full
 diagnostics.
 """
 

@@ -10,6 +10,9 @@ relative to C x R^m, so every slice is a finite union of polyhedra.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import product
+from math import prod
 
 from ._record import record
 from .cones import limiting_normal_wrt
@@ -37,6 +40,23 @@ PIECE_LIMIT = 4096
 
 class PieceLimitError(LimitError):
     pass
+
+
+def _piece_product(total: int, factors) -> list[ConvexPoly]:
+    """Every intersection of one piece from each factor (pieces, coords),
+    a piece lifted into Q^total with its coordinate i at coords[i] (coords
+    None: already in Q^total).  The count is checked against PIECE_LIMIT
+    before any piece is built."""
+    count = prod(len(pieces) for pieces, _ in factors)
+    if count > PIECE_LIMIT:
+        raise PieceLimitError(
+            f"piece limit exceeded: a product of {count} pieces (limit {PIECE_LIMIT})"
+        )
+    lifted = [
+        pieces if coords is None else [p.embed(total, coords) for p in pieces]
+        for pieces, coords in factors
+    ]
+    return [reduce(ConvexPoly.intersect, combo) for combo in product(*lifted)]
 
 
 @record
@@ -98,44 +118,14 @@ class PolyMultimap:
         return PolyMultimap(m, n, PolySet.make(n + m, [permute(p) for p in self.graph.pieces]))
 
     def sum(self, other: "PolyMultimap") -> "PolyMultimap":
-        """(F1 + F2)(x) = F1(x) + F2(x), graph built by exact projection."""
-        check_dim("sum input", other.in_dim, self.in_dim)
-        check_dim("sum output", other.out_dim, self.out_dim)
-        n, m = self.in_dim, self.out_dim
-        if len(self.graph.pieces) * len(other.graph.pieces) > PIECE_LIMIT:
-            raise PieceLimitError("sum graph piece limit exceeded")
-        pieces = []
-        total = n + m + m  # (x, y, y1)
-        for p in self.graph.pieces:
-            lift_p = p.embed(total, tuple(range(n)) + tuple(range(n + m, total)))
-            for q in other.graph.pieces:
-                rows_i = list(lift_p.ineqs)
-                rows_e = list(lift_p.eqs)
-                for a, b in q.ineqs:
-                    ax, ay = a[:n], a[n:]
-                    rows_i.append((ax + ay + neg(ay), b))
-                for e, d in q.eqs:
-                    ex, ey = e[:n], e[n:]
-                    rows_e.append((ex + ey + neg(ey), d))
-                big = ConvexPoly.make(total, rows_i, rows_e)
-                pieces.append(big.eliminate(tuple(range(n + m, total))))
-        return PolyMultimap(n, m, PolySet.make(n + m, pieces))
+        """(F1 + F2)(x) = F1(x) + F2(x): the sum rule's S with (y1, y2)
+        projected away (exact Fourier-Motzkin)."""
+        return PolyMultimap(self.in_dim, self.out_dim, _s_map(self, other).domain())
 
     def compose_after(self, inner: "PolyMultimap") -> "PolyMultimap":
-        """self o inner: first inner (n => m), then self (m => s)."""
-        check_dim("inner output", inner.out_dim, self.in_dim)
-        n, m, s = inner.in_dim, inner.out_dim, self.out_dim
-        if len(self.graph.pieces) * len(inner.graph.pieces) > PIECE_LIMIT:
-            raise PieceLimitError("composition graph piece limit exceeded")
-        total = n + s + m  # (x, z, y)
-        pieces = []
-        for g in inner.graph.pieces:
-            lift_g = g.embed(total, tuple(range(n)) + tuple(range(n + s, total)))
-            for f in self.graph.pieces:
-                lift_f = f.embed(total, tuple(range(n + s, total)) + tuple(range(n, n + s)))
-                big = lift_g.intersect(lift_f)
-                pieces.append(big.eliminate(tuple(range(n + s, total))))
-        return PolyMultimap(n, s, PolySet.make(n + s, pieces))
+        """self o inner: first inner (n => m), then self (m => s); the chain
+        rule's S with y projected away."""
+        return PolyMultimap(inner.in_dim, self.out_dim, _script_s(inner, self).domain())
 
 
 @record
@@ -231,7 +221,7 @@ def inner_regularity_check(
     dist(ȳ, P(x_k)) <= L|x_k - x̄| -> 0.  A cell that misses them all gives
     Fails with its witness w: for 0 < t <= 1 the points x̄ + t(w - x̄) stay in
     the cell, hence in D, and F there meets only pieces outside A, closed
-    sets that miss (x̄, ȳ), so no y_t -> ȳ as t -> 0.  Never Unknown.
+    sets that miss (x̄, ȳ), so no y_t -> ȳ as t -> 0.
     """
     n, m = F.in_dim, F.out_dim
     if mode == VARIANT_SEMICOMPACT:
@@ -279,22 +269,23 @@ def _lifted_sum_omegas(
 
 def _s_map(F1: PolyMultimap, F2: PolyMultimap) -> PolyMultimap:
     """S(x, y) = {(y1, y2) : yi in Fi(x), y1 + y2 = y}."""
+    check_dim("sum input", F2.in_dim, F1.in_dim)
+    check_dim("sum output", F2.out_dim, F1.out_dim)
     n, m = F1.in_dim, F1.out_dim
     total = n + m + 2 * m  # (x, y, y1, y2)
-    pieces = []
-    for p in F1.graph.pieces:
-        lp_ = p.embed(total, tuple(range(n)) + tuple(range(n + m, n + 2 * m)))
-        for q in F2.graph.pieces:
-            lq = q.embed(total, tuple(range(n)) + tuple(range(n + 2 * m, total)))
-            rows_e = []
-            for i in range(m):
-                row = [Fraction(0)] * total
-                row[n + m + i] = Fraction(1)
-                row[n + 2 * m + i] = Fraction(1)
-                row[n + i] = Fraction(-1)
-                rows_e.append((tuple(row), Fraction(0)))
-            coupling = ConvexPoly.make(total, [], rows_e)
-            pieces.append(lp_.intersect(lq).intersect(coupling))
+    rows_e = []
+    for i in range(m):
+        row = [Fraction(0)] * total
+        row[n + m + i] = Fraction(1)
+        row[n + 2 * m + i] = Fraction(1)
+        row[n + i] = Fraction(-1)
+        rows_e.append((tuple(row), Fraction(0)))
+    at1 = tuple(range(n)) + tuple(range(n + m, n + 2 * m))
+    at2 = tuple(range(n)) + tuple(range(n + 2 * m, total))
+    coupling = (ConvexPoly.make(total, [], rows_e),)
+    pieces = _piece_product(
+        total, [(F1.graph.pieces, at1), (F2.graph.pieces, at2), (coupling, None)]
+    )
     return PolyMultimap(n + m, 2 * m, PolySet.make(total, pieces))
 
 
@@ -342,7 +333,7 @@ def sum_rule(
         base += y1bar + y2bar
     regularity = inner_regularity_check(s_map, c_lift, base, variant)
 
-    fsum = F1.sum(F2)
+    fsum = PolyMultimap(n, m, s_map.domain())  # F1.sum(F2)
     lhs = coderivative_wrt(fsum, c, xbar, ybar, ystar).result
 
     if variant == VARIANT_SEMICONTINUOUS:
@@ -440,7 +431,7 @@ def chain_rule(
         base += ybar
     regularity = inner_regularity_check(s_map, c_lift, base, variant)
 
-    comp = F.compose_after(G)
+    comp = PolyMultimap(n, s, s_map.domain())  # F.compose_after(G)
     lhs = coderivative_wrt(comp, c, xbar, zbar, zstar).result
 
     def rhs_at(y: Vec) -> PolyUnion:
@@ -468,12 +459,10 @@ def chain_rule(
 
 def _script_s(G: PolyMultimap, F: PolyMultimap) -> PolyMultimap:
     """S(x, z) = G(x) cap F^{-1}(z) as a multimap (x, z) => y."""
+    check_dim("inner output", G.out_dim, F.in_dim)
     n, m, s = G.in_dim, G.out_dim, F.out_dim
-    total = n + s + m
-    pieces = []
-    for g in G.graph.pieces:
-        lg = g.embed(total, tuple(range(n)) + tuple(range(n + s, total)))
-        for f in F.graph.pieces:
-            lf = f.embed(total, tuple(range(n + s, total)) + tuple(range(n, n + s)))
-            pieces.append(lg.intersect(lf))
+    total = n + s + m  # (x, z, y)
+    g_at = tuple(range(n)) + tuple(range(n + s, total))
+    f_at = tuple(range(n + s, total)) + tuple(range(n, n + s))
+    pieces = _piece_product(total, [(G.graph.pieces, g_at), (F.graph.pieces, f_at)])
     return PolyMultimap(n + s, m, PolySet.make(total, pieces))

@@ -19,13 +19,13 @@ from typing import Any, Callable
 
 from . import verdicts
 from ._record import record
-from .exactgeom import ConeH, ConvexPoly, FiniteUnion, dd_convert
+from .exactgeom import ConeH, ConvexPoly, FiniteUnion
 from .linalg import Vec, neg
-from .verdicts import FAILS, HOLDS, UNKNOWN, RuleReport, TriVerdict
+from .verdicts import FAILS, HOLDS, RuleReport, TriVerdict
 
 EXIT_OK = 0
 EXIT_FAILS = 1
-EXIT_UNKNOWN = 2
+EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 QUALS_STRICT = "strict"
@@ -66,7 +66,6 @@ def render(obj: Any, decimal: bool = False):
     if isinstance(obj, ConeH):
         if obj.empty:
             return {"empty": True}
-        dd_convert(obj)
         return {
             "ineqs": [_vec(a, decimal) for a in obj.ineqs],
             "eqs": [_vec(e, decimal) for e in obj.eqs],
@@ -179,7 +178,7 @@ def _computed(result, quals_mode: str) -> int:
 
 
 def _verdict_code(v: TriVerdict, quals_mode: str) -> int:
-    return {HOLDS: EXIT_OK, FAILS: EXIT_FAILS, UNKNOWN: EXIT_UNKNOWN}[v.value]
+    return {HOLDS: EXIT_OK, FAILS: EXIT_FAILS}[v.value]
 
 
 def _rule_code(report: RuleReport, quals_mode: str) -> int:
@@ -188,8 +187,6 @@ def _rule_code(report: RuleReport, quals_mode: str) -> int:
         return base
     if any(v.is_fails() for _, v in report.qualifications):
         return EXIT_FAILS
-    if any(v.value == UNKNOWN for _, v in report.qualifications):
-        return EXIT_UNKNOWN
     return base
 
 
@@ -199,7 +196,7 @@ def _mpec_code(report, quals_mode: str) -> int:
     return {
         mpec.NECESSARY_CONDITIONS_HOLD: EXIT_OK,
         mpec.CERTIFIED_NON_OPTIMAL: EXIT_FAILS,
-        mpec.INCONCLUSIVE: EXIT_UNKNOWN,
+        mpec.INCONCLUSIVE: EXIT_INCONCLUSIVE,
     }[report.verdict]
 
 

@@ -1,4 +1,4 @@
-"""Three-valued verdicts and rule reports shared by the calculus modules,
+"""Two-valued verdicts and rule reports shared by the calculus modules,
 and the literal values of query fields shared by the engines and `runner`."""
 
 from __future__ import annotations
@@ -9,7 +9,6 @@ from ._record import record
 
 HOLDS = "holds"
 FAILS = "fails"
-UNKNOWN = "unknown"
 
 # cone kinds; subdifferentials take KIND_FRECHET, KIND_LIMITING, KIND_HORIZON
 KIND_PROXIMAL = "proximal"
@@ -26,7 +25,7 @@ VARIANT_SEMICOMPACT = "semicompact"
 
 @record
 class TriVerdict:
-    """Holds / Fails / Unknown with an exact certificate where decisive."""
+    """Holds / Fails with an exact certificate where decisive."""
 
     value: str
     certificate: Any = None
@@ -38,10 +37,6 @@ class TriVerdict:
     @staticmethod
     def fails(certificate: Any = None) -> "TriVerdict":
         return TriVerdict(FAILS, certificate)
-
-    @staticmethod
-    def unknown(certificate: Any = None) -> "TriVerdict":
-        return TriVerdict(UNKNOWN, certificate)
 
     def is_holds(self) -> bool:
         return self.value == HOLDS

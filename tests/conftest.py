@@ -14,7 +14,7 @@ from pathlib import Path
 import polyvar
 from polyvar import exactgeom
 from polyvar.exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
-from polyvar.linalg import Vec, as_row, integer_row, primitive_ints, to_vec, vec
+from polyvar.linalg import Vec, as_row, integer_row, primitive_ints, rref_ints, to_vec, vec
 
 
 @dataclass(frozen=True)
@@ -159,6 +159,15 @@ def vrep(p: ConvexPoly) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ..
             rec.append(primitive(r[:-1]))
     lin_out = [primitive(v[:-1]) for v in lin]
     return tuple(sorted(verts)), tuple(sorted(rec)), tuple(sorted(lin_out))
+
+
+def dd_generators(dim: int, ineqs, eqs) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """(rays, lineality) of {x : a.x <= 0, e.x == 0} from a fresh double
+    description of the rows: the reference for the generators a cone gets
+    from canonicalization (sorted rays, RREF lineality in sorted order)."""
+    rays, lin = exactgeom._dd(dim, list(map(as_row, ineqs)), list(map(as_row, eqs)))
+    lin_rows, _ = rref_ints(lin)
+    return tuple(rays), tuple(sorted(map(tuple, lin_rows)))
 
 
 def active_pieces(s: PolySet, x: Vec) -> tuple[int, ...]:

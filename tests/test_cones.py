@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     active_pieces,
     cone3,
+    dd_generators,
     make_example1,
     random_polyset_through,
     random_poly_through,
@@ -438,8 +439,7 @@ def frechet_instances(seed: int = 71, count: int = 200):
 
 
 def assert_seeded_generators_canonical(cone: ConeH) -> None:
-    fresh = ConeH(cone.dim, cone.ineqs, cone.eqs)
-    assert (cone._rays, cone._lineality) == (fresh.rays, fresh.lineality)
+    assert cone.generators() == dd_generators(cone.dim, cone.ineqs, cone.eqs)
 
 
 def test_frechet_cones_match_per_piece_reference():

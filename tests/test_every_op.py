@@ -21,7 +21,7 @@ from polyvar.runner import render
 
 DATA = Path(__file__).parent / "data" / "every_op.json"
 
-VERDICT_CODES = {"holds": 0, "fails": 1, "unknown": 2}
+VERDICT_CODES = {"holds": 0, "fails": 1}
 MPEC_CODES = {
     mpec.NECESSARY_CONDITIONS_HOLD: 0,
     mpec.CERTIFIED_NON_OPTIMAL: 1,

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     active_pieces,
+    dd_generators,
     primitive,
     random_cone,
     random_cone_union,
@@ -127,6 +128,18 @@ def test_dd_idempotent():
     r1 = dd_convert(c).rays
     r2 = dd_convert(c).rays
     assert r1 == r2
+
+
+@pytest.mark.parametrize("dim", range(5))
+def test_fixed_cones_carry_reference_generators(dim):
+    whole, origin = ConeH.whole_space(dim), ConeH.zero(dim)
+    for cone in (whole, origin):
+        assert cone.generators() == dd_generators(dim, cone.ineqs, cone.eqs)
+    assert whole == ConeH.from_ineqs(dim) and whole.is_whole_space()
+    assert origin.is_zero()
+    marker = ConeH.empty_marker(dim)
+    assert (marker.ineqs, marker.eqs, marker.generators()) == ((), (), ((), ()))
+    assert marker.is_empty() and marker != whole
 
 
 def test_dd_empty_cone_is_origin():
@@ -407,7 +420,7 @@ def test_contains_matches_dot_reference():
         cone_rows = [tuple(v / rng.randint(1, 4) for v in a) for a, _ in rows]
         sets = polys + [
             ConeH.from_ineqs(dim, cone_rows[n_eqs:], cone_rows[:n_eqs]),
-            ConeH(dim, cone_rows[n_eqs:], cone_rows[:n_eqs]),
+            ConeH(dim, cone_rows[n_eqs:], cone_rows[:n_eqs], (), ()),
         ]
         for part in sets:
             rows_of = part.to_poly() if isinstance(part, ConeH) else part

@@ -20,7 +20,7 @@ from math import gcd
 
 import pytest
 
-from conftest import primitive, vrep
+from conftest import dd_generators, primitive, vrep
 from polyvar import exactgeom, lp
 from polyvar.exactgeom import ConeH, ConvexPoly
 from polyvar.linalg import (
@@ -390,8 +390,8 @@ def test_dd_and_cone_rays_solve_no_lp(monkeypatch):
 
 def test_seeded_cone_generators_equal_dd_of_canonical_rows():
     """`ConeH.from_ineqs` takes its rays and lineality from canonicalization;
-    they equal, in value and order, what `_ensure_vrep` computes from the
-    canonical rows, which certificates reading `rays[0]` rely on."""
+    they equal, in value and order, what a fresh double description of the
+    canonical rows gives, which certificates reading `rays[0]` rely on."""
     inputs = [
         (
             dim,
@@ -403,9 +403,7 @@ def test_seeded_cone_generators_equal_dd_of_canonical_rows():
     exactgeom._canon_h_rows.cache_clear()
     for dim, ineqs, eqs in inputs + degenerate_cases():
         cone = ConeH.from_ineqs(dim, ineqs, eqs)
-        fresh = ConeH(dim, cone.ineqs, cone.eqs)
-        assert fresh._rays is None
-        assert (cone._rays, cone._lineality) == (fresh.rays, fresh.lineality)
+        assert cone.generators() == dd_generators(dim, cone.ineqs, cone.eqs)
 
 
 def test_ray_limit(monkeypatch):

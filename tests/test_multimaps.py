@@ -569,3 +569,80 @@ def test_chain_rule_semicompact_variant():
         G, F, halfline(), vec(0), vec(0), vec(0), vec(1), variant="semicompact"
     )
     assert r.inclusion_holds
+
+
+def two_piece_map() -> PolyMultimap:
+    """F(x) = {x, -x}: two graph pieces, so products with it multiply."""
+    lines = [ConvexPoly.make(2, [], [(vec(s, -1), Fraction(0))]) for s in (1, -1)]
+    return PolyMultimap(1, 1, PolySet.make(2, lines))
+
+
+def test_piece_limit_checked_before_any_product_piece(monkeypatch):
+    """Every product of graph pieces, including the auxiliary maps of the sum
+    and chain rules and the preimage's graph x Theta, checks the limit
+    before it lifts or intersects a piece."""
+    import polyvar.multimaps as mm
+    from polyvar.calculus import preimage_rule
+
+    F = two_piece_map()
+    theta = PolySet.make(1, [ConvexPoly.make(1, [(vec(s), Fraction(1))]) for s in (1, -1)])
+    c = ConvexPoly.whole_space(1)
+    builds = {
+        "s_map": lambda: mm._s_map(F, F),
+        "script_s": lambda: mm._script_s(F, F),
+        "sum": lambda: F.sum(F),
+        "compose": lambda: F.compose_after(F),
+        "preimage": lambda: preimage_rule(F, theta, c, vec(0)),
+    }
+    monkeypatch.setattr(mm, "PIECE_LIMIT", 4)
+    for build in builds.values():
+        build()
+    monkeypatch.setattr(mm, "PIECE_LIMIT", 3)
+
+    def no_piece(*args):
+        raise AssertionError("a piece was built past the piece limit")
+
+    monkeypatch.setattr(ConvexPoly, "embed", no_piece)
+    monkeypatch.setattr(ConvexPoly, "intersect", no_piece)
+    for name, build in builds.items():
+        with pytest.raises(mm.PieceLimitError, match="piece limit exceeded"):
+            build()
+
+
+def reference_sum(F1: PolyMultimap, F2: PolyMultimap) -> PolyMultimap:
+    """The sum graph built directly in (x, y, y1), y2 = y - y1 substituted."""
+    n, m = F1.in_dim, F1.out_dim
+    total = n + 2 * m
+    pieces = []
+    for p in F1.graph.pieces:
+        lift_p = p.embed(total, tuple(range(n)) + tuple(range(n + m, total)))
+        for q in F2.graph.pieces:
+            rows_i = list(lift_p.ineqs)
+            rows_e = list(lift_p.eqs)
+            rows_i += [(a[:n] + a[n:] + tuple(-t for t in a[n:]), b) for a, b in q.ineqs]
+            rows_e += [(e[:n] + e[n:] + tuple(-t for t in e[n:]), d) for e, d in q.eqs]
+            big = ConvexPoly.make(total, rows_i, rows_e)
+            pieces.append(big.eliminate(tuple(range(n + m, total))))
+    return PolyMultimap(n, m, PolySet.make(n + m, pieces))
+
+
+def test_sum_and_composition_project_the_auxiliary_maps():
+    """`sum` is S with (y1, y2) projected away and `compose_after` is the
+    chain rule's S with y projected away: the same canonical pieces, in the
+    same order, as a direct construction."""
+    rng = random.Random(229)
+    for _ in range(12):
+        n, m = 1, rng.randint(1, 2)
+        x, y1, y2 = rng_vec(rng, n, -1, 1), rng_vec(rng, m, -1, 1), rng_vec(rng, m, -1, 1)
+        F1 = random_multimap_through(rng, n, m, x, y1)
+        F2 = random_multimap_through(rng, n, m, x, y2)
+        assert F1.sum(F2) == reference_sum(F1, F2)
+        G = random_multimap_through(rng, m, n, y1, x)
+        direct = [
+            g.embed(n + n + m, tuple(range(n)) + tuple(range(2 * n, 2 * n + m)))
+            .intersect(f.embed(n + n + m, tuple(range(2 * n, 2 * n + m)) + tuple(range(n, 2 * n))))
+            .eliminate(tuple(range(2 * n, 2 * n + m)))
+            for g in F1.graph.pieces
+            for f in G.graph.pieces
+        ]
+        assert G.compose_after(F1).graph == PolySet.make(2 * n, direct)
