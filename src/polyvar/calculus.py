@@ -177,7 +177,6 @@ def preimage_rule(
     """
     # the only rule on maps here: the other rules do not load multimaps
     from .multimaps import (
-        PolyMultimap,
         _compose_slices,
         _piece_product,
         coderivative_kernel,
@@ -233,8 +232,8 @@ def preimage_rule(
         )
     rhs = PolyUnion.make(n, rhs_parts)
 
-    ftheta = PolyMultimap(n, m, PolySet.make(n + m, lifted))
-    semicompact = inner_regularity_check(ftheta, c, x, VARIANT_SEMICOMPACT)
+    # semicompactness reads only the input dimension, which F shares with F|Theta
+    semicompact = inner_regularity_check(F, c, x, VARIANT_SEMICOMPACT)
 
     ok, witness = lhs.subset_of(rhs)
     quals = (

@@ -230,17 +230,10 @@ class ConvexPoly:
     def embed(self, total_dim: int, coords: tuple[int, ...]) -> "ConvexPoly":
         """Lift into Q^total_dim placing own coordinate i at coords[i]."""
         check_dim("embed coordinates", len(coords), self.dim)
-
-        def lift(v: Vec) -> Vec:
-            w = [_ZERO] * total_dim
-            for i, c in enumerate(coords):
-                w[c] = v[i]
-            return tuple(w)
-
         return ConvexPoly.make(
             total_dim,
-            [(lift(a), b) for a, b in self.ineqs],
-            [(lift(e), d) for e, d in self.eqs],
+            [(_lift(a, total_dim, coords), b) for a, b in self.ineqs],
+            [(_lift(e, total_dim, coords), d) for e, d in self.eqs],
         )
 
     def eliminate(self, coords: tuple[int, ...]) -> "ConvexPoly":
@@ -310,6 +303,14 @@ def _canon(dim: int, ineqs, eqs) -> Canon | None:
 
 def _offset(b) -> int | Fraction:
     return b if type(b) is int else exact(rat(b))
+
+
+def _lift(v: Vec, total_dim: int, coords: tuple[int, ...]) -> Vec:
+    """v in Q^total_dim with its coordinate i at coords[i], zero elsewhere."""
+    w = [_ZERO] * total_dim
+    for i, c in enumerate(coords):
+        w[c] = v[i]
+    return tuple(w)
 
 
 @lru_cache(maxsize=None)
@@ -584,15 +585,10 @@ class ConeH:
     def embed(self, total_dim: int, coords: tuple[int, ...]) -> "ConeH":
         _check_not_empty("embed", self)
         check_dim("embed coordinates", len(coords), self.dim)
-
-        def lift(v: Vec) -> Vec:
-            w = [_ZERO] * total_dim
-            for i, c in enumerate(coords):
-                w[c] = v[i]
-            return tuple(w)
-
         return ConeH.from_ineqs(
-            total_dim, [lift(a) for a in self.ineqs], [lift(e) for e in self.eqs]
+            total_dim,
+            [_lift(a, total_dim, coords) for a in self.ineqs],
+            [_lift(e, total_dim, coords) for e in self.eqs],
         )
 
     def to_poly(self) -> ConvexPoly:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from ._record import record
 from .exactgeom import ConeUnion, ConvexPoly, PolyUnion
 from .linalg import Vec, zero
-from .multimaps import PolyMultimap, aubin_wrt_check, coderivative_zero_cone
+from .multimaps import PolyMultimap, coderivative_zero_cone
 from .plfunc import PLFunc, subdiff_wrt
 from .quals import normal_densed_check
 from .verdicts import KIND_HORIZON, KIND_LIMITING, TriVerdict
@@ -56,16 +56,16 @@ def _check_feasible(p: MPECProblem, x: Vec) -> None:
         raise ValueError("infeasible candidate: x outside dom f")
 
 
+def _q1(p: MPECProblem, x: Vec, dzero: ConeUnion) -> TriVerdict:
+    horizon = subdiff_wrt(p.f, p.c1, x, KIND_HORIZON).value
+    cones = ConeUnion.make(horizon.dim, [q.recession() for q in horizon.parts])
+    return TriVerdict.zero_cone(cones.intersect(dzero.negate()))
+
+
 def check_q1(p: MPECProblem, x: Vec) -> TriVerdict:
     """Horizon subdifferential against the coderivative zero-slice of G."""
     _check_feasible(p, x)
-    horizon = subdiff_wrt(p.f, p.c1, x, KIND_HORIZON).value
-    cones = ConeUnion.make(horizon.dim, [q.recession() for q in horizon.parts])
-    dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
-    overlap = cones.intersect(dzero.negate())
-    if overlap.is_zero_cone():
-        return TriVerdict.holds()
-    return TriVerdict.fails({"vector": overlap.nonzero_vector()})
+    return _q1(p, x, coderivative_zero_cone(p.G, p.c2, x, zero(p.m)))
 
 
 def check_q2(p: MPECProblem, x: Vec) -> TriVerdict:
@@ -86,12 +86,13 @@ def check_q2(p: MPECProblem, x: Vec) -> TriVerdict:
 def stationarity_check(p: MPECProblem, x: Vec) -> StationarityReport:
     """Evaluate the necessary conditions and aggregate the verdict."""
     _check_feasible(p, x)
-    q1 = check_q1(p, x)
+    # D*G(x, 0)(0) once: q1 and the Aubin verdict both read it
+    dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
+    q1 = _q1(p, x, dzero)
     q2 = check_q2(p, x)
-    aubin = aubin_wrt_check(p.G, p.c2, x, zero(p.m))
+    aubin = TriVerdict.zero_cone(dzero)
 
     subdiff = subdiff_wrt(p.f, p.c1, x, KIND_LIMITING).value
-    dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
 
     # 0 in subdiff + dzero  <=>  subdiff meets -dzero
     reflected = PolyUnion(p.n, [c.to_poly() for c in dzero.negate().parts])

@@ -181,10 +181,7 @@ def coderivative_kernel(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> ConeU
 
 def aubin_wrt_check(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> TriVerdict:
     """Aubin property relative to c around (x, y): D*_C F(x,y)(0) = {0}."""
-    cone = coderivative_zero_cone(F, c, x, y)
-    if cone.is_zero_cone():
-        return TriVerdict.holds()
-    return TriVerdict.fails({"vector": cone.nonzero_vector()})
+    return TriVerdict.zero_cone(coderivative_zero_cone(F, c, x, y))
 
 
 # ---------------------------------------------------------------------------
@@ -253,18 +250,38 @@ def slice_fiber(piece: ConvexPoly, x: Vec) -> ConvexPoly:
 
 
 # ---------------------------------------------------------------------------
-# sum rule
+# sum and chain rules: one tail through the auxiliary map S
 # ---------------------------------------------------------------------------
 
 
-def _lifted_sum_omegas(
-    F1: PolyMultimap, F2: PolyMultimap
-) -> tuple[PolySet, PolySet]:
-    n, m = F1.in_dim, F1.out_dim
-    total = n + 2 * m
-    omega1 = F1.graph.embed(total, tuple(range(n + m)))
-    omega2 = F2.graph.embed(total, tuple(range(n)) + tuple(range(n + m, total)))
-    return omega1, omega2
+def _rule_via_s(
+    rule_id: str, s_map: PolyMultimap, c: ConvexPoly, x: Vec, out: Vec, aux: Vec,
+    star: Vec, variant: str, rhs_at, q1: TriVerdict, q2: TriVerdict
+) -> RuleReport:
+    """Everything after q1 and q2 of a rule whose composite map is S with the
+    auxiliary output projected away.  aux lies in S(x, out), and rhs_at(a) is
+    the right side at one auxiliary point a: at aux under semicontinuity of
+    S, or unioned over one point per cell of S(x, out) under semicompactness."""
+    n, k = len(x), len(out)
+    c_lift = c.product(ConvexPoly.whole_space(k))
+    base = x + out
+    if variant == VARIANT_SEMICONTINUOUS:
+        base += aux
+    regularity = inner_regularity_check(s_map, c_lift, base, variant)
+
+    composite = PolyMultimap(n, k, s_map.domain())
+    lhs = coderivative_wrt(composite, c, x, out, star).result
+
+    if variant == VARIANT_SEMICONTINUOUS:
+        rhs = rhs_at(aux)
+    else:
+        cells = global_cells([s_map.value_set(x + out)])
+        parts = [p for cell in cells for p in rhs_at(cell.witness).parts]
+        rhs = PolyUnion.make(n, parts)
+
+    ok, witness = lhs.subset_of(rhs)
+    quals = (("q1", q1), ("q2", q2), (f"inner_{variant}", regularity))
+    return RuleReport(rule_id, lhs, rhs, quals, ok, None, witness)
 
 
 def _s_map(F1: PolyMultimap, F2: PolyMultimap) -> PolyMultimap:
@@ -313,52 +330,23 @@ def sum_rule(
 
     d1_zero = coderivative_zero_cone(F1, c1, xbar, y1bar)
     d2_zero = coderivative_zero_cone(F2, c2, xbar, y2bar)
-    q1 = (
-        TriVerdict.holds()
-        if d1_zero.intersect(d2_zero.negate()).is_zero_cone()
-        else TriVerdict.fails(
-            {"vector": d1_zero.intersect(d2_zero.negate()).nonzero_vector()}
-        )
-    )
+    q1 = TriVerdict.zero_cone(d1_zero.intersect(d2_zero.negate()))
 
-    omega1, omega2 = _lifted_sum_omegas(F1, F2)
+    total = n + 2 * m  # (x, y1, y2)
+    omega1 = F1.graph.embed(total, tuple(range(n + m)))
+    omega2 = F2.graph.embed(total, tuple(range(n)) + tuple(range(n + m, total)))
     lift1 = c1.product(ConvexPoly.whole_space(2 * m))
     lift2 = c2.product(ConvexPoly.whole_space(2 * m))
     q2 = normal_densed_check(omega1, omega2, lift1, lift2, xbar + y1bar + y2bar)
 
-    s_map = _s_map(F1, F2)
-    c_lift = c.product(ConvexPoly.whole_space(m))
-    base = xbar + ybar
-    if variant == VARIANT_SEMICONTINUOUS:
-        base += y1bar + y2bar
-    regularity = inner_regularity_check(s_map, c_lift, base, variant)
+    def rhs_at(y12: Vec) -> PolyUnion:
+        d1 = coderivative_wrt(F1, c1, xbar, y12[:m], ystar).result
+        return d1.minkowski(coderivative_wrt(F2, c2, xbar, y12[m:], ystar).result)
 
-    fsum = PolyMultimap(n, m, s_map.domain())  # F1.sum(F2)
-    lhs = coderivative_wrt(fsum, c, xbar, ybar, ystar).result
-
-    if variant == VARIANT_SEMICONTINUOUS:
-        rhs = coderivative_wrt(F1, c1, xbar, y1bar, ystar).result.minkowski(
-            coderivative_wrt(F2, c2, xbar, y2bar, ystar).result
-        )
-    else:
-        fiber = s_map.value_set(xbar + ybar)
-        parts = []
-        for cell in global_cells([fiber]):
-            y1, y2 = cell.witness[:m], cell.witness[m:]
-            parts.extend(
-                coderivative_wrt(F1, c1, xbar, y1, ystar)
-                .result.minkowski(coderivative_wrt(F2, c2, xbar, y2, ystar).result)
-                .parts
-            )
-        rhs = PolyUnion.make(n, parts)
-
-    ok, witness = lhs.subset_of(rhs)
-    quals = (
-        ("q1", q1),
-        ("q2", q2),
-        (f"inner_{variant}", regularity),
+    return _rule_via_s(
+        "sum-rule", _s_map(F1, F2), c, xbar, ybar, y1bar + y2bar, ystar,
+        variant, rhs_at, q1, q2
     )
-    return RuleReport("sum-rule", lhs, rhs, quals, ok, None, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +398,7 @@ def chain_rule(
 
     df_zero = coderivative_zero_cone(F, whole_m, ybar, zbar)
     ker_g = coderivative_kernel(G, c, xbar, ybar)
-    overlap = df_zero.intersect(ker_g)
-    q1 = (
-        TriVerdict.holds()
-        if overlap.is_zero_cone()
-        else TriVerdict.fails({"vector": overlap.nonzero_vector()})
-    )
+    q1 = TriVerdict.zero_cone(df_zero.intersect(ker_g))
 
     total = n + m + s
     theta1 = G.graph.embed(total, tuple(range(n + m)))
@@ -424,37 +407,15 @@ def chain_rule(
     lift2 = ConvexPoly.whole_space(total)
     q2 = normal_densed_check(theta1, theta2, lift1, lift2, xbar + ybar + zbar)
 
-    s_map = _script_s(G, F)
-    c_lift = c.product(ConvexPoly.whole_space(s))
-    base = xbar + zbar
-    if variant == VARIANT_SEMICONTINUOUS:
-        base += ybar
-    regularity = inner_regularity_check(s_map, c_lift, base, variant)
-
-    comp = PolyMultimap(n, s, s_map.domain())  # F.compose_after(G)
-    lhs = coderivative_wrt(comp, c, xbar, zbar, zstar).result
-
     def rhs_at(y: Vec) -> PolyUnion:
         b_union = coderivative_wrt(F, whole_m, y, zbar, zstar).result
         ng = graph_normal_cone(G, c, xbar, y)
         return _compose_slices(ng.parts, b_union.parts, n, m)
 
-    if variant == VARIANT_SEMICONTINUOUS:
-        rhs = rhs_at(ybar)
-    else:
-        fiber = s_map.value_set(xbar + zbar)
-        parts = []
-        for cell in global_cells([fiber]):
-            parts.extend(rhs_at(cell.witness).parts)
-        rhs = PolyUnion.make(n, parts)
-
-    ok, witness = lhs.subset_of(rhs)
-    quals = (
-        ("q1", q1),
-        ("q2", q2),
-        (f"inner_{variant}", regularity),
+    return _rule_via_s(
+        "chain-rule", _script_s(G, F), c, xbar, zbar, ybar, zstar,
+        variant, rhs_at, q1, q2
     )
-    return RuleReport("chain-rule", lhs, rhs, quals, ok, None, witness)
 
 
 def _script_s(G: PolyMultimap, F: PolyMultimap) -> PolyMultimap:

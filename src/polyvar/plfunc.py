@@ -165,9 +165,7 @@ def lipschitz_wrt_check(f: PLFunc, c: ConvexPoly, xbar: Vec) -> TriVerdict:
         raise ValueError("base point outside dom f cap c")
     horizon = subdiff_wrt(f, c, xbar, KIND_HORIZON).value
     cones = ConeUnion.make(horizon.dim, [p.recession() for p in horizon.parts])
-    if cones.is_zero_cone():
-        return TriVerdict.holds()
-    return TriVerdict.fails({"vector": cones.nonzero_vector()})
+    return TriVerdict.zero_cone(cones)
 
 
 def fermat_check(f: PLFunc, c: ConvexPoly, xbar: Vec) -> dict:

@@ -47,11 +47,7 @@ def lqc_wrt_check(
     )
     n1 = limiting_normal_wrt(omega1, c1, x)
     n2 = limiting_normal_wrt(omega2, c2, x)
-    overlap = n1.intersect(n2.negate())
-    if overlap.is_zero_cone():
-        return TriVerdict.holds()
-    v = overlap.nonzero_vector()
-    return TriVerdict.fails({"vector": v})
+    return TriVerdict.zero_cone(n1.intersect(n2.negate()))
 
 
 def boundary_radial_limit(

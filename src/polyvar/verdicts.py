@@ -38,6 +38,14 @@ class TriVerdict:
     def fails(certificate: Any = None) -> "TriVerdict":
         return TriVerdict(FAILS, certificate)
 
+    @staticmethod
+    def zero_cone(cone) -> "TriVerdict":
+        """Holds when the cone union is {0}; else fails with a nonzero
+        vector of it (None when the union is empty)."""
+        if cone.is_zero_cone():
+            return TriVerdict.holds()
+        return TriVerdict.fails({"vector": cone.nonzero_vector()})
+
     def is_holds(self) -> bool:
         return self.value == HOLDS
 
