@@ -9,7 +9,10 @@ parts not contained in another part, and unions compare as sets.
 
 Canonicalization solves no LP: one double description of the set (of its
 homogenization when an offset is nonzero) decides emptiness, implied
-equalities and facets by bit tests on the zero sets of the rows.
+equalities and facets by bit tests on the zero sets of the rows.  A
+projection is the hull of projected generators (Minkowski-Weyl): the
+homogenization's rays and lineality, eliminated coordinates dropped, go
+through a second double description to the rows of the result.
 
 Cones additionally carry a V-representation (extreme rays modulo lineality
 plus a lineality basis), so polars and Minkowski sums are generator
@@ -32,7 +35,6 @@ from . import lp
 from ._record import record
 from .linalg import (
     Vec,
-    add,
     as_row,
     check_dim,
     dot,
@@ -40,15 +42,12 @@ from .linalg import (
     excess_at,
     frozen_rows,
     integer_row,
-    is_zero,
     neg,
     nullspace_ints,
     primitive_ints,
     rat,
     reduce_mod_rowspace,
     rref_ints,
-    scale,
-    sub,
     to_vec,
     zero,
 )
@@ -133,8 +132,7 @@ def _canon_h_rows(
         rows = [a for a, _ in work]
         cone_eqs = [r[:-1] for r in eq_rows]
     else:
-        rows = [a + (-b,) for a, b in work] + [(0,) * dim + (-1,)]
-        cone_eqs = [r[:-1] + [-r[-1]] for r in eq_rows]
+        rows, cone_eqs = _homogenization(dim, work, map(_split, eq_rows))
     rays, lin = _dd(dim + (not homogeneous), rows, cone_eqs)
     if not homogeneous and not any(r[-1] for r in rays):
         return None
@@ -237,18 +235,25 @@ class ConvexPoly:
         )
 
     def eliminate(self, coords: tuple[int, ...]) -> "ConvexPoly":
-        """Project away the given coordinates (Fourier-Motzkin, exact)."""
+        """Project away the given coordinates: the hull of the projected
+        generators (Minkowski-Weyl)."""
         if self.is_empty():
             return ConvexPoly.empty(self.dim - len(coords))
-        ineqs, eqs, d = list(self.ineqs), list(self.eqs), self.dim
-        for k in sorted(coords, reverse=True):
-            ineqs, eqs = _eliminate_one(ineqs, eqs, k)
-            d -= 1
-            canon = _canon(d, ineqs, eqs)
-            if canon is None:
-                return ConvexPoly.empty(self.dim - len(coords))
-            ineqs, eqs = list(canon[0]), list(canon[1])
-        return ConvexPoly(d, tuple(ineqs), tuple(eqs))
+        rays, lin = _homogeneous_generators(self)
+        keep = [i for i in range(self.dim + 1) if i not in coords]
+        return _spanned(
+            len(keep) - 1,
+            [tuple(r[i] for i in keep) for r in rays],
+            [tuple(l[i] for i in keep) for l in lin],
+        )
+
+    def plus_ray(self, direction: Vec) -> "ConvexPoly":
+        """self + R_+ direction, exactly."""
+        check_dim("plus_ray direction", len(direction), self.dim)
+        if self.is_empty():
+            return self
+        rays, lin = _homogeneous_generators(self)
+        return _spanned(self.dim, rays + [as_row(direction) + (0,)], lin)
 
     def recession(self) -> "ConeH":
         if self.is_empty():
@@ -258,23 +263,8 @@ class ConvexPoly:
         )
 
     def subset_of(self, other: "ConvexPoly") -> bool:
-        """Exact containment: every row of `other` is valid on self."""
-        if self.is_empty():
-            return True
-        if other.is_empty():
-            return False
-        for a, b in other.ineqs:
-            status, _, val = lp.solve(a, list(self.ineqs), list(self.eqs), self.dim)
-            if status != lp.OPTIMAL or val is None or val > b:
-                return False
-        for e, d in other.eqs:
-            for c, bound in ((e, d), (neg(e), -d)):
-                status, _, val = lp.solve(
-                    c, list(self.ineqs), list(self.eqs), self.dim
-                )
-                if status != lp.OPTIMAL or val is None or val > bound:
-                    return False
-        return True
+        """Exact containment: canonical H-forms are unique per set."""
+        return self.is_empty() or self.intersect(other) == self
 
     def feasible_point(self) -> Vec | None:
         return lp.feasible_point(list(self.ineqs), list(self.eqs), self.dim)
@@ -319,38 +309,27 @@ def _empty_rows(dim: int) -> tuple[Row, ...]:
     return ((zero(dim), Fraction(-1)),)
 
 
-def _eliminate_one(
-    ineqs: list[Row], eqs: list[Row], k: int
-) -> tuple[list[Row], list[Row]]:
-    """Fourier-Motzkin step removing coordinate k."""
+def _homogenization(dim: int, ineqs, eqs) -> tuple[list, list]:
+    """Rows and equalities of K = {(x, t) : a.x <= b.t, e.x == d.t, t >= 0},
+    which has a ray with t > 0 exactly when {x : a.x <= b, e.x == d} is
+    nonempty; its rays with t > 0 are then the points scaled by t, the
+    others and its lineality the recession directions."""
+    rows = [a + (-b,) for a, b in ineqs] + [(0,) * dim + (-1,)]
+    return rows, [e + (-d,) for e, d in eqs]
 
-    def drop(v: Vec) -> Vec:
-        return v[:k] + v[k + 1 :]
 
-    pivot_eq = next((i for i, (e, _) in enumerate(eqs) if e[k] != 0), None)
-    if pivot_eq is not None:
-        e0, d0 = eqs[pivot_eq]
-        out_i: list[Row] = []
-        for a, b in ineqs:
-            f = Fraction(a[k], e0[k])
-            out_i.append((drop(sub(a, scale(e0, f))), b - f * d0))
-        out_e: list[Row] = []
-        for i, (e, d) in enumerate(eqs):
-            if i == pivot_eq:
-                continue
-            f = Fraction(e[k], e0[k])
-            out_e.append((drop(sub(e, scale(e0, f))), d - f * d0))
-        return out_i, out_e
-    pos = [(a, b) for a, b in ineqs if a[k] > 0]
-    nonk = [(drop(a), b) for a, b in ineqs if a[k] == 0]
-    negs = [(a, b) for a, b in ineqs if a[k] < 0]
-    out = list(nonk)
-    for ap, bp in pos:
-        for an, bn in negs:
-            comb = sub(scale(an, ap[k]), scale(ap, an[k]))
-            offs = ap[k] * bn - an[k] * bp
-            out.append((drop(comb), offs))
-    return out, [(drop(e), d) for e, d in eqs]
+def _homogeneous_generators(p: ConvexPoly):
+    """(rays, lineality) of the homogenization of a nonempty `p`."""
+    return _dd(p.dim + 1, *_homogenization(p.dim, p.ineqs, p.eqs))
+
+
+def _spanned(dim: int, rays, lineality) -> ConvexPoly:
+    """The polyhedron whose homogenization the generators (x, t), t >= 0,
+    span: their polar holds the rows (a, -b) of its H-form."""
+    rows, eqs = _dd(dim + 1, rays, lineality)
+    return ConvexPoly.make(
+        dim, [(r[:-1], -r[-1]) for r in rows], [(e[:-1], -e[-1]) for e in eqs]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -789,6 +768,11 @@ class FiniteUnion:
     def negate(self) -> "FiniteUnion":
         """{-x : x in self}, for unions of cones."""
         return FiniteUnion.make(self.dim, [p.negate() for p in self.parts])
+
+    def recession(self) -> "FiniteUnion":
+        """The union of the parts' recession cones, for unions of
+        polyhedra."""
+        return FiniteUnion.make(self.dim, [p.recession() for p in self.parts])
 
     def is_zero_cone(self) -> bool:
         if self.is_empty():

@@ -58,8 +58,7 @@ def _check_feasible(p: MPECProblem, x: Vec) -> None:
 
 def _q1(p: MPECProblem, x: Vec, dzero: ConeUnion) -> TriVerdict:
     horizon = subdiff_wrt(p.f, p.c1, x, KIND_HORIZON).value
-    cones = ConeUnion.make(horizon.dim, [q.recession() for q in horizon.parts])
-    return TriVerdict.zero_cone(cones.intersect(dzero.negate()))
+    return TriVerdict.zero_cone(horizon.recession().intersect(dzero.negate()))
 
 
 def check_q1(p: MPECProblem, x: Vec) -> TriVerdict:
@@ -71,6 +70,10 @@ def check_q1(p: MPECProblem, x: Vec) -> TriVerdict:
 def check_q2(p: MPECProblem, x: Vec) -> TriVerdict:
     """Normal-densedness of the lifted epigraph/graph pair at (x, 0, f(x))."""
     _check_feasible(p, x)
+    return _q2(p, x)
+
+
+def _q2(p: MPECProblem, x: Vec) -> TriVerdict:
     n, m = p.n, p.m
     total = n + m + 1
     fx = p.f.value(x)  # not None: `_check_feasible` rejects x outside dom f
@@ -89,7 +92,7 @@ def stationarity_check(p: MPECProblem, x: Vec) -> StationarityReport:
     # D*G(x, 0)(0) once: q1 and the Aubin verdict both read it
     dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
     q1 = _q1(p, x, dzero)
-    q2 = check_q2(p, x)
+    q2 = _q2(p, x)
     aubin = TriVerdict.zero_cone(dzero)
 
     subdiff = subdiff_wrt(p.f, p.c1, x, KIND_LIMITING).value

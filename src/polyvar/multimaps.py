@@ -2,7 +2,7 @@
 criterion, sum and chain rules, and the semicontinuity side conditions.
 
 A map is its graph, a finite union of convex polyhedra in R^{n+m}; sums and
-compositions are exact Fourier-Motzkin projections of lifted graphs.  The
+compositions are exact projections of lifted graphs.  The
 coderivative relative to C slices the limiting normal cone of the graph
 relative to C x R^m, so every slice is a finite union of polyhedra.
 """
@@ -78,14 +78,6 @@ class PolyMultimap:
         piece = ConvexPoly.make(in_dim + out_dim, [], eqs)
         return PolyMultimap(in_dim, out_dim, PolySet.from_poly(piece))
 
-    @staticmethod
-    def constant(in_dim: int, values: PolySet) -> "PolyMultimap":
-        whole = ConvexPoly.whole_space(in_dim)
-        pieces = [whole.product(p) for p in values.pieces]
-        return PolyMultimap(
-            in_dim, values.dim, PolySet.make(in_dim + values.dim, pieces)
-        )
-
     def domain(self) -> PolySet:
         coords = tuple(range(self.in_dim, self.in_dim + self.out_dim))
         return self.graph.eliminate(coords)
@@ -119,7 +111,7 @@ class PolyMultimap:
 
     def sum(self, other: "PolyMultimap") -> "PolyMultimap":
         """(F1 + F2)(x) = F1(x) + F2(x): the sum rule's S with (y1, y2)
-        projected away (exact Fourier-Motzkin)."""
+        projected away."""
         return PolyMultimap(self.in_dim, self.out_dim, _s_map(self, other).domain())
 
     def compose_after(self, inner: "PolyMultimap") -> "PolyMultimap":
@@ -163,8 +155,7 @@ def coderivative_zero_cone(
 ) -> ConeUnion:
     """D*_C F(x,y)(0) as a cone union: the slice at zero is homogeneous, so
     each part is its own recession cone."""
-    sl = coderivative_wrt(F, c, x, y, zero(F.out_dim))
-    return ConeUnion.make(F.in_dim, [p.recession() for p in sl.result.parts])
+    return coderivative_wrt(F, c, x, y, zero(F.out_dim)).result.recession()
 
 
 def coderivative_kernel(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> ConeUnion:

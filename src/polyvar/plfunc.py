@@ -18,7 +18,6 @@ from . import lp
 from ._record import record
 from .cones import frechet_normal_wrt, limiting_normal_wrt
 from .exactgeom import (
-    ConeUnion,
     ConvexPoly,
     PolySet,
     PolyUnion,
@@ -41,11 +40,10 @@ class PLFunc:
 
     @staticmethod
     def from_epigraph_pieces(dim: int, pieces) -> "PLFunc":
-        closed_up = [_upward_close(p) for p in pieces]
-        epi = PolySet.make(dim + 1, closed_up)
-        down = zero(dim) + (Fraction(-1),)
+        up = zero(dim) + (Fraction(1),)
+        epi = PolySet.make(dim + 1, [p.plus_ray(up) for p in pieces])
         for p in epi.pieces:
-            if p.recession().contains(down):
+            if p.recession().contains(neg(up)):
                 raise ValueError(_UP)
         dom = epi.eliminate((dim,))
         return PLFunc(dim, epi, dom)
@@ -91,24 +89,6 @@ class PLFunc:
     def epigraphical_map(self) -> PolyMultimap:
         """The multimap whose graph is the epigraph."""
         return PolyMultimap(self.dim, 1, self.epi)
-
-
-def _upward_close(p: ConvexPoly) -> ConvexPoly:
-    """p + R_+ (0, ..., 0, 1), exactly."""
-    if p.is_empty():
-        return p
-    d = p.dim
-    # (x, alpha, t): (x, alpha - t) in p, t >= 0; eliminate t
-    ineqs = []
-    eqs = []
-    for a, b in p.ineqs:
-        ineqs.append((a + (-a[d - 1],), b))
-    for e, dd in p.eqs:
-        eqs.append((e + (-e[d - 1],), dd))
-    tpos = tuple(Fraction(0) for _ in range(d)) + (Fraction(-1),)
-    ineqs.append((tpos, Fraction(0)))
-    big = ConvexPoly.make(d + 1, ineqs, eqs)
-    return big.eliminate((d,))
 
 
 @record
@@ -164,8 +144,7 @@ def lipschitz_wrt_check(f: PLFunc, c: ConvexPoly, xbar: Vec) -> TriVerdict:
     if fx is None or not c.contains(xbar):
         raise ValueError("base point outside dom f cap c")
     horizon = subdiff_wrt(f, c, xbar, KIND_HORIZON).value
-    cones = ConeUnion.make(horizon.dim, [p.recession() for p in horizon.parts])
-    return TriVerdict.zero_cone(cones)
+    return TriVerdict.zero_cone(horizon.recession())
 
 
 def fermat_check(f: PLFunc, c: ConvexPoly, xbar: Vec) -> dict:

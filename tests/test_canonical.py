@@ -127,7 +127,8 @@ def _dehomogenize(cone: ConeH) -> ConvexPoly:
 
 
 def test_eliminate_matches_vertex_ray_projection():
-    """Fourier-Motzkin output equals the hull of projected generators."""
+    """The projection equals the hull of the projected vertices, rays and
+    lineality of `vrep`."""
     rng = random.Random(619)
     done = 0
     while done < 20:
@@ -160,6 +161,139 @@ def test_eliminate_matches_vertex_ray_projection():
             rebuilt = _dehomogenize(homog)
         assert proj == rebuilt, (p, proj, rebuilt)
         done += 1
+
+
+# -- projection by generators against LP oracles --------------------------------
+
+
+def in_projection(p: ConvexPoly, keep: tuple[int, ...], y) -> bool:
+    """y lies in the projection of p onto the coordinates `keep` exactly when
+    the fiber {x in p : x[keep[i]] = y[i]} is nonempty: one LP, no double
+    description."""
+    fix = [
+        (tuple(Fraction(int(j == k)) for j in range(p.dim)), v)
+        for k, v in zip(keep, y)
+    ]
+    return lp.feasible_point(list(p.ineqs), list(p.eqs) + fix, p.dim) is not None
+
+
+def projection_cases(seed: int, count: int):
+    """Seeded nonempty and empty polyhedra in dimension 2-4: random rows,
+    rows orthogonal to a lineality direction, an equality, or an added row
+    that cuts the set away."""
+    rng = random.Random(seed)
+    for i in range(count):
+        dim = rng.randint(2, 4)
+        rows = [
+            (rng_vec(rng, dim, -2, 2), Fraction(rng.randint(-1, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        if i % 3 == 1:  # nonpointed: every row vanishes on direction d
+            d = rng_vec(rng, dim, -1, 1)
+            dd = dot(d, d)
+            rows = [(add(scale(a, dd), scale(d, -dot(a, d))), b) for a, b in rows]
+        eqs = []
+        if i % 4 == 2:
+            eqs.append((rng_vec(rng, dim, -1, 1), Fraction(rng.randint(-1, 1))))
+        if i % 7 == 3:  # empty: a row and its negation with a gap
+            a = rng_vec(rng, dim, -1, 1)
+            rows += [(a, Fraction(-1)), (neg(a), Fraction(0))]
+        rows = [(a, b) for a, b in rows if any(a)]
+        yield ConvexPoly.make(dim, rows, [(e, c) for e, c in eqs if any(e)])
+
+
+def test_eliminate_matches_fiber_lp_oracle():
+    """On a grid of the kept coordinates, membership in `eliminate` agrees
+    with the fiber LP; every point of p projects into the result."""
+    grid1 = [(Fraction(k, 2),) for k in range(-5, 6)]
+    grid2 = [as_vec(p) for p in itertools.product(range(-2, 3), repeat=2)]
+    seen = {"empty": 0, "unbounded": 0, "lineality": 0, "eqs": 0}
+    hits = {True: 0, False: 0}
+    rng = random.Random(653)
+    for p in projection_cases(647, 60):
+        kept = rng.randint(1, 2)
+        keep = tuple(sorted(rng.sample(range(p.dim), kept)))
+        gone = tuple(i for i in range(p.dim) if i not in keep)
+        proj = p.eliminate(gone)
+        assert proj.dim == kept
+        for y in grid1 if kept == 1 else grid2:
+            got = proj.contains(y)
+            assert got == in_projection(p, keep, y), (p, keep, y)
+            hits[got] += 1
+        w = p.feasible_point()
+        assert (w is None) == proj.is_empty()
+        if w is not None:
+            assert proj.contains(tuple(w[i] for i in keep))
+        _, rays, lins = vrep(p)
+        seen["empty"] += p.is_empty()
+        seen["unbounded"] += bool(rays or lins)
+        seen["lineality"] += bool(lins)
+        seen["eqs"] += bool(p.eqs)
+    assert min(hits.values()) > 200, hits
+    assert min(seen.values()) >= 5, seen
+
+
+def test_eliminate_degenerate_inputs():
+    zero_ = Fraction(0)
+    # a strip 0 <= x - y <= 1 (lineality (1, 1)) onto x: the whole line
+    strip = ConvexPoly.make(2, [(vec(1, -1), Fraction(1)), (vec(-1, 1), zero_)])
+    assert strip.eliminate((1,)) == ConvexPoly.whole_space(1)
+    # the half-plane y >= x onto y: the whole line
+    half = ConvexPoly.make(2, [(vec(1, -1), zero_)])
+    assert half.eliminate((0,)) == ConvexPoly.whole_space(1)
+    # the line x = 1, y = 2z in 3-space onto (x, y): the line x = 1
+    line = ConvexPoly.make(
+        3, [], [(vec(1, 0, 0), Fraction(1)), (vec(0, 1, -2), zero_)]
+    )
+    assert line.eliminate((2,)) == ConvexPoly.make(2, [], [(vec(1, 0), Fraction(1))])
+    # the ray {(t, t, 1) : t >= 1} onto z: the point 1
+    ray = ConvexPoly.make(
+        3, [(vec(-1, 0, 0), Fraction(-1))],
+        [(vec(1, -1, 0), zero_), (vec(0, 0, 1), Fraction(1))],
+    )
+    assert ray.eliminate((0, 1)) == ConvexPoly.make(1, [], [(vec(1), Fraction(1))])
+    # empty in, empty out, in the smaller dimension
+    empty = ConvexPoly.make(2, [(vec(1, 0), Fraction(-1)), (vec(-1, 0), zero_)])
+    assert empty.eliminate((1,)) == ConvexPoly.empty(1)
+
+
+def test_eliminate_every_coordinate_and_any_order():
+    """Eliminating all coordinates leaves the point space Q^0, whole or empty;
+    the result does not depend on the order of `coords`."""
+    rng = random.Random(659)
+    for p in projection_cases(661, 40):
+        everything = tuple(range(p.dim))
+        want = ConvexPoly.empty(0) if p.is_empty() else ConvexPoly.whole_space(0)
+        assert p.eliminate(everything) == want
+        assert p.eliminate(everything[::-1]) == want
+        coords = tuple(rng.sample(range(p.dim), rng.randint(1, p.dim - 1)))
+        shuffled = tuple(rng.sample(coords, len(coords)))
+        assert p.eliminate(coords) == p.eliminate(tuple(sorted(coords)))
+        assert p.eliminate(shuffled) == p.eliminate(coords)
+
+
+def ref_plus_ray(p: ConvexPoly, d) -> ConvexPoly:
+    """p + R_+ d by lift and eliminate, the upward closure epigraphs used to
+    take: (x, t) with x - t.d in p and t >= 0, t projected away."""
+    if p.is_empty():
+        return p
+    n = p.dim
+    ineqs = [(a + (-dot(a, d),), b) for a, b in p.ineqs]
+    ineqs.append((tuple([Fraction(0)] * n) + (Fraction(-1),), Fraction(0)))
+    eqs = [(e + (-dot(e, d),), c) for e, c in p.eqs]
+    return ConvexPoly.make(n + 1, ineqs, eqs).eliminate((n,))
+
+
+def test_plus_ray_matches_lift_and_eliminate():
+    rng = random.Random(673)
+    grew = 0
+    for p in projection_cases(677, 50):
+        up = tuple(Fraction(int(i == p.dim - 1)) for i in range(p.dim))
+        for d in (up, rng_vec(rng, p.dim, -2, 2), as_vec([0] * p.dim)):
+            got = p.plus_ray(d)
+            assert got == ref_plus_ray(p, d), (p, d)
+            grew += got != p
+    assert grew > 30
 
 
 def test_dd_round_trip_dim_five_and_six():

@@ -463,6 +463,60 @@ def test_cone_subset_of_matches_contains_reference():
     assert min(verdicts.values()) > 100, verdicts
 
 
+def ref_poly_subset(p: ConvexPoly, other: ConvexPoly) -> bool:
+    """The previous `ConvexPoly.subset_of`: every row of `other` is valid on
+    `p`, one LP per inequality and two per equality."""
+    if p.is_empty():
+        return True
+    if other.is_empty():
+        return False
+    for a, b in other.ineqs:
+        status, _, val = lp.solve(a, list(p.ineqs), list(p.eqs), p.dim)
+        if status != lp.OPTIMAL or val is None or val > b:
+            return False
+    for e, d in other.eqs:
+        for c, bound in ((e, d), (neg(e), -d)):
+            status, _, val = lp.solve(c, list(p.ineqs), list(p.eqs), p.dim)
+            if status != lp.OPTIMAL or val is None or val > bound:
+                return False
+    return True
+
+
+def test_poly_subset_of_matches_lp_reference():
+    """Random pairs with equalities, unbounded and empty sets, and pairs
+    built to nest (a set against a relaxation or a cut of itself)."""
+    rng = random.Random(5231)
+
+    def random_poly(dim: int) -> ConvexPoly:
+        rows = [(rng_vec(rng, dim, -2, 2), Fraction(rng.randint(-2, 3)))
+                for _ in range(rng.randint(0, 4))]
+        n_eqs = int(rng.random() < 0.3)
+        return ConvexPoly.make(dim, rows[n_eqs:], rows[:n_eqs])
+
+    def relaxed(p: ConvexPoly) -> ConvexPoly:
+        rows = [(a, b + rng.randint(0, 2)) for a, b in p.ineqs]
+        return ConvexPoly.make(p.dim, rows[rng.randint(0, 1):], p.eqs)
+
+    verdicts = {True: 0, False: 0}
+    kinds = {"empty": 0, "unbounded": 0, "eqs": 0}
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        p, q = random_poly(dim), random_poly(dim)
+        pairs = [(p, q), (q, p), (p, relaxed(p)), (p.intersect(q), p)]
+        for x, y in pairs:
+            got = x.subset_of(y)
+            assert got == ref_poly_subset(x, y), (x, y)
+            verdicts[got] += 1
+            if x.is_empty():
+                kinds["empty"] += 1
+            elif not is_bounded(x):
+                kinds["unbounded"] += 1
+            if x.eqs or y.eqs:
+                kinds["eqs"] += 1
+    assert min(verdicts.values()) > 200, verdicts
+    assert min(kinds.values()) > 50, kinds
+
+
 # -- union containment against region subtraction ----------------------------
 
 

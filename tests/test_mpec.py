@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rng_vec
+from polyvar import mpec
 from polyvar.exactgeom import ConvexPoly, PolySet
 from polyvar.linalg import vec, zero
 from polyvar.mpec import (
@@ -91,6 +92,26 @@ def test_infeasible_candidates_rejected():
             MPECProblem(1, 1, frestricted, p.G, dom.intersect(ConvexPoly.make(1, [], [(vec(1), Fraction(1))])), p.c2),
             vec(0),
         )
+
+
+def test_stationarity_check_runs_one_feasibility_check(monkeypatch):
+    """q1 and q2 inside a report reuse the report's own feasibility check;
+    the public `check_q2` still checks on its own."""
+    calls = []
+    real = mpec._check_feasible
+
+    def counting(p, x):
+        calls.append(x)
+        real(p, x)
+
+    monkeypatch.setattr(mpec, "_check_feasible", counting)
+    for c1_whole in (False, True):
+        calls.clear()
+        stationarity_check(final_example(c1_whole), vec(0))
+        assert len(calls) == 1
+    calls.clear()
+    check_q2(final_example(False), vec(0))
+    assert len(calls) == 1
 
 
 def test_consistency_aubin_and_q2_imply_condition_agreement():
