@@ -37,6 +37,7 @@ _EXPORTS = {
     )
     for name in names.split()
 }
+__all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name: str):
@@ -49,55 +50,3 @@ def __getattr__(name: str):
 def __dir__():
     return sorted({*globals(), *_EXPORTS})
 
-
-__all__ = [
-    "Cell",
-    "CellSignature",
-    "CoderivativeSlice",
-    "ConeH",
-    "ConeRequest",
-    "ConeUnion",
-    "ConvexPoly",
-    "MPECProblem",
-    "PLFunc",
-    "PolyMultimap",
-    "PolySet",
-    "PolyUnion",
-    "RuleReport",
-    "SamplingPlan",
-    "StationarityReport",
-    "SubdiffResult",
-    "TriVerdict",
-    "aubin_ratio_probe",
-    "aubin_wrt_check",
-    "chain_rule",
-    "cone_union_ops",
-    "coderivative_wrt",
-    "dd_convert",
-    "fermat_check",
-    "frechet_membership_probe",
-    "frechet_normal",
-    "frechet_normal_wrt",
-    "global_cells",
-    "inner_regularity_check",
-    "intersection_rule",
-    "is_zero_cone",
-    "limiting_normal",
-    "limiting_normal_wrt",
-    "lipschitz_wrt_check",
-    "lqc_wrt_check",
-    "mixed_product_rule",
-    "normal_cone",
-    "normal_densed_check",
-    "polar",
-    "preimage_rule",
-    "product_rule",
-    "proximal_normal_wrt",
-    "radial_cone",
-    "rat",
-    "stationarity_check",
-    "subdiff_via_coderivative",
-    "subdiff_wrt",
-    "sum_rule",
-    "vec",
-]

@@ -26,17 +26,6 @@ from .verdicts import (
 if TYPE_CHECKING:
     from .multimaps import PolyMultimap
 
-__all__ = [
-    "RuleReport",
-    "TriVerdict",
-    "lqc_wrt_check",
-    "normal_densed_check",
-    "product_rule",
-    "mixed_product_rule",
-    "intersection_rule",
-    "preimage_rule",
-]
-
 
 def product_rule(
     omega1: PolySet,

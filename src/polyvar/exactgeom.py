@@ -801,7 +801,8 @@ def union_subset(a: FiniteUnion, b: FiniteUnion) -> tuple[bool, Vec | None]:
     A part of `a` inside one part of `b` is settled with no LP: it equals
     that part (canonical H-forms are unique, so equal fields mean equal
     sets), or it is a cone whose generators satisfy the rows of a cone part
-    (`ConeH.subset_of`).  Every other part is split along the defining rows
+    (`ConeH.subset_of`) or of a polyhedral part's recession cone, with the
+    origin in that part.  Every other part is split along the defining rows
     of b's parts, a cone part read as its polyhedral rows, one strict LP per
     region; a surviving region yields a point of a \\ b found by
     slack-maximizing LP.  A settled part would leave no region, so the
@@ -844,9 +845,15 @@ def union_subset(a: FiniteUnion, b: FiniteUnion) -> tuple[bool, Vec | None]:
 def _inside_one_part(part, b: FiniteUnion) -> bool:
     if part in b.parts:
         return True
-    return isinstance(part, ConeH) and any(
-        isinstance(q, ConeH) and part.subset_of(q) for q in b.parts
-    )
+    return isinstance(part, ConeH) and any(_cone_inside(part, q) for q in b.parts)
+
+
+def _cone_inside(k: ConeH, q) -> bool:
+    """k inside a cone q by generators; inside a polyhedron q exactly when
+    0 is in q and k lies in q's recession cone (tk in q for every t >= 0)."""
+    if isinstance(q, ConeH):
+        return k.subset_of(q)
+    return q.contains(zero(q.dim)) and k.subset_of(q.recession())
 
 
 def _rows_of(part) -> ConvexPoly:

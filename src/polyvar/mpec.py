@@ -14,7 +14,7 @@ from ._record import record
 from .exactgeom import ConeUnion, ConvexPoly, PolyUnion
 from .linalg import Vec, zero
 from .multimaps import PolyMultimap, coderivative_zero_cone
-from .plfunc import PLFunc, subdiff_wrt
+from .plfunc import PLFunc, _subdiff_at
 from .quals import normal_densed_check
 from .verdicts import KIND_HORIZON, KIND_LIMITING, TriVerdict
 
@@ -45,57 +45,58 @@ class StationarityReport:
     diagnostics: dict
 
 
-def _check_feasible(p: MPECProblem, x: Vec) -> None:
+def _check_feasible(p: MPECProblem, x: Vec) -> Vec:
+    """The epigraph point (x, f(x)) of a feasible candidate x."""
     if not p.G.contains(x, zero(p.m)):
         raise ValueError("infeasible candidate: 0 not in G(x)")
     if not p.c1.contains(x):
         raise ValueError("infeasible candidate: x outside C1")
     if not p.c2.contains(x):
         raise ValueError("infeasible candidate: x outside C2")
-    if p.f.value(x) is None:
+    fx = p.f.value(x)
+    if fx is None:
         raise ValueError("infeasible candidate: x outside dom f")
+    return x + (fx,)
 
 
-def _q1(p: MPECProblem, x: Vec, dzero: ConeUnion) -> TriVerdict:
-    horizon = subdiff_wrt(p.f, p.c1, x, KIND_HORIZON).value
+def _q1(p: MPECProblem, point: Vec, dzero: ConeUnion) -> TriVerdict:
+    horizon = _subdiff_at(p.f, p.c1, point, KIND_HORIZON).value
     return TriVerdict.zero_cone(horizon.recession().intersect(dzero.negate()))
 
 
 def check_q1(p: MPECProblem, x: Vec) -> TriVerdict:
     """Horizon subdifferential against the coderivative zero-slice of G."""
-    _check_feasible(p, x)
-    return _q1(p, x, coderivative_zero_cone(p.G, p.c2, x, zero(p.m)))
+    point = _check_feasible(p, x)
+    return _q1(p, point, coderivative_zero_cone(p.G, p.c2, x, zero(p.m)))
 
 
 def check_q2(p: MPECProblem, x: Vec) -> TriVerdict:
     """Normal-densedness of the lifted epigraph/graph pair at (x, 0, f(x))."""
-    _check_feasible(p, x)
-    return _q2(p, x)
+    return _q2(p, _check_feasible(p, x))
 
 
-def _q2(p: MPECProblem, x: Vec) -> TriVerdict:
+def _q2(p: MPECProblem, point: Vec) -> TriVerdict:
     n, m = p.n, p.m
     total = n + m + 1
-    fx = p.f.value(x)  # not None: `_check_feasible` rejects x outside dom f
     # (x, y, z) with (x, z) in epi f, y free; and gph G x R
     omega1 = p.f.epi.embed(total, tuple(range(n)) + (n + m,))
     omega2 = p.G.graph.embed(total, tuple(range(n + m)))
     lift1 = p.c1.product(ConvexPoly.whole_space(m + 1))
     lift2 = p.c2.product(ConvexPoly.whole_space(m + 1))
-    base = x + zero(m) + (fx,)
+    base = point[:n] + zero(m) + point[n:]
     return normal_densed_check(omega1, omega2, lift1, lift2, base)
 
 
 def stationarity_check(p: MPECProblem, x: Vec) -> StationarityReport:
     """Evaluate the necessary conditions and aggregate the verdict."""
-    _check_feasible(p, x)
+    point = _check_feasible(p, x)
     # D*G(x, 0)(0) once: q1 and the Aubin verdict both read it
     dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
-    q1 = _q1(p, x, dzero)
-    q2 = _q2(p, x)
+    q1 = _q1(p, point, dzero)
+    q2 = _q2(p, point)
     aubin = TriVerdict.zero_cone(dzero)
 
-    subdiff = subdiff_wrt(p.f, p.c1, x, KIND_LIMITING).value
+    subdiff = _subdiff_at(p.f, p.c1, point, KIND_LIMITING).value
 
     # 0 in subdiff + dzero  <=>  subdiff meets -dzero
     reflected = PolyUnion(p.n, [c.to_poly() for c in dzero.negate().parts])
@@ -112,7 +113,7 @@ def stationarity_check(p: MPECProblem, x: Vec) -> StationarityReport:
     diagnostics = {
         "subdifferential": subdiff,
         "coderivative_zero_slice": dzero,
-        "objective_value": p.f.value(x),
+        "objective_value": point[-1],
         "objective_only_applicable": aubin.is_holds() and q2.is_holds(),
     }
     return StationarityReport(

@@ -95,20 +95,6 @@ class PolyMultimap:
         check_dim("point x", len(x), self.in_dim)
         check_dim("point y", len(y), self.out_dim)
 
-    def inverse(self) -> "PolyMultimap":
-        n, m = self.in_dim, self.out_dim
-        # position j of a reindexed row reads old coordinate swap[j]
-        swap = tuple(range(n, n + m)) + tuple(range(n))
-
-        def permute(p: ConvexPoly) -> ConvexPoly:
-            return ConvexPoly.make(
-                n + m,
-                [(tuple(a[i] for i in swap), b) for a, b in p.ineqs],
-                [(tuple(e[i] for i in swap), d) for e, d in p.eqs],
-            )
-
-        return PolyMultimap(m, n, PolySet.make(n + m, [permute(p) for p in self.graph.pieces]))
-
     def sum(self, other: "PolyMultimap") -> "PolyMultimap":
         """(F1 + F2)(x) = F1(x) + F2(x): the sum rule's S with (y1, y2)
         projected away."""

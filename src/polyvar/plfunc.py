@@ -1,7 +1,7 @@
 """Piecewise-linear extended-real functions via their polyhedral epigraphs.
 
 A function is its epigraph, a finite union of upward-closed convex polyhedra
-in R^{n+1}; values are fiber minima by LP, the domain is an exact projection.
+in R^{n+1}; values are fiber minima by LP.
 Subdifferentials relative to a convex set C are slices of the epigraph's
 normal cone relative to C x R: the last dual coordinate is fixed to -1
 (Fréchet/limiting) or 0 (horizon).  For a base point in C the epigraph of
@@ -32,11 +32,10 @@ _UP = "improper function: a fiber of the epigraph is unbounded below"
 
 @record
 class PLFunc:
-    """dim, epigraph (in R^{dim+1}) and its projected domain."""
+    """dim and epigraph (in R^{dim+1})."""
 
     dim: int
     epi: PolySet
-    dom: PolySet
 
     @staticmethod
     def from_epigraph_pieces(dim: int, pieces) -> "PLFunc":
@@ -45,8 +44,7 @@ class PLFunc:
         for p in epi.pieces:
             if p.recession().contains(neg(up)):
                 raise ValueError(_UP)
-        dom = epi.eliminate((dim,))
-        return PLFunc(dim, epi, dom)
+        return PLFunc(dim, epi)
 
     @staticmethod
     def affine(dim: int, slope, offset, domain: ConvexPoly | None = None) -> "PLFunc":
@@ -105,7 +103,11 @@ def subdiff_wrt(f: PLFunc, c: ConvexPoly, xbar: Vec, kind: str) -> SubdiffResult
     fx = f.value(xbar)
     if fx is None or not c.contains(xbar):
         return SubdiffResult(kind, c, PolyUnion.empty(f.dim))
-    point = xbar + (fx,)
+    return _subdiff_at(f, c, xbar + (fx,), kind)
+
+
+def _subdiff_at(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> SubdiffResult:
+    """`subdiff_wrt` at the epigraph point (xbar, f(xbar)), xbar in c."""
     wrt_lift = c.product(ConvexPoly.whole_space(1))
     last = (Fraction(-1),) if kind in (KIND_FRECHET, KIND_LIMITING) else (Fraction(0),)
     if kind == KIND_FRECHET:
@@ -143,7 +145,7 @@ def lipschitz_wrt_check(f: PLFunc, c: ConvexPoly, xbar: Vec) -> TriVerdict:
     fx = f.value(xbar)
     if fx is None or not c.contains(xbar):
         raise ValueError("base point outside dom f cap c")
-    horizon = subdiff_wrt(f, c, xbar, KIND_HORIZON).value
+    horizon = _subdiff_at(f, c, xbar + (fx,), KIND_HORIZON).value
     return TriVerdict.zero_cone(horizon.recession())
 
 
@@ -156,9 +158,9 @@ def fermat_check(f: PLFunc, c: ConvexPoly, xbar: Vec) -> dict:
     fx = f.value(xbar)
     if fx is None or not c.contains(xbar):
         raise ValueError("base point outside dom f cap c")
-    origin = zero(f.dim)
-    fre = subdiff_wrt(f, c, xbar, KIND_FRECHET)
-    lim = subdiff_wrt(f, c, xbar, KIND_LIMITING)
+    origin, point = zero(f.dim), xbar + (fx,)
+    fre = _subdiff_at(f, c, point, KIND_FRECHET)
+    lim = _subdiff_at(f, c, point, KIND_LIMITING)
     return {
         "is_stationary_frechet": fre.value.contains(origin),
         "is_stationary_limiting": lim.value.contains(origin),

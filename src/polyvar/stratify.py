@@ -68,10 +68,15 @@ class CellSignature:
 
 @record
 class Cell:
+    """A nonempty sign cell inside every input set.
+
+    Every consumer reads only the witness, a point of the cell (a point
+    near the base, for `local_cells`); the signature orders the cells, so
+    the list and everything computed from it are deterministic.
+    """
+
     signature: CellSignature
     witness: Vec
-    adherent: bool
-    memberships: tuple[tuple[int, ...], ...]  # per input set: pieces containing the cell
 
 
 @record
@@ -236,28 +241,13 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
 
     def descend(pos: int, signs: dict[int, int], p: Vec) -> None:
         if pos == len(active):
+            # every sign is known here, so `pieces_possible`, which let
+            # this leaf be reached, put the cell in a piece of every set
             full = list(base_signs)
             for h, sgn in signs.items():
                 full[h] = sgn
-            memberships = []
-            inside_all = True
-            for rows_per_piece in piece_rows:
-                inside = tuple(
-                    i
-                    for i, reqs in enumerate(rows_per_piece)
-                    if all(full[h] in allowed for h, allowed in reqs)
-                )
-                memberships.append(inside)
-                inside_all = inside_all and bool(inside)
-            if inside_all:
-                cells.append(
-                    Cell(
-                        CellSignature(tuple(full)),
-                        p if base is None else witness_along(p),
-                        base is not None,
-                        tuple(memberships),
-                    )
-                )
+            witness = p if base is None else witness_along(p)
+            cells.append(Cell(CellSignature(tuple(full)), witness))
             return
         h = active[pos]
         side = _sign(dot(hyperplanes[h].normal, p) - offsets[h])

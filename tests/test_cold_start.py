@@ -117,8 +117,11 @@ def test_presets_load_only_their_engine_modules(family):
 
 
 def test_lazy_package_api():
+    # one list of public names: the export table's
+    assert polyvar.__all__ == sorted(polyvar._EXPORTS)
     namespace: dict = {}
     exec("from polyvar import *", namespace)
+    assert namespace["local_cells"] is importlib.import_module("polyvar.stratify").local_cells
     assert set(polyvar.__all__) <= set(namespace) and set(polyvar.__all__) <= set(dir(polyvar))
     for name in polyvar.__all__:
         value = getattr(polyvar, name)

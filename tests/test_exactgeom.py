@@ -50,6 +50,7 @@ from polyvar.linalg import (
     sub,
     to_vec,
     vec,
+    zero,
 )
 
 
@@ -620,6 +621,70 @@ def _union_cases(rng: random.Random):
             empty = FiniteUnion.empty(dim)
             yield empty, b, True
             yield b, empty, False
+
+
+def ref_cone_in_poly(k: ConeH, q: ConvexPoly) -> bool:
+    """K inside q by LP: sup a.x over K is at most b for every row of q,
+    and every equality of q vanishes on K with d = 0."""
+    if q.is_empty():
+        return False
+    rows = [(a, Fraction(0)) for a in k.ineqs]
+    eqs = [(e, Fraction(0)) for e in k.eqs]
+
+    def sup_at_most(c, bound) -> bool:
+        status, _, val = lp.solve(c, rows, eqs, k.dim)
+        return status == lp.OPTIMAL and val is not None and val <= bound
+
+    return all(sup_at_most(a, b) for a, b in q.ineqs) and all(
+        d == 0 and sup_at_most(e, 0) and sup_at_most(neg(e), 0) for e, d in q.eqs
+    )
+
+
+def test_cone_in_polyhedron_matches_lp_reference(monkeypatch):
+    """Random cones against random polyhedra: the verdict is the LP
+    reference's, and a cone inside settles with no region LP.  Kinds: q
+    without the origin, q with equalities, K with lineality."""
+    rng = random.Random(5309)
+    calls = 0
+    solve = lp.strict_feasible_point
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "strict_feasible_point", counted)
+    verdicts = {True: 0, False: 0}
+    kinds = {"no_origin": 0, "eqs": 0, "lineality": 0}
+    for _ in range(250):
+        dim = rng.randint(1, 3)
+        k = random_cone(rng, dim, max_rows=rng.randint(0, 3))
+        if rng.random() < 0.25:  # a cone with an equality, as a slice
+            e = rng_vec(rng, dim)
+            k = k.intersect(ConeH.from_ineqs(dim, [], [e]))
+        rows = [(rng_vec(rng, dim, -2, 2), Fraction(rng.randint(-1, 2)))
+                for _ in range(rng.randint(0, 3))]
+        n_eqs = int(rng.random() < 0.3)
+        q = ConvexPoly.make(dim, rows[n_eqs:], rows[:n_eqs])
+        if rng.random() < 0.4:  # q around the cone's rows: often holds it
+            q = ConvexPoly.make(
+                dim,
+                [(a, Fraction(rng.randint(0, 1))) for a in k.ineqs] + list(q.ineqs)[:1],
+                [(e, Fraction(0)) for e in k.eqs],
+            )
+        calls = 0
+        got, witness = union_subset(ConeUnion.single(k), PolyUnion.single(q))
+        assert got == ref_cone_in_poly(k, q), (k, q)
+        if got:
+            assert calls == 0, (k, q)
+        else:
+            assert not q.contains(witness) and k.contains(witness), (k, q)
+        verdicts[got] += 1
+        kinds["no_origin"] += not q.contains(zero(dim))
+        kinds["eqs"] += bool(q.eqs)
+        kinds["lineality"] += bool(k.lineality)
+    assert min(verdicts.values()) > 50, verdicts
+    assert min(kinds.values()) > 20, kinds
 
 
 def test_union_subset_matches_region_subtraction_reference(monkeypatch):

@@ -22,7 +22,7 @@ from polyvar.mpec import (
     stationarity_check,
 )
 from polyvar.multimaps import PolyMultimap
-from polyvar.plfunc import PLFunc
+from polyvar.plfunc import KIND_LIMITING, PLFunc, subdiff_wrt
 from polyvar.verdicts import FAILS, HOLDS
 
 
@@ -102,7 +102,7 @@ def test_stationarity_check_runs_one_feasibility_check(monkeypatch):
 
     def counting(p, x):
         calls.append(x)
-        real(p, x)
+        return real(p, x)
 
     monkeypatch.setattr(mpec, "_check_feasible", counting)
     for c1_whole in (False, True):
@@ -112,6 +112,47 @@ def test_stationarity_check_runs_one_feasibility_check(monkeypatch):
     calls.clear()
     check_q2(final_example(False), vec(0))
     assert len(calls) == 1
+
+
+def test_stationarity_check_evaluates_f_once(monkeypatch):
+    """One f(x̄) per report; the report carries what the public checks
+    and `subdiff_wrt` give on their own."""
+    p0 = final_example(c1_whole=False)
+    fneg = PLFunc.affine(1, vec(-1), 0)
+    problems = [
+        final_example(c1_whole=False),
+        final_example(c1_whole=True),
+        MPECProblem(1, 1, fneg, p0.G, p0.c1, p0.c2),
+    ]
+    verdicts = set()
+    for p in problems:
+        x = vec(0)
+        expected = (
+            check_q1(p, x),
+            check_q2(p, x),
+            subdiff_wrt(p.f, p.c1, x, KIND_LIMITING).value,
+            p.f.value(x),
+        )
+        calls = []
+        real = PLFunc.value
+
+        def counting(self, point):
+            calls.append(point)
+            return real(self, point)
+
+        monkeypatch.setattr(PLFunc, "value", counting)
+        r = stationarity_check(p, x)
+        monkeypatch.undo()
+        assert calls == [x]
+        got = (
+            r.q1,
+            r.q2,
+            r.diagnostics["subdifferential"],
+            r.diagnostics["objective_value"],
+        )
+        assert got == expected
+        verdicts.add(r.verdict)
+    assert verdicts == {NECESSARY_CONDITIONS_HOLD, INCONCLUSIVE, CERTIFIED_NON_OPTIMAL}
 
 
 def test_consistency_aubin_and_q2_imply_condition_agreement():

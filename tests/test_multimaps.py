@@ -113,7 +113,9 @@ def test_aubin_constant_map():
 
 
 def test_aubin_vertical_graph_fails():
-    F = PolyMultimap.linear(((Fraction(0),),), 1, 1).inverse()
+    # the inverse of the zero map: graph {0} x R
+    vertical = ConvexPoly.make(2, [], [(vec(1, 0), Fraction(0))])
+    F = PolyMultimap(1, 1, PolySet.from_poly(vertical))
     assert aubin_wrt_check(F, ConvexPoly.whole_space(1), vec(0), vec(0)).is_fails()
 
 

@@ -21,7 +21,7 @@ from polyvar.plfunc import (
     subdiff_via_coderivative,
     subdiff_wrt,
 )
-from polyvar.verdicts import FAILS, HOLDS
+from polyvar.verdicts import FAILS, HOLDS, TriVerdict
 
 
 def identity_f() -> PLFunc:
@@ -188,6 +188,76 @@ def test_min_of_affines_union_epigraph():
     assert f.value(vec(2)) == Fraction(-2)
     r = fermat_check(f, ConvexPoly.whole_space(1), vec(0))
     assert not r["is_stationary_frechet"]
+
+
+def _counted(monkeypatch, cls, name: str) -> list:
+    """Record the arguments of every call of the method `cls.name`."""
+    calls = []
+    real = getattr(cls, name)
+
+    def counting(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    monkeypatch.setattr(cls, name, counting)
+    return calls
+
+
+def test_from_epigraph_pieces_projects_nothing(monkeypatch):
+    """A PLFunc is its dimension and epigraph: building one projects no
+    piece."""
+    calls = _counted(monkeypatch, ConvexPoly, "eliminate")
+    rng = random.Random(419)
+    identity_f()
+    PLFunc.affine(2, vec(1, 2), 7, domain=ConvexPoly.make(2, [(vec(-1, 0), Fraction(0))]))
+    PLFunc.from_epigraph_pieces(
+        1,
+        [
+            ConvexPoly.make(2, [(vec(1, -1), Fraction(0))]),
+            ConvexPoly.make(2, [(vec(-1, -1), Fraction(0))]),
+        ],
+    )
+    for _ in range(5):
+        random_plfunc(rng, rng.randint(1, 3))
+    assert calls == []
+    assert PLFunc.__match_args__ == ("dim", "epi")
+
+
+def test_lipschitz_and_fermat_evaluate_f_once(monkeypatch):
+    """Each check evaluates f at the base point once, and its verdicts are
+    those read off the public `subdiff_wrt`."""
+    rng = random.Random(421)
+    kink = PLFunc.from_epigraph_pieces(
+        1,
+        [
+            ConvexPoly.make(2, [(vec(1, -1), Fraction(0))]),
+            ConvexPoly.make(2, [(vec(-1, -1), Fraction(0))]),
+        ],
+    )
+    cases = [
+        (identity_f(), halfline(), vec(0)),
+        (identity_f(), ConvexPoly.whole_space(1), vec(0)),
+        (PLFunc.affine(1, vec(0), 0, domain=halfline()), ConvexPoly.whole_space(1), vec(0)),
+        (PLFunc.max_affine(1, [(vec(1), 0), (vec(-1), 0)]), interval("-1"), vec(0)),
+        (kink, ConvexPoly.whole_space(1), vec(0)),
+    ] + [(random_plfunc(rng, 2), ConvexPoly.whole_space(2), zero(2)) for _ in range(3)]
+    for f, c, x in cases:
+        horizon = subdiff_wrt(f, c, x, KIND_HORIZON).value
+        origin = zero(f.dim)
+        expected = (
+            TriVerdict.zero_cone(horizon.recession()),
+            {
+                "is_stationary_frechet": subdiff_wrt(f, c, x, KIND_FRECHET).value.contains(origin),
+                "is_stationary_limiting": subdiff_wrt(f, c, x, KIND_LIMITING).value.contains(origin),
+            },
+        )
+        calls = _counted(monkeypatch, PLFunc, "value")
+        lipschitz = lipschitz_wrt_check(f, c, x)
+        assert calls == [(x,)]
+        fermat = fermat_check(f, c, x)
+        assert calls == [(x,), (x,)]
+        monkeypatch.undo()
+        assert (lipschitz, fermat) == expected, (f, c, x)
 
 
 def test_improper_epigraph_rejected():

@@ -27,7 +27,6 @@ def test_halfline_cells():
     assert len(cells) == 2
     sigs = {c.signature.signs for c in cells}
     assert sigs == {(0,), (-1,)} or sigs == {(0,), (1,)}
-    assert all(c.adherent for c in cells)
 
 
 def test_example1_case_split():
@@ -234,7 +233,6 @@ def test_global_cells_match_brute_force_over_sign_vectors():
             w = cell.witness
             assert tuple(_sign(dot(a, w) - b) for a, b in hyper) == cell.signature.signs
             assert all(s.contains(w) for s in sets)
-            assert not cell.adherent
         nonempty += bool(cells)
         checked += 1
     assert nonempty >= 30
@@ -338,8 +336,6 @@ def ref_cells(sets, base):
                     stratify.Cell(
                         stratify.CellSignature(tuple(full)),
                         p if base is None else witness_along(p),
-                        base is not None,
-                        memberships,
                     )
                 )
             return
