@@ -10,7 +10,9 @@ The three flavors are tied together by two exact facts about polyhedral data:
   inequalities and lineality as equalities;
 * the limiting cone relative to a convex set C is the finite union of the
   Fréchet-relative cones over the sign cells adherent to the base point,
-  because those cones are constant on every cell.
+  because those cones are constant on every cell.  A cone is fixed by the
+  rows at its point, so one is built per distinct pattern of rows; a piece
+  holding the point in its interior makes it {0}, with no canonicalization.
 
 The relative ("with respect to C") versions add the rows of the radial cone
 of C at the point to that H-form, and use the empty-marker convention when
@@ -61,22 +63,29 @@ def radial_cone(c: ConvexPoly, x: Vec) -> ConeH:
     return ConeH.from_ineqs(c.dim, *rows)
 
 
-def _frechet_cone(
-    omega: PolySet, x: Vec, wrt: ConvexPoly | None = None
-) -> ConeH | None:
-    # one H-form: the generators of every active piece's tangent cone as
-    # rows (rays as inequalities, lineality as equalities), plus the radial
-    # rows of wrt when given; None when no piece contains x
-    tangents = [_active_rows(p, x) for p in omega.pieces]
-    tangents = [rows for rows in tangents if rows is not None]
+def _rows_at(omega: PolySet, x: Vec, wrt: ConvexPoly):
+    """(wrt's radial rows, the tangent rows of each piece through x) as
+    hashable tuples, which fix the Fréchet cone; None if no piece holds x."""
+    found = [_active_rows(p, x) for p in omega.pieces]
+    tangents = tuple((tuple(a), tuple(e)) for a, e in filter(None, found))
     if not tangents:
         return None
-    ineqs, eqs = ([], []) if wrt is None else _active_rows(wrt, x)
-    for rows in tangents:
-        rays, lineality = ConeH.from_ineqs(omega.dim, *rows).generators()
+    return tuple(map(tuple, _active_rows(wrt, x))), tangents
+
+
+def _frechet_cone(dim: int, rows) -> ConeH:
+    # one H-form: the generators of every tangent cone as rows (rays as
+    # inequalities, lineality as equalities), plus the radial rows; a tangent
+    # cone with no row is the whole space, whose polar is {0}
+    radial, tangents = rows
+    if ((), ()) in tangents:
+        return ConeH.zero(dim)
+    ineqs, eqs = map(list, radial)
+    for tangent in tangents:
+        rays, lineality = ConeH.from_ineqs(dim, *tangent).generators()
         ineqs += rays
         eqs += lineality
-    return ConeH.from_ineqs(omega.dim, ineqs, eqs)
+    return ConeH.from_ineqs(dim, ineqs, eqs)
 
 
 def frechet_normal(omega: PolySet, x: Vec) -> ConeH:
@@ -87,19 +96,19 @@ def frechet_normal(omega: PolySet, x: Vec) -> ConeH:
     canonicalization: the tangent cones' generators are its rows.
     """
     check_dim("frechet_normal point", len(x), omega.dim)
-    cone = _frechet_cone(omega, x)
-    if cone is None:
+    rows = _rows_at(omega, x, ConvexPoly.whole_space(omega.dim))
+    if rows is None:
         raise ValueError("point outside the set")
-    return cone
+    return _frechet_cone(omega.dim, rows)
 
 
 def frechet_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
     """Fréchet normal cone of omega at the point, relative to the set wrt."""
     check_dim("frechet_normal_wrt point", len(point), omega.dim)
-    cone = _frechet_cone(omega.intersect_poly(wrt), point, wrt)
-    if cone is None:
+    rows = _rows_at(omega.intersect_poly(wrt), point, wrt)
+    if rows is None:
         return ConeH.empty_marker(omega.dim)
-    return cone
+    return _frechet_cone(omega.dim, rows)
 
 
 def proximal_normal_wrt(
@@ -141,11 +150,10 @@ def limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnio
     request_domain = omega.intersect_poly(wrt)
     if not request_domain.contains(point):
         return ConeUnion.empty(omega.dim)
-    parts = [
-        _frechet_cone(request_domain, cell.witness, wrt)
-        for cell in local_cells([omega, wrt], point)
-    ]
-    return ConeUnion.make(omega.dim, parts)
+    cells = local_cells([omega, wrt], point)
+    # one cone per pattern of rows at the cell witnesses
+    patterns = {_rows_at(request_domain, cell.witness, wrt) for cell in cells}
+    return ConeUnion.make(omega.dim, [_frechet_cone(omega.dim, r) for r in patterns])
 
 
 def limiting_normal(omega: PolySet, point: Vec) -> ConeUnion:

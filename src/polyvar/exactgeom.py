@@ -325,11 +325,14 @@ def _homogeneous_generators(p: ConvexPoly):
 
 def _spanned(dim: int, rays, lineality) -> ConvexPoly:
     """The polyhedron whose homogenization the generators (x, t), t >= 0,
-    span: their polar holds the rows (a, -b) of its H-form."""
+    span, empty if no t > 0.  The polar's rays (a, -b) are its facets and
+    t >= 0 (0 <= 1, dropped), its lineality the equalities: no third DD."""
+    if not any(r[-1] for r in rays):
+        return ConvexPoly.empty(dim)
     rows, eqs = _dd(dim + 1, rays, lineality)
-    return ConvexPoly.make(
-        dim, [(r[:-1], -r[-1]) for r in rows], [(e[:-1], -e[-1]) for e in eqs]
-    )
+    eq_rows, pivots = rref_ints([e[:-1] + (-e[-1],) for e in eqs])
+    keep = sorted(_reduce_rows([(r[:-1], -r[-1]) for r in rows], eq_rows, pivots))
+    return ConvexPoly(dim, _rational(keep), _rational(sorted(map(_split, eq_rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +477,7 @@ class ConeH:
         return ConeH.from_ineqs(dim)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def zero(dim: int) -> "ConeH":
         return ConeH.from_ineqs(dim, [], [tuple(unit) for unit in _eye(dim)])
 

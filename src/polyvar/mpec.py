@@ -14,7 +14,7 @@ from ._record import record
 from .exactgeom import ConeUnion, ConvexPoly, PolyUnion
 from .linalg import Vec, zero
 from .multimaps import PolyMultimap, coderivative_zero_cone
-from .plfunc import PLFunc, _subdiff_at
+from .plfunc import PLFunc, _epi_cones, _slices, _subdiff_at
 from .quals import normal_densed_check
 from .verdicts import KIND_HORIZON, KIND_LIMITING, TriVerdict
 
@@ -59,15 +59,15 @@ def _check_feasible(p: MPECProblem, x: Vec) -> Vec:
     return x + (fx,)
 
 
-def _q1(p: MPECProblem, point: Vec, dzero: ConeUnion) -> TriVerdict:
-    horizon = _subdiff_at(p.f, p.c1, point, KIND_HORIZON).value
+def _q1(horizon: PolyUnion, dzero: ConeUnion) -> TriVerdict:
     return TriVerdict.zero_cone(horizon.recession().intersect(dzero.negate()))
 
 
 def check_q1(p: MPECProblem, x: Vec) -> TriVerdict:
     """Horizon subdifferential against the coderivative zero-slice of G."""
     point = _check_feasible(p, x)
-    return _q1(p, point, coderivative_zero_cone(p.G, p.c2, x, zero(p.m)))
+    horizon = _subdiff_at(p.f, p.c1, point, KIND_HORIZON).value
+    return _q1(horizon, coderivative_zero_cone(p.G, p.c2, x, zero(p.m)))
 
 
 def check_q2(p: MPECProblem, x: Vec) -> TriVerdict:
@@ -92,11 +92,13 @@ def stationarity_check(p: MPECProblem, x: Vec) -> StationarityReport:
     point = _check_feasible(p, x)
     # D*G(x, 0)(0) once: q1 and the Aubin verdict both read it
     dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
-    q1 = _q1(p, point, dzero)
+    # epi f's limiting cone once: q1 reads its horizon slice, the condition
+    epi_cones = _epi_cones(p.f, p.c1, point, KIND_LIMITING)
+    q1 = _q1(_slices(p.n, epi_cones, KIND_HORIZON), dzero)
     q2 = _q2(p, point)
     aubin = TriVerdict.zero_cone(dzero)
 
-    subdiff = _subdiff_at(p.f, p.c1, point, KIND_LIMITING).value
+    subdiff = _slices(p.n, epi_cones, KIND_LIMITING)
 
     # 0 in subdiff + dzero  <=>  subdiff meets -dzero
     reflected = PolyUnion(p.n, [c.to_poly() for c in dzero.negate().parts])

@@ -108,17 +108,22 @@ def subdiff_wrt(f: PLFunc, c: ConvexPoly, xbar: Vec, kind: str) -> SubdiffResult
 
 def _subdiff_at(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> SubdiffResult:
     """`subdiff_wrt` at the epigraph point (xbar, f(xbar)), xbar in c."""
+    return SubdiffResult(kind, c, _slices(f.dim, _epi_cones(f, c, point, kind), kind))
+
+
+def _epi_cones(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> tuple:
+    """The normal cones of epi f relative to c x R that the kind slices."""
     wrt_lift = c.product(ConvexPoly.whole_space(1))
-    last = (Fraction(-1),) if kind in (KIND_FRECHET, KIND_LIMITING) else (Fraction(0),)
     if kind == KIND_FRECHET:
-        cone = frechet_normal_wrt(f.epi, wrt_lift, point)
-        parts = [slice_cone_at_tail(cone, last)]
-    elif kind in (KIND_LIMITING, KIND_HORIZON):
-        union = limiting_normal_wrt(f.epi, wrt_lift, point)
-        parts = [slice_cone_at_tail(p, last) for p in union.parts]
-    else:
-        raise ValueError(f"unknown subdifferential kind: {kind}")
-    return SubdiffResult(kind, c, PolyUnion.make(f.dim, parts))
+        return (frechet_normal_wrt(f.epi, wrt_lift, point),)
+    if kind in (KIND_LIMITING, KIND_HORIZON):
+        return limiting_normal_wrt(f.epi, wrt_lift, point).parts
+    raise ValueError(f"unknown subdifferential kind: {kind}")
+
+
+def _slices(dim: int, cones, kind: str) -> PolyUnion:
+    last = (Fraction(0),) if kind == KIND_HORIZON else (Fraction(-1),)
+    return PolyUnion.make(dim, [slice_cone_at_tail(p, last) for p in cones])
 
 
 def subdiff_via_coderivative(

@@ -21,12 +21,13 @@ realizes its sign vector.  One depth-first enumerator serves two modes.
 
 In both modes the descent starts at the origin and a child whose sign the
 parent's point already has reuses that point, so no LP runs for it.  The
-parent's region R is relatively open and convex and holds its point p.  If
-p lies off a hyperplane h and R meets h at q, the line from p through q
-goes on within R to the far side of h; if p lies on h, a point of R on one
-side gives, through p, one on the other.  So the far side's LP (below h
-when p lies on h) runs first, and when that side is empty, so is the other
-new child, with no LP.
+parent's region R is relatively open and convex and holds its point p, so
+the far side's LP for a hyperplane h (below h when p lies on h) settles the
+other new child with no LP: a point of that child gives, through p, one on
+the far side, and a far point q gives the child the point where the segment
+p -> q crosses h, or, when p lies on h, a short step from p away from q.  A
+branching node thus runs at most one region LP, and each derived point can
+be checked by dot products.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from operator import mul
 from . import lp
 from ._record import record
 from .exactgeom import ConvexPoly, IntRow, LimitError, PolySet
-from .linalg import Vec, check_dim, dot, integer_row, neg, primitive_ints, zero
+from .linalg import Vec, check_dim, dot, integer_row, neg, primitive_ints, sub, zero
 
 ParticipatingSet = PolySet | ConvexPoly
 
@@ -107,6 +108,31 @@ def _canonical_hyperplane(a: Vec, b: Fraction) -> tuple[tuple[int, ...], int, in
                 return neg(av), -bv, -1
             break
     return av, bv, 1
+
+
+def _step(p: Vec, d: Vec, rows: list[tuple[Fraction, tuple[int, ...]]]) -> Vec:
+    """p + t.d keeping the sign of each row (value at p, normal): t is half
+    the least ratio at which d reaches one, at most 1/2."""
+    t = _ONE
+    nd, den = integer_row(d)  # d = nd / den with den > 0
+    for value, normal in rows:
+        slope = sum(map(mul, normal, nd))  # den times normal.d
+        if slope and (slope > 0) != (value > 0):
+            t = min(t, -value * den / slope)
+    t /= 2
+    return tuple(x + t * y for x, y in zip(p, d))
+
+
+def _other_side(p: Vec, q: Vec, h: IntRow, assigned: list[IntRow]) -> Vec:
+    """The middle child's point from the far child's point q and p, both in
+    the region of `assigned`: where p -> q crosses h, or, if p lies on h, a
+    step away from q keeping each row's sign (equalities have slope 0)."""
+    normal, offset = h
+    vp = dot(normal, p) - offset
+    if vp:
+        lam = vp / (vp - (dot(normal, q) - offset))
+        return tuple(x + lam * (y - x) for x, y in zip(p, q))
+    return _step(p, sub(p, q), [(dot(a, p) - b, a) for a, b in assigned if (a, b) != h])
 
 
 def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
@@ -186,6 +212,9 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         # (value at the base, normal) for the rows inactive at the base
         inactive = [(v, hp.normal) for v, hp in zip(values, hyperplanes) if v]
     active = [h for h in range(n_h) if base_signs[h] == 0]
+    # each hyperplane as the region LP reads it, (normal, offset), and negated
+    rows = [(hp.normal, offset) for hp, offset in zip(hyperplanes, offsets)]
+    flipped = [(neg(normal), -offset) for normal, offset in rows]
     _check_branching(len(active))
 
     cells: list[Cell] = []
@@ -215,29 +244,9 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
 
     def region_point(signs: dict[int, int]) -> Vec | None:
         # a point p with sign(a.p - offset) = s on the assigned rows
-        strict: list[IntRow] = []
-        eqs: list[IntRow] = []
-        for h, sgn in signs.items():
-            normal, offset = hyperplanes[h].normal, offsets[h]
-            if sgn == 0:
-                eqs.append((normal, offset))
-            elif sgn < 0:
-                strict.append((normal, offset))
-            else:
-                strict.append((neg(normal), -offset))
+        strict = [rows[h] if sgn < 0 else flipped[h] for h, sgn in signs.items() if sgn]
+        eqs = [rows[h] for h, sgn in signs.items() if not sgn]
         return lp.strict_feasible_point([], strict, eqs, dim)
-
-    def witness_along(d: Vec) -> Vec:
-        # base + t.d keeps every inactive row's sign for 0 < t < the least
-        # ratio of a row that d approaches; take half of it (at most 1/2)
-        t = _ONE
-        nd, den = integer_row(d)  # d = nd / den with den > 0
-        for value, normal in inactive:
-            slope = sum(map(mul, normal, nd))  # den times normal.d
-            if slope and (slope > 0) != (value > 0):
-                t = min(t, -value * den / slope)
-        t /= 2
-        return tuple(x + t * y for x, y in zip(base, d))
 
     def descend(pos: int, signs: dict[int, int], p: Vec) -> None:
         if pos == len(active):
@@ -246,25 +255,27 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
             full = list(base_signs)
             for h, sgn in signs.items():
                 full[h] = sgn
-            witness = p if base is None else witness_along(p)
+            witness = p if base is None else _step(base, p, inactive)
             cells.append(Cell(CellSignature(tuple(full)), witness))
             return
         h = active[pos]
         side = _sign(dot(hyperplanes[h].normal, p) - offsets[h])
-        # the child on p's side reuses p; an empty far side (module
-        # docstring) settles the other new child
+        # the child on p's side reuses p; the far side's LP (module
+        # docstring) settles the other new child: empty, or a point from q
         far = 1 if side < 0 else -1
-        far_empty = False
+        ran, q = False, None
         for sgn in (far, 0 if side else 1, side):
             signs[h] = sgn
             if pieces_possible(signs):
                 if sgn == side:
                     child = p
-                elif sgn != far and far_empty:
-                    child = None
+                elif ran:
+                    child = None if q is None else _other_side(
+                        p, q, rows[h], [rows[g] for g in signs]
+                    )
                 else:
-                    child = region_point(signs)
-                    far_empty = child is None
+                    child = q = region_point(signs)
+                    ran = True
                 if child is not None:
                     descend(pos + 1, signs, child)
             del signs[h]

@@ -487,6 +487,46 @@ def test_frechet_cones_build_no_polar_dd(monkeypatch):
         assert not limiting_normal_wrt(omega, wrt, base).is_empty()
 
 
+def per_cell_limiting_normal_wrt(
+    omega: PolySet, wrt: ConvexPoly, point: Vec
+) -> ConeUnion:
+    """`limiting_normal_wrt` with one Fréchet cone per adherent cell."""
+    request_domain = omega.intersect_poly(wrt)
+    if not request_domain.contains(point):
+        return ConeUnion.empty(omega.dim)
+    parts = [
+        _frechet_cone(request_domain, cell.witness, wrt)
+        for cell in local_cells([omega, wrt], point)
+    ]
+    return ConeUnion.make(omega.dim, parts)
+
+
+def _frechet_cone(omega: PolySet, x: Vec, wrt: ConvexPoly) -> ConeH:
+    return cones._frechet_cone(omega.dim, cones._rows_at(omega, x, wrt))
+
+
+def test_limiting_cone_per_row_pattern_matches_per_cell_union():
+    """One cone per pattern of rows at the witnesses gives the union of the
+    per-cell cones, and of the per-piece reference cones, part for part;
+    cells inside a piece (cone {0}) and wrt with equalities are covered."""
+    coverage = {"interior cell": 0, "wrt with equalities": 0, "shared pattern": 0}
+    for omega, wrt, base, _ in frechet_instances(seed=2317, count=50):
+        got = limiting_normal_wrt(omega, wrt, base)
+        assert got.parts == per_cell_limiting_normal_wrt(omega, wrt, base).parts
+        assert got.parts == ref_limiting_normal_wrt(omega, wrt, base).parts
+        domain = omega.intersect_poly(wrt)
+        witnesses = [c.witness for c in local_cells([omega, wrt], base)]
+        coverage["interior cell"] += any(
+            cones._active_rows(p, w) == ([], [])
+            for p in domain.pieces
+            for w in witnesses
+        )
+        coverage["wrt with equalities"] += bool(wrt.eqs)
+        patterns = {cones._rows_at(domain, w, wrt) for w in witnesses}
+        coverage["shared pattern"] += len(patterns) < len(witnesses)
+    assert min(coverage.values()) >= 10, coverage
+
+
 def ref_active_rows(p: ConvexPoly, x: Vec):
     """`cones._active_rows` through `dot`, one conversion per row and point."""
     active = []

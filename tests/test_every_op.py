@@ -9,6 +9,7 @@ so a field routed to the wrong parameter changes the report or the exit code.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -208,5 +209,21 @@ def test_failed_inner_hypothesis_is_rendered_with_its_witness(tmp_path):
     ]
     quals = dict(got["report"]["qualifications"])
     assert [v["verdict"] for v in quals.values()] == ["holds", "holds", "fails"]
-    assert quals["inner_semicontinuous"]["certificate"] == {"witness": ["1/2", "1"]}
+    cert = quals["inner_semicontinuous"]["certificate"]
+    assert cert == {"witness": ["1/4", "1"]}
     assert got["exit_code"] == 1 and code == 1
+    # w certifies the failure: with S(x, y) = {(y1, y2) : y1 in P(x), y2 in
+    # Q(x), y1 + y2 = y} and the base (x̄, ȳ) = (0, 1) with (y1, y2) = (1, 0),
+    # the points (x̄, ȳ) + t(w - (x̄, ȳ)) lie in dom S ∩ (J x R) and in no
+    # projected piece of S through the base
+    o = load_path(str(DATA)).objects
+    s_map = multimaps._s_map(o["P"], o["Q"])
+    base = (Fraction(0), Fraction(1), Fraction(1), Fraction(0))
+    w = tuple(Fraction(v) for v in cert["witness"])
+    proj = [p.eliminate((2, 3)) for p in s_map.graph.pieces]
+    through = [q for p, q in zip(s_map.graph.pieces, proj) if p.contains(base)]
+    c_lift = o["J"].product(_whole(1))
+    for t in (Fraction(1), Fraction(1, 2)):
+        z = tuple(b + t * (v - b) for b, v in zip(base[:2], w))
+        assert c_lift.contains(z) and any(q.contains(z) for q in proj)
+        assert through and not any(q.contains(z) for q in through)

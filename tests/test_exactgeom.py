@@ -22,7 +22,7 @@ from conftest import (
     rng_vec,
     vrep,
 )
-from polyvar import lp
+from polyvar import exactgeom, lp
 from polyvar.exactgeom import (
     ConeH,
     ConeUnion,
@@ -327,6 +327,60 @@ def test_poly_eliminate_projection():
     assert seg == ConvexPoly.make(
         1, [(vec(-1), Fraction(0)), (vec(1), Fraction(1))]
     )
+
+
+def _spanned_by_make(dim: int, rays, lineality) -> ConvexPoly:
+    """The polyhedron spanned by homogeneous generators, read off their
+    polar through `ConvexPoly.make` (a third double description)."""
+    rows, eqs = exactgeom._dd(dim + 1, rays, lineality)
+    return ConvexPoly.make(
+        dim, [(r[:-1], -r[-1]) for r in rows], [(e[:-1], -e[-1]) for e in eqs]
+    )
+
+
+def _eye_rows(dim: int) -> list[Vec]:
+    return [tuple(Fraction(i == j) for j in range(dim)) for i in range(dim)]
+
+
+def test_spanned_matches_the_canonicalizing_path():
+    """Projections and added rays (`eliminate`, `plus_ray`) give, field for
+    field, what canonicalizing the polar's rows gives."""
+    rng = random.Random(2311)
+    seen = dict.fromkeys(["empty", "bounded", "unbounded", "lineality", "equality"], 0)
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        if rng.random() < 0.15:
+            # only generators with t = 0: the empty polyhedron
+            rays = [rng_vec(rng, dim, -2, 2) + (0,) for _ in range(rng.randint(0, 3))]
+            lin = [rng_vec(rng, dim, -2, 2) + (0,) for _ in range(rng.randint(0, 1))]
+        else:
+            rows = [
+                (rng_vec(rng, dim, -2, 2), Fraction(rng.randint(-2, 3), rng.randint(1, 2)))
+                for _ in range(rng.randint(0, 4))
+            ]
+            n_eqs = int(rng.random() < 0.3)
+            if rng.random() < 0.4:  # inside a box: bounded
+                rows += [(u, Fraction(2)) for e in _eye_rows(dim) for u in (e, neg(e))]
+            p = ConvexPoly.make(dim, rows[n_eqs:], rows[:n_eqs])
+            if p.is_empty():
+                continue
+            rays, lin = exactgeom._homogeneous_generators(p)
+            keep = sorted(rng.sample(range(dim), rng.randint(1, dim))) + [dim]
+            rays = [tuple(r[i] for i in keep) for r in rays]
+            lin = [tuple(l[i] for i in keep) for l in lin]
+            dim = len(keep) - 1
+            if rng.random() < 0.3:
+                rays.append(rng_vec(rng, dim, -2, 2) + (0,))
+        got = exactgeom._spanned(dim, rays, lin)
+        assert got == _spanned_by_make(dim, rays, lin), (dim, rays, lin)
+        if got.is_empty():
+            seen["empty"] += 1
+            continue
+        rec = got.recession()
+        seen["unbounded" if not rec.is_zero() else "bounded"] += 1
+        seen["lineality"] += bool(rec.lineality)
+        seen["equality"] += bool(got.eqs)
+    assert min(seen.values()) >= 15, seen
 
 
 def test_poly_union_minkowski_matches_vertex_sum():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import rng_vec
-from polyvar import mpec
+from polyvar import cones, mpec, multimaps, plfunc, quals
 from polyvar.exactgeom import ConvexPoly, PolySet
 from polyvar.linalg import vec, zero
 from polyvar.mpec import (
@@ -153,6 +153,38 @@ def test_stationarity_check_evaluates_f_once(monkeypatch):
         assert got == expected
         verdicts.add(r.verdict)
     assert verdicts == {NECESSARY_CONDITIONS_HOLD, INCONCLUSIVE, CERTIFIED_NON_OPTIMAL}
+
+
+def test_stationarity_check_builds_the_epigraph_cone_once(monkeypatch):
+    """One limiting normal cone of epi f per report: its horizon slice gives
+    q1 and its limiting slice the subdifferential, as `check_q1` and
+    `subdiff_wrt` give them on their own."""
+    p0 = final_example(c1_whole=False)
+    fneg = PLFunc.affine(1, vec(-1), 0)
+    problems = [
+        final_example(c1_whole=False),
+        final_example(c1_whole=True),
+        MPECProblem(1, 1, fneg, p0.G, p0.c1, p0.c2),
+    ]
+    real = cones.limiting_normal_wrt
+    holders = [m for m in (plfunc, multimaps, quals, mpec)
+               if getattr(m, "limiting_normal_wrt", None) is real]
+    assert plfunc in holders
+    for p in problems:
+        x = vec(0)
+        expected = (check_q1(p, x), subdiff_wrt(p.f, p.c1, x, KIND_LIMITING).value)
+        on_epi = []
+
+        def counting(omega, wrt, point):
+            on_epi.append(omega == p.f.epi)
+            return real(omega, wrt, point)
+
+        for module in holders:
+            monkeypatch.setattr(module, "limiting_normal_wrt", counting)
+        r = stationarity_check(p, x)
+        monkeypatch.undo()
+        assert on_epi.count(True) == 1
+        assert (r.q1, r.diagnostics["subdifferential"]) == expected
 
 
 def test_consistency_aubin_and_q2_imply_condition_agreement():

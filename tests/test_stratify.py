@@ -393,8 +393,53 @@ def test_cells_skip_region_lps_convexity_decides(monkeypatch, mode):
         ref_calls = calls[0]
         calls[0] = 0
         got = stratify._cells(sets, base)
-        assert got == ref, (sets, base)
+        # the same cells; witnesses may differ, each realizes its signature
+        assert [c.signature for c in got] == [c.signature for c in ref], (sets, base)
+        for cell in got:
+            w = cell.witness
+            assert tuple(_sign(dot(a, w) - b) for a, b in hyper) == cell.signature.signs
         assert calls[0] <= ref_calls
         saved += calls[0] < ref_calls
         checked += 1
     assert saved > 0
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_derived_middle_points_lie_in_their_child_region(monkeypatch, mode):
+    """Each point the far side's point places with no LP is checked by exact
+    dot products: it keeps the parent point's sign on every assigned row off
+    h, and lies on h (parent point off h) or beyond h from q (parent on h)."""
+    derive = stratify._other_side
+    cases = {"p on h": 0, "p off h": 0}
+
+    def checked(p, q, h, assigned):
+        r = derive(p, q, h, assigned)
+        vp, vq, vr = (_sign(dot(h[0], x) - h[1]) for x in (p, q, r))
+        assert vp != vq and vq != 0
+        assert vr == (-vq if vp == 0 else 0)
+        for a, b in assigned:
+            if (a, b) != h:
+                assert _sign(dot(a, r) - b) == _sign(dot(a, p) - b)
+        cases["p on h" if vp == 0 else "p off h"] += 1
+        return r
+
+    monkeypatch.setattr(stratify, "_other_side", checked)
+    rng = random.Random(f"derived-middle/{mode}")
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        base = rng_vec(rng, dim, -1, 1)
+        at = base if mode == "local" else rng_vec(rng, dim, -1, 1)
+        sets = [random_polyset_through(rng, dim, at, max_pieces=3)]
+        if rng.random() < 0.6:
+            sets.append(random_poly_through(rng, dim, at, max_rows=4))
+        hyper = _arrangement(sets)
+        if mode == "global":
+            base = None
+        elif not any(dot(a, base) == b for a, b in hyper):
+            continue
+        if len(hyper) > 6:
+            continue
+        for cell in stratify._cells(sets, base):
+            w = cell.witness
+            assert tuple(_sign(dot(a, w) - b) for a, b in hyper) == cell.signature.signs
+    assert min(cases.values()) >= 10, cases
