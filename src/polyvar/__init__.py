@@ -20,8 +20,8 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("calculus", "intersection_rule mixed_product_rule preimage_rule product_rule"),
-        ("cones", "ConeRequest frechet_normal frechet_normal_wrt limiting_normal"
-                  " limiting_normal_wrt normal_cone proximal_normal_wrt radial_cone"),
+        ("cones", "frechet_normal frechet_normal_wrt limiting_normal limiting_normal_wrt"
+                  " normal_cone proximal_normal_wrt radial_cone"),
         ("exactgeom", "ConeH ConeUnion ConvexPoly PolySet PolyUnion cone_union_ops"
                       " dd_convert is_zero_cone polar"),
         ("linalg", "rat vec"),

@@ -167,8 +167,8 @@ def preimage_rule(
     # the only rule on maps here: the other rules do not load multimaps
     from .multimaps import (
         _compose_slices,
+        _kernel,
         _piece_product,
-        coderivative_kernel,
         graph_normal_cone,
         inner_regularity_check,
     )
@@ -195,8 +195,8 @@ def preimage_rule(
     rhs_parts = []
     for ybar in reps:
         n_theta = limiting_normal(theta, ybar)
-        kernel = coderivative_kernel(F, c, x, ybar)
-        overlap = n_theta.intersect(kernel)
+        graph_cone = graph_normal_cone(F, c, x, ybar)
+        overlap = n_theta.intersect(_kernel(graph_cone, n, m))
         if not overlap.is_zero_cone() and kernel_verdict.is_holds():
             kernel_verdict = TriVerdict.fails(
                 {"ybar": ybar, "vector": overlap.nonzero_vector()}
@@ -213,10 +213,7 @@ def preimage_rule(
             densed_verdict = nd
         rhs_parts.extend(
             _compose_slices(
-                graph_normal_cone(F, c, x, ybar).parts,
-                [q.to_poly() for q in n_theta.parts],
-                n,
-                m,
+                graph_cone.parts, [q.to_poly() for q in n_theta.parts], n, m
             ).parts
         )
     rhs = PolyUnion.make(n, rhs_parts)

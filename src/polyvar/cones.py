@@ -21,21 +21,10 @@ the base point leaves the reference domain.
 
 from __future__ import annotations
 
-from ._record import record
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
 from .linalg import Vec, check_dim, dot, excess_at, neg, sub
 from .stratify import local_cells
 from .verdicts import KIND_FRECHET, KIND_LIMITING, KIND_PROXIMAL
-
-
-@record
-class ConeRequest:
-    """The (Omega, C, point) triple plus the requested cone kind."""
-
-    omega: PolySet
-    wrt: ConvexPoly
-    point: Vec
-    kind: str
 
 
 def _active_rows(p: ConvexPoly, x: Vec) -> tuple[list[Vec], list[Vec]] | None:
@@ -161,12 +150,14 @@ def limiting_normal(omega: PolySet, point: Vec) -> ConeUnion:
     return limiting_normal_wrt(omega, ConvexPoly.whole_space(omega.dim), point)
 
 
-def normal_cone(request: ConeRequest) -> ConeH | ConeUnion:
+def normal_cone(
+    omega: PolySet, wrt: ConvexPoly, point: Vec, kind: str
+) -> ConeH | ConeUnion:
     """Dispatch on the requested kind; empty marker outside Omega cap C."""
-    if request.kind == KIND_FRECHET:
-        return frechet_normal_wrt(request.omega, request.wrt, request.point)
-    if request.kind == KIND_PROXIMAL:
-        return proximal_normal_wrt(request.omega, request.wrt, request.point)
-    if request.kind == KIND_LIMITING:
-        return limiting_normal_wrt(request.omega, request.wrt, request.point)
-    raise ValueError(f"unknown cone kind: {request.kind}")
+    if kind == KIND_FRECHET:
+        return frechet_normal_wrt(omega, wrt, point)
+    if kind == KIND_PROXIMAL:
+        return proximal_normal_wrt(omega, wrt, point)
+    if kind == KIND_LIMITING:
+        return limiting_normal_wrt(omega, wrt, point)
+    raise ValueError(f"unknown cone kind: {kind}")

@@ -146,8 +146,11 @@ def coderivative_zero_cone(
 
 def coderivative_kernel(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> ConeUnion:
     """ker D*_C F(x,y) = {ystar : (0, -ystar) in the graph cone}."""
-    n, m = F.in_dim, F.out_dim
-    cone = graph_normal_cone(F, c, x, y)
+    return _kernel(graph_normal_cone(F, c, x, y), F.in_dim, F.out_dim)
+
+
+def _kernel(cone: ConeUnion, n: int, m: int) -> ConeUnion:
+    """The kernel read off a graph cone in R^{n+m}."""
     # the slices {t : (0, t) in a part} hold -ystar
     slices = [
         ConeH.from_ineqs(m, [a[n:] for a in p.ineqs], [e[n:] for e in p.eqs])

@@ -33,7 +33,6 @@ DIVERGENCE_SENTINEL = 1e3
 class SamplingPlan:
     radius: Fraction = Fraction(1)
     grid_step: Fraction = Fraction(1, 64)
-    direction_count: int = 16
     tolerance: float = 1e-6
 
     def __post_init__(self):

@@ -1,7 +1,7 @@
 """Piecewise-linear extended-real functions via their polyhedral epigraphs.
 
 A function is its epigraph, a finite union of upward-closed convex polyhedra
-in R^{n+1}; values are fiber minima by LP.
+in R^{n+1}; values are fiber minima, read off each fiber's canonical H-form.
 Subdifferentials relative to a convex set C are slices of the epigraph's
 normal cone relative to C x R: the last dual coordinate is fixed to -1
 (Fréchet/limiting) or 0 (horizon).  For a base point in C the epigraph of
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import lp
 from ._record import record
 from .cones import frechet_normal_wrt, limiting_normal_wrt
 from .exactgeom import (
@@ -24,7 +23,7 @@ from .exactgeom import (
     slice_cone_at_tail,
 )
 from .linalg import Vec, as_vec, check_dim, neg, zero
-from .multimaps import PolyMultimap, coderivative_wrt
+from .multimaps import PolyMultimap, coderivative_wrt, slice_fiber
 from .verdicts import KIND_FRECHET, KIND_HORIZON, KIND_LIMITING, TriVerdict
 
 _UP = "improper function: a fiber of the epigraph is unbounded below"
@@ -68,20 +67,27 @@ class PLFunc:
         )
 
     def value(self, x: Vec) -> Fraction | None:
-        """f(x) = min{alpha : (x, alpha) in epi}; None encodes +infinity."""
+        """f(x) = min{alpha : (x, alpha) in epi}; None encodes +infinity.
+
+        Each piece's fiber over x is an interval of alpha in canonical
+        H-form: a point (one equality e.alpha = d), or an interval whose
+        lower end, if any, is its one row a.alpha <= b with a[0] < 0.
+        """
         check_dim("value point", len(x), self.dim)
         best: Fraction | None = None
-        obj = zero(self.dim) + (Fraction(1),)
         for p in self.epi.pieces:
-            eqs = list(p.eqs) + [
-                (tuple(Fraction(1 if j == i else 0) for j in range(self.dim + 1)), x[i])
-                for i in range(self.dim)
-            ]
-            status, _, val = lp.solve(obj, list(p.ineqs), eqs, self.dim + 1, maximize=False)
-            if status == lp.OPTIMAL and val is not None:
-                best = val if best is None else min(best, val)
-            elif status == lp.UNBOUNDED:
-                raise ValueError(_UP)
+            fiber = slice_fiber(p, x)
+            if fiber.is_empty():
+                continue
+            if fiber.eqs:
+                ((e, d),) = fiber.eqs
+                val = d / e[0]
+            else:
+                low = [b / a[0] for a, b in fiber.ineqs if a[0] < 0]
+                if not low:
+                    raise ValueError(_UP)
+                val = low[0]
+            best = val if best is None else min(best, val)
         return best
 
     def epigraphical_map(self) -> PolyMultimap:

@@ -10,8 +10,10 @@ holds iff N_{C1}(x, Omega1) cap [-N_{C2}(x, Omega2)] = {0}.
 
 Normal-densedness quantifies over limits of classical normals plus a radial
 direction taken along Omega cap bd C.  Over each adherent sign cell the
-radial cone of C is constant, hence the achievable radial limits form the
-finite union L of those cones, and the premise pairs are exactly
+radial cone of C is constant, fixed by the rows of C tight at the cell's
+witness, hence the achievable radial limits form the finite union L of the
+cones of the boundary cells, one per pattern of tight rows, and the premise
+pairs are exactly
 {(v1, v2) in N(x,Omega1 cap C1) x N(x,Omega2 cap C2) : v1 + v2 in L}.  The
 conclusion asks for a re-representation of the sum inside the relative
 limiting cones, plus a nonzero re-representation when the pair is nonzero
@@ -20,9 +22,9 @@ with zero sum; both are Minkowski/intersection computations on cone unions.
 
 from __future__ import annotations
 
-from .cones import limiting_normal, limiting_normal_wrt, radial_cone
-from .exactgeom import ConeUnion, ConvexPoly, PolySet
-from .linalg import Vec, check_dim, dot, zero
+from .cones import _active_rows, limiting_normal, limiting_normal_wrt
+from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
+from .linalg import Vec, check_dim, zero
 from .stratify import local_cells
 from .verdicts import TriVerdict
 
@@ -55,21 +57,15 @@ def boundary_radial_limit(
 ) -> ConeUnion:
     """Outer limit of radial cones of c along Omega1 cap Omega2 cap bd c at x.
 
-    Empty union when no sequence of that kind approaches x (in particular
-    when x is interior to c), which makes the normal-densedness premise
-    vacuous.
+    A cell lies in bd c when a row of c is tight at its witness or c has an
+    equality; one radial cone is built per pattern of tight rows.  Empty
+    union when no sequence of that kind approaches x (in particular when x
+    is interior to c), which makes the normal-densedness premise vacuous.
     """
-    lower_dimensional = bool(c.eqs)
     cells = local_cells([omega1, omega2, c], x)
-    parts = []
-    for cell in cells:
-        w = cell.witness
-        on_boundary = lower_dimensional or any(
-            dot(a, w) == b for a, b in c.ineqs
-        )
-        if on_boundary:
-            parts.append(radial_cone(c, w))
-    return ConeUnion.make(c.dim, parts)
+    tight = {tuple(_active_rows(c, cell.witness)[0]) for cell in cells}
+    eqs = [e for e, _ in c.eqs]
+    return ConeUnion.make(c.dim, [ConeH.from_ineqs(c.dim, a, eqs) for a in tight if a or eqs])
 
 
 def normal_densed_check(

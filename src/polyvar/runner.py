@@ -160,12 +160,6 @@ def dims_of(obj) -> tuple[int, ...]:
     return (len(obj),) if isinstance(obj, tuple) else (obj.dim,)
 
 
-def _normal_cone(omega, wrt, point, kind):
-    from . import cones
-
-    return cones.normal_cone(cones.ConeRequest(omega, wrt, point, kind))
-
-
 def _mpec_check(f, g, c1, c2, point):
     from . import mpec
 
@@ -270,7 +264,7 @@ _TWO_SETS = "omega1:polyset:d omega2:polyset:d c1:convex:d c2:convex:d point:poi
 
 # the CLI runs a "rule-X" op as `polyvar rule X` and every other op as itself
 OPS: dict[str, Op] = {
-    "normal-cone": _op("cone", ("runner", "_normal_cone"), _computed,
+    "normal-cone": _op("cone", ("cones", "normal_cone"), _computed,
         "omega:polyset:d wrt?:convex:d point:point:d kind:cone-kind", _probe_cone),
     "coderivative": _op("slice", ("multimaps", "coderivative_wrt"), _computed,
         "map:multimap:d>e wrt?:convex:d x:point:d y:point:e ystar:point:e"),

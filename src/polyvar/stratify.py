@@ -181,37 +181,40 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
             hyperplanes.append(_Hyperplane(av, bv))
         return index[key], flip
 
-    # requirement per row: (hyperplane id, allowed signs) for "row satisfied"
-    piece_rows: list[list[list[tuple[int, frozenset[int]]]]] = []
+    # requirement per row: (hyperplane id, allowed signs) for "row satisfied",
+    # where None, a sign still to branch, is allowed
+    piece_rows: list[list[list[tuple[int, frozenset[int | None]]]]] = []
     for s in sets:
         rows_per_piece = []
         for piece in _as_pieces(s):
-            reqs: list[tuple[int, frozenset[int]]] = []
+            reqs: list[tuple[int, frozenset[int | None]]] = []
             for a, b in piece.ineqs:
                 h, flip = hyperplane_id(a, b)
-                allowed = frozenset({-1, 0} if flip == 1 else {0, 1})
+                allowed = frozenset({-1, 0, None} if flip == 1 else {0, 1, None})
                 reqs.append((h, allowed))
             for e, d in piece.eqs:
                 h, _ = hyperplane_id(e, d)
-                reqs.append((h, frozenset({0})))
+                reqs.append((h, frozenset({0, None})))
             rows_per_piece.append(reqs)
         piece_rows.append(rows_per_piece)
 
     n_h = len(hyperplanes)
+    # signs[h]: the sign of hyperplane h on the current prefix, None while h
+    # is still to branch; a row inactive at the base keeps the base's sign
     if base is None:
         # every row branches; the region LP keeps the offsets (finds points)
-        base_signs = [0] * n_h
+        signs: list[int | None] = [None] * n_h
         offsets = [hp.offset for hp in hyperplanes]
         inactive = []
     else:
         # only rows active at the base branch; the region LP drops the
         # offsets (finds directions from the base)
         values = [dot(hp.normal, base) - hp.offset for hp in hyperplanes]
-        base_signs = [_sign(v) for v in values]
+        signs = [_sign(v) or None for v in values]
         offsets = [0] * n_h
         # (value at the base, normal) for the rows inactive at the base
         inactive = [(v, hp.normal) for v, hp in zip(values, hyperplanes) if v]
-    active = [h for h in range(n_h) if base_signs[h] == 0]
+    active = [h for h in range(n_h) if signs[h] is None]
     # each hyperplane as the region LP reads it, (normal, offset), and negated
     rows = [(hp.normal, offset) for hp, offset in zip(hyperplanes, offsets)]
     flipped = [(neg(normal), -offset) for normal, offset in rows]
@@ -219,44 +222,31 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
 
     cells: list[Cell] = []
 
-    def known_sign(signs: dict[int, int], h: int) -> int | None:
-        if h in signs:
-            return signs[h]
-        return base_signs[h] if base_signs[h] != 0 else None
-
-    def pieces_possible(signs: dict[int, int]) -> bool:
+    def pieces_possible() -> bool:
         # prune when every piece of some set already has a violated row
         for rows_per_piece in piece_rows:
-            ok = False
             for reqs in rows_per_piece:
-                good = True
                 for h, allowed in reqs:
-                    sgn = known_sign(signs, h)
-                    if sgn is not None and sgn not in allowed:
-                        good = False
+                    if signs[h] not in allowed:
                         break
-                if good:
-                    ok = True
-                    break
-            if not ok:
+                else:
+                    break  # no row of this piece is violated
+            else:
                 return False
         return True
 
-    def region_point(signs: dict[int, int]) -> Vec | None:
+    def region_point(assigned: list[int]) -> Vec | None:
         # a point p with sign(a.p - offset) = s on the assigned rows
-        strict = [rows[h] if sgn < 0 else flipped[h] for h, sgn in signs.items() if sgn]
-        eqs = [rows[h] for h, sgn in signs.items() if not sgn]
+        strict = [rows[h] if signs[h] < 0 else flipped[h] for h in assigned if signs[h]]
+        eqs = [rows[h] for h in assigned if not signs[h]]
         return lp.strict_feasible_point([], strict, eqs, dim)
 
-    def descend(pos: int, signs: dict[int, int], p: Vec) -> None:
+    def descend(pos: int, p: Vec) -> None:
         if pos == len(active):
             # every sign is known here, so `pieces_possible`, which let
             # this leaf be reached, put the cell in a piece of every set
-            full = list(base_signs)
-            for h, sgn in signs.items():
-                full[h] = sgn
             witness = p if base is None else _step(base, p, inactive)
-            cells.append(Cell(CellSignature(tuple(full)), witness))
+            cells.append(Cell(CellSignature(tuple(signs)), witness))
             return
         h = active[pos]
         side = _sign(dot(hyperplanes[h].normal, p) - offsets[h])
@@ -266,22 +256,21 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         ran, q = False, None
         for sgn in (far, 0 if side else 1, side):
             signs[h] = sgn
-            if pieces_possible(signs):
+            if pieces_possible():
                 if sgn == side:
                     child = p
                 elif ran:
                     child = None if q is None else _other_side(
-                        p, q, rows[h], [rows[g] for g in signs]
+                        p, q, rows[h], [rows[g] for g in active[:pos + 1]]
                     )
                 else:
-                    child = q = region_point(signs)
+                    child = q = region_point(active[:pos + 1])
                     ran = True
                 if child is not None:
-                    descend(pos + 1, signs, child)
-            del signs[h]
+                    descend(pos + 1, child)
+        signs[h] = None
 
-    if pieces_possible({}):
-        descend(0, {}, zero(dim))
+    if pieces_possible():
+        descend(0, zero(dim))
     cells.sort(key=lambda c: c.signature.signs)
     return cells
-

@@ -312,3 +312,25 @@ def test_no_assert_in_engine_sources():
     ]
     assert len(list(src.glob("*.py"))) > 10
     assert not found, found
+
+
+def _imports_lp(node: ast.AST) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "polyvar.lp" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module in ("lp", "polyvar.lp") or (
+            module in ("", "polyvar") and any(alias.name == "lp" for alias in node.names)
+        )
+    return False
+
+
+def test_only_the_region_tests_import_lp():
+    # the exact LP serves the cell search and union containment only
+    src = Path(polyvar.__file__).parent
+    importers = {
+        path.stem
+        for path in src.glob("*.py")
+        if any(map(_imports_lp, ast.walk(ast.parse(path.read_text(), str(path)))))
+    }
+    assert importers == {"exactgeom", "stratify"}

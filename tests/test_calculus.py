@@ -22,11 +22,12 @@ from polyvar.calculus import (
     preimage_rule,
     product_rule,
 )
-from polyvar.cones import limiting_normal, limiting_normal_wrt
-from polyvar.exactgeom import ConvexPoly, PolySet
-from polyvar.linalg import vec, zero
+from polyvar.cones import limiting_normal, limiting_normal_wrt, radial_cone
+from polyvar.exactgeom import ConeUnion, ConvexPoly, PolySet
+from polyvar.linalg import dot, vec, zero
 from polyvar.multimaps import PolyMultimap
 from polyvar.quals import boundary_radial_limit
+from polyvar.stratify import local_cells
 from polyvar.verdicts import FAILS, HOLDS
 
 
@@ -277,6 +278,42 @@ def test_normal_densed_interior_holds():
     v = normal_densed_check(ex_set, ex_set, box, box, vec(0))
     assert v.value == HOLDS
     assert v.certificate == {"reason": "no boundary approach"}
+
+
+def ref_boundary_radial_limit(omega1, omega2, c, x):
+    """`boundary_radial_limit` as it was: a dot product per row of c and one
+    radial cone per cell."""
+    lower_dimensional = bool(c.eqs)
+    cells = local_cells([omega1, omega2, c], x)
+    parts = []
+    for cell in cells:
+        w = cell.witness
+        on_boundary = lower_dimensional or any(
+            dot(a, w) == b for a, b in c.ineqs
+        )
+        if on_boundary:
+            parts.append(radial_cone(c, w))
+    return ConeUnion.make(c.dim, parts)
+
+
+def test_boundary_radial_limit_matches_per_cell_reference():
+    rng = random.Random("boundary-radial-limit")
+    seen = {"c with equalities": 0, "x interior to c": 0, "nonempty": 0}
+    for _ in range(80):
+        dim = rng.randint(1, 3)
+        x = rng_vec(rng, dim, -1, 1)
+        omega1 = random_polyset_through(rng, dim, x, max_pieces=2)
+        omega2 = random_polyset_through(rng, dim, x, max_pieces=2)
+        c = random_poly_through(rng, dim, x, max_rows=3)
+        if rng.random() < 0.3:
+            e = rng_vec(rng, dim, -2, 2)
+            c = c.intersect(ConvexPoly.make(dim, [], [(e, dot(e, x))]))
+        got = boundary_radial_limit(omega1, omega2, c, x)
+        assert got.parts == ref_boundary_radial_limit(omega1, omega2, c, x).parts
+        seen["c with equalities"] += bool(c.eqs)
+        seen["x interior to c"] += not c.eqs and all(dot(a, x) < b for a, b in c.ineqs)
+        seen["nonempty"] += not got.is_empty()
+    assert min(seen.values()) >= 10, seen
 
 
 # -- intersection rule -----------------------------------------------------------

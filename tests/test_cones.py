@@ -19,7 +19,6 @@ from conftest import (
 )
 from polyvar import cones
 from polyvar.cones import (
-    ConeRequest,
     frechet_normal,
     frechet_normal_wrt,
     limiting_normal,
@@ -267,12 +266,10 @@ def test_limiting_outside_empty():
 
 def test_normal_cone_dispatch():
     ex = make_example1()
-    req = ConeRequest(ex.omega1, ex.c, ex.origin, "frechet")
-    assert isinstance(normal_cone(req), ConeH)
-    req = ConeRequest(ex.omega1, ex.c, ex.origin, "limiting")
-    assert isinstance(normal_cone(req), ConeUnion)
+    assert isinstance(normal_cone(ex.omega1, ex.c, ex.origin, "frechet"), ConeH)
+    assert isinstance(normal_cone(ex.omega1, ex.c, ex.origin, "limiting"), ConeUnion)
     with pytest.raises(ValueError):
-        normal_cone(ConeRequest(ex.omega1, ex.c, ex.origin, "clarke"))
+        normal_cone(ex.omega1, ex.c, ex.origin, "clarke")
 
 
 # -- structural invariants on random instances ----------------------------------

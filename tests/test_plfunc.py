@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_plfunc, rng_vec
-from polyvar.exactgeom import ConvexPoly, PolyUnion
-from polyvar.linalg import dot, vec, zero
+from polyvar import lp
+from polyvar.exactgeom import ConvexPoly, PolySet, PolyUnion
+from polyvar.linalg import dot, neg, vec, zero
 from polyvar.plfunc import (
+    _UP,
     KIND_FRECHET,
     KIND_HORIZON,
     KIND_LIMITING,
@@ -287,3 +289,93 @@ def test_grid_minimizer_soundness_random():
             val = f.value(delta)
             assert val is None or val >= 0, (f, delta, val)
         checked += 1
+
+
+# -- PLFunc.value against the one-LP-per-piece minimum it replaced -----------
+
+
+def ref_value(f: PLFunc, x):
+    """`PLFunc.value` as it was: the least alpha of each fiber by LP."""
+    best = None
+    obj = zero(f.dim) + (Fraction(1),)
+    for p in f.epi.pieces:
+        eqs = list(p.eqs) + [
+            (tuple(Fraction(1 if j == i else 0) for j in range(f.dim + 1)), x[i])
+            for i in range(f.dim)
+        ]
+        status, _, val = lp.solve(obj, list(p.ineqs), eqs, f.dim + 1, maximize=False)
+        if status == lp.OPTIMAL and val is not None:
+            best = val if best is None else min(best, val)
+        elif status == lp.UNBOUNDED:
+            raise ValueError(_UP)
+    return best
+
+
+def _random_epi_piece(rng: random.Random, dim: int, kind: str) -> ConvexPoly:
+    """alpha >= a.x + b on a random domain; "band" adds an upper bound and
+    "graph" makes alpha = a.x + b, whose fibers are points."""
+    up = (Fraction(1),)
+    slope, offset = rng_vec(rng, dim, -2, 2), Fraction(rng.randint(-2, 2))
+    ineqs = [(slope + (Fraction(-1),), -offset)]
+    eqs = []
+    for _ in range(rng.randint(0, 2)):
+        ineqs.append((rng_vec(rng, dim, -2, 2) + (Fraction(0),), Fraction(rng.randint(-1, 2))))
+    if kind == "band":
+        ineqs.append((neg(rng_vec(rng, dim, -1, 1)) + up, offset + rng.randint(0, 3)))
+    elif kind == "graph":
+        eqs.append((neg(slope) + up, offset))
+    return ConvexPoly.make(dim + 1, ineqs, eqs)
+
+
+def _value_cases():
+    """Seeded PL functions, several pieces each, and points in and out of
+    their domains."""
+    rng = random.Random("pl-values")
+    for _ in range(60):
+        dim = rng.randint(1, 3)
+        kinds = [rng.choice(["epi", "band", "graph"]) for _ in range(rng.randint(1, 3))]
+        pieces = [_random_epi_piece(rng, dim, kind) for kind in kinds]
+        if rng.random() < 0.3:
+            f = PLFunc.from_epigraph_pieces(dim, pieces)
+        else:
+            f = PLFunc(dim, PolySet.make(dim + 1, pieces))
+        for _ in range(4):
+            yield f, rng_vec(rng, dim, -2, 2)
+    for _ in range(10):
+        dim = rng.randint(1, 3)
+        yield random_plfunc(rng, dim), rng_vec(rng, dim, -2, 2)
+
+
+def test_value_matches_the_lp_minimum():
+    seen = {"finite": 0, "outside": 0, "point fiber": 0, "several pieces": 0}
+    for f, x in _value_cases():
+        expected = ref_value(f, x)
+        assert f.value(x) == expected, (f, x)
+        seen["several pieces"] += len(f.epi.pieces) > 1
+        if expected is None:
+            seen["outside"] += 1
+            continue
+        seen["finite"] += 1
+        # an equality with a nonzero alpha entry makes the fiber a point
+        at = [p for p in f.epi.pieces if p.contains(x + (expected,))]
+        seen["point fiber"] += any(e[-1] for p in at for e, _ in p.eqs)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_value_solves_no_lp(monkeypatch):
+    cases = [(f, x, ref_value(f, x)) for f, x in _value_cases()]
+
+    def no_lp(*args, **kwargs):
+        raise AssertionError("PLFunc.value solved an LP")
+
+    monkeypatch.setattr(lp, "solve", no_lp)
+    for f, x, expected in cases:
+        assert f.value(x) == expected
+
+
+def test_value_of_a_fiber_unbounded_below_raises():
+    # x + alpha <= 0: the fiber over 0 is alpha <= 0, with no least point
+    f = PLFunc(1, PolySet.make(2, [ConvexPoly.make(2, [(vec(1, 1), Fraction(0))])]))
+    for value in (f.value, lambda x: ref_value(f, x)):
+        with pytest.raises(ValueError, match="unbounded below"):
+            value(vec(0))

@@ -170,4 +170,4 @@ def test_sampling_plan_still_validates():
         SamplingPlan(grid_step=2)
     with pytest.raises(ValueError):
         SamplingPlan(tolerance=0)
-    assert SamplingPlan() == SamplingPlan(Fraction(1), Fraction(1, 64), 16, 1e-6)
+    assert SamplingPlan() == SamplingPlan(Fraction(1), Fraction(1, 64), 1e-6)
