@@ -193,6 +193,8 @@ def preimage_rule(
     kernel_verdict = TriVerdict.holds()
     densed_verdict = TriVerdict.holds()
     rhs_parts = []
+    omega2 = theta.embed(n + m, tuple(range(n, n + m)))
+    c_lift = c.product(ConvexPoly.whole_space(m))
     for ybar in reps:
         n_theta = limiting_normal(theta, ybar)
         graph_cone = graph_normal_cone(F, c, x, ybar)
@@ -201,14 +203,7 @@ def preimage_rule(
             kernel_verdict = TriVerdict.fails(
                 {"ybar": ybar, "vector": overlap.nonzero_vector()}
             )
-        omega2 = theta.embed(n + m, tuple(range(n, n + m)))
-        nd = normal_densed_check(
-            F.graph,
-            omega2,
-            c.product(ConvexPoly.whole_space(m)),
-            whole_nm,
-            x + ybar,
-        )
+        nd = normal_densed_check(F.graph, omega2, c_lift, whole_nm, x + ybar)
         if not nd.is_holds() and densed_verdict.is_holds():
             densed_verdict = nd
         rhs_parts.extend(

@@ -21,26 +21,26 @@ the base point leaves the reference domain.
 
 from __future__ import annotations
 
-from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
+from .exactgeom import ConeH, ConeUnion, ConvexPoly, IntVec, PolySet
 from .linalg import Vec, check_dim, dot, excess_at, neg, sub
 from .stratify import local_cells
 from .verdicts import KIND_FRECHET, KIND_LIMITING, KIND_PROXIMAL
 
 
-def _active_rows(p: ConvexPoly, x: Vec) -> tuple[list[Vec], list[Vec]] | None:
+def _active_rows(p: ConvexPoly, x: Vec) -> tuple[list[IntVec], list[IntVec]] | None:
     """(normals of the inequalities tight at x, equality normals) of p, or
     None when x lies outside p: the rows of p's tangent cone at x."""
     excess = excess_at(x)
     active = []
-    for a, b in p.ineqs:
+    for a, b in p.rows:
         value = excess(a, b)
         if value > 0:
             return None
         if value == 0:
             active.append(a)
-    if any(excess(e, d) for e, d in p.eqs):
+    if any(excess(e, d) for e, d in p.eq_rows):
         return None
-    return active, [e for e, _ in p.eqs]
+    return active, [e for e, _ in p.eq_rows]
 
 
 def radial_cone(c: ConvexPoly, x: Vec) -> ConeH:
@@ -49,7 +49,7 @@ def radial_cone(c: ConvexPoly, x: Vec) -> ConeH:
     rows = _active_rows(c, x)
     if rows is None:
         raise ValueError("point outside the set")
-    return ConeH.from_ineqs(c.dim, *rows)
+    return ConeH.from_rows(c.dim, *rows)
 
 
 def _rows_at(omega: PolySet, x: Vec, wrt: ConvexPoly):
@@ -71,10 +71,10 @@ def _frechet_cone(dim: int, rows) -> ConeH:
         return ConeH.zero(dim)
     ineqs, eqs = map(list, radial)
     for tangent in tangents:
-        rays, lineality = ConeH.from_ineqs(dim, *tangent).generators()
+        rays, lineality = ConeH.from_rows(dim, *tangent).generators()
         ineqs += rays
         eqs += lineality
-    return ConeH.from_ineqs(dim, ineqs, eqs)
+    return ConeH.from_rows(dim, ineqs, eqs)
 
 
 def frechet_normal(omega: PolySet, x: Vec) -> ConeH:

@@ -18,11 +18,13 @@ Cones additionally carry a V-representation (extreme rays modulo lineality
 plus a lineality basis), so polars and Minkowski sums are generator
 transpositions.  A cone keeps the generators its canonicalization found.
 
-Rows enter the kernels as int tuples: `as_row` turns every integral entry
-into an int before `_canon_h` and `_dd`, canonicalization works on primitive
-int rows, and the generators are the int rows `_dd` returns.  The H-form
-fields (`ineqs`, `eqs`) hold `Fraction` entries, which reports and stored
-digests of results read.
+Rows are int tuples inside the engine: `as_row` turns every integral entry
+of an input row into an int before `_canon_h` and `_dd`, canonicalization
+works on and returns primitive int rows, and the generators are the int
+rows `_dd` returns.  The H-form fields (`rows`, `eq_rows`) hold those int
+rows, and every operation reads them as they are.  `ineqs` and `eqs` are a
+read-only view of the same rows with `Fraction` entries, built on each
+read, for the report renderers of other tools and for tests.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .linalg import (
     Vec,
     as_row,
     check_dim,
-    dot,
     exact,
     excess_at,
     frozen_rows,
@@ -45,20 +46,18 @@ from .linalg import (
     neg,
     nullspace_ints,
     primitive_ints,
+    quotient,
     rat,
     reduce_mod_rowspace,
     rref_ints,
     to_vec,
-    zero,
 )
 
 Row = tuple[Vec, Fraction]
-IntRow = tuple[tuple[int, ...], int]
-Gens = tuple[tuple[int, ...], ...] | None
-Canon = tuple[tuple[Row, ...], tuple[Row, ...], Gens, Gens]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+IntVec = tuple[int, ...]
+IntRow = tuple[IntVec, int]
+Gens = tuple[IntVec, ...] | None
+Canon = tuple[tuple[IntRow, ...], tuple[IntRow, ...], Gens, Gens]
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +77,13 @@ def _canon_h(dim: int, ineqs: list[Row], eqs: list[Row]) -> Canon | None:
     generators exactly as `ConeH` keeps them; otherwise both are None.
     Row entries may be ints or Fractions.  Identical calls (same rows in the
     same order) are answered from a bounded per-process cache with the same
-    immutable result; its H-form entries are Fractions, its generators ints.
+    immutable result, whose rows and generators are all primitive int rows.
     """
     return _canon_h_rows(dim, frozen_rows(ineqs), frozen_rows(eqs))
 
 
 def _split(row: list[int]) -> IntRow:
     return tuple(row[:-1]), row[-1]
-
-
-def _rational(rows: list[IntRow]) -> tuple[Row, ...]:
-    return tuple((to_vec(a), Fraction(b)) for a, b in rows)
 
 
 def _reduce_rows(
@@ -158,17 +153,12 @@ def _canon_h_rows(
     # facets duplicated modulo the implied equalities, and rows constant on
     # the set, reduce to one row or to 0 <= positive
     eq_rows, pivots = rref_ints(eq_rows + implied)
-    keep = sorted(_reduce_rows(facets, eq_rows, pivots))
-    eq_out = sorted(_split(r) for r in eq_rows)
+    keep = tuple(sorted(_reduce_rows(facets, eq_rows, pivots)))
+    eq_out = tuple(sorted(_split(r) for r in eq_rows))
     if not homogeneous:
-        return _rational(keep), _rational(eq_out), None, None
+        return keep, eq_out, None, None
     lin_rows, _ = rref_ints(lin)
-    return (
-        _rational(keep),
-        _rational(eq_out),
-        tuple(rays),
-        tuple(sorted(map(tuple, lin_rows))),
-    )
+    return keep, eq_out, tuple(rays), tuple(sorted(map(tuple, lin_rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +168,41 @@ def _canon_h_rows(
 
 @record
 class ConvexPoly:
-    """A convex polyhedron {x : a.x <= b, e.x == d} in canonical H-form."""
+    """A convex polyhedron {x : a.x <= b, e.x == d} in canonical H-form.
+
+    `rows` and `eq_rows` are its canonical rows (a, b), each a primitive
+    int tuple with an int offset; `ineqs` and `eqs` give them with
+    `Fraction` entries.
+    """
 
     dim: int
-    ineqs: tuple[Row, ...]
-    eqs: tuple[Row, ...]
+    rows: tuple[IntRow, ...]
+    eq_rows: tuple[IntRow, ...]
+
+    @property
+    def ineqs(self) -> tuple[Row, ...]:
+        """The inequality rows with `Fraction` entries, built on each read."""
+        return tuple((to_vec(a), Fraction(b)) for a, b in self.rows)
+
+    @property
+    def eqs(self) -> tuple[Row, ...]:
+        """The equality rows with `Fraction` entries, built on each read."""
+        return tuple((to_vec(e), Fraction(d)) for e, d in self.eq_rows)
 
     @staticmethod
     def make(dim: int, ineqs=(), eqs=()) -> "ConvexPoly":
-        canon = _canon(dim, ineqs, eqs)
+        """The polyhedron of rows in any exact form."""
+        return ConvexPoly.from_rows(
+            dim,
+            [(as_row(a), _offset(b)) for a, b in ineqs],
+            [(as_row(e), _offset(d)) for e, d in eqs],
+        )
+
+    @staticmethod
+    def from_rows(dim: int, rows=(), eq_rows=()) -> "ConvexPoly":
+        """The polyhedron of rows whose entries are ints, or Fractions where
+        not integral, as the fields of other sets give them: no coercion."""
+        canon = _canon_h(dim, rows, eq_rows)
         if canon is None:
             return ConvexPoly.empty(dim)
         return ConvexPoly(dim, canon[0], canon[1])
@@ -200,38 +216,38 @@ class ConvexPoly:
         return ConvexPoly(dim, _empty_rows(dim), ())
 
     def is_empty(self) -> bool:
-        return self.ineqs == _empty_rows(self.dim)
+        return self.rows == _empty_rows(self.dim)
 
     def contains(self, x: Vec) -> bool:
         check_dim("contains point", len(x), self.dim)
         if self.is_empty():
             return False
         excess = excess_at(x)
-        return all(excess(a, b) <= 0 for a, b in self.ineqs) and not any(
-            excess(e, d) for e, d in self.eqs
+        return all(excess(a, b) <= 0 for a, b in self.rows) and not any(
+            excess(e, d) for e, d in self.eq_rows
         )
 
     def intersect(self, other: "ConvexPoly") -> "ConvexPoly":
         check_dim("intersect", other.dim, self.dim)
-        return ConvexPoly.make(
-            self.dim, self.ineqs + other.ineqs, self.eqs + other.eqs
+        return ConvexPoly.from_rows(
+            self.dim, self.rows + other.rows, self.eq_rows + other.eq_rows
         )
 
     def product(self, other: "ConvexPoly") -> "ConvexPoly":
         n, m = self.dim, other.dim
-        ineqs = [(a + zero(m), b) for a, b in self.ineqs]
-        ineqs += [(zero(n) + a, b) for a, b in other.ineqs]
-        eqs = [(e + zero(m), d) for e, d in self.eqs]
-        eqs += [(zero(n) + e, d) for e, d in other.eqs]
-        return ConvexPoly.make(n + m, ineqs, eqs)
+        rows = [(a + (0,) * m, b) for a, b in self.rows]
+        rows += [((0,) * n + a, b) for a, b in other.rows]
+        eq_rows = [(e + (0,) * m, d) for e, d in self.eq_rows]
+        eq_rows += [((0,) * n + e, d) for e, d in other.eq_rows]
+        return ConvexPoly.from_rows(n + m, rows, eq_rows)
 
     def embed(self, total_dim: int, coords: tuple[int, ...]) -> "ConvexPoly":
         """Lift into Q^total_dim placing own coordinate i at coords[i]."""
         check_dim("embed coordinates", len(coords), self.dim)
-        return ConvexPoly.make(
+        return ConvexPoly.from_rows(
             total_dim,
-            [(_lift(a, total_dim, coords), b) for a, b in self.ineqs],
-            [(_lift(e, total_dim, coords), d) for e, d in self.eqs],
+            [(_lift(a, total_dim, coords), b) for a, b in self.rows],
+            [(_lift(e, total_dim, coords), d) for e, d in self.eq_rows],
         )
 
     def eliminate(self, coords: tuple[int, ...]) -> "ConvexPoly":
@@ -258,8 +274,8 @@ class ConvexPoly:
     def recession(self) -> "ConeH":
         if self.is_empty():
             return ConeH.zero(self.dim)
-        return ConeH.from_ineqs(
-            self.dim, [a for a, _ in self.ineqs], [e for e, _ in self.eqs]
+        return ConeH.from_rows(
+            self.dim, [a for a, _ in self.rows], [e for e, _ in self.eq_rows]
         )
 
     def subset_of(self, other: "ConvexPoly") -> bool:
@@ -267,46 +283,37 @@ class ConvexPoly:
         return self.is_empty() or self.intersect(other) == self
 
     def feasible_point(self) -> Vec | None:
-        return lp.feasible_point(list(self.ineqs), list(self.eqs), self.dim)
+        return lp.feasible_point(list(self.rows), list(self.eq_rows), self.dim)
 
     def minkowski(self, other: "ConvexPoly") -> "ConvexPoly":
         """self + other by projecting {(x, u) : u in self, x - u in other}
         onto x."""
         check_dim("minkowski", other.dim, self.dim)
         n = self.dim
-        ineqs: list[Row] = [((zero(n) + a), b) for a, b in self.ineqs]
-        eqs: list[Row] = [((zero(n) + e), d) for e, d in self.eqs]
-        ineqs += [(a + neg(a), b) for a, b in other.ineqs]
-        eqs += [(e + neg(e), d) for e, d in other.eqs]
-        big = ConvexPoly.make(2 * n, ineqs, eqs)
+        rows = [((0,) * n + a, b) for a, b in self.rows]
+        eq_rows = [((0,) * n + e, d) for e, d in self.eq_rows]
+        rows += [(a + neg(a), b) for a, b in other.rows]
+        eq_rows += [(e + neg(e), d) for e, d in other.eq_rows]
+        big = ConvexPoly.from_rows(2 * n, rows, eq_rows)
         return big.eliminate(tuple(range(n, 2 * n)))
-
-
-def _canon(dim: int, ineqs, eqs) -> Canon | None:
-    """`_canon_h` of rows in any exact form, integral entries made ints."""
-    return _canon_h(
-        dim,
-        [(as_row(a), _offset(b)) for a, b in ineqs],
-        [(as_row(e), _offset(d)) for e, d in eqs],
-    )
 
 
 def _offset(b) -> int | Fraction:
     return b if type(b) is int else exact(rat(b))
 
 
-def _lift(v: Vec, total_dim: int, coords: tuple[int, ...]) -> Vec:
+def _lift(v: IntVec, total_dim: int, coords: tuple[int, ...]) -> IntVec:
     """v in Q^total_dim with its coordinate i at coords[i], zero elsewhere."""
-    w = [_ZERO] * total_dim
+    w = [0] * total_dim
     for i, c in enumerate(coords):
         w[c] = v[i]
     return tuple(w)
 
 
 @lru_cache(maxsize=None)
-def _empty_rows(dim: int) -> tuple[Row, ...]:
+def _empty_rows(dim: int) -> tuple[IntRow, ...]:
     """The H-form of the empty polyhedron, 0 <= -1: one object per dim."""
-    return ((zero(dim), Fraction(-1)),)
+    return (((0,) * dim, -1),)
 
 
 def _homogenization(dim: int, ineqs, eqs) -> tuple[list, list]:
@@ -320,7 +327,7 @@ def _homogenization(dim: int, ineqs, eqs) -> tuple[list, list]:
 
 def _homogeneous_generators(p: ConvexPoly):
     """(rays, lineality) of the homogenization of a nonempty `p`."""
-    return _dd(p.dim + 1, *_homogenization(p.dim, p.ineqs, p.eqs))
+    return _dd(p.dim + 1, *_homogenization(p.dim, p.rows, p.eq_rows))
 
 
 def _spanned(dim: int, rays, lineality) -> ConvexPoly:
@@ -332,7 +339,7 @@ def _spanned(dim: int, rays, lineality) -> ConvexPoly:
     rows, eqs = _dd(dim + 1, rays, lineality)
     eq_rows, pivots = rref_ints([e[:-1] + (-e[-1],) for e in eqs])
     keep = sorted(_reduce_rows([(r[:-1], -r[-1]) for r in rows], eq_rows, pivots))
-    return ConvexPoly(dim, _rational(keep), _rational(sorted(map(_split, eq_rows))))
+    return ConvexPoly(dim, tuple(keep), tuple(sorted(map(_split, eq_rows))))
 
 
 # ---------------------------------------------------------------------------
@@ -441,51 +448,71 @@ class ConeH:
     """A closed convex polyhedral cone {x : a.x <= 0, e.x == 0} with its
     generators: extreme rays modulo the lineality, and a lineality basis.
 
-    `empty` marks the artifact's "point outside the domain" convention; a
-    homogeneous system itself always contains the origin.  Canonical rows
-    fix the generators (`_dd` sorts primitive rays reduced modulo the
-    lineality, which is in RREF), so comparing fields compares sets.
+    `rows` and `eq_rows` are the canonical normals a and e, primitive int
+    tuples like the generators; `ineqs` and `eqs` give them with `Fraction`
+    entries.  `empty` marks the artifact's "point outside the domain"
+    convention; a homogeneous system itself always contains the origin.
+    Canonical rows fix the generators (`_dd` sorts primitive rays reduced
+    modulo the lineality, which is in RREF), so comparing fields compares
+    sets.
     """
 
     dim: int
-    ineqs: tuple[Vec, ...]
-    eqs: tuple[Vec, ...]
-    rays: tuple[tuple[int, ...], ...]
-    lineality: tuple[tuple[int, ...], ...]
+    rows: tuple[IntVec, ...]
+    eq_rows: tuple[IntVec, ...]
+    rays: tuple[IntVec, ...]
+    lineality: tuple[IntVec, ...]
     empty: bool = False
+
+    @property
+    def ineqs(self) -> tuple[Vec, ...]:
+        """The inequality normals with `Fraction` entries, built on each read."""
+        return tuple(map(to_vec, self.rows))
+
+    @property
+    def eqs(self) -> tuple[Vec, ...]:
+        """The equality normals with `Fraction` entries, built on each read."""
+        return tuple(map(to_vec, self.eq_rows))
 
     # construction ---------------------------------------------------------
 
     @staticmethod
     def from_ineqs(dim: int, ineqs=(), eqs=()) -> "ConeH":
+        """The cone of normals in any exact form."""
+        return ConeH.from_rows(dim, map(as_row, ineqs), map(as_row, eqs))
+
+    @staticmethod
+    def from_rows(dim: int, rows=(), eq_rows=()) -> "ConeH":
+        """The cone of int normals, as the fields of other sets and the
+        generators give them: no coercion."""
         # never None: a homogeneous system contains 0
-        rows, eq_rows, rays, lin = _canon(
-            dim, [(a, 0) for a in ineqs], [(e, 0) for e in eqs]
+        rows, eq_rows, rays, lin = _canon_h(
+            dim, [(a, 0) for a in rows], [(e, 0) for e in eq_rows]
         )
-        ineqs = tuple(a for a, _ in rows)
-        return ConeH(dim, ineqs, tuple(e for e, _ in eq_rows), rays, lin, False)
+        rows = tuple(a for a, _ in rows)
+        return ConeH(dim, rows, tuple(e for e, _ in eq_rows), rays, lin, False)
 
     @staticmethod
     def from_generators(dim: int, rays=(), lineality=()) -> "ConeH":
         rays = [as_row(r) for r in rays]
         lins = [as_row(l) for l in lineality]
-        polar_rays, polar_lin = _dd(dim, rays, lins)
-        return ConeH.from_ineqs(dim, polar_rays, polar_lin)
+        return ConeH.from_rows(dim, *_dd(dim, rays, lins))
 
     @staticmethod
     def whole_space(dim: int) -> "ConeH":
-        return ConeH.from_ineqs(dim)
+        return ConeH.from_rows(dim)
 
     @staticmethod
     @lru_cache(maxsize=None)
     def zero(dim: int) -> "ConeH":
-        return ConeH.from_ineqs(dim, [], [tuple(unit) for unit in _eye(dim)])
+        eye = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        return ConeH.from_rows(dim, [], eye)
 
     @staticmethod
     def empty_marker(dim: int) -> "ConeH":
         return ConeH(dim, (), (), (), (), True)
 
-    def generators(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    def generators(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         return self.rays, self.lineality
 
     # queries --------------------------------------------------------------
@@ -498,8 +525,8 @@ class ConeH:
         if self.empty:
             return False
         excess = excess_at(x)
-        return all(excess(a) <= 0 for a in self.ineqs) and not any(
-            excess(e) for e in self.eqs
+        return all(excess(a) <= 0 for a in self.rows) and not any(
+            excess(e) for e in self.eq_rows
         )
 
     def is_zero(self) -> bool:
@@ -508,25 +535,25 @@ class ConeH:
         return not self.rays and not self.lineality
 
     def is_whole_space(self) -> bool:
-        return not self.empty and not self.ineqs and not self.eqs
+        return not self.empty and not self.rows and not self.eq_rows
 
     def subset_of(self, other: "ConeH") -> bool:
         """Exact containment by generators: every ray of self satisfies the
         rows of `other`, and every row of `other` vanishes on the lineality
-        of self.  The generators are int rows, so each test is an int dot
-        product against `other`'s rows, each converted once."""
+        of self.  Rows and generators are int tuples, so each test is an int
+        dot product."""
         if self.empty:
             return True
         if other.empty:
             return False
-        ineqs = [integer_row(a)[0] for a in other.ineqs]
-        eqs = [integer_row(e)[0] for e in other.eqs]
-        rows = ineqs + eqs
+        rows, eqs = other.rows, other.eq_rows
         return all(
-            all(sum(map(mul, a, r)) <= 0 for a in ineqs)
+            all(sum(map(mul, a, r)) <= 0 for a in rows)
             and not any(sum(map(mul, e, r)) for e in eqs)
             for r in self.rays
-        ) and not any(sum(map(mul, a, l)) for l in self.lineality for a in rows)
+        ) and not any(
+            sum(map(mul, a, l)) for l in self.lineality for a in rows + eqs
+        )
 
     # operations -----------------------------------------------------------
 
@@ -534,52 +561,49 @@ class ConeH:
         check_dim("intersect", other.dim, self.dim)
         if self.empty or other.empty:
             return ConeH.empty_marker(self.dim)
-        return ConeH.from_ineqs(
-            self.dim, self.ineqs + other.ineqs, self.eqs + other.eqs
+        return ConeH.from_rows(
+            self.dim, self.rows + other.rows, self.eq_rows + other.eq_rows
         )
 
     def minkowski(self, other: "ConeH") -> "ConeH":
         check_dim("minkowski", other.dim, self.dim)
         if self.empty or other.empty:
             return ConeH.empty_marker(self.dim)
-        return ConeH.from_generators(
+        return ConeH.from_rows(
             self.dim,
-            self.rays + other.rays,
-            self.lineality + other.lineality,
+            *_dd(self.dim, self.rays + other.rays, self.lineality + other.lineality),
         )
 
     def negate(self) -> "ConeH":
         if self.empty:
             return self
-        return ConeH.from_ineqs(
-            self.dim, [neg(a) for a in self.ineqs], self.eqs
-        )
+        return ConeH.from_rows(self.dim, [neg(a) for a in self.rows], self.eq_rows)
 
     def product(self, other: "ConeH") -> "ConeH":
         n, m = self.dim, other.dim
         if self.empty or other.empty:
             return ConeH.empty_marker(n + m)
-        ineqs = [a + zero(m) for a in self.ineqs]
-        ineqs += [zero(n) + a for a in other.ineqs]
-        eqs = [e + zero(m) for e in self.eqs]
-        eqs += [zero(n) + e for e in other.eqs]
-        return ConeH.from_ineqs(n + m, ineqs, eqs)
+        rows = [a + (0,) * m for a in self.rows]
+        rows += [(0,) * n + a for a in other.rows]
+        eq_rows = [e + (0,) * m for e in self.eq_rows]
+        eq_rows += [(0,) * n + e for e in other.eq_rows]
+        return ConeH.from_rows(n + m, rows, eq_rows)
 
     def embed(self, total_dim: int, coords: tuple[int, ...]) -> "ConeH":
         _check_not_empty("embed", self)
         check_dim("embed coordinates", len(coords), self.dim)
-        return ConeH.from_ineqs(
+        return ConeH.from_rows(
             total_dim,
-            [_lift(a, total_dim, coords) for a in self.ineqs],
-            [_lift(e, total_dim, coords) for e in self.eqs],
+            [_lift(a, total_dim, coords) for a in self.rows],
+            [_lift(e, total_dim, coords) for e in self.eq_rows],
         )
 
     def to_poly(self) -> ConvexPoly:
         _check_not_empty("to_poly", self)
         return ConvexPoly(
             self.dim,
-            tuple((a, _ZERO) for a in self.ineqs),
-            tuple((e, _ZERO) for e in self.eqs),
+            tuple((a, 0) for a in self.rows),
+            tuple((e, 0) for e in self.eq_rows),
         )
 
 
@@ -590,10 +614,6 @@ def _check_not_empty(what: str, cone: ConeH) -> None:
         raise ValueError(f"{what}: the empty marker is not a cone")
 
 
-def _eye(dim: int) -> list[Vec]:
-    return [tuple(_ONE if i == j else _ZERO for j in range(dim)) for i in range(dim)]
-
-
 def dd_convert(cone: ConeH) -> ConeH:
     """The cone itself: every cone carries both representations."""
     return cone
@@ -602,8 +622,7 @@ def dd_convert(cone: ConeH) -> ConeH:
 def polar(cone: ConeH) -> ConeH:
     """The polar cone {y : y.x <= 0 for all x in the cone}."""
     _check_not_empty("polar", cone)
-    rays, lin = cone.generators()
-    return ConeH.from_ineqs(cone.dim, rays, lin)
+    return ConeH.from_rows(cone.dim, *cone.generators())
 
 
 def slice_cone_at_tail(cone: ConeH, tail: Vec) -> ConvexPoly:
@@ -615,9 +634,13 @@ def slice_cone_at_tail(cone: ConeH, tail: Vec) -> ConvexPoly:
         )
     if cone.empty:
         return ConvexPoly.empty(head)
-    ineqs = [(a[:head], -dot(a[head:], tail)) for a in cone.ineqs]
-    eqs = [(e[:head], -dot(e[head:], tail)) for e in cone.eqs]
-    return ConvexPoly.make(head, ineqs, eqs)
+    # a.x + a'.tail <= 0 with tail = nt / dt: offset -a'.nt / dt
+    nt, dt = integer_row(tail)
+    return ConvexPoly.from_rows(
+        head,
+        [(a[:head], quotient(-sum(map(mul, a[head:], nt)), dt)) for a in cone.rows],
+        [(e[:head], quotient(-sum(map(mul, e[head:], nt)), dt)) for e in cone.eq_rows],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +699,7 @@ class PolySet:
 
 
 def _poly_key(p):
-    return (p.ineqs, p.eqs)
+    return (p.rows, p.eq_rows)
 
 
 def _maximal_parts(parts) -> tuple:
@@ -818,17 +841,17 @@ def union_subset(a: FiniteUnion, b: FiniteUnion) -> tuple[bool, Vec | None]:
             continue
         part = _rows_of(part)
         # (weak rows, strict rows, equalities, a point of the region)
-        regions: list[tuple[list[Row], list[Row], list[Row], Vec | None]] = [
-            (list(part.ineqs), [], list(part.eqs), None)
+        regions: list[tuple[list[IntRow], list[IntRow], list[IntRow], Vec | None]] = [
+            (list(part.rows), [], list(part.eq_rows), None)
         ]
         for bp in map(_rows_of, b.parts):
-            rows = list(bp.ineqs)
-            for e, d in bp.eqs:
+            rows = list(bp.rows)
+            for e, d in bp.eq_rows:
                 rows.append((e, d))
                 rows.append((neg(e), -d))
             next_regions = []
             for weak, strict, eqs, _ in regions:
-                prefix: list[Row] = []
+                prefix: list[IntRow] = []
                 for av, bv in rows:
                     cand = (weak + prefix, strict + [(neg(av), -bv)], eqs)  # a.x > b
                     point = lp.strict_feasible_point(*cand, a.dim)
@@ -857,7 +880,7 @@ def _cone_inside(k: ConeH, q) -> bool:
     0 is in q and k lies in q's recession cone (tk in q for every t >= 0)."""
     if isinstance(q, ConeH):
         return k.subset_of(q)
-    return q.contains(zero(q.dim)) and k.subset_of(q.recession())
+    return q.contains((0,) * q.dim) and k.subset_of(q.recession())
 
 
 def _rows_of(part) -> ConvexPoly:

@@ -2,18 +2,18 @@
 
 Values are exact rationals and no floats enter the core.  Vectors that pass
 between modules are plain tuples, which keeps them hashable and directly
-usable as canonical sort keys.  Rows of the kernels (the working rows of
-H-form canonicalization, the rows the LP keys its cache on, the rays and
-lineality of double description, the hyperplanes of cell enumeration) are
-tuples of Python `int`, each primitive, so they hash and compare without
-`Fraction` code; `as_row` turns the integral entries of a row into ints on
-its way in.  Points, witnesses and LP solutions are tuples of
-`fractions.Fraction`, `dot` returns a Fraction (and refuses vectors of
-unequal length), and the H-form fields of the set objects, which reports
-and stored digests read, hold Fractions too.
+usable as canonical sort keys.  Rows are tuples of Python `int`, each
+primitive, so they hash and compare without `Fraction` code: the working
+rows of H-form canonicalization, the H-form fields of the set objects, the
+rows the LP keys its cache on, the rays and lineality of double
+description, the hyperplanes of cell enumeration.  `as_row` turns the
+integral entries of an input row into ints on its way in.  Points,
+witnesses and LP solutions are tuples of `fractions.Fraction`, and `dot`
+returns a Fraction (and refuses vectors of unequal length); the sets'
+`ineqs`/`eqs` views give their rows as Fractions to outside tools.
 `Fraction(3) == 3` and `hash(Fraction(3)) == hash(3)`, so both kinds of
 entry meet in one cache and sort alike.  The kernels compute on ints: a
-rational row becomes its numerators over one common denominator
+rational vector becomes its numerators over one common denominator
 (`integer_row`, at once for an int row), and elimination is fraction-free,
 each row kept as a gcd-reduced positive multiple of its rational
 counterpart (Bareiss 1968 style, with a gcd in place of the exact
@@ -83,20 +83,25 @@ def dot(a: Vec, b: Vec) -> Fraction:
 
 
 def excess_at(x: Vec):
-    """The function (a, b=0) -> an int with the sign of a.x - b.
+    """The function (a, b=0) -> an int with the sign of a.x - b, for an int
+    row (a, b).
 
-    x is converted once (`integer_row`), and each row is compared as ints:
-    with a and b as nums / den and x as nx / dx, both denominators positive,
-    a.x - b has the sign of nums.nx - nums[-1] * dx.  Set tests call it once
-    per point instead of one `dot` per row.
+    x is converted once (`integer_row`) to nx / dx with dx > 0, so a.x - b
+    has the sign of a.nx - b.dx.  Set tests call it once per point instead
+    of one `dot` per row.
     """
     nx, dx = integer_row(x)
 
     def excess(a, b=0) -> int:
-        nums, _ = integer_row((*a, b))
-        return sum(map(mul, nums, nx)) - nums[-1] * dx
+        return sum(map(mul, a, nx)) - b * dx
 
     return excess
+
+
+def quotient(num: int, den: int) -> int | Fraction:
+    """num / den (den > 0) exactly, an int when it is integral, as `exact`
+    gives it."""
+    return num // den if num % den == 0 else Fraction(num, den)
 
 
 def add(a: Vec, b: Vec) -> Vec:

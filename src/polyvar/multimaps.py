@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 from math import prod
+from operator import mul
 
 from ._record import record
 from .cones import limiting_normal_wrt
@@ -25,7 +26,7 @@ from .exactgeom import (
     PolyUnion,
     slice_cone_at_tail,
 )
-from .linalg import Vec, check_dim, dot, neg, zero
+from .linalg import Vec, check_dim, integer_row, neg, quotient, zero
 from .quals import normal_densed_check
 from .stratify import global_cells, local_cells
 from .verdicts import (
@@ -153,7 +154,7 @@ def _kernel(cone: ConeUnion, n: int, m: int) -> ConeUnion:
     """The kernel read off a graph cone in R^{n+m}."""
     # the slices {t : (0, t) in a part} hold -ystar
     slices = [
-        ConeH.from_ineqs(m, [a[n:] for a in p.ineqs], [e[n:] for e in p.eqs])
+        ConeH.from_rows(m, [a[n:] for a in p.rows], [e[n:] for e in p.eq_rows])
         for p in cone.parts
     ]
     return ConeUnion.make(m, [s.negate() for s in slices])
@@ -224,9 +225,17 @@ def inner_regularity_check(
 def slice_fiber(piece: ConvexPoly, x: Vec) -> ConvexPoly:
     """{y : (x, y) in piece} in the trailing coordinates."""
     k = len(x)
-    ineqs = [(a[k:], b - dot(a[:k], x)) for a, b in piece.ineqs]
-    eqs = [(e[k:], d - dot(e[:k], x)) for e, d in piece.eqs]
-    return ConvexPoly.make(piece.dim - k, ineqs, eqs)
+    # a'.y <= b - a.x with x = nx / dx: offset (b.dx - a.nx) / dx
+    nx, dx = integer_row(x)
+
+    def cut(a, b):
+        return a[k:], quotient(b * dx - sum(map(mul, a[:k], nx)), dx)
+
+    return ConvexPoly.from_rows(
+        piece.dim - k,
+        [cut(a, b) for a, b in piece.rows],
+        [cut(e, d) for e, d in piece.eq_rows],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +350,11 @@ def _compose_slices(
     parts = []
     for w in ng_parts:
         for v in b_parts:
-            rows_i: list[tuple[Vec, Fraction]] = []
-            rows_e: list[tuple[Vec, Fraction]] = []
-            for a in w.ineqs:
-                rows_i.append((a[:n] + neg(a[n:]), Fraction(0)))
-            for e in w.eqs:
-                rows_e.append((e[:n] + neg(e[n:]), Fraction(0)))
-            for a, b in v.ineqs:
-                rows_i.append((zero(n) + a, b))
-            for e, d in v.eqs:
-                rows_e.append((zero(n) + e, d))
-            big = ConvexPoly.make(n + m, rows_i, rows_e)
+            rows_i = [(a[:n] + neg(a[n:]), 0) for a in w.rows]
+            rows_e = [(e[:n] + neg(e[n:]), 0) for e in w.eq_rows]
+            rows_i += [((0,) * n + a, b) for a, b in v.rows]
+            rows_e += [((0,) * n + e, d) for e, d in v.eq_rows]
+            big = ConvexPoly.from_rows(n + m, rows_i, rows_e)
             parts.append(big.eliminate(tuple(range(n, n + m))))
     return PolyUnion.make(n, parts)
 

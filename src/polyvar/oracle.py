@@ -73,12 +73,10 @@ def _inside_poly(pts: np.ndarray, scale: int, poly: ConvexPoly) -> np.ndarray:
     if poly.is_empty():
         return np.zeros(len(pts), dtype=bool)
     mask = np.ones(len(pts), dtype=bool)
-    for a, b in poly.ineqs:
-        av = np.array([int(x) for x in a], dtype=np.int64)
-        mask &= pts @ av <= int(b) * scale
-    for e, d in poly.eqs:
-        ev = np.array([int(x) for x in e], dtype=np.int64)
-        mask &= pts @ ev == int(d) * scale
+    for a, b in poly.rows:
+        mask &= pts @ np.array(a, dtype=np.int64) <= b * scale
+    for e, d in poly.eq_rows:
+        mask &= pts @ np.array(e, dtype=np.int64) == d * scale
     return mask
 
 

@@ -50,8 +50,8 @@ class PLFunc:
         """f(x) = slope . x + offset on `domain` (everywhere by default)."""
         a = as_vec(slope)
         row = (neg(a) + (Fraction(1),), Fraction(offset))  # alpha >= a.x + b
-        ineqs = [(r + (Fraction(0),), b) for r, b in (domain.ineqs if domain else ())]
-        eqs = [(r + (Fraction(0),), b) for r, b in (domain.eqs if domain else ())]
+        ineqs = [(r + (0,), b) for r, b in (domain.rows if domain else ())]
+        eqs = [(r + (0,), b) for r, b in (domain.eq_rows if domain else ())]
         piece = ConvexPoly.make(dim + 1, [(neg(row[0]), -row[1])] + ineqs, eqs)
         return PLFunc.from_epigraph_pieces(dim, [piece])
 
@@ -71,7 +71,8 @@ class PLFunc:
 
         Each piece's fiber over x is an interval of alpha in canonical
         H-form: a point (one equality e.alpha = d), or an interval whose
-        lower end, if any, is its one row a.alpha <= b with a[0] < 0.
+        lower end, if any, is its one row a.alpha <= b with a[0] < 0.  Rows
+        are ints, so each end is the exact quotient `Fraction(d, e)`.
         """
         check_dim("value point", len(x), self.dim)
         best: Fraction | None = None
@@ -79,11 +80,11 @@ class PLFunc:
             fiber = slice_fiber(p, x)
             if fiber.is_empty():
                 continue
-            if fiber.eqs:
-                ((e, d),) = fiber.eqs
-                val = d / e[0]
+            if fiber.eq_rows:
+                ((e, d),) = fiber.eq_rows
+                val = Fraction(d, e[0])
             else:
-                low = [b / a[0] for a, b in fiber.ineqs if a[0] < 0]
+                low = [Fraction(b, a[0]) for a, b in fiber.rows if a[0] < 0]
                 if not low:
                     raise ValueError(_UP)
                 val = low[0]

@@ -64,8 +64,8 @@ def boundary_radial_limit(
     """
     cells = local_cells([omega1, omega2, c], x)
     tight = {tuple(_active_rows(c, cell.witness)[0]) for cell in cells}
-    eqs = [e for e, _ in c.eqs]
-    return ConeUnion.make(c.dim, [ConeH.from_ineqs(c.dim, a, eqs) for a in tight if a or eqs])
+    eqs = [e for e, _ in c.eq_rows]
+    return ConeUnion.make(c.dim, [ConeH.from_rows(c.dim, a, eqs) for a in tight if a or eqs])
 
 
 def normal_densed_check(

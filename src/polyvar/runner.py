@@ -35,7 +35,7 @@ QUALS_DIAGNOSTIC = "diagnostic"
 # -- rendering ---------------------------------------------------------------
 
 
-def _num(x: Fraction, decimal: bool):
+def _num(x: int | Fraction, decimal: bool):
     return {"exact": str(x), "decimal": float(x)} if decimal else str(x)
 
 
@@ -66,9 +66,10 @@ def render(obj: Any, decimal: bool = False):
     if isinstance(obj, ConeH):
         if obj.empty:
             return {"empty": True}
+        # int rows print as the Fractions they equal
         return {
-            "ineqs": [_vec(a, decimal) for a in obj.ineqs],
-            "eqs": [_vec(e, decimal) for e in obj.eqs],
+            "ineqs": [_vec(a, decimal) for a in obj.rows],
+            "eqs": [_vec(e, decimal) for e in obj.eq_rows],
             "rays": [_vec(r, decimal) for r in obj.rays],
             "lineality": [_vec(l, decimal) for l in obj.lineality],
         }
@@ -78,8 +79,8 @@ def render(obj: Any, decimal: bool = False):
         if obj.is_empty():
             return {"empty": True}
         return {
-            "ineqs": _rows(obj.ineqs, decimal),
-            "eqs": _rows(obj.eqs, decimal),
+            "ineqs": _rows(obj.rows, decimal),
+            "eqs": _rows(obj.eq_rows, decimal),
         }
     if isinstance(obj, TriVerdict):
         return {"verdict": obj.value, "certificate": render(obj.certificate, decimal)}

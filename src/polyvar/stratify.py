@@ -37,12 +37,10 @@ from operator import mul
 
 from . import lp
 from ._record import record
-from .exactgeom import ConvexPoly, IntRow, LimitError, PolySet
-from .linalg import Vec, check_dim, dot, integer_row, neg, primitive_ints, sub, zero
+from .exactgeom import ConvexPoly, IntRow, IntVec, LimitError, PolySet
+from .linalg import Vec, check_dim, excess_at, integer_row, neg, sub, zero
 
 ParticipatingSet = PolySet | ConvexPoly
-
-_ONE = Fraction(1)
 
 # most rows one enumeration may branch on; each branches three ways, so the
 # search tree has up to 3^k leaves (the test suite reaches k = 9)
@@ -88,7 +86,7 @@ class _Hyperplane:
     offset: int
 
 
-def _sign(v: Fraction) -> int:
+def _sign(v: int) -> int:
     return (v > 0) - (v < 0)
 
 
@@ -98,41 +96,60 @@ def _as_pieces(s: ParticipatingSet) -> tuple[ConvexPoly, ...]:
     return (s,)
 
 
-def _canonical_hyperplane(a: Vec, b: Fraction) -> tuple[tuple[int, ...], int, int]:
-    """Oriented primitive int (a, b) with the first nonzero of `a` positive."""
-    joint = primitive_ints(integer_row(a + (b,))[0])
-    av, bv = tuple(joint[:-1]), joint[-1]
-    for x in av:
-        if x != 0:
-            if x < 0:
-                return neg(av), -bv, -1
-            break
-    return av, bv, 1
+def _canonical_hyperplane(a: IntVec, b: int) -> tuple[IntVec, int, int]:
+    """A piece's row (a, b), primitive int, oriented with the first nonzero
+    of `a` positive; the last entry is -1 when that negated it."""
+    for x in a:
+        if x:
+            return (a, b, 1) if x > 0 else (neg(a), -b, -1)
+    return a, b, 1
 
 
-def _step(p: Vec, d: Vec, rows: list[tuple[Fraction, tuple[int, ...]]]) -> Vec:
-    """p + t.d keeping the sign of each row (value at p, normal): t is half
-    the least ratio at which d reaches one, at most 1/2."""
-    t = _ONE
-    nd, den = integer_row(d)  # d = nd / den with den > 0
-    for value, normal in rows:
-        slope = sum(map(mul, normal, nd))  # den times normal.d
-        if slope and (slope > 0) != (value > 0):
-            t = min(t, -value * den / slope)
-    t /= 2
-    return tuple(x + t * y for x, y in zip(p, d))
+def _step(p: Vec, d: Vec, rows: list[IntRow]) -> Vec:
+    """p + t.d keeping the sign of each int row (a, b) at p: t is half the
+    least ratio at which d reaches one, at most 1/2.
+
+    In ints, with p = np / dp and d = nd / dd: row a has value v / dp and
+    slope s / dd, v = a.np - b.dp and s = a.nd, so its ratio -v.dd / (s.dp)
+    is compared with t = tn / td by cross-multiplying, and each coordinate
+    of the result is one Fraction over dp.dd.2td.
+    """
+    np_, dp = integer_row(p)
+    nd, dd = integer_row(d)
+    tn, td = 1, 1
+    for a, b in rows:
+        s = sum(map(mul, a, nd))
+        if s:
+            v = sum(map(mul, a, np_)) - b * dp
+            if (s > 0) != (v > 0):
+                num, den = -v * dd, s * dp
+                if den < 0:
+                    num, den = -num, -den
+                if num * td < tn * den:
+                    tn, td = num, den
+    td *= 2
+    return tuple(
+        Fraction(x * td * dd + tn * y * dp, td * dp * dd) for x, y in zip(np_, nd)
+    )
 
 
 def _other_side(p: Vec, q: Vec, h: IntRow, assigned: list[IntRow]) -> Vec:
     """The middle child's point from the far child's point q and p, both in
     the region of `assigned`: where p -> q crosses h, or, if p lies on h, a
-    step away from q keeping each row's sign (equalities have slope 0)."""
+    step away from q keeping each row's sign (equalities have slope 0).
+
+    With p = np / dp, q = nq / dq and u, w the values of h at (np, dp) and
+    (nq, dq), the crossing u.(nq, dq) - w.(np, dp) is a combination of the
+    two on which h vanishes."""
     normal, offset = h
-    vp = dot(normal, p) - offset
-    if vp:
-        lam = vp / (vp - (dot(normal, q) - offset))
-        return tuple(x + lam * (y - x) for x, y in zip(p, q))
-    return _step(p, sub(p, q), [(dot(a, p) - b, a) for a, b in assigned if (a, b) != h])
+    np_, dp = integer_row(p)
+    u = sum(map(mul, normal, np_)) - offset * dp
+    if u:
+        nq, dq = integer_row(q)
+        w = sum(map(mul, normal, nq)) - offset * dq
+        den = u * dq - w * dp
+        return tuple(Fraction(u * y - w * x, den) for x, y in zip(np_, nq))
+    return _step(p, sub(p, q), [r for r in assigned if r != h])
 
 
 def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
@@ -173,7 +190,7 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
     hyperplanes: list[_Hyperplane] = []
     index: dict[IntRow, int] = {}
 
-    def hyperplane_id(a: Vec, b: Fraction) -> tuple[int, int]:
+    def hyperplane_id(a: IntVec, b: int) -> tuple[int, int]:
         av, bv, flip = _canonical_hyperplane(a, b)
         key = (av, bv)
         if key not in index:
@@ -188,11 +205,11 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         rows_per_piece = []
         for piece in _as_pieces(s):
             reqs: list[tuple[int, frozenset[int | None]]] = []
-            for a, b in piece.ineqs:
+            for a, b in piece.rows:
                 h, flip = hyperplane_id(a, b)
                 allowed = frozenset({-1, 0, None} if flip == 1 else {0, 1, None})
                 reqs.append((h, allowed))
-            for e, d in piece.eqs:
+            for e, d in piece.eq_rows:
                 h, _ = hyperplane_id(e, d)
                 reqs.append((h, frozenset({0, None})))
             rows_per_piece.append(reqs)
@@ -209,11 +226,13 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
     else:
         # only rows active at the base branch; the region LP drops the
         # offsets (finds directions from the base)
-        values = [dot(hp.normal, base) - hp.offset for hp in hyperplanes]
-        signs = [_sign(v) or None for v in values]
+        excess = excess_at(base)
+        signs = [_sign(excess(hp.normal, hp.offset)) or None for hp in hyperplanes]
         offsets = [0] * n_h
-        # (value at the base, normal) for the rows inactive at the base
-        inactive = [(v, hp.normal) for v, hp in zip(values, hyperplanes) if v]
+        # the rows inactive at the base
+        inactive = [
+            (hp.normal, hp.offset) for hp, s in zip(hyperplanes, signs) if s is not None
+        ]
     active = [h for h in range(n_h) if signs[h] is None]
     # each hyperplane as the region LP reads it, (normal, offset), and negated
     rows = [(hp.normal, offset) for hp, offset in zip(hyperplanes, offsets)]
@@ -249,7 +268,7 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
             cells.append(Cell(CellSignature(tuple(signs)), witness))
             return
         h = active[pos]
-        side = _sign(dot(hyperplanes[h].normal, p) - offsets[h])
+        side = _sign(excess_at(p)(hyperplanes[h].normal, offsets[h]))
         # the child on p's side reuses p; the far side's LP (module
         # docstring) settles the other new child: empty, or a point from q
         far = 1 if side < 0 else -1

@@ -136,6 +136,17 @@ def primitive(a: Vec) -> Vec:
     return to_vec(primitive_ints(nums)) if any(nums) else a
 
 
+def raw_int_rows(rows, factor: int = 3) -> tuple:
+    """Rows (a, b) in the int form of a record's fields, kept as given
+    otherwise: the numerators over their common denominator times `factor`,
+    so neither primitive nor reduced."""
+    out = []
+    for a, b in rows:
+        nums, _ = integer_row(a + (b,))
+        out.append((tuple(factor * x for x in nums[:-1]), factor * nums[-1]))
+    return tuple(out)
+
+
 def vrep(p: ConvexPoly) -> tuple[tuple[Vec, ...], tuple[Vec, ...], tuple[Vec, ...]]:
     """(vertices, rays, lineality) of `p` via its homogenization cone.
 

@@ -15,6 +15,7 @@ from conftest import (
     make_example1,
     random_polyset_through,
     random_poly_through,
+    raw_int_rows,
     rng_vec,
 )
 from polyvar import cones
@@ -561,12 +562,8 @@ def test_active_rows_match_dot_reference():
             continue
         n_eqs = int(rng.random() < 0.4)
         canonical = ConvexPoly.make(dim, rows[n_eqs:], rows[:n_eqs])
-        # rows kept as given: rational entries, not primitive, not reduced
-        raw = ConvexPoly(
-            dim,
-            tuple((tuple(v / 3 for v in a), b / 3) for a, b in rows[n_eqs:]),
-            tuple(rows[:n_eqs]),
-        )
+        # rows kept as given: int entries, not primitive, not reduced
+        raw = ConvexPoly(dim, raw_int_rows(rows[n_eqs:]), raw_int_rows(rows[:n_eqs]))
         for poly in (canonical, raw):
             start = tuple(q(5) for _ in range(dim))
             points = [start]

@@ -19,6 +19,7 @@ from conftest import (
     primitive,
     random_cone,
     random_cone_union,
+    raw_int_rows,
     rng_vec,
     vrep,
 )
@@ -465,17 +466,14 @@ def test_contains_matches_dot_reference():
         n_eqs = int(rng.random() < 0.4)
         polys = [
             ConvexPoly.make(dim, rows[n_eqs:], rows[:n_eqs]),
-            # rows kept as given: rational entries, not primitive, not reduced
-            ConvexPoly(
-                dim,
-                tuple((tuple(v / 3 for v in a), b / 3) for a, b in rows[n_eqs:]),
-                tuple(rows[:n_eqs]),
-            ),
+            # rows kept as given: int entries, not primitive, not reduced
+            ConvexPoly(dim, raw_int_rows(rows[n_eqs:]), raw_int_rows(rows[:n_eqs])),
         ]
         cone_rows = [tuple(v / rng.randint(1, 4) for v in a) for a, _ in rows]
+        raw_cone = [a for a, _ in raw_int_rows((a, 0) for a in cone_rows)]
         sets = polys + [
             ConeH.from_ineqs(dim, cone_rows[n_eqs:], cone_rows[:n_eqs]),
-            ConeH(dim, cone_rows[n_eqs:], cone_rows[:n_eqs], (), ()),
+            ConeH(dim, tuple(raw_cone[n_eqs:]), tuple(raw_cone[:n_eqs]), (), ()),
         ]
         for part in sets:
             rows_of = part.to_poly() if isinstance(part, ConeH) else part
