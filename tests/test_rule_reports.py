@@ -1,8 +1,9 @@
-"""The sum and chain rule reports against stored digests.
+"""Calculus rule reports that no preset runs, against stored digests.
 
-No preset runs these two rules, so this file pins them: the sha256 of the
-rendered report of each of criterion 6's 18 sum and 18 chain draws, under
-both inner-condition variants.  Regenerate with
+This file pins the sha256 of the rendered report of each of criterion 6's
+18 sum and 18 chain draws, under both inner-condition variants, and of
+criterion 5's product and mixed product draws, the mixed ones under both
+pairings where the y and z blocks match.  Regenerate both files with
 `python tests/test_rule_reports.py` only when a report is meant to change.
 """
 
@@ -16,19 +17,26 @@ from pathlib import Path
 from conftest import (
     random_linear_map,
     random_multimap_through,
+    random_plfunc,
     random_poly_through,
     random_polyset_through,
     rng_vec,
 )
 
-from polyvar.calculus import preimage_rule
+from polyvar.calculus import mixed_product_rule, preimage_rule, product_rule
 from polyvar.exactgeom import ConvexPoly
 from polyvar.linalg import zero
 from polyvar.multimaps import chain_rule, sum_rule
 from polyvar.runner import render
-from polyvar.verdicts import VARIANT_SEMICOMPACT, VARIANT_SEMICONTINUOUS
+from polyvar.verdicts import (
+    PAIRING_PROOF,
+    PAIRING_STATEMENT,
+    VARIANT_SEMICOMPACT,
+    VARIANT_SEMICONTINUOUS,
+)
 
 GOLDEN = Path(__file__).parent / "data" / "rule_reports.json"
+PRODUCT_GOLDEN = Path(__file__).parent / "data" / "product_reports.json"
 
 
 def _draws():
@@ -81,13 +89,65 @@ def _draws():
         yield f"chain-{done:02d}", chain_rule, (G, F, c, x, z, y, zstar)
 
 
+def _product_draws():
+    """Criterion 5's product and mixed product draws as (name, report),
+    replaying its random stream: every instance draws its sets and a cone,
+    and every fourth a product rule, a mixed one or a function."""
+    rng = random.Random(20260809)
+    instances = 0
+    while instances < 100:
+        dim = rng.randint(1, 3)
+        base = rng_vec(rng, dim, -1, 1)
+        omega = random_polyset_through(rng, dim, base, max_pieces=4)
+        wrt = random_poly_through(rng, dim, base)
+        if not (omega.contains(base) and wrt.contains(base)):
+            continue
+        instances += 1
+        rng_vec(rng, dim, -3, 3)
+        mod = instances % 4
+        if mod == 0:
+            d2 = rng.randint(1, 2)
+            x2 = rng_vec(rng, d2, -1, 1)
+            o2 = random_polyset_through(rng, d2, x2)
+            c2 = random_poly_through(rng, d2, x2)
+            if o2.contains(x2) and c2.contains(x2):
+                yield f"product-{instances:03d}", product_rule(
+                    omega, wrt, o2, c2, base, x2
+                )
+        elif mod == 1:
+            n, m, s = 1, rng.randint(1, 2), 1
+            xz = rng_vec(rng, n + s, -1, 1)
+            y = rng_vec(rng, m, -1, 1)
+            o1 = random_polyset_through(rng, n + s, xz)
+            o2 = random_polyset_through(rng, m, y)
+            c1 = random_poly_through(rng, n + s, xz)
+            c2 = random_poly_through(rng, m, y)
+            if all((o1.contains(xz), c1.contains(xz), o2.contains(y), c2.contains(y))):
+                point = xz[:n] + y + xz[n:]
+                pairings = (PAIRING_PROOF, PAIRING_STATEMENT) if m == s else (PAIRING_PROOF,)
+                for pairing in pairings:
+                    yield f"mixed-{instances:03d}-{pairing}", mixed_product_rule(
+                        o1, c1, o2, c2, n, m, s, point, pairing
+                    )
+        elif mod == 2:
+            random_plfunc(rng, rng.randint(1, 3))
+
+
+def _sha(report) -> str:
+    text = json.dumps(render(report), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _digests() -> dict[str, str]:
     out = {}
     for name, rule, args in _draws():
         for variant in (VARIANT_SEMICONTINUOUS, VARIANT_SEMICOMPACT):
-            text = json.dumps(render(rule(*args, variant=variant)), sort_keys=True)
-            out[f"{name}-{variant}"] = hashlib.sha256(text.encode()).hexdigest()
+            out[f"{name}-{variant}"] = _sha(rule(*args, variant=variant))
     return out
+
+
+def _product_digests() -> dict[str, str]:
+    return {name: _sha(report) for name, report in _product_draws()}
 
 
 def test_rule_reports_match_golden_digests():
@@ -96,5 +156,11 @@ def test_rule_reports_match_golden_digests():
     assert _digests() == golden
 
 
+def test_product_reports_match_golden_digests():
+    golden = json.loads(PRODUCT_GOLDEN.read_text())
+    assert _product_digests() == golden
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(_digests(), indent=2, sort_keys=True) + "\n")
+    for path, digests in ((GOLDEN, _digests), (PRODUCT_GOLDEN, _product_digests)):
+        path.write_text(json.dumps(digests(), indent=2, sort_keys=True) + "\n")
