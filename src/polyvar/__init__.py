@@ -22,8 +22,7 @@ _EXPORTS = {
         ("calculus", "intersection_rule mixed_product_rule preimage_rule product_rule"),
         ("cones", "frechet_normal frechet_normal_wrt limiting_normal limiting_normal_wrt"
                   " normal_cone proximal_normal_wrt radial_cone"),
-        ("exactgeom", "ConeH ConeUnion ConvexPoly PolySet PolyUnion cone_union_ops"
-                      " dd_convert is_zero_cone polar"),
+        ("exactgeom", "ConeH ConeUnion ConvexPoly PolySet PolyUnion dd_convert polar"),
         ("linalg", "rat vec"),
         ("mpec", "MPECProblem StationarityReport stationarity_check"),
         ("multimaps", "CoderivativeSlice PolyMultimap aubin_wrt_check chain_rule"

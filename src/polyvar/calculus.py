@@ -35,7 +35,8 @@ def product_rule(
     x1: Vec,
     x2: Vec,
 ) -> RuleReport:
-    """Product-space relative normal cones against products of factor cones.
+    """Product-space relative normal cones against products of factor cones:
+    the mixed rule with an empty z block.
 
     The rule is an equality for both the Fréchet and the limiting kind, so
     the report records equality, not just inclusion.
@@ -44,22 +45,8 @@ def product_rule(
         raise ValueError("x1 outside omega1 cap c1")
     if not (omega2.contains(x2) and c2.contains(x2)):
         raise ValueError("x2 outside omega2 cap c2")
-    omega = omega1.product(omega2)
-    c = c1.product(c2)
-    point = x1 + x2
-
-    fre_lhs = frechet_normal_wrt(omega, c, point)
-    fre_rhs = frechet_normal_wrt(omega1, c1, x1).product(
-        frechet_normal_wrt(omega2, c2, x2)
-    )
-    lim_lhs = limiting_normal_wrt(omega, c, point)
-    lim_rhs = limiting_normal_wrt(omega1, c1, x1).product(
-        limiting_normal_wrt(omega2, c2, x2)
-    )
-    ok, witness = lim_lhs.subset_of(lim_rhs)
-    equal = fre_lhs == fre_rhs and lim_lhs == lim_rhs
-    return RuleReport(
-        "product-rule", lim_lhs, lim_rhs, (), ok and equal, equal, witness
+    return _interleaved_product(
+        "product-rule", omega1, c1, omega2, c2, x1, x2, 0, PAIRING_PROOF
     )
 
 
@@ -83,26 +70,34 @@ def mixed_product_rule(
     check_dim("omega1 (n + s)", omega1.dim, n + s)
     check_dim("omega2 (m)", omega2.dim, m)
     check_dim("point (n + m + s)", len(point), n + m + s)
-    total = n + m + s
-    x_then_z = tuple(range(n)) + tuple(range(n + m, total))
-    y_block = tuple(range(n, n + m))
-    xbar, ybar, zbar = point[:n], point[n : n + m], point[n + m :]
-    if not (omega1.contains(xbar + zbar) and c1.contains(xbar + zbar)):
+    xz, ybar = point[:n] + point[n + m :], point[n : n + m]
+    if not (omega1.contains(xz) and c1.contains(xz)):
         raise ValueError("(x, z) outside omega1 cap c1")
     if not (omega2.contains(ybar) and c2.contains(ybar)):
         raise ValueError("y outside omega2 cap c2")
+    return _interleaved_product(
+        "mixed-product-rule", omega1, c1, omega2, c2, xz, ybar, s, pairing
+    )
 
-    omega = omega1.embed(total, x_then_z).intersect(omega2.embed(total, y_block))
-    c = c1.embed(total, x_then_z).intersect(c2.embed(total, y_block))
 
-    lim_lhs = limiting_normal_wrt(omega, c, point)
-    fre_lhs = frechet_normal_wrt(omega, c, point)
-
-    n1_lim = limiting_normal_wrt(omega1, c1, xbar + zbar)
-    n2_lim = limiting_normal_wrt(omega2, c2, ybar)
-    n1_fre = frechet_normal_wrt(omega1, c1, xbar + zbar)
-    n2_fre = frechet_normal_wrt(omega2, c2, ybar)
-
+def _interleaved_product(
+    rule_id: str,
+    omega1: PolySet,
+    c1: ConvexPoly,
+    omega2: PolySet,
+    c2: ConvexPoly,
+    xz: Vec,
+    ybar: Vec,
+    s: int,
+    pairing: str,
+) -> RuleReport:
+    """The mixed rule's body at (x, y, z), given (x, z) in omega1 cap c1 and
+    y in omega2 cap c2; the product rule is the case s = 0."""
+    n, m = len(xz) - s, len(ybar)
+    total = n + m + s
+    point = xz[:n] + ybar + xz[n:]
+    x_then_z = tuple(range(n)) + tuple(range(n + m, total))
+    y_block = tuple(range(n, n + m))
     if pairing == PAIRING_PROOF:
         coords1 = x_then_z
     elif pairing == PAIRING_STATEMENT:
@@ -111,6 +106,17 @@ def mixed_product_rule(
         coords1 = tuple(range(n + m))
     else:
         raise ValueError(f"unknown pairing: {pairing}")
+
+    omega = omega1.embed(total, x_then_z).intersect(omega2.embed(total, y_block))
+    c = c1.embed(total, x_then_z).intersect(c2.embed(total, y_block))
+
+    lim_lhs = limiting_normal_wrt(omega, c, point)
+    fre_lhs = frechet_normal_wrt(omega, c, point)
+
+    n1_lim = limiting_normal_wrt(omega1, c1, xz)
+    n2_lim = limiting_normal_wrt(omega2, c2, ybar)
+    n1_fre = frechet_normal_wrt(omega1, c1, xz)
+    n2_fre = frechet_normal_wrt(omega2, c2, ybar)
 
     lim_rhs = ConeUnion.make(
         total,
@@ -124,9 +130,7 @@ def mixed_product_rule(
 
     ok, witness = lim_lhs.subset_of(lim_rhs)
     equal = fre_lhs == fre_rhs and lim_lhs == lim_rhs
-    return RuleReport(
-        "mixed-product-rule", lim_lhs, lim_rhs, (), ok and equal, equal, witness
-    )
+    return RuleReport(rule_id, lim_lhs, lim_rhs, (), ok and equal, equal, witness)
 
 
 def intersection_rule(

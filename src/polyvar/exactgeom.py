@@ -194,8 +194,8 @@ class ConvexPoly:
         """The polyhedron of rows in any exact form."""
         return ConvexPoly.from_rows(
             dim,
-            [(as_row(a), _offset(b)) for a, b in ineqs],
-            [(as_row(e), _offset(d)) for e, d in eqs],
+            [(_outside_row("row", dim, a), _offset(b)) for a, b in ineqs],
+            [(_outside_row("equality row", dim, e), _offset(d)) for e, d in eqs],
         )
 
     @staticmethod
@@ -296,6 +296,14 @@ class ConvexPoly:
         eq_rows += [(e + neg(e), d) for e, d in other.eq_rows]
         big = ConvexPoly.from_rows(2 * n, rows, eq_rows)
         return big.eliminate(tuple(range(n, 2 * n)))
+
+
+def _outside_row(what: str, dim: int, entries) -> tuple:
+    """A row or generator given from outside the engine, coerced by
+    `as_row` and checked to have `dim` entries."""
+    row = as_row(entries)
+    check_dim(what, len(row), dim)
+    return row
 
 
 def _offset(b) -> int | Fraction:
@@ -479,7 +487,11 @@ class ConeH:
     @staticmethod
     def from_ineqs(dim: int, ineqs=(), eqs=()) -> "ConeH":
         """The cone of normals in any exact form."""
-        return ConeH.from_rows(dim, map(as_row, ineqs), map(as_row, eqs))
+        return ConeH.from_rows(
+            dim,
+            [_outside_row("normal", dim, a) for a in ineqs],
+            [_outside_row("equality normal", dim, e) for e in eqs],
+        )
 
     @staticmethod
     def from_rows(dim: int, rows=(), eq_rows=()) -> "ConeH":
@@ -494,8 +506,8 @@ class ConeH:
 
     @staticmethod
     def from_generators(dim: int, rays=(), lineality=()) -> "ConeH":
-        rays = [as_row(r) for r in rays]
-        lins = [as_row(l) for l in lineality]
+        rays = [_outside_row("ray", dim, r) for r in rays]
+        lins = [_outside_row("lineality", dim, l) for l in lineality]
         return ConeH.from_rows(dim, *_dd(dim, rays, lins))
 
     @staticmethod
@@ -534,14 +546,12 @@ class ConeH:
             return False
         return not self.rays and not self.lineality
 
-    def is_whole_space(self) -> bool:
-        return not self.empty and not self.rows and not self.eq_rows
-
     def subset_of(self, other: "ConeH") -> bool:
         """Exact containment by generators: every ray of self satisfies the
         rows of `other`, and every row of `other` vanishes on the lineality
         of self.  Rows and generators are int tuples, so each test is an int
         dot product."""
+        check_dim("subset_of", other.dim, self.dim)
         if self.empty:
             return True
         if other.empty:
@@ -836,6 +846,7 @@ def union_subset(a: FiniteUnion, b: FiniteUnion) -> tuple[bool, Vec | None]:
     first failing part and its witness are those of region subtraction
     alone.
     """
+    check_dim("subset_of", b.dim, a.dim)
     for part in a.parts:
         if _inside_one_part(part, b):
             continue
@@ -885,21 +896,3 @@ def _cone_inside(k: ConeH, q) -> bool:
 
 def _rows_of(part) -> ConvexPoly:
     return part.to_poly() if isinstance(part, ConeH) else part
-
-
-def cone_union_ops(a: ConeUnion, b: ConeUnion) -> dict:
-    """subset / equal / intersection / minkowski_sum, all exact."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    sub_ab, witness = a.subset_of(b)
-    return {
-        "subset": sub_ab,
-        "witness": witness,
-        "equal": sub_ab and b.subset_of(a)[0],
-        "intersection": a.intersect(b),
-        "minkowski_sum": a.minkowski(b),
-    }
-
-
-def is_zero_cone(c: ConeUnion) -> bool:
-    return c.is_zero_cone()

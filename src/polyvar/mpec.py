@@ -11,10 +11,10 @@ diagnostics.
 from __future__ import annotations
 
 from ._record import record
-from .exactgeom import ConeUnion, ConvexPoly, PolyUnion
+from .exactgeom import ConvexPoly, PolyUnion
 from .linalg import Vec, zero
 from .multimaps import PolyMultimap, coderivative_zero_cone
-from .plfunc import PLFunc, _epi_cones, _slices, _subdiff_at
+from .plfunc import PLFunc, _epi_cones, _slices
 from .quals import normal_densed_check
 from .verdicts import KIND_HORIZON, KIND_LIMITING, TriVerdict
 
@@ -59,23 +59,8 @@ def _check_feasible(p: MPECProblem, x: Vec) -> Vec:
     return x + (fx,)
 
 
-def _q1(horizon: PolyUnion, dzero: ConeUnion) -> TriVerdict:
-    return TriVerdict.zero_cone(horizon.recession().intersect(dzero.negate()))
-
-
-def check_q1(p: MPECProblem, x: Vec) -> TriVerdict:
-    """Horizon subdifferential against the coderivative zero-slice of G."""
-    point = _check_feasible(p, x)
-    horizon = _subdiff_at(p.f, p.c1, point, KIND_HORIZON).value
-    return _q1(horizon, coderivative_zero_cone(p.G, p.c2, x, zero(p.m)))
-
-
-def check_q2(p: MPECProblem, x: Vec) -> TriVerdict:
-    """Normal-densedness of the lifted epigraph/graph pair at (x, 0, f(x))."""
-    return _q2(p, _check_feasible(p, x))
-
-
 def _q2(p: MPECProblem, point: Vec) -> TriVerdict:
+    """Normal-densedness of the lifted epigraph/graph pair at (x, 0, f(x))."""
     n, m = p.n, p.m
     total = n + m + 1
     # (x, y, z) with (x, z) in epi f, y free; and gph G x R
@@ -94,7 +79,9 @@ def stationarity_check(p: MPECProblem, x: Vec) -> StationarityReport:
     dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
     # epi f's limiting cone once: q1 reads its horizon slice, the condition
     epi_cones = _epi_cones(p.f, p.c1, point, KIND_LIMITING)
-    q1 = _q1(_slices(p.n, epi_cones, KIND_HORIZON), dzero)
+    # q1: the horizon subdifferential against the zero slice of D*G
+    horizon = _slices(p.n, epi_cones, KIND_HORIZON)
+    q1 = TriVerdict.zero_cone(horizon.recession().intersect(dzero.negate()))
     q2 = _q2(p, point)
     aubin = TriVerdict.zero_cone(dzero)
 

@@ -71,8 +71,10 @@ class PolyMultimap:
     @staticmethod
     def linear(matrix: tuple[tuple, ...], in_dim: int, out_dim: int) -> "PolyMultimap":
         """The single-valued map x |-> Ax."""
+        check_dim("linear map rows", len(matrix), out_dim)
         eqs = []
         for i in range(out_dim):
+            check_dim("linear map row", len(matrix[i]), in_dim)
             row = list(matrix[i]) + [Fraction(0)] * out_dim
             row[in_dim + i] = Fraction(-1)
             eqs.append((tuple(row), Fraction(0)))
@@ -95,16 +97,6 @@ class PolyMultimap:
     def check_point(self, x: Vec, y: Vec) -> None:
         check_dim("point x", len(x), self.in_dim)
         check_dim("point y", len(y), self.out_dim)
-
-    def sum(self, other: "PolyMultimap") -> "PolyMultimap":
-        """(F1 + F2)(x) = F1(x) + F2(x): the sum rule's S with (y1, y2)
-        projected away."""
-        return PolyMultimap(self.in_dim, self.out_dim, _s_map(self, other).domain())
-
-    def compose_after(self, inner: "PolyMultimap") -> "PolyMultimap":
-        """self o inner: first inner (n => m), then self (m => s); the chain
-        rule's S with y projected away."""
-        return PolyMultimap(inner.in_dim, self.out_dim, _script_s(inner, self).domain())
 
 
 @record

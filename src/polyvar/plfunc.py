@@ -105,12 +105,20 @@ class SubdiffResult:
     value: PolyUnion
 
 
-def subdiff_wrt(f: PLFunc, c: ConvexPoly, xbar: Vec, kind: str) -> SubdiffResult:
-    """Fréchet / limiting / horizon subdifferential of f at xbar relative to c."""
+def _epi_point(f: PLFunc, c: ConvexPoly, xbar: Vec) -> Vec | None:
+    """(xbar, f(xbar)) when f(xbar) is finite and xbar is in c, else None."""
     fx = f.value(xbar)
     if fx is None or not c.contains(xbar):
+        return None
+    return xbar + (fx,)
+
+
+def subdiff_wrt(f: PLFunc, c: ConvexPoly, xbar: Vec, kind: str) -> SubdiffResult:
+    """Fréchet / limiting / horizon subdifferential of f at xbar relative to c."""
+    point = _epi_point(f, c, xbar)
+    if point is None:
         return SubdiffResult(kind, c, PolyUnion.empty(f.dim))
-    return _subdiff_at(f, c, xbar + (fx,), kind)
+    return _subdiff_at(f, c, point, kind)
 
 
 def _subdiff_at(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> SubdiffResult:
@@ -141,23 +149,23 @@ def subdiff_via_coderivative(
     Limiting subgradients are D*_C E^f(xbar)(1); horizon ones are the slice
     at 0.  Independent route used to cross-check subdiff_wrt exactly.
     """
-    fx = f.value(xbar)
-    if fx is None or not c.contains(xbar):
+    point = _epi_point(f, c, xbar)
+    if point is None:
         return SubdiffResult(kind, c, PolyUnion.empty(f.dim))
     ef = f.epigraphical_map()
     ystar = (Fraction(1),) if kind == KIND_LIMITING else (Fraction(0),)
     if kind not in (KIND_LIMITING, KIND_HORIZON):
         raise ValueError("coderivative route covers limiting and horizon kinds")
-    sl = coderivative_wrt(ef, c, xbar, (fx,), ystar)
+    sl = coderivative_wrt(ef, c, xbar, point[-1:], ystar)
     return SubdiffResult(kind, c, sl.result)
 
 
 def lipschitz_wrt_check(f: PLFunc, c: ConvexPoly, xbar: Vec) -> TriVerdict:
     """Local Lipschitz continuity relative to c iff the horizon cone is {0}."""
-    fx = f.value(xbar)
-    if fx is None or not c.contains(xbar):
+    point = _epi_point(f, c, xbar)
+    if point is None:
         raise ValueError("base point outside dom f cap c")
-    horizon = _subdiff_at(f, c, xbar + (fx,), KIND_HORIZON).value
+    horizon = _subdiff_at(f, c, point, KIND_HORIZON).value
     return TriVerdict.zero_cone(horizon.recession())
 
 
@@ -167,10 +175,10 @@ def fermat_check(f: PLFunc, c: ConvexPoly, xbar: Vec) -> dict:
     Necessary conditions only: a point failing the Fréchet test is certified
     non-minimizing; passing certifies nothing.
     """
-    fx = f.value(xbar)
-    if fx is None or not c.contains(xbar):
+    point = _epi_point(f, c, xbar)
+    if point is None:
         raise ValueError("base point outside dom f cap c")
-    origin, point = zero(f.dim), xbar + (fx,)
+    origin = zero(f.dim)
     fre = _subdiff_at(f, c, point, KIND_FRECHET)
     lim = _subdiff_at(f, c, point, KIND_LIMITING)
     return {

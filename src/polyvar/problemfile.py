@@ -189,9 +189,6 @@ class ProblemFile:
     objects: dict[str, Any]
     queries: tuple[dict, ...]
 
-    def query_names(self) -> tuple[str, ...]:
-        return tuple(q["name"] for q in self.queries)
-
 
 def loads(text: str) -> ProblemFile:
     try:

@@ -20,8 +20,10 @@ from polyvar import cones
 from polyvar.calculus import mixed_product_rule
 from polyvar.exactgeom import (
     ConeH,
+    ConeUnion,
     ConvexPoly,
     PolySet,
+    PolyUnion,
     polar,
     slice_cone_at_tail,
 )
@@ -30,6 +32,8 @@ from polyvar.multimaps import (
     VARIANT_SEMICOMPACT,
     VARIANT_SEMICONTINUOUS,
     PolyMultimap,
+    _s_map,
+    _script_s,
     coderivative_wrt,
     graph_normal_cone,
     inner_regularity_check,
@@ -78,20 +82,74 @@ CASES = {
         lambda: ConeH.whole_space(1).minkowski(ConeH.whole_space(2)),
         "dimension 2, expected 1",
     ),
-    "PolyMultimap.sum input": (
-        lambda: whole_map(1, 1).sum(whole_map(2, 1)),
+    "ConeH.subset_of": (
+        lambda: ConeH.whole_space(2).subset_of(ConeH.whole_space(3)),
+        "dimension 3, expected 2",
+    ),
+    "ConeUnion.subset_of": (
+        lambda: ConeUnion.single(ConeH.whole_space(2)).subset_of(
+            ConeUnion.single(ConeH.whole_space(3))
+        ),
+        "dimension 3, expected 2",
+    ),
+    "PolyUnion.subset_of": (
+        lambda: PolyUnion.single(ConvexPoly.make(2, [(vec(1, 0), 0)])).subset_of(
+            PolyUnion.single(ConvexPoly.make(3, [(vec(1, 0, 1), 0)]))
+        ),
+        "dimension 3, expected 2",
+    ),
+    # rows and generators from outside the engine: wrong lengths are refused,
+    # not padded, cut short or misreported
+    "ConvexPoly.make row": (
+        lambda: ConvexPoly.make(2, [(vec(1, 0, 0), 1)]),
+        "dimension 3, expected 2",
+    ),
+    "ConvexPoly.make equality row": (
+        lambda: ConvexPoly.make(2, [], [(vec(1), 0)]),
+        "dimension 1, expected 2",
+    ),
+    "ConeH.from_ineqs": (
+        lambda: ConeH.from_ineqs(2, [vec(1, 0, 0)]),
+        "dimension 3, expected 2",
+    ),
+    "ConeH.from_ineqs equality": (
+        lambda: ConeH.from_ineqs(2, [], [vec(1)]),
+        "dimension 1, expected 2",
+    ),
+    "ConeH.from_generators ray": (
+        lambda: ConeH.from_generators(2, rays=[vec(1, 0, 0)]),
+        "dimension 3, expected 2",
+    ),
+    "ConeH.from_generators lineality": (
+        lambda: ConeH.from_generators(2, lineality=[vec(1)]),
+        "dimension 1, expected 2",
+    ),
+    "PolyMultimap.linear row": (
+        lambda: PolyMultimap.linear(((1,),), 2, 1),
+        "dimension 1, expected 2",
+    ),
+    "PolyMultimap.linear rows": (
+        lambda: PolyMultimap.linear(((1,), (2,)), 1, 1),
         "dimension 2, expected 1",
     ),
-    "PolyMultimap.sum output": (
-        lambda: whole_map(1, 2).sum(whole_map(1, 1)),
+    "PLFunc.affine": (
+        lambda: PLFunc.affine(2, vec(1, 0, 0), 0),
+        "dimension 4, expected 3",
+    ),
+    "_s_map input": (
+        lambda: _s_map(whole_map(1, 1), whole_map(2, 1)),
+        "dimension 2, expected 1",
+    ),
+    "_s_map output": (
+        lambda: _s_map(whole_map(1, 2), whole_map(1, 1)),
         "dimension 1, expected 2",
     ),
     "PolyMultimap.value_set": (
         lambda: whole_map(2, 1).value_set(vec(0)),
         "dimension 1, expected 2",
     ),
-    "PolyMultimap.compose_after": (
-        lambda: whole_map(1, 1).compose_after(whole_map(1, 2)),
+    "_script_s": (
+        lambda: _script_s(whole_map(1, 2), whole_map(1, 1)),
         "dimension 2, expected 1",
     ),
     "inner_regularity_check semicompact": (

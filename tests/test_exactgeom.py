@@ -31,9 +31,7 @@ from polyvar.exactgeom import (
     FiniteUnion,
     PolySet,
     PolyUnion,
-    cone_union_ops,
     dd_convert,
-    is_zero_cone,
     polar,
     slice_cone_at_tail,
     union_subset,
@@ -137,7 +135,7 @@ def test_fixed_cones_carry_reference_generators(dim):
     whole, origin = ConeH.whole_space(dim), ConeH.zero(dim)
     for cone in (whole, origin):
         assert cone.generators() == dd_generators(dim, cone.ineqs, cone.eqs)
-    assert whole == ConeH.from_ineqs(dim) and whole.is_whole_space()
+    assert whole == ConeH.from_ineqs(dim) and not whole.rows and not whole.eq_rows
     assert origin.is_zero()
     marker = ConeH.empty_marker(dim)
     assert (marker.ineqs, marker.eqs, marker.generators()) == ((), (), ((), ()))
@@ -205,13 +203,12 @@ def test_union_ops_zero_subset_everything():
     rng = random.Random(3)
     for _ in range(10):
         b = random_cone_union(rng, 2)
-        assert cone_union_ops(z, b)["subset"] is True
+        assert z.subset_of(b) == (True, None)
 
 
 def test_union_ops_example2_subset_failure():
-    ops = cone_union_ops(_example2_lhs(), _example2_rhs())
-    assert ops["subset"] is False
-    w = ops["witness"]
+    ok, w = _example2_lhs().subset_of(_example2_rhs())
+    assert ok is False
     assert w is not None
     assert _example2_lhs().contains(w) and not _example2_rhs().contains(w)
     # the hand-computed witness certifies the same failure
@@ -231,20 +228,20 @@ def test_union_ops_example2_minkowski():
 
 
 def test_union_ops_dim_mismatch():
-    with pytest.raises(ValueError):
-        cone_union_ops(
-            ConeUnion.single(ConeH.whole_space(2)),
-            ConeUnion.single(ConeH.whole_space(3)),
-        )
+    a = ConeUnion.single(ConeH.whole_space(2))
+    b = ConeUnion.single(ConeH.whole_space(3))
+    for op in (a.subset_of, a.intersect, a.minkowski):
+        with pytest.raises(ValueError, match="dimension 3, expected 2"):
+            op(b)
 
 
 def test_is_zero_cone_cases():
-    assert is_zero_cone(ConeUnion.single(ConeH.zero(2)))
+    assert ConeUnion.single(ConeH.zero(2)).is_zero_cone()
     axis = ConeUnion.single(
         ConeH.from_ineqs(3, [vec(0, 1, 0)], [vec(1, 0, 0), vec(0, 0, 1)])
     )
-    assert not is_zero_cone(axis)
-    assert is_zero_cone(ConeUnion.single(polar(ConeH.whole_space(4))))
+    assert not axis.is_zero_cone()
+    assert ConeUnion.single(polar(ConeH.whole_space(4))).is_zero_cone()
 
 
 def test_subset_partial_order_random():

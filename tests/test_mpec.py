@@ -17,13 +17,32 @@ from polyvar.mpec import (
     INCONCLUSIVE,
     NECESSARY_CONDITIONS_HOLD,
     MPECProblem,
-    check_q1,
-    check_q2,
     stationarity_check,
 )
-from polyvar.multimaps import PolyMultimap
-from polyvar.plfunc import KIND_LIMITING, PLFunc, subdiff_wrt
-from polyvar.verdicts import FAILS, HOLDS
+from polyvar.multimaps import PolyMultimap, coderivative_zero_cone
+from polyvar.plfunc import KIND_HORIZON, KIND_LIMITING, PLFunc, subdiff_wrt
+from polyvar.verdicts import FAILS, HOLDS, TriVerdict
+
+
+def reference_q1(p: MPECProblem, x) -> TriVerdict:
+    """q1 on its own: the horizon subdifferential of f relative to C1 meets
+    -D*G(x, 0)(0) only at the origin."""
+    horizon = subdiff_wrt(p.f, p.c1, x, KIND_HORIZON).value
+    dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
+    return TriVerdict.zero_cone(horizon.recession().intersect(dzero.negate()))
+
+
+def reference_q2(p: MPECProblem, x) -> TriVerdict:
+    """q2 on its own: normal-densedness of epi f, lifted to (x, y, z) with y
+    free, and gph G x R at (x, 0, f(x)), relative to C1 and C2 lifted."""
+    n, m = p.n, p.m
+    total = n + m + 1
+    omega1 = p.f.epi.embed(total, tuple(range(n)) + (total - 1,))
+    omega2 = p.G.graph.embed(total, tuple(range(n + m)))
+    lift1 = p.c1.product(ConvexPoly.whole_space(m + 1))
+    lift2 = p.c2.product(ConvexPoly.whole_space(m + 1))
+    base = x + zero(m) + (p.f.value(x),)
+    return quals.normal_densed_check(omega1, omega2, lift1, lift2, base)
 
 
 def final_example(c1_whole: bool) -> MPECProblem:
@@ -64,11 +83,11 @@ def test_final_example_2():
 
 
 def test_q1_q2_direct():
-    p = final_example(c1_whole=False)
-    assert check_q1(p, vec(0)).value == HOLDS
-    assert check_q2(p, vec(0)).value == HOLDS
-    p2 = final_example(c1_whole=True)
-    assert check_q2(p2, vec(0)).value == FAILS
+    r = stationarity_check(final_example(c1_whole=False), vec(0))
+    assert r.q1.value == HOLDS
+    assert r.q2.value == HOLDS
+    r2 = stationarity_check(final_example(c1_whole=True), vec(0))
+    assert r2.q2.value == FAILS
 
 
 def test_certified_non_optimal_shifted_objective():
@@ -95,8 +114,7 @@ def test_infeasible_candidates_rejected():
 
 
 def test_stationarity_check_runs_one_feasibility_check(monkeypatch):
-    """q1 and q2 inside a report reuse the report's own feasibility check;
-    the public `check_q2` still checks on its own."""
+    """q1 and q2 inside a report reuse the report's own feasibility check."""
     calls = []
     real = mpec._check_feasible
 
@@ -109,13 +127,10 @@ def test_stationarity_check_runs_one_feasibility_check(monkeypatch):
         calls.clear()
         stationarity_check(final_example(c1_whole), vec(0))
         assert len(calls) == 1
-    calls.clear()
-    check_q2(final_example(False), vec(0))
-    assert len(calls) == 1
 
 
 def test_stationarity_check_evaluates_f_once(monkeypatch):
-    """One f(x̄) per report; the report carries what the public checks
+    """One f(x̄) per report; the report carries what the reference checks
     and `subdiff_wrt` give on their own."""
     p0 = final_example(c1_whole=False)
     fneg = PLFunc.affine(1, vec(-1), 0)
@@ -128,8 +143,8 @@ def test_stationarity_check_evaluates_f_once(monkeypatch):
     for p in problems:
         x = vec(0)
         expected = (
-            check_q1(p, x),
-            check_q2(p, x),
+            reference_q1(p, x),
+            reference_q2(p, x),
             subdiff_wrt(p.f, p.c1, x, KIND_LIMITING).value,
             p.f.value(x),
         )
@@ -157,7 +172,7 @@ def test_stationarity_check_evaluates_f_once(monkeypatch):
 
 def test_stationarity_check_builds_the_epigraph_cone_once(monkeypatch):
     """One limiting normal cone of epi f per report: its horizon slice gives
-    q1 and its limiting slice the subdifferential, as `check_q1` and
+    q1 and its limiting slice the subdifferential, as `reference_q1` and
     `subdiff_wrt` give them on their own."""
     p0 = final_example(c1_whole=False)
     fneg = PLFunc.affine(1, vec(-1), 0)
@@ -172,7 +187,7 @@ def test_stationarity_check_builds_the_epigraph_cone_once(monkeypatch):
     assert plfunc in holders
     for p in problems:
         x = vec(0)
-        expected = (check_q1(p, x), subdiff_wrt(p.f, p.c1, x, KIND_LIMITING).value)
+        expected = (reference_q1(p, x), subdiff_wrt(p.f, p.c1, x, KIND_LIMITING).value)
         on_epi = []
 
         def counting(omega, wrt, point):

@@ -22,6 +22,8 @@ from polyvar.multimaps import (
     VARIANT_SEMICOMPACT,
     VARIANT_SEMICONTINUOUS,
     PolyMultimap,
+    _s_map,
+    _script_s,
     aubin_wrt_check,
     chain_rule,
     coderivative_wrt,
@@ -428,7 +430,8 @@ def test_sum_graph_matches_fiberwise_minkowski():
         y1, y2 = rng_vec(rng, m, -1, 1), rng_vec(rng, m, -1, 1)
         F1 = random_multimap_through(rng, n, m, x, y1, max_pieces=2)
         F2 = random_multimap_through(rng, n, m, x, y2, max_pieces=2)
-        fsum = F1.sum(F2)
+        # the sum map's graph: the sum rule's S with (y1, y2) projected away
+        fsum = PolyMultimap(n, m, _s_map(F1, F2).domain())
         for probe in (x, rng_vec(rng, n, -1, 1)):
             direct = fsum.value_set(probe)
             via_fibers = PolyUnion.make(m, list(F1.value_set(probe).pieces)).minkowski(
@@ -453,8 +456,7 @@ def test_sum_graph_vertices_realizable_by_exact_splits():
         y1, y2 = rng_vec(rng, m, -1, 1), rng_vec(rng, m, -1, 1)
         F1 = random_multimap_through(rng, n, m, x, y1, max_pieces=2)
         F2 = random_multimap_through(rng, n, m, x, y2, max_pieces=2)
-        fsum = F1.sum(F2)
-        for piece in fsum.graph.pieces:
+        for piece in _s_map(F1, F2).domain().pieces:
             verts, _, _ = vrep(piece)
             for v in verts:
                 vx, vy = v[:n], v[n:]
@@ -493,9 +495,9 @@ def test_piece_limit_configurable():
     mm.PIECE_LIMIT = 0
     try:
         with pytest.raises(mm.PieceLimitError):
-            F.sum(F)
+            mm._s_map(F, F)
         with pytest.raises(mm.PieceLimitError):
-            F.compose_after(F)
+            mm._script_s(F, F)
     finally:
         mm.PIECE_LIMIT = old
 
@@ -592,8 +594,6 @@ def test_piece_limit_checked_before_any_product_piece(monkeypatch):
     builds = {
         "s_map": lambda: mm._s_map(F, F),
         "script_s": lambda: mm._script_s(F, F),
-        "sum": lambda: F.sum(F),
-        "compose": lambda: F.compose_after(F),
         "preimage": lambda: preimage_rule(F, theta, c, vec(0)),
     }
     monkeypatch.setattr(mm, "PIECE_LIMIT", 4)
@@ -629,16 +629,16 @@ def reference_sum(F1: PolyMultimap, F2: PolyMultimap) -> PolyMultimap:
 
 
 def test_sum_and_composition_project_the_auxiliary_maps():
-    """`sum` is S with (y1, y2) projected away and `compose_after` is the
-    chain rule's S with y projected away: the same canonical pieces, in the
-    same order, as a direct construction."""
+    """The sum rule's S with (y1, y2) projected away and the chain rule's S
+    with y projected away, the graphs of F1 + F2 and G o F1: the same
+    canonical pieces, in the same order, as a direct construction."""
     rng = random.Random(229)
     for _ in range(12):
         n, m = 1, rng.randint(1, 2)
         x, y1, y2 = rng_vec(rng, n, -1, 1), rng_vec(rng, m, -1, 1), rng_vec(rng, m, -1, 1)
         F1 = random_multimap_through(rng, n, m, x, y1)
         F2 = random_multimap_through(rng, n, m, x, y2)
-        assert F1.sum(F2) == reference_sum(F1, F2)
+        assert _s_map(F1, F2).domain() == reference_sum(F1, F2).graph
         G = random_multimap_through(rng, m, n, y1, x)
         direct = [
             g.embed(n + n + m, tuple(range(n)) + tuple(range(2 * n, 2 * n + m)))
@@ -647,4 +647,4 @@ def test_sum_and_composition_project_the_auxiliary_maps():
             for g in F1.graph.pieces
             for f in G.graph.pieces
         ]
-        assert G.compose_after(F1).graph == PolySet.make(2 * n, direct)
+        assert _script_s(F1, G).domain() == PolySet.make(2 * n, direct)

@@ -23,7 +23,7 @@ GOOD = """
 
 def test_good_file_loads():
     pf = loads(GOOD)
-    assert pf.query_names() == ("q1",)
+    assert [q["name"] for q in pf.queries] == ["q1"]
     from fractions import Fraction
 
     assert pf.objects["p"] == (Fraction(1, 2),)
