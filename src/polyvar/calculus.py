@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .cones import frechet_normal_wrt, limiting_normal, limiting_normal_wrt
-from .exactgeom import ConeUnion, ConvexPoly, PolySet, PolyUnion
+from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet, PolyUnion
 from .linalg import Vec, check_dim
 from .quals import lqc_wrt_check, normal_densed_check
 from .stratify import global_cells
@@ -107,8 +107,8 @@ def _interleaved_product(
     else:
         raise ValueError(f"unknown pairing: {pairing}")
 
-    omega = omega1.embed(total, x_then_z).intersect(omega2.embed(total, y_block))
-    c = c1.embed(total, x_then_z).intersect(c2.embed(total, y_block))
+    omega = PolySet.lift(total, [(omega1, x_then_z), (omega2, y_block)])
+    c = ConvexPoly.lift(total, [(c1, x_then_z), (c2, y_block)])
 
     lim_lhs = limiting_normal_wrt(omega, c, point)
     fre_lhs = frechet_normal_wrt(omega, c, point)
@@ -121,12 +121,12 @@ def _interleaved_product(
     lim_rhs = ConeUnion.make(
         total,
         [
-            p.embed(total, coords1).intersect(q.embed(total, y_block))
+            ConeH.lift(total, [(p, coords1), (q, y_block)])
             for p in n1_lim.parts
             for q in n2_lim.parts
         ],
     )
-    fre_rhs = n1_fre.embed(total, coords1).intersect(n2_fre.embed(total, y_block))
+    fre_rhs = ConeH.lift(total, [(n1_fre, coords1), (n2_fre, y_block)])
 
     ok, witness = lim_lhs.subset_of(lim_rhs)
     equal = fre_lhs == fre_rhs and lim_lhs == lim_rhs
@@ -180,12 +180,10 @@ def preimage_rule(
     n, m = F.in_dim, F.out_dim
     whole_nm = ConvexPoly.whole_space(n + m)
     # graph of F restricted to outputs in Theta, piece by piece
-    lifted = _piece_product(
-        n + m, [(F.graph.pieces, None), (theta.pieces, tuple(range(n, n + m)))]
+    restricted = _piece_product(
+        n + m, [(F.graph, range(n + m)), (theta, range(n, n + m))]
     )
-    preimage = PolySet.make(
-        n, [piece.eliminate(tuple(range(n, n + m))) for piece in lifted]
-    )
+    preimage = restricted.eliminate(tuple(range(n, n + m)))
     if not (preimage.contains(x) and c.contains(x)):
         raise ValueError("x outside F^{-1}(Theta) cap C")
 
@@ -197,8 +195,8 @@ def preimage_rule(
     kernel_verdict = TriVerdict.holds()
     densed_verdict = TriVerdict.holds()
     rhs_parts = []
-    omega2 = theta.embed(n + m, tuple(range(n, n + m)))
-    c_lift = c.product(ConvexPoly.whole_space(m))
+    omega2 = PolySet.lift(n + m, [(theta, range(n, n + m))])
+    c_lift = ConvexPoly.lift(n + m, [(c, range(n))])
     for ybar in reps:
         n_theta = limiting_normal(theta, ybar)
         graph_cone = graph_normal_cone(F, c, x, ybar)

@@ -22,7 +22,7 @@ the base point leaves the reference domain.
 from __future__ import annotations
 
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, IntVec, PolySet
-from .linalg import Vec, check_dim, dot, excess_at, neg, sub
+from .linalg import Vec, check_dim, excess_at
 from .stratify import local_cells
 from .verdicts import KIND_FRECHET, KIND_LIMITING, KIND_PROXIMAL
 
@@ -100,37 +100,11 @@ def frechet_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
     return _frechet_cone(omega.dim, rows)
 
 
-def proximal_normal_wrt(
-    omega: PolySet, wrt: ConvexPoly, point: Vec, validate: bool = False
-) -> ConeH:
-    """Proximal normal cone relative to wrt (Euclidean ambient norm).
-
-    For unions of closed convex polyhedra this set coincides with the
-    Fréchet-relative cone; `validate` additionally checks every generator
-    against the witnesses of the adherent cells of omega cap wrt and checks
-    radial admissibility, both exactly.
-    """
-    cone = frechet_normal_wrt(omega, wrt, point)
-    if validate and not cone.empty:
-        if not _proximal_inequality_holds(omega, wrt, point, cone):
-            raise RuntimeError("proximal inequality fails at a cell or radially")
-    return cone
-
-
-def _proximal_inequality_holds(
-    omega: PolySet, wrt: ConvexPoly, point: Vec, cone: ConeH
-) -> bool:
-    # first order, exactly: every cell of omega cap wrt adherent to the point
-    # lies in a piece through the point, so a normal makes a non-acute angle
-    # with w - point for each cell's witness w
-    normals = cone.rays + cone.lineality + tuple(neg(l) for l in cone.lineality)
-    offsets = [sub(cell.witness, point) for cell in local_cells([omega, wrt], point)]
-    if any(dot(xstar, d) > 0 for xstar in normals for d in offsets):
-        return False
-    # radial admissibility, x + p x* in wrt for some p > 0, is membership in
-    # the radial cone of wrt at the point
-    radial = radial_cone(wrt, point)
-    return all(radial.contains(xstar) for xstar in normals)
+def proximal_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
+    """Proximal normal cone relative to wrt (Euclidean ambient norm): for
+    unions of closed convex polyhedra it coincides with the Fréchet-relative
+    cone."""
+    return frechet_normal_wrt(omega, wrt, point)
 
 
 def limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnion:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import mul
 
 from . import lp
@@ -233,22 +234,18 @@ class ConvexPoly:
             self.dim, self.rows + other.rows, self.eq_rows + other.eq_rows
         )
 
-    def product(self, other: "ConvexPoly") -> "ConvexPoly":
-        n, m = self.dim, other.dim
-        rows = [(a + (0,) * m, b) for a, b in self.rows]
-        rows += [((0,) * n + a, b) for a, b in other.rows]
-        eq_rows = [(e + (0,) * m, d) for e, d in self.eq_rows]
-        eq_rows += [((0,) * n + e, d) for e, d in other.eq_rows]
-        return ConvexPoly.from_rows(n + m, rows, eq_rows)
-
-    def embed(self, total_dim: int, coords: tuple[int, ...]) -> "ConvexPoly":
-        """Lift into Q^total_dim placing own coordinate i at coords[i]."""
-        check_dim("embed coordinates", len(coords), self.dim)
-        return ConvexPoly.from_rows(
-            total_dim,
-            [(_lift(a, total_dim, coords), b) for a, b in self.rows],
-            [(_lift(e, total_dim, coords), d) for e, d in self.eq_rows],
-        )
+    @staticmethod
+    def lift(total: int, factors) -> "ConvexPoly":
+        """The meet in Q^total of the polyhedra of `factors`, (p, coords)
+        pairs with p's coordinate i placed at coords[i]: one
+        canonicalization of every lifted row.  One factor embeds p; coords
+        range(p.dim) gives p x Q^(total - p.dim)."""
+        rows, eq_rows = [], []
+        for p, coords in factors:
+            check_dim("lift coordinates", len(coords), p.dim)
+            rows += [(_lift(a, total, coords), b) for a, b in p.rows]
+            eq_rows += [(_lift(e, total, coords), d) for e, d in p.eq_rows]
+        return ConvexPoly.from_rows(total, rows, eq_rows)
 
     def eliminate(self, coords: tuple[int, ...]) -> "ConvexPoly":
         """Project away the given coordinates: the hull of the projected
@@ -310,9 +307,9 @@ def _offset(b) -> int | Fraction:
     return b if type(b) is int else exact(rat(b))
 
 
-def _lift(v: IntVec, total_dim: int, coords: tuple[int, ...]) -> IntVec:
-    """v in Q^total_dim with its coordinate i at coords[i], zero elsewhere."""
-    w = [0] * total_dim
+def _lift(v: IntVec, total: int, coords) -> IntVec:
+    """v in Q^total with its coordinate i at coords[i], zero elsewhere."""
+    w = [0] * total
     for i, c in enumerate(coords):
         w[c] = v[i]
     return tuple(w)
@@ -589,24 +586,17 @@ class ConeH:
             return self
         return ConeH.from_rows(self.dim, [neg(a) for a in self.rows], self.eq_rows)
 
-    def product(self, other: "ConeH") -> "ConeH":
-        n, m = self.dim, other.dim
-        if self.empty or other.empty:
-            return ConeH.empty_marker(n + m)
-        rows = [a + (0,) * m for a in self.rows]
-        rows += [(0,) * n + a for a in other.rows]
-        eq_rows = [e + (0,) * m for e in self.eq_rows]
-        eq_rows += [(0,) * n + e for e in other.eq_rows]
-        return ConeH.from_rows(n + m, rows, eq_rows)
-
-    def embed(self, total_dim: int, coords: tuple[int, ...]) -> "ConeH":
-        _check_not_empty("embed", self)
-        check_dim("embed coordinates", len(coords), self.dim)
-        return ConeH.from_rows(
-            total_dim,
-            [_lift(a, total_dim, coords) for a in self.rows],
-            [_lift(e, total_dim, coords) for e in self.eq_rows],
-        )
+    @staticmethod
+    def lift(total: int, factors) -> "ConeH":
+        """The meet in Q^total of the cones of `factors`, as
+        `ConvexPoly.lift`: one canonicalization of every lifted row."""
+        rows, eq_rows = [], []
+        for k, coords in factors:
+            _check_not_empty("lift", k)
+            check_dim("lift coordinates", len(coords), k.dim)
+            rows += [_lift(a, total, coords) for a in k.rows]
+            eq_rows += [_lift(e, total, coords) for e in k.eq_rows]
+        return ConeH.from_rows(total, rows, eq_rows)
 
     def to_poly(self) -> ConvexPoly:
         _check_not_empty("to_poly", self)
@@ -691,15 +681,20 @@ class PolySet:
             [p.intersect(q) for p in self.pieces for q in other.pieces],
         )
 
-    def product(self, other: "PolySet") -> "PolySet":
+    @staticmethod
+    def lift(total: int, factors) -> "PolySet":
+        """The meet in Q^total of the sets of `factors`, (set, coords) pairs
+        as in `ConvexPoly.lift`: one lifted piece per choice of one piece
+        from each set."""
+        for s, c in factors:
+            check_dim("lift coordinates", len(c), s.dim)
+        coords = [c for _, c in factors]
         return PolySet.make(
-            self.dim + other.dim,
-            [p.product(q) for p in self.pieces for q in other.pieces],
-        )
-
-    def embed(self, total_dim: int, coords: tuple[int, ...]) -> "PolySet":
-        return PolySet.make(
-            total_dim, [p.embed(total_dim, coords) for p in self.pieces]
+            total,
+            [
+                ConvexPoly.lift(total, zip(combo, coords))
+                for combo in product(*(s.pieces for s, _ in factors))
+            ],
         )
 
     def eliminate(self, coords: tuple[int, ...]) -> "PolySet":
@@ -785,21 +780,17 @@ class FiniteUnion:
         return f"FiniteUnion(dim={self.dim}, {len(self.parts)} parts)"
 
     def intersect(self, other: "FiniteUnion") -> "FiniteUnion":
+        check_dim("intersect", other.dim, self.dim)
         return FiniteUnion.make(
             self.dim,
             [p.intersect(q) for p in self.parts for q in other.parts],
         )
 
     def minkowski(self, other: "FiniteUnion") -> "FiniteUnion":
+        check_dim("minkowski", other.dim, self.dim)
         return FiniteUnion.make(
             self.dim,
             [p.minkowski(q) for p in self.parts for q in other.parts],
-        )
-
-    def product(self, other: "FiniteUnion") -> "FiniteUnion":
-        return FiniteUnion.make(
-            self.dim + other.dim,
-            [p.product(q) for p in self.parts for q in other.parts],
         )
 
     def negate(self) -> "FiniteUnion":

@@ -11,7 +11,7 @@ diagnostics.
 from __future__ import annotations
 
 from ._record import record
-from .exactgeom import ConvexPoly, PolyUnion
+from .exactgeom import ConvexPoly, PolySet, PolyUnion
 from .linalg import Vec, zero
 from .multimaps import PolyMultimap, coderivative_zero_cone
 from .plfunc import PLFunc, _epi_cones, _slices
@@ -64,10 +64,10 @@ def _q2(p: MPECProblem, point: Vec) -> TriVerdict:
     n, m = p.n, p.m
     total = n + m + 1
     # (x, y, z) with (x, z) in epi f, y free; and gph G x R
-    omega1 = p.f.epi.embed(total, tuple(range(n)) + (n + m,))
-    omega2 = p.G.graph.embed(total, tuple(range(n + m)))
-    lift1 = p.c1.product(ConvexPoly.whole_space(m + 1))
-    lift2 = p.c2.product(ConvexPoly.whole_space(m + 1))
+    omega1 = PolySet.lift(total, [(p.f.epi, (*range(n), n + m))])
+    omega2 = PolySet.lift(total, [(p.G.graph, range(n + m))])
+    lift1 = ConvexPoly.lift(total, [(p.c1, range(n))])
+    lift2 = ConvexPoly.lift(total, [(p.c2, range(n))])
     base = point[:n] + zero(m) + point[n:]
     return normal_densed_check(omega1, omega2, lift1, lift2, base)
 

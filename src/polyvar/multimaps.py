@@ -10,8 +10,6 @@ relative to C x R^m, so every slice is a finite union of polyhedra.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from itertools import product
 from math import prod
 from operator import mul
 
@@ -43,21 +41,15 @@ class PieceLimitError(LimitError):
     pass
 
 
-def _piece_product(total: int, factors) -> list[ConvexPoly]:
-    """Every intersection of one piece from each factor (pieces, coords),
-    a piece lifted into Q^total with its coordinate i at coords[i] (coords
-    None: already in Q^total).  The count is checked against PIECE_LIMIT
-    before any piece is built."""
-    count = prod(len(pieces) for pieces, _ in factors)
+def _piece_product(total: int, factors) -> PolySet:
+    """`PolySet.lift` of the (set, coords) factors, its count of pieces
+    checked against PIECE_LIMIT before any piece is built."""
+    count = prod(len(s.pieces) for s, _ in factors)
     if count > PIECE_LIMIT:
         raise PieceLimitError(
             f"piece limit exceeded: a product of {count} pieces (limit {PIECE_LIMIT})"
         )
-    lifted = [
-        pieces if coords is None else [p.embed(total, coords) for p in pieces]
-        for pieces, coords in factors
-    ]
-    return [reduce(ConvexPoly.intersect, combo) for combo in product(*lifted)]
+    return PolySet.lift(total, factors)
 
 
 @record
@@ -112,7 +104,7 @@ class CoderivativeSlice:
 def graph_normal_cone(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> ConeUnion:
     """N_{C x R^m}((x, y), gph F_C), the cone behind every coderivative."""
     F.check_point(x, y)
-    wrt = c.product(ConvexPoly.whole_space(F.out_dim))
+    wrt = ConvexPoly.lift(c.dim + F.out_dim, [(c, range(c.dim))])
     return limiting_normal_wrt(F.graph, wrt, x + y)
 
 
@@ -244,7 +236,7 @@ def _rule_via_s(
     the right side at one auxiliary point a: at aux under semicontinuity of
     S, or unioned over one point per cell of S(x, out) under semicompactness."""
     n, k = len(x), len(out)
-    c_lift = c.product(ConvexPoly.whole_space(k))
+    c_lift = ConvexPoly.lift(n + k, [(c, range(n))])
     base = x + out
     if variant == VARIANT_SEMICONTINUOUS:
         base += aux
@@ -280,11 +272,11 @@ def _s_map(F1: PolyMultimap, F2: PolyMultimap) -> PolyMultimap:
         rows_e.append((tuple(row), Fraction(0)))
     at1 = tuple(range(n)) + tuple(range(n + m, n + 2 * m))
     at2 = tuple(range(n)) + tuple(range(n + 2 * m, total))
-    coupling = (ConvexPoly.make(total, [], rows_e),)
-    pieces = _piece_product(
-        total, [(F1.graph.pieces, at1), (F2.graph.pieces, at2), (coupling, None)]
+    coupling = PolySet.from_poly(ConvexPoly.make(total, [], rows_e))
+    graph = _piece_product(
+        total, [(F1.graph, at1), (F2.graph, at2), (coupling, range(total))]
     )
-    return PolyMultimap(n + m, 2 * m, PolySet.make(total, pieces))
+    return PolyMultimap(n + m, 2 * m, graph)
 
 
 def sum_rule(
@@ -314,10 +306,10 @@ def sum_rule(
     q1 = TriVerdict.zero_cone(d1_zero.intersect(d2_zero.negate()))
 
     total = n + 2 * m  # (x, y1, y2)
-    omega1 = F1.graph.embed(total, tuple(range(n + m)))
-    omega2 = F2.graph.embed(total, tuple(range(n)) + tuple(range(n + m, total)))
-    lift1 = c1.product(ConvexPoly.whole_space(2 * m))
-    lift2 = c2.product(ConvexPoly.whole_space(2 * m))
+    omega1 = PolySet.lift(total, [(F1.graph, range(n + m))])
+    omega2 = PolySet.lift(total, [(F2.graph, (*range(n), *range(n + m, total)))])
+    lift1 = ConvexPoly.lift(total, [(c1, range(n))])
+    lift2 = ConvexPoly.lift(total, [(c2, range(n))])
     q2 = normal_densed_check(omega1, omega2, lift1, lift2, xbar + y1bar + y2bar)
 
     def rhs_at(y12: Vec) -> PolyUnion:
@@ -376,9 +368,9 @@ def chain_rule(
     q1 = TriVerdict.zero_cone(df_zero.intersect(ker_g))
 
     total = n + m + s
-    theta1 = G.graph.embed(total, tuple(range(n + m)))
-    theta2 = F.graph.embed(total, tuple(range(n, total)))
-    lift1 = c.product(ConvexPoly.whole_space(m + s))
+    theta1 = PolySet.lift(total, [(G.graph, range(n + m))])
+    theta2 = PolySet.lift(total, [(F.graph, range(n, total))])
+    lift1 = ConvexPoly.lift(total, [(c, range(n))])
     lift2 = ConvexPoly.whole_space(total)
     q2 = normal_densed_check(theta1, theta2, lift1, lift2, xbar + ybar + zbar)
 
@@ -400,5 +392,5 @@ def _script_s(G: PolyMultimap, F: PolyMultimap) -> PolyMultimap:
     total = n + s + m  # (x, z, y)
     g_at = tuple(range(n)) + tuple(range(n + s, total))
     f_at = tuple(range(n + s, total)) + tuple(range(n, n + s))
-    pieces = _piece_product(total, [(G.graph.pieces, g_at), (F.graph.pieces, f_at)])
-    return PolyMultimap(n + s, m, PolySet.make(total, pieces))
+    graph = _piece_product(total, [(G.graph, g_at), (F.graph, f_at)])
+    return PolyMultimap(n + s, m, graph)

@@ -49,6 +49,7 @@ class PLFunc:
     def affine(dim: int, slope, offset, domain: ConvexPoly | None = None) -> "PLFunc":
         """f(x) = slope . x + offset on `domain` (everywhere by default)."""
         a = as_vec(slope)
+        check_dim("slope", len(a), dim)
         row = (neg(a) + (Fraction(1),), Fraction(offset))  # alpha >= a.x + b
         ineqs = [(r + (0,), b) for r, b in (domain.rows if domain else ())]
         eqs = [(r + (0,), b) for r, b in (domain.eq_rows if domain else ())]
@@ -61,6 +62,7 @@ class PLFunc:
         rows = []
         for slope, offset in terms:
             a = as_vec(slope)
+            check_dim("slope", len(a), dim)
             rows.append((a + (Fraction(-1),), -Fraction(offset)))
         return PLFunc.from_epigraph_pieces(
             dim, [ConvexPoly.make(dim + 1, rows)]
@@ -128,7 +130,7 @@ def _subdiff_at(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> SubdiffResul
 
 def _epi_cones(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> tuple:
     """The normal cones of epi f relative to c x R that the kind slices."""
-    wrt_lift = c.product(ConvexPoly.whole_space(1))
+    wrt_lift = ConvexPoly.lift(c.dim + 1, [(c, range(c.dim))])
     if kind == KIND_FRECHET:
         return (frechet_normal_wrt(f.epi, wrt_lift, point),)
     if kind in (KIND_LIMITING, KIND_HORIZON):

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_example1, run_optimized
+from conftest import run_optimized
 
 import polyvar
 from polyvar import cones
@@ -66,9 +66,9 @@ CASES = {
         lambda: ConvexPoly.whole_space(2).intersect(ConvexPoly.whole_space(3)),
         "dimension 3, expected 2",
     ),
-    "ConvexPoly.embed": (
-        lambda: ConvexPoly.whole_space(2).embed(3, (0,)),
-        "dimension 1, expected 2",
+    "ConvexPoly.lift": (
+        lambda: ConvexPoly.lift(3, [(ConvexPoly.whole_space(2), (0,))]),
+        "lift coordinates: dimension 1, expected 2",
     ),
     "ConvexPoly.minkowski": (
         lambda: ConvexPoly.whole_space(2).minkowski(ConvexPoly.whole_space(1)),
@@ -134,7 +134,24 @@ CASES = {
     ),
     "PLFunc.affine": (
         lambda: PLFunc.affine(2, vec(1, 0, 0), 0),
-        "dimension 4, expected 3",
+        "slope: dimension 3, expected 2",
+    ),
+    "PLFunc.max_affine": (
+        lambda: PLFunc.max_affine(2, [(vec(1), 0)]),
+        "slope: dimension 1, expected 2",
+    ),
+    # a union with no parts checks dimensions as well
+    "ConeUnion.intersect": (
+        lambda: ConeUnion.empty(2).intersect(ConeUnion.single(ConeH.whole_space(3))),
+        "intersect: dimension 3, expected 2",
+    ),
+    "ConeUnion.minkowski": (
+        lambda: ConeUnion.empty(2).minkowski(ConeUnion.single(ConeH.whole_space(3))),
+        "minkowski: dimension 3, expected 2",
+    ),
+    "PolyUnion.intersect": (
+        lambda: PolyUnion.single(ConvexPoly.whole_space(3)).intersect(PolyUnion.empty(2)),
+        "intersect: dimension 2, expected 3",
     ),
     "_s_map input": (
         lambda: _s_map(whole_map(1, 1), whole_map(2, 1)),
@@ -176,9 +193,13 @@ CASES = {
         lambda: mixed_product(3, 1, 3),
         "dimension 3, expected 4",
     ),
-    "ConeH.embed": (
-        lambda: ConeH.whole_space(2).embed(3, (0,)),
-        "dimension 1, expected 2",
+    "ConeH.lift": (
+        lambda: ConeH.lift(3, [(ConeH.whole_space(2), (0,))]),
+        "lift coordinates: dimension 1, expected 2",
+    ),
+    "PolySet.lift": (
+        lambda: PolySet.lift(3, [(PolySet.make(2, []), (0,))]),
+        "lift coordinates: dimension 1, expected 2",
     ),
     "slice_cone_at_tail": (
         lambda: slice_cone_at_tail(ConeH.whole_space(2), vec(0, 0, 0)),
@@ -257,7 +278,7 @@ CASES.update({f"point: {name}": case for name, case in POINT_CASES.items()})
 
 EMPTY_MARKER_CASES = {
     "polar": lambda: polar(ConeH.empty_marker(2)),
-    "embed": lambda: ConeH.empty_marker(2).embed(3, (0, 1)),
+    "lift": lambda: ConeH.lift(3, [(ConeH.empty_marker(2), (0, 1))]),
     "to_poly": lambda: ConeH.empty_marker(2).to_poly(),
 }
 
@@ -337,26 +358,6 @@ json.dump({"optimize": sys.flags.optimize,
         "intersect": ["ValueError", "intersect: dimension 3, expected 2"],
         "mixed_product_rule": ["ValueError", "omega1 (n + s): dimension 2, expected 3"],
     }
-
-
-def test_proximal_validation_raises_on_a_wrong_cone(monkeypatch):
-    # -e1 leaves wrt = {x >= 0} at the origin, so no proximal normal of the
-    # set relative to wrt can have it as a ray
-    ex = make_example1()
-    wrong = ConeH.from_generators(3, rays=[vec(-1, 0, 0)])
-    monkeypatch.setattr(cones, "frechet_normal_wrt", lambda *args: wrong)
-    assert cones.proximal_normal_wrt(ex.omega1, ex.c, ex.origin) == wrong
-    with pytest.raises(RuntimeError, match="proximal inequality"):
-        cones.proximal_normal_wrt(ex.omega1, ex.c, ex.origin, validate=True)
-
-
-def test_proximal_validation_raises_on_the_whole_space(monkeypatch):
-    # every direction is radially admissible in wrt = R^3, so only the
-    # first-order check at the cell witnesses can reject this cone
-    ex = make_example1()
-    monkeypatch.setattr(cones, "frechet_normal_wrt", lambda *args: ConeH.whole_space(3))
-    with pytest.raises(RuntimeError, match="proximal inequality"):
-        cones.proximal_normal_wrt(ex.omega1, ex.c_full, ex.origin, validate=True)
 
 
 def test_no_assert_in_engine_sources():

@@ -29,8 +29,27 @@ from polyvar.cones import (
     radial_cone,
 )
 from polyvar.exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet, polar
-from polyvar.linalg import Vec, add, dot, sub, vec
+from polyvar.linalg import Vec, add, dot, neg, sub, vec
 from polyvar.stratify import local_cells
+
+
+def proximal_inequality_holds(
+    omega: PolySet, wrt: ConvexPoly, point: Vec, cone: ConeH
+) -> bool:
+    """Independent exact check of a proximal normal cone relative to wrt:
+    every generator against the witnesses of the adherent cells of omega cap
+    wrt, and radial admissibility."""
+    # first order, exactly: every cell of omega cap wrt adherent to the point
+    # lies in a piece through the point, so a normal makes a non-acute angle
+    # with w - point for each cell's witness w
+    normals = cone.rays + cone.lineality + tuple(neg(l) for l in cone.lineality)
+    offsets = [sub(cell.witness, point) for cell in local_cells([omega, wrt], point)]
+    if any(dot(xstar, d) > 0 for xstar in normals for d in offsets):
+        return False
+    # radial admissibility, x + p x* in wrt for some p > 0, is membership in
+    # the radial cone of wrt at the point
+    radial = radial_cone(wrt, point)
+    return all(radial.contains(xstar) for xstar in normals)
 
 
 def grid_frechet_oracle(
@@ -178,8 +197,9 @@ def test_proximal_equals_frechet_convex():
 
 def test_proximal_validation_example1():
     ex = make_example1()
-    n = proximal_normal_wrt(ex.omega1, ex.c, vec(0, 0, 0), validate=True)
+    n = proximal_normal_wrt(ex.omega1, ex.c, vec(0, 0, 0))
     assert not n.empty
+    assert proximal_inequality_holds(ex.omega1, ex.c, vec(0, 0, 0), n)
 
 
 def test_proximal_outside_wrt_empty():
@@ -191,22 +211,38 @@ def test_proximal_validation_near_an_inactive_facet():
     # wrt's facet x <= 1/4096 is inactive at 0 but closer than any fixed step
     omega = PolySet.from_poly(ConvexPoly.make(1, [(vec(1), Fraction(0))]))
     wrt = ConvexPoly.make(1, [(vec(-1), Fraction(1)), (vec(1), Fraction(1, 4096))])
-    n = proximal_normal_wrt(omega, wrt, vec(0), validate=True)
+    n = proximal_normal_wrt(omega, wrt, vec(0))
+    assert proximal_inequality_holds(omega, wrt, vec(0), n)
     assert n == frechet_normal_wrt(omega, wrt, vec(0))
     assert n.contains(vec(1)) and not n.contains(vec(-1))
 
 
 def test_proximal_validation_rejects_a_direction_leaving_wrt():
-    from polyvar.cones import _proximal_inequality_holds
-
     omega = PolySet.from_poly(ConvexPoly.make(1, [(vec(1), Fraction(0))]))
     # (1,) makes an obtuse angle with every cell of omega cap wrt below 0;
     # it is radially admissible for the wide wrt only
     outward = ConeH.from_generators(1, [vec(1)])
     wide = ConvexPoly.make(1, [(vec(-1), Fraction(1)), (vec(1), Fraction(1))])
-    assert _proximal_inequality_holds(omega, wide, vec(0), outward)
+    assert proximal_inequality_holds(omega, wide, vec(0), outward)
     narrow = ConvexPoly.make(1, [(vec(-1), Fraction(1)), (vec(1), Fraction(0))])
-    assert not _proximal_inequality_holds(omega, narrow, vec(0), outward)
+    assert not proximal_inequality_holds(omega, narrow, vec(0), outward)
+
+
+def test_proximal_validation_rejects_a_wrong_cone():
+    # -e1 leaves wrt = {x >= 0} at the origin, so no proximal normal of the
+    # set relative to wrt can have it as a ray
+    ex = make_example1()
+    wrong = ConeH.from_generators(3, rays=[vec(-1, 0, 0)])
+    assert not proximal_inequality_holds(ex.omega1, ex.c, ex.origin, wrong)
+
+
+def test_proximal_validation_rejects_the_whole_space():
+    # every direction is radially admissible in wrt = R^3, so only the
+    # first-order check at the cell witnesses can reject this cone
+    ex = make_example1()
+    whole = ConeH.whole_space(3)
+    assert all(radial_cone(ex.c_full, ex.origin).contains(r) for r in whole.lineality)
+    assert not proximal_inequality_holds(ex.omega1, ex.c_full, ex.origin, whole)
 
 
 # -- limiting ------------------------------------------------------------------
@@ -286,7 +322,8 @@ def test_inclusion_chain_and_convexity_random():
         if not (omega.contains(base) and wrt.contains(base)):
             continue
         # the exact validation accepts the engine's own cone
-        prox = proximal_normal_wrt(omega, wrt, base, validate=True)
+        prox = proximal_normal_wrt(omega, wrt, base)
+        assert proximal_inequality_holds(omega, wrt, base, prox)
         fre = frechet_normal_wrt(omega, wrt, base)
         lim = limiting_normal_wrt(omega, wrt, base)
         assert prox == fre  # polyhedral data

@@ -222,7 +222,7 @@ def test_failed_inner_hypothesis_is_rendered_with_its_witness(tmp_path):
     w = tuple(Fraction(v) for v in cert["witness"])
     proj = [p.eliminate((2, 3)) for p in s_map.graph.pieces]
     through = [q for p, q in zip(s_map.graph.pieces, proj) if p.contains(base)]
-    c_lift = o["J"].product(_whole(1))
+    c_lift = ConvexPoly.lift(2, [(o["J"], (0,))])
     for t in (Fraction(1), Fraction(1, 2)):
         z = tuple(b + t * (v - b) for b, v in zip(base[:2], w))
         assert c_lift.contains(z) and any(q.contains(z) for q in proj)

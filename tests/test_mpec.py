@@ -37,10 +37,10 @@ def reference_q2(p: MPECProblem, x) -> TriVerdict:
     free, and gph G x R at (x, 0, f(x)), relative to C1 and C2 lifted."""
     n, m = p.n, p.m
     total = n + m + 1
-    omega1 = p.f.epi.embed(total, tuple(range(n)) + (total - 1,))
-    omega2 = p.G.graph.embed(total, tuple(range(n + m)))
-    lift1 = p.c1.product(ConvexPoly.whole_space(m + 1))
-    lift2 = p.c2.product(ConvexPoly.whole_space(m + 1))
+    omega1 = PolySet.lift(total, [(p.f.epi, tuple(range(n)) + (total - 1,))])
+    omega2 = PolySet.lift(total, [(p.G.graph, tuple(range(n + m)))])
+    lift1 = ConvexPoly.lift(total, [(p.c1, tuple(range(n)))])
+    lift2 = ConvexPoly.lift(total, [(p.c2, tuple(range(n)))])
     base = x + zero(m) + (p.f.value(x),)
     return quals.normal_densed_check(omega1, omega2, lift1, lift2, base)
 

@@ -604,7 +604,7 @@ def test_piece_limit_checked_before_any_product_piece(monkeypatch):
     def no_piece(*args):
         raise AssertionError("a piece was built past the piece limit")
 
-    monkeypatch.setattr(ConvexPoly, "embed", no_piece)
+    monkeypatch.setattr(ConvexPoly, "lift", no_piece)
     monkeypatch.setattr(ConvexPoly, "intersect", no_piece)
     for name, build in builds.items():
         with pytest.raises(mm.PieceLimitError, match="piece limit exceeded"):
@@ -617,7 +617,7 @@ def reference_sum(F1: PolyMultimap, F2: PolyMultimap) -> PolyMultimap:
     total = n + 2 * m
     pieces = []
     for p in F1.graph.pieces:
-        lift_p = p.embed(total, tuple(range(n)) + tuple(range(n + m, total)))
+        lift_p = ConvexPoly.lift(total, [(p, tuple(range(n)) + tuple(range(n + m, total)))])
         for q in F2.graph.pieces:
             rows_i = list(lift_p.ineqs)
             rows_e = list(lift_p.eqs)
@@ -641,9 +641,13 @@ def test_sum_and_composition_project_the_auxiliary_maps():
         assert _s_map(F1, F2).domain() == reference_sum(F1, F2).graph
         G = random_multimap_through(rng, m, n, y1, x)
         direct = [
-            g.embed(n + n + m, tuple(range(n)) + tuple(range(2 * n, 2 * n + m)))
-            .intersect(f.embed(n + n + m, tuple(range(2 * n, 2 * n + m)) + tuple(range(n, 2 * n))))
-            .eliminate(tuple(range(2 * n, 2 * n + m)))
+            ConvexPoly.lift(
+                n + n + m,
+                [
+                    (g, tuple(range(n)) + tuple(range(2 * n, 2 * n + m))),
+                    (f, tuple(range(2 * n, 2 * n + m)) + tuple(range(n, 2 * n))),
+                ],
+            ).eliminate(tuple(range(2 * n, 2 * n + m)))
             for g in F1.graph.pieces
             for f in G.graph.pieces
         ]
