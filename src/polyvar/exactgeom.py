@@ -247,6 +247,31 @@ class ConvexPoly:
             eq_rows += [(_lift(e, total, coords), d) for e, d in p.eq_rows]
         return ConvexPoly.from_rows(total, rows, eq_rows)
 
+    def slice(self, coords, values: Vec) -> "ConvexPoly":
+        """{u : the point with `values` at `coords`, and u in the other
+        coordinates in their order, lies in self}: the section that undoes
+        a one-factor `lift`, one canonicalization of every cut row."""
+        check_dim("slice values", len(values), len(coords))
+        free = [i for i in range(self.dim) if i not in coords]
+        if len(free) + len(coords) != self.dim:
+            raise ValueError(
+                f"slice coordinates {tuple(coords)}: "
+                f"not distinct members of range({self.dim})"
+            )
+        # a.u <= b - a.w, w = nv / dv holding v at coords: offset (b.dv - a.nw) / dv
+        nv, dv = integer_row(values)
+        nw = _lift(nv, self.dim, coords)
+
+        def cut(a, b):
+            offset = quotient(b * dv - sum(map(mul, a, nw)), dv)
+            return tuple([a[i] for i in free]), offset
+
+        return ConvexPoly.from_rows(
+            len(free),
+            [cut(a, b) for a, b in self.rows],
+            [cut(e, d) for e, d in self.eq_rows],
+        )
+
     def eliminate(self, coords: tuple[int, ...]) -> "ConvexPoly":
         """Project away the given coordinates: the hull of the projected
         generators (Minkowski-Weyl)."""
@@ -623,24 +648,6 @@ def polar(cone: ConeH) -> ConeH:
     """The polar cone {y : y.x <= 0 for all x in the cone}."""
     _check_not_empty("polar", cone)
     return ConeH.from_rows(cone.dim, *cone.generators())
-
-
-def slice_cone_at_tail(cone: ConeH, tail: Vec) -> ConvexPoly:
-    """{x : (x, tail) in cone} as a polyhedron in the leading coordinates."""
-    head = cone.dim - len(tail)
-    if head < 0:
-        raise ValueError(
-            f"slice_cone_at_tail: tail of dimension {len(tail)}, cone of {cone.dim}"
-        )
-    if cone.empty:
-        return ConvexPoly.empty(head)
-    # a.x + a'.tail <= 0 with tail = nt / dt: offset -a'.nt / dt
-    nt, dt = integer_row(tail)
-    return ConvexPoly.from_rows(
-        head,
-        [(a[:head], quotient(-sum(map(mul, a[head:], nt)), dt)) for a in cone.rows],
-        [(e[:head], quotient(-sum(map(mul, e[head:], nt)), dt)) for e in cone.eq_rows],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import prod
-from operator import mul
 
 from ._record import record
 from .cones import limiting_normal_wrt
@@ -22,9 +21,8 @@ from .exactgeom import (
     LimitError,
     PolySet,
     PolyUnion,
-    slice_cone_at_tail,
 )
-from .linalg import Vec, check_dim, integer_row, neg, quotient, zero
+from .linalg import Vec, check_dim, neg, zero
 from .quals import normal_densed_check
 from .stratify import global_cells, local_cells
 from .verdicts import (
@@ -80,7 +78,8 @@ class PolyMultimap:
     def value_set(self, x: Vec) -> PolySet:
         """F(x) as a union of polyhedra in the output space."""
         check_dim("value_set point", len(x), self.in_dim)
-        return PolySet.make(self.out_dim, [slice_fiber(p, x) for p in self.graph.pieces])
+        pieces = [p.slice(range(self.in_dim), x) for p in self.graph.pieces]
+        return PolySet.make(self.out_dim, pieces)
 
     def contains(self, x: Vec, y: Vec) -> bool:
         self.check_point(x, y)
@@ -96,7 +95,6 @@ class CoderivativeSlice:
     """D*_C F(x, y)(ystar): a finite union of polyhedra in the input dual."""
 
     base: tuple[Vec, Vec]
-    wrt: ConvexPoly
     ystar: Vec
     result: PolyUnion
 
@@ -117,8 +115,9 @@ def coderivative_wrt(
     if not c.contains(x):
         raise ValueError("base point outside the reference set")
     cone = graph_normal_cone(F, c, x, y)
-    parts = [slice_cone_at_tail(p, neg(ystar)) for p in cone.parts]
-    return CoderivativeSlice((x, y), c, ystar, PolyUnion.make(F.in_dim, parts))
+    tail = range(F.in_dim, F.in_dim + F.out_dim)
+    parts = [p.to_poly().slice(tail, neg(ystar)) for p in cone.parts]
+    return CoderivativeSlice((x, y), ystar, PolyUnion.make(F.in_dim, parts))
 
 
 def coderivative_zero_cone(
@@ -136,12 +135,12 @@ def coderivative_kernel(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> ConeU
 
 def _kernel(cone: ConeUnion, n: int, m: int) -> ConeUnion:
     """The kernel read off a graph cone in R^{n+m}."""
-    # the slices {t : (0, t) in a part} hold -ystar
-    slices = [
-        ConeH.from_rows(m, [a[n:] for a in p.rows], [e[n:] for e in p.eq_rows])
+    # {-t : (0, t) in a part}: the sections at 0 hold -ystar
+    kernels = [
+        ConeH.from_rows(m, [neg(a[n:]) for a in p.rows], [e[n:] for e in p.eq_rows])
         for p in cone.parts
     ]
-    return ConeUnion.make(m, [s.negate() for s in slices])
+    return ConeUnion.make(m, kernels)
 
 
 def aubin_wrt_check(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> TriVerdict:
@@ -204,22 +203,6 @@ def inner_regularity_check(
         if not any(q.contains(cell.witness) for q in proj_a):
             return TriVerdict.fails({"witness": cell.witness})
     return TriVerdict.holds({"reason": "adherent cells lie over pieces through the base"})
-
-
-def slice_fiber(piece: ConvexPoly, x: Vec) -> ConvexPoly:
-    """{y : (x, y) in piece} in the trailing coordinates."""
-    k = len(x)
-    # a'.y <= b - a.x with x = nx / dx: offset (b.dx - a.nx) / dx
-    nx, dx = integer_row(x)
-
-    def cut(a, b):
-        return a[k:], quotient(b * dx - sum(map(mul, a[:k], nx)), dx)
-
-    return ConvexPoly.from_rows(
-        piece.dim - k,
-        [cut(a, b) for a, b in piece.rows],
-        [cut(e, d) for e, d in piece.eq_rows],
-    )
 
 
 # ---------------------------------------------------------------------------

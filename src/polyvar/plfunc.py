@@ -16,14 +16,9 @@ from fractions import Fraction
 
 from ._record import record
 from .cones import frechet_normal_wrt, limiting_normal_wrt
-from .exactgeom import (
-    ConvexPoly,
-    PolySet,
-    PolyUnion,
-    slice_cone_at_tail,
-)
+from .exactgeom import ConvexPoly, PolySet, PolyUnion
 from .linalg import Vec, as_vec, check_dim, neg, zero
-from .multimaps import PolyMultimap, coderivative_wrt, slice_fiber
+from .multimaps import PolyMultimap, coderivative_wrt
 from .verdicts import KIND_FRECHET, KIND_HORIZON, KIND_LIMITING, TriVerdict
 
 _UP = "improper function: a fiber of the epigraph is unbounded below"
@@ -50,10 +45,12 @@ class PLFunc:
         """f(x) = slope . x + offset on `domain` (everywhere by default)."""
         a = as_vec(slope)
         check_dim("slope", len(a), dim)
-        row = (neg(a) + (Fraction(1),), Fraction(offset))  # alpha >= a.x + b
-        ineqs = [(r + (0,), b) for r, b in (domain.rows if domain else ())]
-        eqs = [(r + (0,), b) for r, b in (domain.eq_rows if domain else ())]
-        piece = ConvexPoly.make(dim + 1, [(neg(row[0]), -row[1])] + ineqs, eqs)
+        # alpha >= a.x + b, on domain x R
+        piece = ConvexPoly.make(dim + 1, [(a + (-1,), -Fraction(offset))])
+        if domain is not None:
+            check_dim("domain", domain.dim, dim)
+            factors = [(piece, range(dim + 1)), (domain, range(dim))]
+            piece = ConvexPoly.lift(dim + 1, factors)
         return PLFunc.from_epigraph_pieces(dim, [piece])
 
     @staticmethod
@@ -79,7 +76,7 @@ class PLFunc:
         check_dim("value point", len(x), self.dim)
         best: Fraction | None = None
         for p in self.epi.pieces:
-            fiber = slice_fiber(p, x)
+            fiber = p.slice(range(self.dim), x)
             if fiber.is_empty():
                 continue
             if fiber.eq_rows:
@@ -100,10 +97,9 @@ class PLFunc:
 
 @record
 class SubdiffResult:
-    """A subdifferential slice: kind, reference set, union of polyhedra."""
+    """A subdifferential slice: kind and union of polyhedra."""
 
     kind: str
-    wrt: ConvexPoly
     value: PolyUnion
 
 
@@ -119,13 +115,13 @@ def subdiff_wrt(f: PLFunc, c: ConvexPoly, xbar: Vec, kind: str) -> SubdiffResult
     """Fréchet / limiting / horizon subdifferential of f at xbar relative to c."""
     point = _epi_point(f, c, xbar)
     if point is None:
-        return SubdiffResult(kind, c, PolyUnion.empty(f.dim))
+        return SubdiffResult(kind, PolyUnion.empty(f.dim))
     return _subdiff_at(f, c, point, kind)
 
 
 def _subdiff_at(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> SubdiffResult:
     """`subdiff_wrt` at the epigraph point (xbar, f(xbar)), xbar in c."""
-    return SubdiffResult(kind, c, _slices(f.dim, _epi_cones(f, c, point, kind), kind))
+    return SubdiffResult(kind, _slices(f.dim, _epi_cones(f, c, point, kind), kind))
 
 
 def _epi_cones(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> tuple:
@@ -140,7 +136,7 @@ def _epi_cones(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> tuple:
 
 def _slices(dim: int, cones, kind: str) -> PolyUnion:
     last = (Fraction(0),) if kind == KIND_HORIZON else (Fraction(-1),)
-    return PolyUnion.make(dim, [slice_cone_at_tail(p, last) for p in cones])
+    return PolyUnion.make(dim, [p.to_poly().slice((dim,), last) for p in cones])
 
 
 def subdiff_via_coderivative(
@@ -153,13 +149,13 @@ def subdiff_via_coderivative(
     """
     point = _epi_point(f, c, xbar)
     if point is None:
-        return SubdiffResult(kind, c, PolyUnion.empty(f.dim))
+        return SubdiffResult(kind, PolyUnion.empty(f.dim))
     ef = f.epigraphical_map()
     ystar = (Fraction(1),) if kind == KIND_LIMITING else (Fraction(0),)
     if kind not in (KIND_LIMITING, KIND_HORIZON):
         raise ValueError("coderivative route covers limiting and horizon kinds")
     sl = coderivative_wrt(ef, c, xbar, point[-1:], ystar)
-    return SubdiffResult(kind, c, sl.result)
+    return SubdiffResult(kind, sl.result)
 
 
 def lipschitz_wrt_check(f: PLFunc, c: ConvexPoly, xbar: Vec) -> TriVerdict:

@@ -8,6 +8,7 @@ cone operation given the empty marker raises ValueError, also under
 from __future__ import annotations
 
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from polyvar.exactgeom import (
     PolySet,
     PolyUnion,
     polar,
-    slice_cone_at_tail,
 )
 from polyvar.linalg import dot, vec
 from polyvar.multimaps import (
@@ -136,6 +136,12 @@ CASES = {
         lambda: PLFunc.affine(2, vec(1, 0, 0), 0),
         "slope: dimension 3, expected 2",
     ),
+    "PLFunc.affine domain": (
+        lambda: PLFunc.affine(
+            2, vec(1, 1), 0, domain=ConvexPoly.make(1, [(vec(1), 0)])
+        ),
+        "domain: dimension 1, expected 2",
+    ),
     "PLFunc.max_affine": (
         lambda: PLFunc.max_affine(2, [(vec(1), 0)]),
         "slope: dimension 1, expected 2",
@@ -201,9 +207,19 @@ CASES = {
         lambda: PolySet.lift(3, [(PolySet.make(2, []), (0,))]),
         "lift coordinates: dimension 1, expected 2",
     ),
-    "slice_cone_at_tail": (
-        lambda: slice_cone_at_tail(ConeH.whole_space(2), vec(0, 0, 0)),
-        "tail of dimension 3, cone of 2",
+    "ConvexPoly.slice values": (
+        lambda: ConvexPoly.whole_space(2).slice((0,), vec(0, 0)),
+        "slice values: dimension 2, expected 1",
+    ),
+    # a tail longer than the set reaches a negative index; an index past the
+    # end is refused alike
+    "ConvexPoly.slice tail": (
+        lambda: ConeH.whole_space(2).to_poly().slice(range(-1, 2), vec(0, 0, 0)),
+        re.escape("slice coordinates (-1, 0, 1): not distinct members of range(2)"),
+    ),
+    "ConvexPoly.slice coordinate": (
+        lambda: ConvexPoly.whole_space(2).slice((2,), vec(0)),
+        re.escape("slice coordinates (2,): not distinct members of range(2)"),
     ),
     "dot": (lambda: dot(vec(1, 2), vec(3)), "dimension 1, expected 2"),
 }
@@ -346,6 +362,7 @@ def outcome(call):
 w = ConvexPoly.whole_space
 calls = {
     "intersect": lambda: w(2).intersect(w(3)),
+    "slice": lambda: w(2).slice(range(-1, 2), (Fraction(0),) * 3),
     "mixed_product_rule": lambda: mixed_product_rule(
         PolySet.from_poly(w(2)), w(2), PolySet.from_poly(w(1)), w(1),
         1, 1, 2, (Fraction(0),) * 4),
@@ -356,6 +373,10 @@ json.dump({"optimize": sys.flags.optimize,
     assert run_optimized(script) == {
         "optimize": 1,
         "intersect": ["ValueError", "intersect: dimension 3, expected 2"],
+        "slice": [
+            "ValueError",
+            "slice coordinates (-1, 0, 1): not distinct members of range(2)",
+        ],
         "mixed_product_rule": ["ValueError", "omega1 (n + s): dimension 2, expected 3"],
     }
 
@@ -393,3 +414,23 @@ def test_only_the_region_tests_import_lp():
         if any(map(_imports_lp, ast.walk(ast.parse(path.read_text(), str(path)))))
     }
     assert importers == {"exactgeom", "stratify"}
+
+
+def _imports_quotient(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.ImportFrom)
+        and (node.module or "") in ("linalg", "polyvar.linalg")
+        and any(alias.name == "quotient" for alias in node.names)
+    )
+
+
+def test_only_exactgeom_imports_quotient():
+    # an offset becomes an exact quotient where a set is cut at fixed
+    # coordinates: `ConvexPoly.slice` is that one section
+    src = Path(polyvar.__file__).parent
+    importers = {
+        path.stem
+        for path in src.glob("*.py")
+        if any(map(_imports_quotient, ast.walk(ast.parse(path.read_text(), str(path)))))
+    }
+    assert importers == {"exactgeom"}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,6 @@ from polyvar.exactgeom import (
     PolyUnion,
     dd_convert,
     polar,
-    slice_cone_at_tail,
     union_subset,
 )
 from polyvar.linalg import (
@@ -398,8 +398,37 @@ def test_poly_union_minkowski_matches_vertex_sum():
 def test_slice_cone_at_tail():
     # cone {(x, t) : x <= 0, t <= 0 } sliced at t = -1 gives {x <= 0}
     c = ConeH.from_ineqs(2, [vec(1, 0), vec(0, 1)])
-    p = slice_cone_at_tail(c, vec(-1))
+    p = c.to_poly().slice((1,), vec(-1))
     assert p == ConvexPoly.make(1, [(vec(1), Fraction(0))])
+
+
+def test_slice_holds_exactly_the_points_of_the_polyhedron():
+    # u lies in p.slice(coords, v) iff the point with v at coords and u in
+    # the other coordinates, in their order, lies in p; coordinates need not
+    # be contiguous or sorted
+    rng = random.Random(5281)
+    lattice = [Fraction(k, 2) for k in range(-4, 5)]
+    seen = Counter()
+    for _ in range(30):
+        rows = [
+            (rng_vec(rng, 3, -2, 2), Fraction(rng.randint(-2, 2)))
+            for _ in range(rng.randint(0, 3))
+        ]
+        eqs = [(rng_vec(rng, 3, -1, 1), Fraction(rng.randint(-1, 1)))]
+        p = ConvexPoly.make(3, rows, eqs if rng.random() < 0.4 else [])
+        for coords in ((0, 2), (1,), (2, 0), (), (0, 1, 2)):
+            v = tuple(rng.choice(lattice) for _ in coords)
+            section = p.slice(coords, v)
+            free = [i for i in range(3) if i not in coords]
+            assert section.dim == len(free)
+            for u in itertools.product(lattice, repeat=len(free)):
+                point = [None] * 3
+                for i, x in [*zip(coords, v), *zip(free, u)]:
+                    point[i] = x
+                assert section.contains(u) == p.contains(tuple(point)), (p, coords, v, u)
+            seen["empty" if section.is_empty() else "nonempty"] += 1
+            seen["equalities"] += bool(section.eq_rows)
+    assert min(seen.values()) >= 5, seen
 
 
 def test_polyset_membership_and_pieces():

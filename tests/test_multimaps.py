@@ -29,7 +29,6 @@ from polyvar.multimaps import (
     coderivative_wrt,
     graph_normal_cone,
     inner_regularity_check,
-    slice_fiber,
     sum_rule,
 )
 from polyvar.stratify import local_cells
@@ -324,7 +323,7 @@ def test_semicontinuity_decision_random():
         through = [p for p in F.graph.pieces if p.contains(base)]
 
         def over_a(x):
-            return any(not slice_fiber(p, x).is_empty() for p in through)
+            return any(not p.slice(range(n), x).is_empty() for p in through)
 
         def in_d(x):
             return c.contains(x) and not F.value_set(x).is_empty()
