@@ -20,8 +20,8 @@ _EXPORTS = {
     name: module
     for module, names in (
         ("calculus", "intersection_rule mixed_product_rule preimage_rule product_rule"),
-        ("cones", "frechet_normal frechet_normal_wrt limiting_normal limiting_normal_wrt"
-                  " normal_cone proximal_normal_wrt radial_cone"),
+        ("cones", "frechet_normal_wrt limiting_normal limiting_normal_wrt normal_cone"
+                  " proximal_normal_wrt radial_cone"),
         ("exactgeom", "ConeH ConeUnion ConvexPoly PolySet PolyUnion dd_convert polar"),
         ("linalg", "rat vec"),
         ("mpec", "MPECProblem StationarityReport stationarity_check"),

@@ -16,7 +16,8 @@ The three flavors are tied together by two exact facts about polyhedral data:
 
 The relative ("with respect to C") versions add the rows of the radial cone
 of C at the point to that H-form, and use the empty-marker convention when
-the base point leaves the reference domain.
+the base point leaves Omega ∩ C, which is never built: T_{P∩C}(x) =
+T_P(x) ∩ T_C(x), so a piece's tangent rows are its active rows plus C's.
 """
 
 from __future__ import annotations
@@ -53,13 +54,15 @@ def radial_cone(c: ConvexPoly, x: Vec) -> ConeH:
 
 
 def _rows_at(omega: PolySet, x: Vec, wrt: ConvexPoly):
-    """(wrt's radial rows, the tangent rows of each piece through x) as
-    hashable tuples, which fix the Fréchet cone; None if no piece holds x."""
-    found = [_active_rows(p, x) for p in omega.pieces]
-    tangents = tuple((tuple(a), tuple(e)) for a, e in filter(None, found))
-    if not tangents:
+    """(wrt's radial rows, each piece's tangent rows at x: its active rows plus
+    wrt's) as hashable tuples, which fix the Fréchet cone; None outside omega ∩ wrt."""
+    radial = _active_rows(wrt, x)
+    if radial is None:
         return None
-    return tuple(map(tuple, _active_rows(wrt, x))), tangents
+    ineqs, eqs = map(tuple, radial)
+    found = [_active_rows(p, x) for p in omega.pieces]
+    tangents = tuple(((*a, *ineqs), (*e, *eqs)) for a, e in filter(None, found))
+    return ((ineqs, eqs), tangents) if tangents else None
 
 
 def _frechet_cone(dim: int, rows) -> ConeH:
@@ -77,24 +80,11 @@ def _frechet_cone(dim: int, rows) -> ConeH:
     return ConeH.from_rows(dim, ineqs, eqs)
 
 
-def frechet_normal(omega: PolySet, x: Vec) -> ConeH:
-    """Classical Fréchet normal cone of a union of closed convex polyhedra.
-
-    It is the polar of the sum of the tangent cones of the pieces through x
-    (Rockafellar & Wets 1998, Thm. 6.28(a) and Thm. 6.46), computed as one
-    canonicalization: the tangent cones' generators are its rows.
-    """
-    check_dim("frechet_normal point", len(x), omega.dim)
-    rows = _rows_at(omega, x, ConvexPoly.whole_space(omega.dim))
-    if rows is None:
-        raise ValueError("point outside the set")
-    return _frechet_cone(omega.dim, rows)
-
-
 def frechet_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
     """Fréchet normal cone of omega at the point, relative to the set wrt."""
     check_dim("frechet_normal_wrt point", len(point), omega.dim)
-    rows = _rows_at(omega.intersect_poly(wrt), point, wrt)
+    check_dim("frechet_normal_wrt wrt", wrt.dim, omega.dim)
+    rows = _rows_at(omega, point, wrt)
     if rows is None:
         return ConeH.empty_marker(omega.dim)
     return _frechet_cone(omega.dim, rows)
@@ -104,19 +94,27 @@ def proximal_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
     """Proximal normal cone relative to wrt (Euclidean ambient norm): for
     unions of closed convex polyhedra it coincides with the Fréchet-relative
     cone."""
+    check_dim("proximal_normal_wrt wrt", wrt.dim, omega.dim)
     return frechet_normal_wrt(omega, wrt, point)
+
+
+def _patterns(omega: PolySet, wrt: ConvexPoly, point: Vec) -> set:
+    """The `_rows_at` patterns at the witnesses of the cells of [omega, wrt]
+    adherent to the point; none when the point is outside omega ∩ wrt."""
+    if not (omega.contains(point) and wrt.contains(point)):
+        return set()
+    return {_rows_at(omega, cell.witness, wrt) for cell in local_cells([omega, wrt], point)}
+
+
+def _union(dim: int, patterns) -> ConeUnion:
+    return ConeUnion.make(dim, [_frechet_cone(dim, r) for r in patterns])
 
 
 def limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnion:
     """Limiting normal cone relative to wrt: the outer limit over adherent cells."""
     check_dim("limiting_normal_wrt point", len(point), omega.dim)
-    request_domain = omega.intersect_poly(wrt)
-    if not request_domain.contains(point):
-        return ConeUnion.empty(omega.dim)
-    cells = local_cells([omega, wrt], point)
-    # one cone per pattern of rows at the cell witnesses
-    patterns = {_rows_at(request_domain, cell.witness, wrt) for cell in cells}
-    return ConeUnion.make(omega.dim, [_frechet_cone(omega.dim, r) for r in patterns])
+    check_dim("limiting_normal_wrt wrt", wrt.dim, omega.dim)
+    return _union(omega.dim, _patterns(omega, wrt, point))
 
 
 def limiting_normal(omega: PolySet, point: Vec) -> ConeUnion:

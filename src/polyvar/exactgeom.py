@@ -679,9 +679,6 @@ class PolySet:
     def contains(self, x: Vec) -> bool:
         return any(p.contains(x) for p in self.pieces)
 
-    def intersect_poly(self, c: ConvexPoly) -> "PolySet":
-        return PolySet.make(self.dim, [p.intersect(c) for p in self.pieces])
-
     def intersect(self, other: "PolySet") -> "PolySet":
         return PolySet.make(
             self.dim,

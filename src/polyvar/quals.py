@@ -18,19 +18,23 @@ pairs are exactly
 conclusion asks for a re-representation of the sum inside the relative
 limiting cones, plus a nonzero re-representation when the pair is nonzero
 with zero sum; both are Minkowski/intersection computations on cone unions.
+
+A side's relative and classical cones come from one cell search of
+[Omega_i, C_i]; Omega_i cap C_i is never built, since T_{P∩C} = T_P ∩ T_C:
+a cell's tangent rows alone give the classical cone of Omega_i cap C_i.
 """
 
 from __future__ import annotations
 
-from .cones import _active_rows, limiting_normal, limiting_normal_wrt
+from .cones import _active_rows, _patterns, _union, limiting_normal_wrt
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
 from .linalg import Vec, check_dim, zero
 from .stratify import local_cells
 from .verdicts import TriVerdict
 
 
-def _require_membership(sets: list[tuple[str, PolySet | ConvexPoly]], x: Vec):
-    for name, s in sets:
+def _require_membership(x: Vec, **sets: PolySet | ConvexPoly) -> None:
+    for name, s in sets.items():
         check_dim(f"base point ({name})", len(x), s.dim)
         if not s.contains(x):
             raise ValueError(f"base point outside {name}")
@@ -44,9 +48,7 @@ def lqc_wrt_check(
     x: Vec,
 ) -> TriVerdict:
     """Limiting qualification condition relative to {c1, c2} at x."""
-    _require_membership(
-        [("omega1", omega1), ("omega2", omega2), ("c1", c1), ("c2", c2)], x
-    )
+    _require_membership(x, omega1=omega1, omega2=omega2, c1=c1, c2=c2)
     n1 = limiting_normal_wrt(omega1, c1, x)
     n2 = limiting_normal_wrt(omega2, c2, x)
     return TriVerdict.zero_cone(n1.intersect(n2.negate()))
@@ -68,6 +70,11 @@ def boundary_radial_limit(
     return ConeUnion.make(c.dim, [ConeH.from_rows(c.dim, a, eqs) for a in tight if a or eqs])
 
 
+def _classical(patterns) -> set:
+    """The tangent rows alone: the classical cones of Omega_i cap C_i."""
+    return {(((), ()), tangents) for _, tangents in patterns}
+
+
 def normal_densed_check(
     omega1: PolySet,
     omega2: PolySet,
@@ -76,18 +83,15 @@ def normal_densed_check(
     x: Vec,
 ) -> TriVerdict:
     """Are {omega1, omega2} normal-densed in {c1, c2} at x (exact test)."""
-    _require_membership(
-        [("omega1", omega1), ("omega2", omega2), ("c1", c1), ("c2", c2)], x
-    )
+    _require_membership(x, omega1=omega1, omega2=omega2, c1=c1, c2=c2)
     c = c1.intersect(c2)
     limit_radial = boundary_radial_limit(omega1, omega2, c, x)
     if limit_radial.is_empty():
         return TriVerdict.holds({"reason": "no boundary approach"})
 
-    n_cl_1 = limiting_normal(omega1.intersect_poly(c1), x)
-    n_cl_2 = limiting_normal(omega2.intersect_poly(c2), x)
-    n_wrt_1 = limiting_normal_wrt(omega1, c1, x)
-    n_wrt_2 = limiting_normal_wrt(omega2, c2, x)
+    p1, p2 = _patterns(omega1, c1, x), _patterns(omega2, c2, x)
+    n_wrt_1, n_wrt_2 = _union(len(x), p1), _union(len(x), p2)
+    n_cl_1, n_cl_2 = _union(len(x), _classical(p1)), _union(len(x), _classical(p2))
 
     achievable = n_cl_1.minkowski(n_cl_2).intersect(limit_radial)
     representable = n_wrt_1.minkowski(n_wrt_2)

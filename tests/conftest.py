@@ -181,6 +181,12 @@ def dd_generators(dim: int, ineqs, eqs) -> tuple[tuple[Vec, ...], tuple[Vec, ...
     return tuple(rays), tuple(sorted(map(tuple, lin_rows)))
 
 
+def cap_poly(omega: PolySet, c: ConvexPoly) -> PolySet:
+    """Omega ∩ C built piece by piece: the reference the relative cones are
+    checked against (the engine reads Omega ∩ C's rows at a point instead)."""
+    return PolySet.make(omega.dim, [p.intersect(c) for p in omega.pieces])
+
+
 def active_pieces(s: PolySet, x: Vec) -> tuple[int, ...]:
     """Indices of the pieces of `s` that contain `x`."""
     return tuple(i for i, p in enumerate(s.pieces) if p.contains(x))

@@ -20,6 +20,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    cap_poly,
     cone3,
     make_example1,
     random_linear_map,
@@ -39,7 +40,6 @@ from polyvar.calculus import (
 )
 from polyvar.cli import main as cli_main
 from polyvar.cones import (
-    frechet_normal,
     frechet_normal_wrt,
     limiting_normal,
     limiting_normal_wrt,
@@ -136,8 +136,8 @@ def test_criterion2_example1_qualifications():
     # (1, 0, -2) lie in the achievable sums and outside the representable set
     c = ex.c_full.intersect(ex.c)
     achievable = (
-        limiting_normal(ex.omega1.intersect_poly(ex.c_full), ex.origin)
-        .minkowski(limiting_normal(ex.omega2.intersect_poly(ex.c), ex.origin))
+        limiting_normal(cap_poly(ex.omega1, ex.c_full), ex.origin)
+        .minkowski(limiting_normal(cap_poly(ex.omega2, ex.c), ex.origin))
         .intersect(boundary_radial_limit(ex.omega1, ex.omega2, c, ex.origin))
     )
     representable = limiting_normal_wrt(ex.omega1, ex.c_full, ex.origin).minkowski(

@@ -236,10 +236,6 @@ POINT_CASES = {
         "dimension 3, expected 2",
     ),
     "radial_cone": (lambda: cones.radial_cone(PLANE, vec(0)), "dimension 1, expected 2"),
-    "frechet_normal": (
-        lambda: cones.frechet_normal(HALF_PLANE, vec(0)),
-        "dimension 1, expected 2",
-    ),
     "frechet_normal_wrt": (
         lambda: cones.frechet_normal_wrt(HALF_PLANE, PLANE, vec(0)),
         "dimension 1, expected 2",
@@ -291,6 +287,23 @@ POINT_CASES = {
     ),
 }
 CASES.update({f"point: {name}": case for name, case in POINT_CASES.items()})
+
+# a wrt of the wrong dimension is named as such, also when omega has no piece
+# (no Omega cap C is built whose dimension check could fire instead)
+SPACE = ConvexPoly.whole_space(3)
+CASES.update(
+    {
+        f"{name} wrt": (
+            lambda name=name, omega=omega: getattr(cones, name)(omega, SPACE, vec(0, 0)),
+            f"{name} wrt: dimension 3, expected 2",
+        )
+        for name, omega in (
+            ("frechet_normal_wrt", HALF_PLANE),
+            ("proximal_normal_wrt", HALF_PLANE),
+            ("limiting_normal_wrt", PolySet.make(2, [])),
+        )
+    }
+)
 
 EMPTY_MARKER_CASES = {
     "polar": lambda: polar(ConeH.empty_marker(2)),

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    cap_poly,
     make_example1,
     random_linear_map,
     random_poly_through,
@@ -202,8 +203,8 @@ def test_normal_densed_certificate_reverifies():
     c = ex.c_full.intersect(ex.c)
     limit_radial = boundary_radial_limit(ex.omega1, ex.omega2, c, ex.origin)
     s_set = (
-        limiting_normal(ex.omega1.intersect_poly(ex.c_full), ex.origin)
-        .minkowski(limiting_normal(ex.omega2.intersect_poly(ex.c), ex.origin))
+        limiting_normal(cap_poly(ex.omega1, ex.c_full), ex.origin)
+        .minkowski(limiting_normal(cap_poly(ex.omega2, ex.c), ex.origin))
         .intersect(limit_radial)
     )
     m_set = limiting_normal_wrt(ex.omega1, ex.c_full, ex.origin).minkowski(

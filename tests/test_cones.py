@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     active_pieces,
+    cap_poly,
     cone3,
     dd_generators,
     make_example1,
@@ -18,9 +19,8 @@ from conftest import (
     raw_int_rows,
     rng_vec,
 )
-from polyvar import cones
+from polyvar import cones, quals
 from polyvar.cones import (
-    frechet_normal,
     frechet_normal_wrt,
     limiting_normal,
     limiting_normal_wrt,
@@ -106,12 +106,12 @@ def test_frechet_interior_is_zero():
     box = PolySet.from_poly(
         ConvexPoly.make(2, [(vec(1, 0), Fraction(1)), (vec(-1, 0), Fraction(1))])
     )
-    assert frechet_normal(box, vec(0, 0)).is_zero()
+    assert frechet_normal_wrt(box, ConvexPoly.whole_space(2), vec(0, 0)).is_zero()
 
 
 def test_frechet_epigraph_of_identity():
     epi = PolySet.from_poly(ConvexPoly.make(2, [(vec(1, -1), Fraction(0))]))
-    n = frechet_normal(epi, vec(0, 0))
+    n = frechet_normal_wrt(epi, ConvexPoly.whole_space(2), vec(0, 0))
     assert n == ConeH.from_generators(2, [vec(1, -1)])
     # oracle: polar of the tangent halfplane (lineality (1,1), ray (0,1))
     assert n == polar(ConeH.from_generators(2, [vec(0, 1)], [vec(1, 1)]))
@@ -125,7 +125,7 @@ def test_frechet_example1_omega1_boundary():
     # omega1 with the full space as reference set, on the diagonal face
     ex = make_example1()
     for p in (vec(0, 0, 0), vec(1, 5, 1)):
-        n = frechet_normal(ex.omega1, p)
+        n = frechet_normal_wrt(ex.omega1, ex.c_full, p)
         assert n == cone3([], []).from_generators(3, [vec(1, 0, -1)])
 
 
@@ -160,7 +160,7 @@ def test_example1_omega2_wrt_table():
 def test_whole_space_reduction():
     ex = make_example1()
     for p in (vec(0, 0, 0), vec(1, 1, 1)):
-        assert frechet_normal_wrt(ex.omega1, ex.c_full, p) == frechet_normal(
+        assert frechet_normal_wrt(ex.omega1, ex.c_full, p) == ref_frechet_normal(
             ex.omega1, p
         )
 
@@ -329,8 +329,8 @@ def test_inclusion_chain_and_convexity_random():
         assert prox == fre  # polyhedral data
         assert ConeUnion.single(fre).subset_of(lim)[0]
         # monotonicity against the plain cone of the intersection
-        inter = omega.intersect_poly(wrt)
-        assert fre.subset_of(frechet_normal(inter, base))
+        inter = cap_poly(omega, wrt)
+        assert fre.subset_of(frechet_normal_wrt(inter, ConvexPoly.whole_space(dim), base))
         # reduction: wrt = whole space reproduces the classical cones
         classical = limiting_normal_wrt(
             omega, ConvexPoly.whole_space(dim), base
@@ -416,14 +416,14 @@ def ref_frechet_normal(omega: PolySet, x: Vec) -> ConeH:
 
 
 def ref_frechet_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
-    request_domain = omega.intersect_poly(wrt)
+    request_domain = cap_poly(omega, wrt)
     if not request_domain.contains(point):
         return ConeH.empty_marker(omega.dim)
     return ref_frechet_normal(request_domain, point).intersect(radial_cone(wrt, point))
 
 
 def ref_limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnion:
-    request_domain = omega.intersect_poly(wrt)
+    request_domain = cap_poly(omega, wrt)
     if not request_domain.contains(point):
         return ConeUnion.empty(omega.dim)
     cells = local_cells([omega, wrt], point)
@@ -489,12 +489,9 @@ def test_frechet_cones_match_per_piece_reference():
         )
         for x in (base, probe):
             if omega.contains(x):
-                got = frechet_normal(omega, x)
+                got = frechet_normal_wrt(omega, ConvexPoly.whole_space(omega.dim), x)
                 assert got == ref_frechet_normal(omega, x)
                 assert_seeded_generators_canonical(got)
-            else:
-                with pytest.raises(ValueError):
-                    frechet_normal(omega, x)
             got = frechet_normal_wrt(omega, wrt, x)
             ref = ref_frechet_normal_wrt(omega, wrt, x)
             assert got == ref
@@ -517,7 +514,7 @@ def test_frechet_cones_build_no_polar_dd(monkeypatch):
 
     monkeypatch.setattr(ConeH, "from_generators", staticmethod(refuse))
     for omega, wrt, base, _ in instances:
-        assert not frechet_normal(omega, base).empty
+        assert not frechet_normal_wrt(omega, ConvexPoly.whole_space(omega.dim), base).empty
         assert not frechet_normal_wrt(omega, wrt, base).empty
         assert not limiting_normal_wrt(omega, wrt, base).is_empty()
 
@@ -526,7 +523,7 @@ def per_cell_limiting_normal_wrt(
     omega: PolySet, wrt: ConvexPoly, point: Vec
 ) -> ConeUnion:
     """`limiting_normal_wrt` with one Fréchet cone per adherent cell."""
-    request_domain = omega.intersect_poly(wrt)
+    request_domain = cap_poly(omega, wrt)
     if not request_domain.contains(point):
         return ConeUnion.empty(omega.dim)
     parts = [
@@ -549,7 +546,7 @@ def test_limiting_cone_per_row_pattern_matches_per_cell_union():
         got = limiting_normal_wrt(omega, wrt, base)
         assert got.parts == per_cell_limiting_normal_wrt(omega, wrt, base).parts
         assert got.parts == ref_limiting_normal_wrt(omega, wrt, base).parts
-        domain = omega.intersect_poly(wrt)
+        domain = cap_poly(omega, wrt)
         witnesses = [c.witness for c in local_cells([omega, wrt], base)]
         coverage["interior cell"] += any(
             cones._active_rows(p, w) == ([], [])
@@ -557,8 +554,26 @@ def test_limiting_cone_per_row_pattern_matches_per_cell_union():
             for w in witnesses
         )
         coverage["wrt with equalities"] += bool(wrt.eqs)
-        patterns = {cones._rows_at(domain, w, wrt) for w in witnesses}
+        patterns = {cones._rows_at(omega, w, wrt) for w in witnesses}
         coverage["shared pattern"] += len(patterns) < len(witnesses)
+    assert min(coverage.values()) >= 10, coverage
+
+
+def test_classical_cones_from_relative_patterns_match_the_built_intersection():
+    """Normal-densedness reads the classical limiting cone of Omega ∩ C from
+    the cells of [Omega, C]: each pattern's tangent rows without C's radial
+    rows, since T_{P∩C} = T_P ∩ T_C.  That union is the limiting cone of
+    Omega ∩ C built piece by piece, part for part."""
+    coverage = {"wrt with equalities": 0, "base on bd wrt": 0, "not the relative cone": 0}
+    for omega, wrt, base, _ in frechet_instances(seed=3301, count=80):
+        patterns = cones._patterns(omega, wrt, base)
+        got = cones._union(omega.dim, quals._classical(patterns))
+        assert got.parts == limiting_normal(cap_poly(omega, wrt), base).parts
+        for part in got.parts:
+            assert_seeded_generators_canonical(part)
+        coverage["wrt with equalities"] += bool(wrt.eqs)
+        coverage["base on bd wrt"] += any(dot(a, base) == b for a, b in wrt.ineqs)
+        coverage["not the relative cone"] += got != cones._union(omega.dim, patterns)
     assert min(coverage.values()) >= 10, coverage
 
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    cap_poly,
     random_linear_map,
     random_multimap_through,
     random_poly_through,
@@ -279,7 +280,7 @@ def ref_affine_selection_exists(F, closed, xbar, ybar):
 def ref_selection_holds(F, c, xbar, ybar):
     """The former sufficient test for inner semicontinuity: an affine
     selection through (xbar, ybar) on every closed domain cell at xbar."""
-    dom = F.domain().intersect_poly(c)
+    dom = cap_poly(F.domain(), c)
     if not dom.contains(xbar):
         return False
     cells = local_cells([dom], xbar)
