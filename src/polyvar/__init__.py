@@ -27,7 +27,7 @@ _EXPORTS = {
         ("mpec", "MPECProblem StationarityReport stationarity_check"),
         ("multimaps", "CoderivativeSlice PolyMultimap aubin_wrt_check chain_rule"
                       " coderivative_wrt inner_regularity_check sum_rule"),
-        ("oracle", "SamplingPlan aubin_ratio_probe frechet_membership_probe"),
+        ("oracle", "aubin_ratio_probe frechet_membership_probe"),
         ("plfunc", "PLFunc SubdiffResult fermat_check lipschitz_wrt_check"
                    " subdiff_via_coderivative subdiff_wrt"),
         ("quals", "lqc_wrt_check normal_densed_check"),

@@ -2,13 +2,13 @@
 
 A record's fields are its annotated class attributes, in order; a field's
 class attribute, when set, is its default.  The decorator adds `__init__`
-(positional or keyword arguments, then `__post_init__` when the class has
-one), `__eq__` (only between instances of the same class), `__hash__`
-(`hash((f1, ..., fn))`), `__repr__` (`Name(f1=..., ...)`), and a
-`__setattr__` and `__delattr__` that raise `AttributeError`.  These are the
-semantics of the standard library's frozen data classes, built as closures
-over the field names: a record class costs no `exec` and no import beyond
-`operator`.  `__match_args__` lists the fields.
+(positional or keyword arguments), `__eq__` (only between instances of the
+same class), `__hash__` (`hash((f1, ..., fn))`), `__repr__`
+(`Name(f1=..., ...)`), and a `__setattr__` and `__delattr__` that raise
+`AttributeError`.  These are the semantics of the standard library's frozen
+data classes, built as closures over the field names: a record class costs
+no `exec` and no import beyond `operator`.  `__match_args__` lists the
+fields.
 """
 
 from operator import attrgetter
@@ -17,7 +17,6 @@ from operator import attrgetter
 def record(cls):
     names = tuple(cls.__dict__.get("__annotations__", ()))
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-    post_init = getattr(cls, "__post_init__", None)
     count = len(names)
     if count == 1:
         get = attrgetter(names[0])
@@ -56,8 +55,6 @@ def record(cls):
         # and every later attribute read takes the slower dict path
         for name, value in zip(names, args):
             setattr_(self, name, value)
-        if post_init is not None:
-            post_init(self)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

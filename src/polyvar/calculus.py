@@ -129,7 +129,7 @@ def _interleaved_product(
     fre_rhs = ConeH.lift(total, [(n1_fre, coords1), (n2_fre, y_block)])
 
     ok, witness = lim_lhs.subset_of(lim_rhs)
-    equal = fre_lhs == fre_rhs and lim_lhs == lim_rhs
+    equal = fre_lhs == fre_rhs and ok and lim_rhs.subset_of(lim_lhs)[0]
     return RuleReport(rule_id, lim_lhs, lim_rhs, (), ok and equal, equal, witness)
 
 

@@ -94,6 +94,7 @@ def proximal_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
     """Proximal normal cone relative to wrt (Euclidean ambient norm): for
     unions of closed convex polyhedra it coincides with the Fréchet-relative
     cone."""
+    check_dim("proximal_normal_wrt point", len(point), omega.dim)
     check_dim("proximal_normal_wrt wrt", wrt.dim, omega.dim)
     return frechet_normal_wrt(omega, wrt, point)
 
@@ -119,6 +120,7 @@ def limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnio
 
 def limiting_normal(omega: PolySet, point: Vec) -> ConeUnion:
     """Classical limiting normal cone (wrt = the whole space)."""
+    check_dim("limiting_normal point", len(point), omega.dim)
     return limiting_normal_wrt(omega, ConvexPoly.whole_space(omega.dim), point)
 
 

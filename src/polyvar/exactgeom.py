@@ -806,6 +806,14 @@ class FiniteUnion:
         polyhedra."""
         return FiniteUnion.make(self.dim, [p.recession() for p in self.parts])
 
+    def slice(self, coords, values: Vec) -> "FiniteUnion":
+        """The union of the parts' `ConvexPoly.slice` sections, a cone part
+        read as its polyhedral rows: a union of polyhedra."""
+        return FiniteUnion.make(
+            self.dim - len(coords),
+            [_rows_of(p).slice(coords, values) for p in self.parts],
+        )
+
     def is_zero_cone(self) -> bool:
         if self.is_empty():
             return False

@@ -6,6 +6,9 @@ applicable condition holds exactly and the condition itself fails; candidates
 passing the condition get NecessaryConditionsHold (never "optimal"); a
 failed hypothesis downgrades the report to Inconclusive with full
 diagnostics.
+
+A report holds one normal cone of epi f relative to C1 x R; its horizon and
+limiting subdifferentials are its `FiniteUnion.slice` sections at 0 and -1.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ from ._record import record
 from .exactgeom import ConvexPoly, PolySet, PolyUnion
 from .linalg import Vec, zero
 from .multimaps import PolyMultimap, coderivative_zero_cone
-from .plfunc import PLFunc, _epi_cones, _slices
+from .plfunc import PLFunc, _epi_cone
 from .quals import normal_densed_check
-from .verdicts import KIND_HORIZON, KIND_LIMITING, TriVerdict
+from .verdicts import KIND_LIMITING, TriVerdict
 
 CERTIFIED_NON_OPTIMAL = "CertifiedNonOptimal"
 NECESSARY_CONDITIONS_HOLD = "NecessaryConditionsHold"
@@ -78,14 +81,15 @@ def stationarity_check(p: MPECProblem, x: Vec) -> StationarityReport:
     # D*G(x, 0)(0) once: q1 and the Aubin verdict both read it
     dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
     # epi f's limiting cone once: q1 reads its horizon slice, the condition
-    epi_cones = _epi_cones(p.f, p.c1, point, KIND_LIMITING)
+    # its limiting one
+    epi_cone = _epi_cone(p.f, p.c1, point, KIND_LIMITING)
     # q1: the horizon subdifferential against the zero slice of D*G
-    horizon = _slices(p.n, epi_cones, KIND_HORIZON)
+    horizon = epi_cone.slice((p.n,), (0,))
     q1 = TriVerdict.zero_cone(horizon.recession().intersect(dzero.negate()))
     q2 = _q2(p, point)
     aubin = TriVerdict.zero_cone(dzero)
 
-    subdiff = _slices(p.n, epi_cones, KIND_LIMITING)
+    subdiff = epi_cone.slice((p.n,), (-1,))
 
     # 0 in subdiff + dzero  <=>  subdiff meets -dzero
     reflected = PolyUnion(p.n, [c.to_poly() for c in dzero.negate().parts])

@@ -2,14 +2,16 @@
 criterion, sum and chain rules, and the semicontinuity side conditions.
 
 A map is its graph, a finite union of convex polyhedra in R^{n+m}; sums and
-compositions are exact projections of lifted graphs.  The
-coderivative relative to C slices the limiting normal cone of the graph
-relative to C x R^m, so every slice is a finite union of polyhedra.
+compositions are exact projections of lifted graphs.  A coderivative
+relative to C is a `FiniteUnion.slice` section of the graph's limiting normal
+cone relative to C x R^m, a finite union of polyhedra; the sum and chain
+rules build each graph cone once per point and read every section off it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import prod
 
 from ._record import record
@@ -106,6 +108,11 @@ def graph_normal_cone(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> ConeUni
     return limiting_normal_wrt(F.graph, wrt, x + y)
 
 
+def _section(cone: ConeUnion, n: int, ystar: Vec) -> PolyUnion:
+    """D*_C F(x, y)(ystar) read off the graph cone in R^{n+m}."""
+    return cone.slice(range(n, n + len(ystar)), neg(ystar))
+
+
 def coderivative_wrt(
     F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec, ystar: Vec
 ) -> CoderivativeSlice:
@@ -115,9 +122,7 @@ def coderivative_wrt(
     if not c.contains(x):
         raise ValueError("base point outside the reference set")
     cone = graph_normal_cone(F, c, x, y)
-    tail = range(F.in_dim, F.in_dim + F.out_dim)
-    parts = [p.to_poly().slice(tail, neg(ystar)) for p in cone.parts]
-    return CoderivativeSlice((x, y), ystar, PolyUnion.make(F.in_dim, parts))
+    return CoderivativeSlice((x, y), ystar, _section(cone, F.in_dim, ystar))
 
 
 def coderivative_zero_cone(
@@ -128,13 +133,8 @@ def coderivative_zero_cone(
     return coderivative_wrt(F, c, x, y, zero(F.out_dim)).result.recession()
 
 
-def coderivative_kernel(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> ConeUnion:
-    """ker D*_C F(x,y) = {ystar : (0, -ystar) in the graph cone}."""
-    return _kernel(graph_normal_cone(F, c, x, y), F.in_dim, F.out_dim)
-
-
 def _kernel(cone: ConeUnion, n: int, m: int) -> ConeUnion:
-    """The kernel read off a graph cone in R^{n+m}."""
+    """ker D*_C F(x,y) = {ystar : (0, -ystar) in a graph cone in R^{n+m}}."""
     # {-t : (0, t) in a part}: the sections at 0 hold -ystar
     kernels = [
         ConeH.from_rows(m, [neg(a[n:]) for a in p.rows], [e[n:] for e in p.eq_rows])
@@ -276,6 +276,7 @@ def sum_rule(
 ) -> RuleReport:
     """Coderivative sum rule with both hypotheses checked exactly."""
     n, m = F1.in_dim, F1.out_dim
+    check_dim("sum_rule ystar", len(ystar), m)
     if tuple(a + b for a, b in zip(y1bar, y2bar)) != tuple(ybar):
         raise ValueError("y1 + y2 must equal y")
     if not (F1.contains(xbar, y1bar) and F2.contains(xbar, y2bar)):
@@ -284,8 +285,9 @@ def sum_rule(
     if not c.contains(xbar):
         raise ValueError("base point outside the reference sets")
 
-    d1_zero = coderivative_zero_cone(F1, c1, xbar, y1bar)
-    d2_zero = coderivative_zero_cone(F2, c2, xbar, y2bar)
+    cone = cache(graph_normal_cone)  # one graph cone per map, set and point
+    d1_zero = _section(cone(F1, c1, xbar, y1bar), n, zero(m)).recession()
+    d2_zero = _section(cone(F2, c2, xbar, y2bar), n, zero(m)).recession()
     q1 = TriVerdict.zero_cone(d1_zero.intersect(d2_zero.negate()))
 
     total = n + 2 * m  # (x, y1, y2)
@@ -296,8 +298,8 @@ def sum_rule(
     q2 = normal_densed_check(omega1, omega2, lift1, lift2, xbar + y1bar + y2bar)
 
     def rhs_at(y12: Vec) -> PolyUnion:
-        d1 = coderivative_wrt(F1, c1, xbar, y12[:m], ystar).result
-        return d1.minkowski(coderivative_wrt(F2, c2, xbar, y12[m:], ystar).result)
+        d1 = _section(cone(F1, c1, xbar, y12[:m]), n, ystar)
+        return d1.minkowski(_section(cone(F2, c2, xbar, y12[m:]), n, ystar))
 
     return _rule_via_s(
         "sum-rule", _s_map(F1, F2), c, xbar, ybar, y1bar + y2bar, ystar,
@@ -338,6 +340,7 @@ def chain_rule(
 ) -> RuleReport:
     """Coderivative chain rule for F o G relative to c."""
     n, m, s = G.in_dim, G.out_dim, F.out_dim
+    check_dim("chain_rule zstar", len(zstar), s)
     if not G.contains(xbar, ybar):
         raise ValueError("intermediate point off the inner graph")
     if not F.contains(ybar, zbar):
@@ -346,8 +349,9 @@ def chain_rule(
         raise ValueError("base point outside the reference set")
     whole_m = ConvexPoly.whole_space(m)
 
-    df_zero = coderivative_zero_cone(F, whole_m, ybar, zbar)
-    ker_g = coderivative_kernel(G, c, xbar, ybar)
+    cone = cache(graph_normal_cone)  # one graph cone per map, set and point
+    df_zero = _section(cone(F, whole_m, ybar, zbar), m, zero(s)).recession()
+    ker_g = _kernel(cone(G, c, xbar, ybar), n, m)
     q1 = TriVerdict.zero_cone(df_zero.intersect(ker_g))
 
     total = n + m + s
@@ -358,9 +362,8 @@ def chain_rule(
     q2 = normal_densed_check(theta1, theta2, lift1, lift2, xbar + ybar + zbar)
 
     def rhs_at(y: Vec) -> PolyUnion:
-        b_union = coderivative_wrt(F, whole_m, y, zbar, zstar).result
-        ng = graph_normal_cone(G, c, xbar, y)
-        return _compose_slices(ng.parts, b_union.parts, n, m)
+        b_union = _section(cone(F, whole_m, y, zbar), m, zstar)
+        return _compose_slices(cone(G, c, xbar, y).parts, b_union.parts, n, m)
 
     return _rule_via_s(
         "chain-rule", _script_s(G, F), c, xbar, zbar, ybar, zstar,

@@ -18,7 +18,6 @@ import itertools
 import math
 from fractions import Fraction
 
-from ._record import record
 from .exactgeom import ConvexPoly, PolySet
 from .linalg import Vec
 from .multimaps import PolyMultimap
@@ -28,21 +27,14 @@ INCONSISTENT = "inconsistent"
 
 DIVERGENCE_SENTINEL = 1e3
 
-
-@record
-class SamplingPlan:
-    radius: Fraction = Fraction(1)
-    grid_step: Fraction = Fraction(1, 64)
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if not (0 < self.grid_step < self.radius):
-            raise ValueError("grid_step must be positive and below radius")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+# the sampling settings: a box of half-width RADIUS around the base point on
+# a lattice of step GRID_STEP, and the slack of the sampled limsup test
+RADIUS = Fraction(1)
+GRID_STEP = Fraction(1, 64)
+TOLERANCE = 1e-6
 
 
-def _lattice(center: Vec, plan: SamplingPlan) -> tuple[np.ndarray, int]:
+def _lattice(center: Vec) -> tuple[np.ndarray, int]:
     """Integer-lattice grid of the box around center; returns (points, scale).
 
     Points are integers equal to scale * coordinate, so row tests against
@@ -50,12 +42,12 @@ def _lattice(center: Vec, plan: SamplingPlan) -> tuple[np.ndarray, int]:
     """
     import numpy as np
 
-    denom = plan.grid_step.denominator
+    denom = GRID_STEP.denominator
     for x in center:
         denom = denom * x.denominator // math.gcd(denom, x.denominator)
     scale = denom
-    step_int = int(plan.grid_step * scale)
-    half = int(plan.radius / plan.grid_step)
+    step_int = int(GRID_STEP * scale)
+    half = int(RADIUS / GRID_STEP)
     axes = []
     for x in center:
         c_int = int(x * scale)
@@ -94,13 +86,12 @@ def frechet_membership_probe(
     c: ConvexPoly,
     xbar: Vec,
     d: Vec,
-    plan: SamplingPlan,
     claimed: bool,
 ) -> str:
     """Grid limsup plus radial test against a claimed exact membership."""
     import numpy as np
 
-    pts, scale = _lattice(xbar, plan)
+    pts, scale = _lattice(xbar)
     mask = _inside_set(pts, scale, omega) & _inside_poly(pts, scale, c)
     center = np.array([int(x * scale) for x in xbar], dtype=np.int64)
     diffs = (pts[mask] - center).astype(np.float64) / scale
@@ -109,28 +100,26 @@ def frechet_membership_probe(
     dvec = np.array([float(x) for x in d], dtype=np.float64)
     if nz.any():
         ratios = (diffs[nz] @ dvec) / norms[nz]
-        limsup_ok = bool(ratios.max() <= plan.tolerance)
+        limsup_ok = bool(ratios.max() <= TOLERANCE)
     else:
         limsup_ok = True
     radial_ok = any(
         c.contains(tuple(x + p * dd for x, dd in zip(xbar, d)))
-        for p in (plan.grid_step, plan.radius)
+        for p in (GRID_STEP, RADIUS)
     )
     probe_member = limsup_ok and radial_ok
     return CONSISTENT if probe_member == claimed else INCONSISTENT
 
 
-def _axis_points(center: Fraction, plan: SamplingPlan, widen: int = 1):
-    half = int(plan.radius / plan.grid_step) * widen
-    return [center + k * plan.grid_step for k in range(-half, half + 1)]
+def _axis_points(center: Fraction, widen: int = 1):
+    half = int(RADIUS / GRID_STEP) * widen
+    return [center + k * GRID_STEP for k in range(-half, half + 1)]
 
 
-def aubin_ratio_probe(
-    F: PolyMultimap, c: ConvexPoly, xbar: Vec, ybar: Vec, plan: SamplingPlan
-) -> float:
+def aubin_ratio_probe(F: PolyMultimap, c: ConvexPoly, xbar: Vec, ybar: Vec) -> float:
     """Max sampled Hausdorff-excess ratio for the Aubin inequality.
 
-    Samples x, u in c cap B(xbar, radius); the excess of F(u) cap V over
+    Samples x, u in c cap B(xbar, RADIUS); the excess of F(u) cap V over
     F(x) is estimated on output grids (a wider grid for the reference side).
     Returns math.inf as the divergence sentinel when some F(x) is empty
     while F(u) cap V is not.
@@ -142,15 +131,15 @@ def aubin_ratio_probe(
 
     x_grid = [
         pt
-        for pt in itertools.product(*(_axis_points(xc, plan) for xc in xbar))
+        for pt in itertools.product(*map(_axis_points, xbar))
         if c.contains(pt)
     ]
     if not x_grid:
         raise ValueError("empty samples")
-    y_big = list(itertools.product(*(_axis_points(yc, plan, widen=3) for yc in ybar)))
+    y_big = list(itertools.product(*(_axis_points(yc, widen=3) for yc in ybar)))
     y_big_arr = np.array([[float(v) for v in y] for y in y_big])
     in_v = np.array(
-        [all(abs(v - yc) <= plan.radius for v, yc in zip(y, ybar)) for y in y_big]
+        [all(abs(v - yc) <= RADIUS for v, yc in zip(y, ybar)) for y in y_big]
     )
 
     samples: list[np.ndarray] = []

@@ -2,12 +2,12 @@
 
 A function is its epigraph, a finite union of upward-closed convex polyhedra
 in R^{n+1}; values are fiber minima, read off each fiber's canonical H-form.
-Subdifferentials relative to a convex set C are slices of the epigraph's
-normal cone relative to C x R: the last dual coordinate is fixed to -1
-(Fréchet/limiting) or 0 (horizon).  For a base point in C the epigraph of
-the C-restriction and the plain epigraph give the same relative cones (the
-reference-set intersection performs the restriction), so both are computed
-from epi f cap (C x R) uniformly.
+A subdifferential relative to a convex set C is the coderivative of the
+epigraphical map at 1, or at 0 for the horizon kind: the `FiniteUnion.slice`
+of the epigraph's normal cone relative to C x R at last dual coordinate -1
+or 0.  For a base point in C the epigraph of the C-restriction and the plain
+epigraph give the same relative cones (the reference-set intersection
+performs the restriction), so both are computed from epi f cap (C x R).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from ._record import record
 from .cones import frechet_normal_wrt, limiting_normal_wrt
-from .exactgeom import ConvexPoly, PolySet, PolyUnion
+from .exactgeom import ConeUnion, ConvexPoly, PolySet, PolyUnion
 from .linalg import Vec, as_vec, check_dim, neg, zero
 from .multimaps import PolyMultimap, coderivative_wrt
 from .verdicts import KIND_FRECHET, KIND_HORIZON, KIND_LIMITING, TriVerdict
@@ -121,22 +121,18 @@ def subdiff_wrt(f: PLFunc, c: ConvexPoly, xbar: Vec, kind: str) -> SubdiffResult
 
 def _subdiff_at(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> SubdiffResult:
     """`subdiff_wrt` at the epigraph point (xbar, f(xbar)), xbar in c."""
-    return SubdiffResult(kind, _slices(f.dim, _epi_cones(f, c, point, kind), kind))
+    last = (0,) if kind == KIND_HORIZON else (-1,)
+    return SubdiffResult(kind, _epi_cone(f, c, point, kind).slice((f.dim,), last))
 
 
-def _epi_cones(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> tuple:
-    """The normal cones of epi f relative to c x R that the kind slices."""
+def _epi_cone(f: PLFunc, c: ConvexPoly, point: Vec, kind: str) -> ConeUnion:
+    """The normal cone of epi f relative to c x R that the kind slices."""
     wrt_lift = ConvexPoly.lift(c.dim + 1, [(c, range(c.dim))])
     if kind == KIND_FRECHET:
-        return (frechet_normal_wrt(f.epi, wrt_lift, point),)
+        return ConeUnion.single(frechet_normal_wrt(f.epi, wrt_lift, point))
     if kind in (KIND_LIMITING, KIND_HORIZON):
-        return limiting_normal_wrt(f.epi, wrt_lift, point).parts
+        return limiting_normal_wrt(f.epi, wrt_lift, point)
     raise ValueError(f"unknown subdifferential kind: {kind}")
-
-
-def _slices(dim: int, cones, kind: str) -> PolyUnion:
-    last = (Fraction(0),) if kind == KIND_HORIZON else (Fraction(-1),)
-    return PolyUnion.make(dim, [p.to_poly().slice((dim,), last) for p in cones])
 
 
 def subdiff_via_coderivative(
@@ -145,7 +141,7 @@ def subdiff_via_coderivative(
     """The same sets through the epigraphical multimap's coderivative.
 
     Limiting subgradients are D*_C E^f(xbar)(1); horizon ones are the slice
-    at 0.  Independent route used to cross-check subdiff_wrt exactly.
+    at 0.  It takes the same cone and the same section as `subdiff_wrt`.
     """
     point = _epi_point(f, c, xbar)
     if point is None:

@@ -205,7 +205,6 @@ def _probe_cone(args, result, decimal: bool) -> tuple[dict, int]:
     from . import cones, oracle
 
     omega, wrt, point, _ = args
-    plan = oracle.SamplingPlan()
     union = result if isinstance(result, FiniteUnion) else FiniteUnion.single(result)
     if union.is_empty():
         return {}, 0
@@ -218,7 +217,7 @@ def _probe_cone(args, result, decimal: bool) -> tuple[dict, int]:
     flags = 0
     for d in directions:
         claimed = frechet.contains(d)
-        verdict = oracle.frechet_membership_probe(omega, wrt, point, d, plan, claimed)
+        verdict = oracle.frechet_membership_probe(omega, wrt, point, d, claimed)
         if verdict == oracle.INCONSISTENT:
             flags += 1
     return {}, flags
@@ -227,7 +226,7 @@ def _probe_cone(args, result, decimal: bool) -> tuple[dict, int]:
 def _probe_aubin(args, result: TriVerdict, decimal: bool) -> tuple[dict, int]:
     from . import oracle
 
-    ratio = oracle.aubin_ratio_probe(*args, oracle.SamplingPlan())
+    ratio = oracle.aubin_ratio_probe(*args)
     flagged = result.is_holds() and ratio > oracle.DIVERGENCE_SENTINEL
     return {"sampled_ratio": render(ratio, decimal)}, int(flagged)
 

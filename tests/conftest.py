@@ -13,8 +13,19 @@ from pathlib import Path
 
 import polyvar
 from polyvar import exactgeom
+from polyvar.cones import radial_cone
 from polyvar.exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
-from polyvar.linalg import Vec, as_row, integer_row, primitive_ints, rref_ints, to_vec, vec
+from polyvar.linalg import (
+    Vec,
+    as_row,
+    dot,
+    integer_row,
+    primitive_ints,
+    rref_ints,
+    to_vec,
+    vec,
+)
+from polyvar.stratify import local_cells
 
 
 @dataclass(frozen=True)
@@ -190,6 +201,42 @@ def cap_poly(omega: PolySet, c: ConvexPoly) -> PolySet:
 def active_pieces(s: PolySet, x: Vec) -> tuple[int, ...]:
     """Indices of the pieces of `s` that contain `x`."""
     return tuple(i for i, p in enumerate(s.pieces) if p.contains(x))
+
+
+def ref_piece_normal_cone(piece: ConvexPoly, x: Vec) -> ConeH:
+    # polar of the piece's tangent cone: active inequality normals plus the
+    # equality normals as lineality
+    rays = [a for a, b in piece.ineqs if dot(a, x) == b]
+    lins = [e for e, _ in piece.eqs]
+    return ConeH.from_generators(piece.dim, rays, lins)
+
+
+def ref_frechet_normal(omega: PolySet, x: Vec) -> ConeH:
+    """The Fréchet cone as the intersection of per-piece polar cones, one
+    double description per piece, as `cones` computed it before."""
+    active = active_pieces(omega, x)
+    if not active:
+        raise ValueError("point outside the set")
+    cone = ConeH.whole_space(omega.dim)
+    for i in active:
+        cone = cone.intersect(ref_piece_normal_cone(omega.pieces[i], x))
+    return cone
+
+
+def ref_limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnion:
+    """The limiting cone relative to wrt from Omega ∩ C built piece by piece:
+    per-piece polars at the witness of each adherent cell."""
+    request_domain = cap_poly(omega, wrt)
+    if not request_domain.contains(point):
+        return ConeUnion.empty(omega.dim)
+    cells = local_cells([omega, wrt], point)
+    inter_pieces = request_domain
+    parts = []
+    for cell in cells:
+        x = cell.witness
+        part = ref_frechet_normal(inter_pieces, x).intersect(radial_cone(wrt, x))
+        parts.append(part)
+    return ConeUnion.make(omega.dim, parts)
 
 
 def run_optimized(script: str) -> dict:

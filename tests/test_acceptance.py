@@ -67,7 +67,7 @@ from polyvar.multimaps import (
     coderivative_zero_cone,
     sum_rule,
 )
-from polyvar.oracle import SamplingPlan, aubin_ratio_probe
+from polyvar.oracle import aubin_ratio_probe
 from polyvar.plfunc import KIND_LIMITING, PLFunc, subdiff_wrt
 from polyvar.presets import preset_ids
 from polyvar.quals import boundary_radial_limit
@@ -431,11 +431,10 @@ def test_criterion7_oracle_concordance(tmp_path):
         ConvexPoly.make(2, [(vec(-1, 0), Fraction(0)), (vec(0, -1), Fraction(0))])
     )
     G = PolyMultimap(1, 1, g_graph)
-    plan = SamplingPlan()
     bounded = aubin_ratio_probe(
-        G, ConvexPoly.make(1, [(vec(-1), Fraction(0))]), vec(0), vec(0), plan
+        G, ConvexPoly.make(1, [(vec(-1), Fraction(0))]), vec(0), vec(0)
     )
-    divergent = aubin_ratio_probe(G, ConvexPoly.whole_space(1), vec(0), vec(0), plan)
+    divergent = aubin_ratio_probe(G, ConvexPoly.whole_space(1), vec(0), vec(0))
     assert bounded <= 1e3
     assert divergent > 1e3 and math.isinf(divergent)
     _announce("criterion 7 (oracle concordance)", started, 30.0)

@@ -34,9 +34,11 @@ from polyvar.multimaps import (
     PolyMultimap,
     _s_map,
     _script_s,
+    chain_rule,
     coderivative_wrt,
     graph_normal_cone,
     inner_regularity_check,
+    sum_rule,
 )
 from polyvar.plfunc import PLFunc, subdiff_wrt
 from polyvar.quals import lqc_wrt_check, normal_densed_check
@@ -207,6 +209,20 @@ CASES = {
         lambda: PolySet.lift(3, [(PolySet.make(2, []), (0,))]),
         "lift coordinates: dimension 1, expected 2",
     ),
+    # the rules name their own dual argument before q1 and q2 run
+    "sum_rule ystar": (
+        lambda: sum_rule(
+            whole_map(1, 1), whole_map(1, 1), LINE, LINE,
+            vec(0), vec(0), vec(0), vec(0), vec(1, 1),
+        ),
+        "^sum_rule ystar: dimension 2, expected 1$",
+    ),
+    "chain_rule zstar": (
+        lambda: chain_rule(
+            whole_map(1, 1), whole_map(1, 2), LINE, vec(0), vec(0, 0), vec(0), vec(1),
+        ),
+        "^chain_rule zstar: dimension 1, expected 2$",
+    ),
     "ConvexPoly.slice values": (
         lambda: ConvexPoly.whole_space(2).slice((0,), vec(0, 0)),
         "slice values: dimension 2, expected 1",
@@ -242,7 +258,7 @@ POINT_CASES = {
     ),
     "proximal_normal_wrt": (
         lambda: cones.proximal_normal_wrt(HALF_PLANE, PLANE, vec(0, 0, 0)),
-        "dimension 3, expected 2",
+        "^proximal_normal_wrt point: dimension 3, expected 2$",
     ),
     "limiting_normal_wrt": (
         lambda: cones.limiting_normal_wrt(HALF_PLANE, PLANE, vec(0)),
@@ -250,7 +266,7 @@ POINT_CASES = {
     ),
     "limiting_normal": (
         lambda: cones.limiting_normal(HALF_PLANE, vec(0)),
-        "dimension 1, expected 2",
+        "^limiting_normal point: dimension 1, expected 2$",
     ),
     "local_cells": (lambda: local_cells([HALF_PLANE], vec(0)), "dimension 1, expected 2"),
     "graph_normal_cone x": (

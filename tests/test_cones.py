@@ -9,7 +9,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
-    active_pieces,
     cap_poly,
     cone3,
     dd_generators,
@@ -17,6 +16,8 @@ from conftest import (
     random_polyset_through,
     random_poly_through,
     raw_int_rows,
+    ref_frechet_normal,
+    ref_limiting_normal_wrt,
     rng_vec,
 )
 from polyvar import cones, quals
@@ -395,45 +396,11 @@ def test_limiting_parts_are_closed_cones():
 # -- the tangent-generator form against the per-piece polar form ---------------
 
 
-def ref_piece_normal_cone(piece: ConvexPoly, x: Vec) -> ConeH:
-    # polar of the piece's tangent cone: active inequality normals plus the
-    # equality normals as lineality
-    rays = [a for a, b in piece.ineqs if dot(a, x) == b]
-    lins = [e for e, _ in piece.eqs]
-    return ConeH.from_generators(piece.dim, rays, lins)
-
-
-def ref_frechet_normal(omega: PolySet, x: Vec) -> ConeH:
-    """The Fréchet cone as the intersection of per-piece polar cones, one
-    double description per piece, as `cones` computed it before."""
-    active = active_pieces(omega, x)
-    if not active:
-        raise ValueError("point outside the set")
-    cone = ConeH.whole_space(omega.dim)
-    for i in active:
-        cone = cone.intersect(ref_piece_normal_cone(omega.pieces[i], x))
-    return cone
-
-
 def ref_frechet_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
     request_domain = cap_poly(omega, wrt)
     if not request_domain.contains(point):
         return ConeH.empty_marker(omega.dim)
     return ref_frechet_normal(request_domain, point).intersect(radial_cone(wrt, point))
-
-
-def ref_limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnion:
-    request_domain = cap_poly(omega, wrt)
-    if not request_domain.contains(point):
-        return ConeUnion.empty(omega.dim)
-    cells = local_cells([omega, wrt], point)
-    inter_pieces = request_domain
-    parts = []
-    for cell in cells:
-        x = cell.witness
-        part = ref_frechet_normal(inter_pieces, x).intersect(radial_cone(wrt, x))
-        parts.append(part)
-    return ConeUnion.make(omega.dim, parts)
 
 
 def hyperplane_through(rng: random.Random, dim: int, point: Vec) -> ConvexPoly:

@@ -431,6 +431,48 @@ def test_slice_holds_exactly_the_points_of_the_polyhedron():
     assert min(seen.values()) >= 5, seen
 
 
+def test_union_slice_is_the_union_of_the_part_slices():
+    # a union's section is its parts' `ConvexPoly.slice` sections, a cone
+    # part read as its rows, and holds u iff the point with v at coords and u
+    # elsewhere lies in the union; unions of cones and of polyhedra alike
+    rng = random.Random(5297)
+    lattice = [Fraction(k, 2) for k in range(-4, 5)]
+    seen = Counter()
+    for k in range(80):
+        if k % 2:
+            union = random_cone_union(rng, 3)
+            polys = [p.to_poly() for p in union.parts]
+        else:
+            pieces = [
+                ConvexPoly.make(
+                    3,
+                    [
+                        (rng_vec(rng, 3, -2, 2), Fraction(rng.randint(-2, 2)))
+                        for _ in range(rng.randint(1, 3))
+                    ],
+                )
+                for _ in range(rng.randint(1, 3))
+            ]
+            union = PolyUnion.make(3, pieces)
+            polys = list(union.parts)
+        coords = rng.choice(((2,), (0, 2), (1,), (2, 0)))
+        v = tuple(rng.choice(lattice) for _ in coords)
+        section = union.slice(coords, v)
+        free = [i for i in range(3) if i not in coords]
+        assert section.dim == len(free)
+        assert all(isinstance(p, ConvexPoly) for p in section.parts)
+        parts = [p.slice(coords, v) for p in polys]
+        assert section.same_set(PolyUnion.make(len(free), parts))
+        for u in itertools.product(lattice, repeat=len(free)):
+            point = [None] * 3
+            for i, x in [*zip(coords, v), *zip(free, u)]:
+                point[i] = x
+            assert section.contains(u) == union.contains(tuple(point)), (union, coords, v, u)
+        kind = "cones" if k % 2 else "polyhedra"
+        seen[kind, "empty" if section.is_empty() else "nonempty"] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 3, seen
+
+
 def test_polyset_membership_and_pieces():
     left = ConvexPoly.make(1, [(vec(1), Fraction(0))])
     right = ConvexPoly.make(1, [(vec(-1), Fraction(0))])

@@ -5,34 +5,24 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import pytest
-
 from conftest import make_example1
+from polyvar import oracle
 from polyvar.exactgeom import ConvexPoly, PolySet
 from polyvar.linalg import vec
 from polyvar.multimaps import PolyMultimap
 from polyvar.oracle import (
     CONSISTENT,
     INCONSISTENT,
-    SamplingPlan,
     aubin_ratio_probe,
     frechet_membership_probe,
 )
 
 
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        SamplingPlan(radius=Fraction(1), grid_step=Fraction(2))
-    with pytest.raises(ValueError):
-        SamplingPlan(tolerance=0.0)
-
-
 def test_probe_members_of_example_cone():
     ex = make_example1()
-    plan = SamplingPlan()
     for d in (vec(1, 0, -1), vec(1, 0, -2), vec(0, 0, -1)):
         assert (
-            frechet_membership_probe(ex.omega1, ex.c, ex.origin, d, plan, True)
+            frechet_membership_probe(ex.omega1, ex.c, ex.origin, d, True)
             == CONSISTENT
         )
 
@@ -41,32 +31,29 @@ def test_probe_radial_rejection():
     # (-1, 0, 0) passes the grid limsup over omega2 cap c but fails the
     # radial test into c, matching the exact exclusion
     ex = make_example1()
-    plan = SamplingPlan()
     assert (
-        frechet_membership_probe(ex.omega2, ex.c, ex.origin, vec(-1, 0, 0), plan, False)
+        frechet_membership_probe(ex.omega2, ex.c, ex.origin, vec(-1, 0, 0), False)
         == CONSISTENT
     )
     # and a wrong claim is flagged
     assert (
-        frechet_membership_probe(ex.omega2, ex.c, ex.origin, vec(-1, 0, 0), plan, True)
+        frechet_membership_probe(ex.omega2, ex.c, ex.origin, vec(-1, 0, 0), True)
         == INCONSISTENT
     )
 
 
 def test_probe_zero_direction_always_consistent():
     ex = make_example1()
-    plan = SamplingPlan()
     assert (
-        frechet_membership_probe(ex.omega1, ex.c, ex.origin, vec(0, 0, 0), plan, True)
+        frechet_membership_probe(ex.omega1, ex.c, ex.origin, vec(0, 0, 0), True)
         == CONSISTENT
     )
 
 
 def test_probe_deterministic():
     ex = make_example1()
-    plan = SamplingPlan()
     runs = {
-        frechet_membership_probe(ex.omega1, ex.c, ex.origin, vec(1, 0, -1), plan, True)
+        frechet_membership_probe(ex.omega1, ex.c, ex.origin, vec(1, 0, -1), True)
         for _ in range(3)
     }
     assert runs == {CONSISTENT}
@@ -85,13 +72,13 @@ def _final_example_map() -> PolyMultimap:
 def test_aubin_ratio_bounded_on_wrt_configuration():
     G = _final_example_map()
     c = ConvexPoly.make(1, [(vec(-1), Fraction(0))])
-    ratio = aubin_ratio_probe(G, c, vec(0), vec(0), SamplingPlan())
+    ratio = aubin_ratio_probe(G, c, vec(0), vec(0))
     assert ratio <= 1 + 1e-6
 
 
 def test_aubin_ratio_divergent_on_classical_configuration():
     G = _final_example_map()
-    ratio = aubin_ratio_probe(G, ConvexPoly.whole_space(1), vec(0), vec(0), SamplingPlan())
+    ratio = aubin_ratio_probe(G, ConvexPoly.whole_space(1), vec(0), vec(0))
     assert math.isinf(ratio) and ratio > 1e3
 
 
@@ -100,7 +87,6 @@ def test_aubin_verdict_agrees_with_sampled_ratio_on_shipped_examples():
     from polyvar.verdicts import FAILS, HOLDS
 
     G = _final_example_map()
-    plan = SamplingPlan()
     configs = [
         (ConvexPoly.make(1, [(vec(-1), Fraction(0))]), HOLDS),
         (ConvexPoly.whole_space(1), FAILS),
@@ -108,7 +94,7 @@ def test_aubin_verdict_agrees_with_sampled_ratio_on_shipped_examples():
     for c, expected in configs:
         verdict = aubin_wrt_check(G, c, vec(0), vec(0))
         assert verdict.value == expected
-        ratio = aubin_ratio_probe(G, c, vec(0), vec(0), plan)
+        ratio = aubin_ratio_probe(G, c, vec(0), vec(0))
         if verdict.value == HOLDS:
             assert ratio <= 1e3
         else:
@@ -117,23 +103,19 @@ def test_aubin_verdict_agrees_with_sampled_ratio_on_shipped_examples():
 
 def test_aubin_ratio_constant_map_zero():
     F = PolyMultimap.linear(((Fraction(0),),), 1, 1)
-    ratio = aubin_ratio_probe(
-        F, ConvexPoly.whole_space(1), vec(0), vec(0), SamplingPlan()
-    )
+    ratio = aubin_ratio_probe(F, ConvexPoly.whole_space(1), vec(0), vec(0))
     assert ratio == 0.0
 
 
-def test_aubin_ratio_two_dimensional_linear_map():
-    # a coarse plan keeps the pair loop tractable in higher input dimension
+def test_aubin_ratio_two_dimensional_linear_map(monkeypatch):
+    # a coarse grid keeps the pair loop tractable in higher input dimension
+    monkeypatch.setattr(oracle, "GRID_STEP", Fraction(1, 4))
     F = PolyMultimap.linear(((Fraction(2), Fraction(0)), (Fraction(0), Fraction(1))), 2, 2)
-    plan = SamplingPlan(radius=Fraction(1), grid_step=Fraction(1, 4))
-    ratio = aubin_ratio_probe(
-        F, ConvexPoly.whole_space(2), vec(0, 0), vec(0, 0), plan
-    )
+    ratio = aubin_ratio_probe(F, ConvexPoly.whole_space(2), vec(0, 0), vec(0, 0))
     assert 0.0 < ratio <= 1e3  # a linear map has a finite Lipschitz rate
 
 
-def test_fine_grid_membership_agreement_random():
+def test_fine_grid_membership_agreement_random(monkeypatch):
     """Exact Fréchet-relative membership matches the sampled limsup test on a
     step 2^-8 grid for random directions (the module-level oracle invariant)."""
     import random
@@ -141,7 +123,7 @@ def test_fine_grid_membership_agreement_random():
     from conftest import random_poly_through, random_polyset_through, rng_vec
     from polyvar.cones import frechet_normal_wrt
 
-    plan = SamplingPlan(grid_step=Fraction(1, 256))
+    monkeypatch.setattr(oracle, "GRID_STEP", Fraction(1, 256))
     rng = random.Random(509)
     done = 0
     while done < 6:
@@ -156,7 +138,7 @@ def test_fine_grid_membership_agreement_random():
             d = rng_vec(rng, dim, -2, 2)
             claimed = cone.contains(d)
             assert (
-                frechet_membership_probe(omega, wrt, base, d, plan, claimed)
+                frechet_membership_probe(omega, wrt, base, d, claimed)
                 == CONSISTENT
             ), (omega, wrt, base, d, claimed)
         done += 1

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_plfunc, rng_vec
+from conftest import random_plfunc, random_poly_through, ref_limiting_normal_wrt, rng_vec
 from polyvar import lp
 from polyvar.exactgeom import ConvexPoly, PolySet, PolyUnion
 from polyvar.linalg import dot, neg, vec, zero
@@ -115,6 +116,37 @@ def test_subdiff_via_coderivative_random():
         b = subdiff_via_coderivative(f, c, x, KIND_LIMITING)
         assert a.value.same_set(b.value), (f, c)
         done += 1
+
+
+def test_subdiff_matches_the_reference_epigraph_cone():
+    """x* is a limiting subgradient iff (x*, -1) is a limiting normal of
+    epi f relative to C x R, and a horizon one iff (x*, 0) is, with the cone
+    built by the test reference from epi f ∩ (C x R) piece by piece.  Every
+    third f is affine on a polyhedron through the base, so that its horizon
+    subdifferential need not be {0}."""
+    rng = random.Random(331)
+    lattice = [Fraction(k, 2) for k in range(-6, 7)]
+    members = Counter()
+    for k in range(18):
+        dim = rng.randint(1, 2)
+        x = zero(dim)
+        if k % 3 == 2:
+            domain = random_poly_through(rng, dim, x)
+            f = PLFunc.affine(dim, rng_vec(rng, dim, -2, 2), 0, domain=domain)
+        else:
+            f = random_plfunc(rng, dim)
+        c = random_poly_through(rng, dim, x) if k % 2 else ConvexPoly.whole_space(dim)
+        lift = [(a + (0,), b) for a, b in c.ineqs], [(e + (0,), d) for e, d in c.eqs]
+        wrt = ConvexPoly.make(dim + 1, *lift)
+        ref = ref_limiting_normal_wrt(f.epi, wrt, x + (f.value(x),))
+        lim = subdiff_wrt(f, c, x, KIND_LIMITING).value
+        hor = subdiff_wrt(f, c, x, KIND_HORIZON).value
+        for u in itertools.product(lattice, repeat=dim):
+            assert lim.contains(u) == ref.contains(u + (-1,)), (f, c, u)
+            assert hor.contains(u) == ref.contains(u + (0,)), (f, c, u)
+            members["limiting"] += lim.contains(u)
+            members["horizon, nonzero"] += hor.contains(u) and any(u)
+    assert min(members.values()) >= 10, members
 
 
 def test_frechet_subset_of_limiting_random():

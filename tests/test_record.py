@@ -1,7 +1,7 @@
 """`record` keeps the semantics of `dataclasses.dataclass(frozen=True)`.
 
 Every record class of the engine gets a frozen dataclass twin built from
-the same annotations, defaults and `__post_init__`.  On seeded field values
+the same annotations and defaults.  On seeded field values
 the two must agree on construction (by position, by keyword, by default),
 on the errors of a bad call, on `==`, `hash` and `repr`, and both must
 refuse assignment and deletion.  Hash values and reprs are pinned because
@@ -21,7 +21,6 @@ import pytest
 
 import polyvar
 from polyvar.exactgeom import ConvexPoly
-from polyvar.oracle import SamplingPlan
 from polyvar.verdicts import TriVerdict
 
 
@@ -45,7 +44,7 @@ RECORDS = _record_classes()
 def test_every_record_class_is_found():
     src = Path(polyvar.__file__).parent
     decorated = sum(p.read_text().count("\n@record\n") for p in src.glob("*.py"))
-    assert decorated == len(RECORDS) >= 18
+    assert decorated == len(RECORDS) >= 17
     assert not any("dataclass" in p.read_text() for p in src.glob("*.py"))
 
 
@@ -53,8 +52,6 @@ def _twin(cls: type) -> type:
     names = cls.__match_args__
     namespace = {"__annotations__": dict(cls.__annotations__), "__qualname__": cls.__qualname__}
     namespace.update({n: cls.__dict__[n] for n in names if n in cls.__dict__})
-    if "__post_init__" in cls.__dict__:
-        namespace["__post_init__"] = cls.__dict__["__post_init__"]
     return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
 
 
@@ -113,7 +110,7 @@ def test_record_matches_frozen_dataclass(cls):
     rng = random.Random(f"record/{cls.__name__}")
     made = []
     for _ in range(120):
-        # a default half the time, so that `__post_init__` passes often
+        # a default half the time
         values = [
             cls.__dict__[n] if n in cls.__dict__ and rng.random() < 0.5 else rng.choice(POOL)
             for n in names
@@ -156,18 +153,9 @@ def test_record_matches_frozen_dataclass(cls):
 def test_equality_is_per_class():
     by_arity: dict[int, list[type]] = {}
     for cls in RECORDS:
-        if not cls.__dict__.get("__post_init__"):
-            by_arity.setdefault(len(cls.__match_args__), []).append(cls)
+        by_arity.setdefault(len(cls.__match_args__), []).append(cls)
     pairs = [group[:2] for group in by_arity.values() if len(group) >= 2]
     assert pairs
     for a, b in pairs:
         values = [1] * len(a.__match_args__)
         assert a(*values) == a(*values) and a(*values) != b(*values)
-
-
-def test_sampling_plan_still_validates():
-    with pytest.raises(ValueError):
-        SamplingPlan(grid_step=2)
-    with pytest.raises(ValueError):
-        SamplingPlan(tolerance=0)
-    assert SamplingPlan() == SamplingPlan(Fraction(1), Fraction(1, 64), 1e-6)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 from conftest import (
@@ -23,6 +24,7 @@ from conftest import (
     rng_vec,
 )
 
+from polyvar import multimaps
 from polyvar.calculus import mixed_product_rule, preimage_rule, product_rule
 from polyvar.exactgeom import ConvexPoly
 from polyvar.linalg import zero
@@ -148,6 +150,37 @@ def _digests() -> dict[str, str]:
 
 def _product_digests() -> dict[str, str]:
     return {name: _sha(report) for name, report in _product_draws()}
+
+
+def test_sum_and_chain_rules_build_each_graph_cone_once(monkeypatch):
+    """q1's zero cones and kernel and the right side's coderivatives are
+    sections of one graph cone per map, set and point.  Apart from the left
+    side, the rule's one `coderivative_wrt` call, no input of
+    `limiting_normal_wrt` is computed twice in a rule call."""
+    real_cone, real_coderivative = multimaps.limiting_normal_wrt, multimaps.coderivative_wrt
+    inputs, lhs_calls, inside = Counter(), [], []
+
+    def coderivative(*args):
+        lhs_calls.append(args)
+        inside.append(True)
+        try:
+            return real_coderivative(*args)
+        finally:
+            inside.pop()
+
+    def counting(omega, wrt, point):
+        if not inside:
+            inputs[omega, wrt, point] += 1
+        return real_cone(omega, wrt, point)
+
+    monkeypatch.setattr(multimaps, "coderivative_wrt", coderivative)
+    monkeypatch.setattr(multimaps, "limiting_normal_wrt", counting)
+    for name, rule, args in _draws():
+        inputs.clear()
+        lhs_calls.clear()
+        rule(*args, variant=VARIANT_SEMICONTINUOUS)
+        assert len(lhs_calls) == 1, name
+        assert inputs and max(inputs.values()) == 1, (name, inputs.most_common(1))
 
 
 def test_rule_reports_match_golden_digests():
