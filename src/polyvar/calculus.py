@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .cones import frechet_normal_wrt, limiting_normal, limiting_normal_wrt
+from .cones import frechet_normal_wrt, limiting_normal, limiting_normal_wrt, rule_scope
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet, PolyUnion
 from .linalg import Vec, check_dim
 from .quals import lqc_wrt_check, normal_densed_check
@@ -133,6 +133,7 @@ def _interleaved_product(
     return RuleReport(rule_id, lim_lhs, lim_rhs, (), ok and equal, equal, witness)
 
 
+@rule_scope
 def intersection_rule(
     omega1: PolySet,
     omega2: PolySet,
@@ -159,6 +160,7 @@ def intersection_rule(
     )
 
 
+@rule_scope
 def preimage_rule(
     F: PolyMultimap, theta: PolySet, c: ConvexPoly, x: Vec
 ) -> RuleReport:

@@ -11,8 +11,14 @@ The three flavors are tied together by two exact facts about polyhedral data:
 * the limiting cone relative to a convex set C is the finite union of the
   Fréchet-relative cones over the sign cells adherent to the base point,
   because those cones are constant on every cell.  A cone is fixed by the
-  rows at its point, so one is built per distinct pattern of rows; a piece
-  holding the point in its interior makes it {0}, with no canonicalization.
+  rows at its point, so one is built per pattern of rows that no other
+  pattern dominates (`_undominated`); a piece holding the point in its
+  interior makes it {0}, with no canonicalization.
+
+Within one call of a calculus rule (`rule_scope`), the patterns of each
+(omega, wrt, point) and the union of each set of patterns are computed once
+and shared by the rule's qualifications and sides; the memo goes when the
+call ends, so no result outlives it.
 
 The relative ("with respect to C") versions add the rows of the radial cone
 of C at the point to that H-form, and use the empty-marker convention when
@@ -21,6 +27,8 @@ T_P(x) ∩ T_C(x), so a piece's tangent rows are its active rows plus C's.
 """
 
 from __future__ import annotations
+
+from functools import wraps
 
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, IntVec, PolySet
 from .linalg import Vec, check_dim, excess_at
@@ -55,14 +63,17 @@ def radial_cone(c: ConvexPoly, x: Vec) -> ConeH:
 
 def _rows_at(omega: PolySet, x: Vec, wrt: ConvexPoly):
     """(wrt's radial rows, each piece's tangent rows at x: its active rows plus
-    wrt's) as hashable tuples, which fix the Fréchet cone; None outside omega ∩ wrt."""
+    wrt's, None for a piece missing x) as hashable tuples, which fix the
+    Fréchet cone; None outside omega ∩ wrt."""
     radial = _active_rows(wrt, x)
     if radial is None:
         return None
     ineqs, eqs = map(tuple, radial)
-    found = [_active_rows(p, x) for p in omega.pieces]
-    tangents = tuple(((*a, *ineqs), (*e, *eqs)) for a, e in filter(None, found))
-    return ((ineqs, eqs), tangents) if tangents else None
+    tangents = tuple(
+        found and ((*found[0], *ineqs), (*found[1], *eqs))
+        for found in (_active_rows(p, x) for p in omega.pieces)
+    )
+    return ((ineqs, eqs), tangents) if any(tangents) else None
 
 
 def _frechet_cone(dim: int, rows) -> ConeH:
@@ -73,7 +84,7 @@ def _frechet_cone(dim: int, rows) -> ConeH:
     if ((), ()) in tangents:
         return ConeH.zero(dim)
     ineqs, eqs = map(list, radial)
-    for tangent in tangents:
+    for tangent in filter(None, tangents):
         rays, lineality = ConeH.from_rows(dim, *tangent).generators()
         ineqs += rays
         eqs += lineality
@@ -99,16 +110,83 @@ def proximal_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
     return frechet_normal_wrt(omega, wrt, point)
 
 
-def _patterns(omega: PolySet, wrt: ConvexPoly, point: Vec) -> set:
+_memo = None  # {input: result} of the outermost open rule call, else None
+
+
+def rule_scope(rule):
+    """`rule` with one memo of `_patterns` and `_union` results by input for
+    its outermost call, shared by nested rule calls and dropped when that
+    call ends: a rule searches each (omega, wrt, point) once.  Nothing is
+    kept across calls, so every call checks its limits afresh."""
+
+    @wraps(rule)
+    def scoped(*args, **kwargs):
+        global _memo
+        if _memo is not None:
+            return rule(*args, **kwargs)
+        _memo = {}
+        try:
+            return rule(*args, **kwargs)
+        finally:
+            _memo = None
+
+    return scoped
+
+
+def _per_rule_call(build):
+    """build, its results kept by input in the open rule call's memo; an
+    entry goes in only after its build returns."""
+
+    def kept(*args):
+        if _memo is None:
+            return build(*args)
+        key = (build, *args)
+        found = _memo.get(key)
+        if found is None:
+            found = _memo[key] = build(*args)
+        return found
+
+    return kept
+
+
+@_per_rule_call
+def _patterns(omega: PolySet, wrt: ConvexPoly, point: Vec) -> frozenset:
     """The `_rows_at` patterns at the witnesses of the cells of [omega, wrt]
     adherent to the point; none when the point is outside omega ∩ wrt."""
     if not (omega.contains(point) and wrt.contains(point)):
-        return set()
-    return {_rows_at(omega, cell.witness, wrt) for cell in local_cells([omega, wrt], point)}
+        return frozenset()
+    cells = local_cells([omega, wrt], point)
+    return frozenset(_rows_at(omega, cell.witness, wrt) for cell in cells)
 
 
-def _union(dim: int, patterns) -> ConeUnion:
-    return ConeUnion.make(dim, [_frechet_cone(dim, r) for r in patterns])
+def _undominated(patterns) -> list:
+    """The patterns whose cones no other pattern's cone holds, one of each
+    set of equal row sets.  q dominates p when they have the same radial rows
+    and the same pieces, and q's tangent rows hold p's piece by piece: q's
+    tangent cones are then smaller, so its cone is larger.  The equality
+    rows of a piece are its own and wrt's, equal within such a group."""
+    groups: dict = {}
+    for p in patterns:
+        radial, tangents = p
+        pieces = tuple(t is not None for t in tangents)
+        rows = tuple(t and frozenset(t[0]) for t in tangents)
+        groups.setdefault((radial, pieces), {}).setdefault(rows, p)
+    return [
+        p
+        for group in groups.values()
+        for rows, p in group.items()
+        if not any(
+            other is not rows and all(r is None or r <= o for r, o in zip(rows, other))
+            for other in group
+        )
+    ]
+
+
+@_per_rule_call
+def _union(dim: int, patterns: frozenset) -> ConeUnion:
+    """The union of the patterns' Fréchet cones, built from the undominated
+    patterns only: a dominated cone lies in another part."""
+    return ConeUnion.make(dim, [_frechet_cone(dim, r) for r in _undominated(patterns)])
 
 
 def limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeUnion:

@@ -15,7 +15,7 @@ from functools import cache
 from math import prod
 
 from ._record import record
-from .cones import limiting_normal_wrt
+from .cones import limiting_normal_wrt, rule_scope
 from .exactgeom import (
     ConeH,
     ConeUnion,
@@ -262,6 +262,7 @@ def _s_map(F1: PolyMultimap, F2: PolyMultimap) -> PolyMultimap:
     return PolyMultimap(n + m, 2 * m, graph)
 
 
+@rule_scope
 def sum_rule(
     F1: PolyMultimap,
     F2: PolyMultimap,
@@ -328,6 +329,7 @@ def _compose_slices(
     return PolyUnion.make(n, parts)
 
 
+@rule_scope
 def chain_rule(
     G: PolyMultimap,
     F: PolyMultimap,

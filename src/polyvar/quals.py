@@ -22,6 +22,9 @@ with zero sum; both are Minkowski/intersection computations on cone unions.
 A side's relative and classical cones come from one cell search of
 [Omega_i, C_i]; Omega_i cap C_i is never built, since T_{P∩C} = T_P ∩ T_C:
 a cell's tangent rows alone give the classical cone of Omega_i cap C_i.
+Called inside a rule, both checks read the patterns and cones of the rule
+call's memo (`cones.rule_scope`), so the relative cones the LQC check
+builds serve normal-densedness and the rule's sides.
 """
 
 from __future__ import annotations
@@ -70,9 +73,9 @@ def boundary_radial_limit(
     return ConeUnion.make(c.dim, [ConeH.from_rows(c.dim, a, eqs) for a in tight if a or eqs])
 
 
-def _classical(patterns) -> set:
+def _classical(patterns) -> frozenset:
     """The tangent rows alone: the classical cones of Omega_i cap C_i."""
-    return {(((), ()), tangents) for _, tangents in patterns}
+    return frozenset((((), ()), tangents) for _, tangents in patterns)
 
 
 def normal_densed_check(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import random
@@ -256,3 +257,12 @@ def run_optimized(script: str) -> dict:
         check=True,
     )
     return json.loads(proc.stdout)
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark harness (`perfbench/`), imported as the
+    harness imports it; tests only read and call it."""
+    harness = str(Path(__file__).resolve().parents[1] / "perfbench")
+    if harness not in sys.path:
+        sys.path.append(harness)
+    return importlib.import_module(name)

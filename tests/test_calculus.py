@@ -15,6 +15,7 @@ from conftest import (
     random_polyset_through,
     rng_vec,
 )
+from polyvar import cones, quals, stratify
 from polyvar.calculus import (
     intersection_rule,
     lqc_wrt_check,
@@ -28,6 +29,7 @@ from polyvar.exactgeom import ConeUnion, ConvexPoly, PolySet
 from polyvar.linalg import dot, vec, zero
 from polyvar.multimaps import PolyMultimap
 from polyvar.quals import boundary_radial_limit
+from polyvar.runner import render
 from polyvar.stratify import local_cells
 from polyvar.verdicts import FAILS, HOLDS
 
@@ -330,6 +332,32 @@ def test_intersection_rule_example2_both_configs():
     assert bad.lhs.contains(bad.witness) and not bad.rhs.contains(bad.witness)
     # the hand-computed witness certifies the same violation
     assert bad.lhs.contains(vec(1, 0, -2)) and not bad.rhs.contains(vec(1, 0, -2))
+
+
+def test_rule_memo_lives_for_one_outermost_call(monkeypatch):
+    """A rule call's memo of patterns and cones is dropped when the call
+    returns or raises: the next call on the same input searches again, so a
+    lowered active-row limit stops it.  Nested rule calls share the memo."""
+    ex = make_example1()
+    args = (ex.omega1, ex.omega2, ex.c_full, ex.c, ex.origin)
+    first = render(intersection_rule(*args))
+    assert cones._memo is None
+    with monkeypatch.context() as patch:
+        patch.setattr(stratify, "ACTIVE_ROW_LIMIT", 1)
+        with pytest.raises(stratify.ActiveRowLimitError):
+            intersection_rule(*args)
+    assert cones._memo is None
+    assert render(intersection_rule(*args)) == first
+
+    searches = []  # of `_patterns`, not the unmemoized boundary search
+    real = stratify.local_cells
+    monkeypatch.setattr(cones, "local_cells", lambda *a: searches.append(a) or real(*a))
+    intersection_rule(*args)
+    once = len(searches)
+    searches.clear()
+    twice = cones.rule_scope(lambda: [render(intersection_rule(*args)) for _ in range(2)])
+    assert twice() == [first, first]
+    assert once == 3 and len(searches) == once and cones._memo is None
 
 
 def test_intersection_rule_convex_whole_space():

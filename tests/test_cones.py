@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from conftest import (
     cone3,
     dd_generators,
     make_example1,
+    perfbench_module,
     random_polyset_through,
     random_poly_through,
     raw_int_rows,
@@ -542,6 +544,53 @@ def test_classical_cones_from_relative_patterns_match_the_built_intersection():
         coverage["base on bd wrt"] += any(dot(a, base) == b for a, b in wrt.ineqs)
         coverage["not the relative cone"] += got != cones._union(omega.dim, patterns)
     assert min(coverage.values()) >= 10, coverage
+
+
+def _domination_instances():
+    """(group, dim, omega, wrt, point): criterion 5's draws, the three
+    relative cones of each criterion 6 intersection draw, and the
+    benchmark's scaling generator at (d, k) = (4, 8) and (5, 10)."""
+    workloads = perfbench_module("workloads")
+    poly, polyset = workloads._poly, workloads._polyset
+    for _, a, _ in workloads._criterion5():
+        d = a["dim"]
+        yield "criterion 5", d, polyset(d, a["omega"]), poly(d, a["wrt"]), a["base"]
+    for rule, a, _ in workloads._criterion6():
+        if rule == "intersection":
+            d = a["dim"]
+            o1, o2 = polyset(d, a["o1"]), polyset(d, a["o2"])
+            c1, c2 = poly(d, a["c1"]), poly(d, a["c2"])
+            for omega, wrt in ((o1, c1), (o2, c2), (o1.intersect(o2), c1.intersect(c2))):
+                yield "criterion 6", d, omega, wrt, a["x"]
+    for dk in ((4, 8), (5, 10)):
+        a, _ = workloads._scaling_args(random.Random("scaling/instances"), dk)
+        d = a["d"]
+        yield dk, d, polyset(d, a["omega"]), poly(d, a["wrt"]), a["base"]
+
+
+def test_undominated_patterns_lose_no_part_of_the_limiting_cone():
+    """The cones of the undominated patterns have the same maximal parts as
+    the cones of every pattern, and far fewer are built."""
+    built = Counter()
+    for group, dim, omega, wrt, point in _domination_instances():
+        patterns = cones._patterns(omega, wrt, point)
+        kept = cones._undominated(patterns)
+        every = ConeUnion.make(dim, [cones._frechet_cone(dim, p) for p in patterns])
+        some = ConeUnion.make(dim, [cones._frechet_cone(dim, p) for p in kept])
+        assert some.parts == every.parts, (group, omega, wrt, point)
+        assert set(kept) <= patterns
+        built[group, "every"] += len(patterns)
+        built[group, "undominated"] += len(kept)
+    assert built == {
+        ("criterion 5", "every"): 617,
+        ("criterion 5", "undominated"): 365,
+        ("criterion 6", "every"): 472,
+        ("criterion 6", "undominated"): 284,
+        ((4, 8), "every"): 64,
+        ((4, 8), "undominated"): 17,
+        ((5, 10), "every"): 164,
+        ((5, 10), "undominated"): 47,
+    }
 
 
 def ref_active_rows(p: ConvexPoly, x: Vec):

@@ -9,7 +9,9 @@ pairings where the y and z blocks match.  Regenerate both files with
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import random
 from collections import Counter
@@ -24,8 +26,13 @@ from conftest import (
     rng_vec,
 )
 
-from polyvar import multimaps
-from polyvar.calculus import mixed_product_rule, preimage_rule, product_rule
+from polyvar import cli, cones, multimaps, quals, stratify
+from polyvar.calculus import (
+    intersection_rule,
+    mixed_product_rule,
+    preimage_rule,
+    product_rule,
+)
 from polyvar.exactgeom import ConvexPoly
 from polyvar.linalg import zero
 from polyvar.multimaps import chain_rule, sum_rule
@@ -41,17 +48,19 @@ GOLDEN = Path(__file__).parent / "data" / "rule_reports.json"
 PRODUCT_GOLDEN = Path(__file__).parent / "data" / "product_reports.json"
 
 
-def _draws():
-    """Criterion 6's sum and chain draws as (name, rule, args), replaying its
-    random stream: the intersection and preimage draws come first."""
+def _criterion6_draws():
+    """Criterion 6's draws as (name, rule, args), replaying its random
+    stream: 40 intersection, 16 preimage (redrawn where x leaves the
+    preimage, as criterion 6 does), 18 sum and 18 chain draws."""
     rng = random.Random(77)
-    for _ in range(40):
+    for done in range(40):
         dim = rng.randint(1, 3)
         base = rng_vec(rng, dim, -1, 1)
-        random_polyset_through(rng, dim, base)
-        random_polyset_through(rng, dim, base)
-        random_poly_through(rng, dim, base)
-        random_poly_through(rng, dim, base)
+        o1 = random_polyset_through(rng, dim, base)
+        o2 = random_polyset_through(rng, dim, base)
+        c1 = random_poly_through(rng, dim, base)
+        c2 = random_poly_through(rng, dim, base)
+        yield f"intersection-{done:02d}", intersection_rule, (o1, o2, c1, c2, base)
     done = 0
     while done < 16:
         n, m = rng.randint(1, 2), rng.randint(1, 2)
@@ -64,6 +73,7 @@ def _draws():
             preimage_rule(F, theta, c, x)
         except ValueError:  # criterion 6 redraws these
             continue
+        yield f"preimage-{done:02d}", preimage_rule, (F, theta, c, x)
         done += 1
 
     for done in range(18):
@@ -89,6 +99,11 @@ def _draws():
         zstar = rng_vec(rng, 1, -2, 2)
         c = random_poly_through(rng, n, x)
         yield f"chain-{done:02d}", chain_rule, (G, F, c, x, z, y, zstar)
+
+
+def _draws():
+    """Criterion 6's sum and chain draws as (name, rule, args)."""
+    return [d for d in _criterion6_draws() if d[1] in (sum_rule, chain_rule)]
 
 
 def _product_draws():
@@ -181,6 +196,49 @@ def test_sum_and_chain_rules_build_each_graph_cone_once(monkeypatch):
         rule(*args, variant=VARIANT_SEMICONTINUOUS)
         assert len(lhs_calls) == 1, name
         assert inputs and max(inputs.values()) == 1, (name, inputs.most_common(1))
+
+
+def _count_cell_searches(monkeypatch) -> Counter:
+    """A Counter of the `local_cells` inputs, (sets, point), that the
+    engine's modules search from now on."""
+    searches, real = Counter(), stratify.local_cells
+
+    def counting(sets, point):
+        searches[tuple(sets), point] += 1
+        return real(sets, point)
+
+    for module in (cones, quals, multimaps):
+        monkeypatch.setattr(module, "local_cells", counting)
+    return searches
+
+
+def test_every_rule_searches_each_input_once(monkeypatch):
+    """In one call of each of the four rules, every distinct input of the
+    cell search is searched once: the call's memo serves the qualifications,
+    both sides and the sum and chain rules' left side."""
+    searches = _count_cell_searches(monkeypatch)
+    calls = Counter()
+    for name, rule, args in _criterion6_draws():
+        variants = (VARIANT_SEMICONTINUOUS, VARIANT_SEMICOMPACT)
+        with_variant = rule in (sum_rule, chain_rule)
+        for kwargs in [{"variant": v} for v in variants] if with_variant else [{}]:
+            searches.clear()
+            rule(*args, **kwargs)
+            assert searches and max(searches.values()) == 1, (name, searches.most_common(1))
+            calls[name.split("-")[0]] += 1
+    assert calls == {"intersection": 40, "preimage": 16, "sum": 36, "chain": 36}
+
+
+def test_intersection_presets_search_four_inputs_once_each(monkeypatch):
+    """Example 2's intersection queries search each of [Omega1, C1],
+    [Omega2, C2], [Omega1, Omega2, C1 ∩ C2] and [Omega1 ∩ Omega2, C1 ∩ C2]
+    once, where the qualifications and both sides took 8 searches."""
+    searches = _count_cell_searches(monkeypatch)
+    for preset in ("ex2-intersection-holds", "ex2-intersection-failure"):
+        searches.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["paper-example", preset])
+        assert sorted(searches.values()) == [1, 1, 1, 1], (preset, searches)
 
 
 def test_rule_reports_match_golden_digests():
