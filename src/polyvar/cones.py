@@ -10,10 +10,11 @@ The three flavors are tied together by two exact facts about polyhedral data:
   inequalities and lineality as equalities;
 * the limiting cone relative to a convex set C is the finite union of the
   Fréchet-relative cones over the sign cells adherent to the base point,
-  because those cones are constant on every cell.  A cone is fixed by the
-  rows at its point, so one is built per pattern of rows that no other
-  pattern dominates (`_undominated`); a piece holding the point in its
-  interior makes it {0}, with no canonicalization.
+  because those cones are constant on every cell, hence also on every
+  stratum of cells that `local_cells` returns.  A cone is fixed by the rows
+  at its point, so one is built per pattern of rows that no other pattern
+  dominates (`_undominated`); a piece holding the point in its interior
+  makes it {0}, with no canonicalization.
 
 Within one call of a calculus rule (`rule_scope`), the patterns of each
 (omega, wrt, point) and the union of each set of patterns are computed once
@@ -36,10 +37,10 @@ from .stratify import local_cells
 from .verdicts import KIND_FRECHET, KIND_LIMITING, KIND_PROXIMAL
 
 
-def _active_rows(p: ConvexPoly, x: Vec) -> tuple[list[IntVec], list[IntVec]] | None:
+def _active_rows(p: ConvexPoly, excess) -> tuple[list[IntVec], list[IntVec]] | None:
     """(normals of the inequalities tight at x, equality normals) of p, or
-    None when x lies outside p: the rows of p's tangent cone at x."""
-    excess = excess_at(x)
+    None when x lies outside p: the rows of p's tangent cone at x, read
+    through `excess = excess_at(x)`."""
     active = []
     for a, b in p.rows:
         value = excess(a, b)
@@ -55,7 +56,7 @@ def _active_rows(p: ConvexPoly, x: Vec) -> tuple[list[IntVec], list[IntVec]] | N
 def radial_cone(c: ConvexPoly, x: Vec) -> ConeH:
     """Directions d with x + p d in c for some p > 0 (exact for polyhedra)."""
     check_dim("radial_cone point", len(x), c.dim)
-    rows = _active_rows(c, x)
+    rows = _active_rows(c, excess_at(x))
     if rows is None:
         raise ValueError("point outside the set")
     return ConeH.from_rows(c.dim, *rows)
@@ -65,13 +66,14 @@ def _rows_at(omega: PolySet, x: Vec, wrt: ConvexPoly):
     """(wrt's radial rows, each piece's tangent rows at x: its active rows plus
     wrt's, None for a piece missing x) as hashable tuples, which fix the
     Fréchet cone; None outside omega ∩ wrt."""
-    radial = _active_rows(wrt, x)
+    excess = excess_at(x)
+    radial = _active_rows(wrt, excess)
     if radial is None:
         return None
     ineqs, eqs = map(tuple, radial)
     tangents = tuple(
         found and ((*found[0], *ineqs), (*found[1], *eqs))
-        for found in (_active_rows(p, x) for p in omega.pieces)
+        for found in (_active_rows(p, excess) for p in omega.pieces)
     )
     return ((ineqs, eqs), tangents) if any(tangents) else None
 
@@ -151,7 +153,7 @@ def _per_rule_call(build):
 
 @_per_rule_call
 def _patterns(omega: PolySet, wrt: ConvexPoly, point: Vec) -> frozenset:
-    """The `_rows_at` patterns at the witnesses of the cells of [omega, wrt]
+    """The `_rows_at` patterns at the witnesses of the strata of [omega, wrt]
     adherent to the point; none when the point is outside omega ∩ wrt."""
     if not (omega.contains(point) and wrt.contains(point)):
         return frozenset()

@@ -176,8 +176,9 @@ def inner_regularity_check(
 
     Semicontinuity holds exactly when every cell of D adherent to x̄ lies in
     proj P for some piece P of A, the pieces through (x̄, ȳ).  One local cell
-    enumeration over D and the rows of proj A decides it, since each sign
-    cell lies in or misses each proj P.  If every cell lies in some proj P
+    enumeration over D and the rows of proj A decides it, since each stratum
+    lies in or misses each proj P of A: a row of proj P is left unbranched
+    only where proj P is already missed.  If every cell lies in some proj P
     with P in A, the tail of any sequence runs in those cells and
     dist(ȳ, P(x_k)) <= L|x_k - x̄| -> 0.  A cell that misses them all gives
     Fails with its witness w: for 0 < t <= 1 the points x̄ + t(w - x̄) stay in

@@ -9,11 +9,11 @@ vanishing-sum pair of sequences converges to some (v, -v); so the condition
 holds iff N_{C1}(x, Omega1) cap [-N_{C2}(x, Omega2)] = {0}.
 
 Normal-densedness quantifies over limits of classical normals plus a radial
-direction taken along Omega cap bd C.  Over each adherent sign cell the
-radial cone of C is constant, fixed by the rows of C tight at the cell's
-witness, hence the achievable radial limits form the finite union L of the
-cones of the boundary cells, one per pattern of tight rows, and the premise
-pairs are exactly
+direction taken along Omega cap bd C.  Over each adherent stratum the
+radial cone of C is constant (C has one piece, so its rows always branch),
+fixed by the rows of C tight at the stratum's witness, hence the achievable
+radial limits form the finite union L of the cones of the boundary strata,
+one per pattern of tight rows, and the premise pairs are exactly
 {(v1, v2) in N(x,Omega1 cap C1) x N(x,Omega2 cap C2) : v1 + v2 in L}.  The
 conclusion asks for a re-representation of the sum inside the relative
 limiting cones, plus a nonzero re-representation when the pair is nonzero
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .cones import _active_rows, _patterns, _union, limiting_normal_wrt
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet
-from .linalg import Vec, check_dim, zero
+from .linalg import Vec, check_dim, excess_at, zero
 from .stratify import local_cells
 from .verdicts import TriVerdict
 
@@ -68,7 +68,7 @@ def boundary_radial_limit(
     is interior to c), which makes the normal-densedness premise vacuous.
     """
     cells = local_cells([omega1, omega2, c], x)
-    tight = {tuple(_active_rows(c, cell.witness)[0]) for cell in cells}
+    tight = {tuple(_active_rows(c, excess_at(cell.witness))[0]) for cell in cells}
     eqs = [e for e, _ in c.eq_rows]
     return ConeUnion.make(c.dim, [ConeH.from_rows(c.dim, a, eqs) for a in tight if a or eqs])
 

@@ -1,4 +1,4 @@
-"""Sign-cell enumeration for arrangements of polyhedral constraint rows.
+"""Cell and stratum enumeration for arrangements of polyhedral constraint rows.
 
 The combinatorics of a finite family of polyhedral sets is captured by the
 sign cells of the arrangement of all their defining hyperplanes: a sign per
@@ -11,13 +11,27 @@ realizes its sign vector.  One depth-first enumerator serves two modes.
   cell exactly when some direction d from the base realizes it (the segment
   from the base to any point of the cell stays in the cell), so each prefix
   is certified by an exact slack-maximizing LP over the active normals with
-  zero offsets, and the cell witness is the base moved a short way along d.
+  zero offsets, and the witness is the base moved a short way along d.
   This replaces every "for x close enough to x̄" quantifier with a finite,
-  exact enumeration.
-- Over a whole set (`global_cells`), every row branches and the same LP
-  keeps the offsets, so it finds a point of the region, which is the
-  witness: one representative per cell, for rules that quantify over all
-  points of a fiber.
+  exact enumeration.  It returns strata, unions of sign cells, rather than
+  the cells themselves (a stratification in the sense of Adam, Červinka &
+  Pištěk 2016; Henrion & Outrata 2008 read the same cones off the faces of
+  the pieces):
+  - Lazy branching.  An active hyperplane h is left unbranched, its sign
+    None, when every piece (of every set) with a row on h already has a
+    violated row.  Its sign then changes no piece's membership, and no
+    active row of a piece that holds the region, which is all a caller
+    reads at a witness: which pieces hold it and which of their rows are
+    tight there.  Leaving h out only drops a constraint, so the region
+    stays relatively open and convex and the descent below works as is.
+  - Fail-first order.  The active hyperplanes branch in the order of the
+    fewest pieces of a set with a row on them, so the rows of a convex set
+    (one piece, such as C) branch first and violate early; ties keep their
+    index order.
+- Over a whole set (`global_cells`), every row branches in index order and
+  the same LP keeps the offsets, so it finds a point of the region, which
+  is the witness: one representative per sign cell, for rules that
+  quantify over all points of a fiber.
 
 In both modes the descent starts at the origin and a child whose sign the
 parent's point already has reuses that point, so no LP runs for it.  The
@@ -42,8 +56,8 @@ from .linalg import Vec, check_dim, excess_at, integer_row, neg, sub, zero
 
 ParticipatingSet = PolySet | ConvexPoly
 
-# most rows one enumeration may branch on; each branches three ways, so the
-# search tree has up to 3^k leaves (the test suite reaches k = 9)
+# most rows one enumeration may branch on; each branches at most three ways,
+# so 3^k bounds the leaves of the search tree (the test suite reaches k = 9)
 ACTIVE_ROW_LIMIT = 12
 
 
@@ -60,15 +74,18 @@ def _check_branching(k: int) -> None:
 
 @record
 class CellSignature:
-    """Sign of (a.x - b) per arrangement hyperplane: -1 below, 0 on, 1 above."""
+    """Sign of (a.x - b) per arrangement hyperplane: -1 below, 0 on, 1 above,
+    None on a hyperplane the stratum did not branch on."""
 
     signs: tuple[int, ...]
 
 
 @record
 class Cell:
-    """A nonempty sign cell inside every input set.
+    """A nonempty sign cell, or a stratum of them, inside every input set.
 
+    A None sign means unbranched: the stratum is the union of the adherent
+    sign cells with its other signs, and no piece with a row there holds it.
     Every consumer reads only the witness, a point of the cell (a point
     near the base, for `local_cells`); the signature orders the cells, so
     the list and everything computed from it are deterministic.
@@ -153,14 +170,18 @@ def _other_side(p: Vec, q: Vec, h: IntRow, assigned: list[IntRow]) -> Vec:
 
 
 def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
-    """All nonempty sign cells adherent to `base` and inside every input set.
+    """The strata of the nonempty sign cells adherent to `base` and inside
+    every input set.
 
     A cell is adherent exactly when the base point satisfies the closure of
     its sign conditions, which for rows inactive at the base pins the sign to
-    the base's own.  Active rows branch three ways with LP pruning of
-    infeasible prefixes.  Discarded are cells outside some participating set
-    (they carry no sequence inside the intersection).  Raises
-    ActiveRowLimitError when more than ACTIVE_ROW_LIMIT rows are active.
+    the base's own.  Active rows branch three ways, fail-first, with LP
+    pruning of infeasible prefixes, and only where a piece holding the
+    region could change (module docstring).  Discarded are cells outside
+    some participating set (they carry no sequence inside the
+    intersection).  Every stratum's pieces and their tight rows are those
+    of each sign cell in it.  Raises ActiveRowLimitError when more than
+    ACTIVE_ROW_LIMIT rows are active.
     """
     for s in sets:
         check_dim("local_cells base", len(base), s.dim)
@@ -199,11 +220,16 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         return index[key], flip
 
     # requirement per row: (hyperplane id, allowed signs) for "row satisfied",
-    # where None, a sign still to branch, is allowed
+    # where None, a sign not branched (yet), is allowed
     piece_rows: list[list[list[tuple[int, frozenset[int | None]]]]] = []
+    # per hyperplane: the requirements of each piece with a row on it, and
+    # the fewest pieces of a set with a row on it
+    holders: dict[int, list[list[tuple[int, frozenset[int | None]]]]] = {}
+    fewest: dict[int, int] = {}
     for s in sets:
         rows_per_piece = []
-        for piece in _as_pieces(s):
+        pieces = _as_pieces(s)
+        for piece in pieces:
             reqs: list[tuple[int, frozenset[int | None]]] = []
             for a, b in piece.rows:
                 h, flip = hyperplane_id(a, b)
@@ -212,6 +238,9 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
             for e, d in piece.eq_rows:
                 h, _ = hyperplane_id(e, d)
                 reqs.append((h, frozenset({0, None})))
+            for h, _ in reqs:
+                holders.setdefault(h, []).append(reqs)
+                fewest[h] = min(fewest.get(h, len(pieces)), len(pieces))
             rows_per_piece.append(reqs)
         piece_rows.append(rows_per_piece)
 
@@ -234,6 +263,10 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
             (hp.normal, hp.offset) for hp, s in zip(hyperplanes, signs) if s is not None
         ]
     active = [h for h in range(n_h) if signs[h] is None]
+    if base is not None:
+        # fail-first: the rows of the sets with the fewest pieces branch
+        # first (a stable sort, so ties keep their index order)
+        active.sort(key=fewest.__getitem__)
     # each hyperplane as the region LP reads it, (normal, offset), and negated
     rows = [(hp.normal, offset) for hp, offset in zip(hyperplanes, offsets)]
     flipped = [(neg(normal), -offset) for normal, offset in rows]
@@ -254,6 +287,9 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
                 return False
         return True
 
+    def violated(reqs) -> bool:
+        return any(signs[h] not in allowed for h, allowed in reqs)
+
     def region_point(assigned: list[int]) -> Vec | None:
         # a point p with sign(a.p - offset) = s on the assigned rows
         strict = [rows[h] if signs[h] < 0 else flipped[h] for h in assigned if signs[h]]
@@ -262,13 +298,19 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
 
     def descend(pos: int, p: Vec) -> None:
         if pos == len(active):
-            # every sign is known here, so `pieces_possible`, which let
-            # this leaf be reached, put the cell in a piece of every set
+            # `pieces_possible`, which let this leaf be reached, left a piece
+            # of every set unviolated; such a piece has no unbranched row,
+            # so every sign it reads is known and the region lies in it
             witness = p if base is None else _step(base, p, inactive)
             cells.append(Cell(CellSignature(tuple(signs)), witness))
             return
         h = active[pos]
+        if base is not None and all(map(violated, holders[h])):
+            # no piece with a row on h can hold the region: h stays None
+            descend(pos + 1, p)
+            return
         side = _sign(excess_at(p)(hyperplanes[h].normal, offsets[h]))
+        assigned = [g for g in active[:pos] if signs[g] is not None] + [h]
         # the child on p's side reuses p; the far side's LP (module
         # docstring) settles the other new child: empty, or a point from q
         far = 1 if side < 0 else -1
@@ -280,10 +322,10 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
                     child = p
                 elif ran:
                     child = None if q is None else _other_side(
-                        p, q, rows[h], [rows[g] for g in active[:pos + 1]]
+                        p, q, rows[h], [rows[g] for g in assigned]
                     )
                 else:
-                    child = q = region_point(active[:pos + 1])
+                    child = q = region_point(assigned)
                     ran = True
                 if child is not None:
                     descend(pos + 1, child)
@@ -291,5 +333,5 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
 
     if pieces_possible():
         descend(0, zero(dim))
-    cells.sort(key=lambda c: c.signature.signs)
+    cells.sort(key=lambda c: [2 if s is None else s for s in c.signature.signs])
     return cells

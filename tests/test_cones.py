@@ -32,7 +32,7 @@ from polyvar.cones import (
     radial_cone,
 )
 from polyvar.exactgeom import ConeH, ConeUnion, ConvexPoly, PolySet, polar
-from polyvar.linalg import Vec, add, dot, neg, sub, vec
+from polyvar.linalg import Vec, add, dot, excess_at, neg, sub, vec
 from polyvar.stratify import local_cells
 
 
@@ -518,7 +518,7 @@ def test_limiting_cone_per_row_pattern_matches_per_cell_union():
         domain = cap_poly(omega, wrt)
         witnesses = [c.witness for c in local_cells([omega, wrt], base)]
         coverage["interior cell"] += any(
-            cones._active_rows(p, w) == ([], [])
+            cones._active_rows(p, excess_at(w)) == ([], [])
             for p in domain.pieces
             for w in witnesses
         )
@@ -644,7 +644,7 @@ def test_active_rows_match_dot_reference():
                 d = tuple(v / rng.randint(2, 7) for v in a)
                 points += [on, sub(on, d), add(on, d)]  # on, inside, outside
             for x in points:
-                got = cones._active_rows(poly, x)
+                got = cones._active_rows(poly, excess_at(x))
                 assert got == ref_active_rows(poly, x), (poly, x)
                 nones += got is None
                 actives += bool(got and got[0])

@@ -1,4 +1,8 @@
-"""Cell enumeration: adherence, completeness and sign constancy."""
+"""Cell enumeration: adherence, completeness and sign constancy.
+
+Near a base point the enumerator returns strata: a sign of None is a row it
+did not branch on, which any sign of a sign cell inside the stratum matches.
+"""
 
 from __future__ import annotations
 
@@ -12,11 +16,12 @@ import pytest
 from conftest import (
     active_pieces,
     make_example1,
+    perfbench_module,
     random_poly_through,
     random_polyset_through,
     rng_vec,
 )
-from polyvar import lp, stratify
+from polyvar import cones, lp, stratify
 from polyvar.exactgeom import ConvexPoly, PolySet
 from polyvar.linalg import dot, vec
 from polyvar.stratify import global_cells, local_cells
@@ -116,8 +121,8 @@ def test_partition_and_constancy_random():
                 )
                 assert s.contains(p)
         # grid completeness: points of s in a small enough ball around the
-        # base land in returned cells (safe radius: below the 1-norm distance
-        # to every hyperplane the base does not touch)
+        # base land in exactly one returned stratum (safe radius: below the
+        # 1-norm distance to every hyperplane the base does not touch)
         hyper = _hyperplanes(cells[0], s)
         r_safe = Fraction(1, 2)
         for a, b2 in hyper:
@@ -130,15 +135,8 @@ def test_partition_and_constancy_random():
             x = tuple(b + d for b, d in zip(base, delta))
             if not s.contains(x):
                 continue
-            found = any(
-                all(
-                    (dot(a, x) - b2 > 0) == (sg > 0)
-                    and (dot(a, x) - b2 < 0) == (sg < 0)
-                    for (a, b2), sg in zip(hyper, c.signature.signs)
-                )
-                for c in cells
-            )
-            assert found, (x, base, s)
+            found = sum(_realizes(x, hyper, c.signature.signs) for c in cells)
+            assert found == 1, (x, base, s)
 
 
 def _hyperplanes(cell, s):
@@ -166,13 +164,52 @@ def _sign(v):
     return (v > 0) - (v < 0)
 
 
+def _realizes(x, hyper, signs):
+    """x has every sign of `signs` by dot products; None matches any sign."""
+    return all(
+        sg is None or _sign(dot(a, x) - b) == sg for (a, b), sg in zip(hyper, signs)
+    )
+
+
+def _within(cell_signs, stratum_signs):
+    return all(t is None or s == t for s, t in zip(cell_signs, stratum_signs))
+
+
+def _assert_strata_of(strata, cells):
+    """Every sign cell lies in exactly one stratum, every stratum holds one."""
+    for signs in cells:
+        assert sum(_within(signs, st) for st in strata) == 1, (signs, strata)
+    for st in strata:
+        assert any(_within(signs, st) for signs in cells), (st, cells)
+
+
+def _pattern(sets, x):
+    """Per set, per piece: None when the piece misses x, else the indices of
+    its rows tight at x (what the cones, quals and multimaps read)."""
+    return tuple(
+        tuple(
+            frozenset(
+                i for i, (a, b) in enumerate(piece.ineqs + piece.eqs) if dot(a, x) == b
+            )
+            if piece.contains(x)
+            else None
+            for piece in (s.pieces if isinstance(s, PolySet) else (s,))
+        )
+        for s in sets
+    )
+
+
 def _brute_force_cells(sets, hyper, dim, base=None):
+    return set(_brute_force_points(sets, hyper, dim, base))
+
+
+def _brute_force_points(sets, hyper, dim, base=None):
     # every sign vector on the rows active at the base (on all rows without
     # a base), tested on the full system with the inactive rows held
-    # strictly at the base's side
+    # strictly at the base's side; each with a point realizing it
     base_signs = [0 if base is None else _sign(dot(a, base) - b) for a, b in hyper]
     active = [i for i, s in enumerate(base_signs) if s == 0]
-    found = set()
+    found = {}
     for choice in itertools.product((-1, 0, 1), repeat=len(active)):
         signs = list(base_signs)
         for i, s in zip(active, choice):
@@ -187,14 +224,14 @@ def _brute_force_cells(sets, hyper, dim, base=None):
                 strict.append((tuple(-x for x in a), -b))
         point = lp.strict_feasible_point([], strict, eqs, dim)
         if point is not None and all(s.contains(point) for s in sets):
-            found.add(tuple(signs))
+            found[tuple(signs)] = point
     return found
 
 
 def test_local_cells_match_brute_force_over_sign_vectors():
     rng = random.Random(2024)
-    checked = 0
-    while checked < 40:
+    checked = unbranched = 0
+    while checked < 40 or unbranched < 15:
         dim = rng.randint(2, 3)
         base = rng_vec(rng, dim, -1, 1)
         sets = [random_polyset_through(rng, dim, base, max_pieces=2)]
@@ -204,14 +241,23 @@ def test_local_cells_match_brute_force_over_sign_vectors():
         n_active = sum(1 for a, b in hyper if dot(a, base) == b)
         if not 1 <= n_active <= 4:
             continue
-        cells = local_cells(sets, base)
-        assert {c.signature.signs for c in cells} == _brute_force_cells(
-            sets, hyper, dim, base
-        )
-        for cell in cells:
-            w = cell.witness
-            assert tuple(_sign(dot(a, w) - b) for a, b in hyper) == cell.signature.signs
+        strata = local_cells(sets, base)
+        cells = _brute_force_points(sets, hyper, dim, base)
+        _assert_strata_of([st.signature.signs for st in strata], cells)
+        for st in strata:
+            w = st.witness
+            assert _realizes(w, hyper, st.signature.signs)
             assert all(s.contains(w) for s in sets)
+            # the witness lies in an adherent sign cell, hence in the stratum
+            assert tuple(_sign(dot(a, w) - b) for a, b in hyper) in cells
+            # each sign cell of the stratum has the witness's pattern
+            for signs, point in cells.items():
+                if _within(signs, st.signature.signs):
+                    assert _pattern(sets, point) == _pattern(sets, w)
+        assert {_pattern(sets, st.witness) for st in strata} == {
+            _pattern(sets, point) for point in cells.values()
+        }
+        unbranched += any(None in st.signature.signs for st in strata)
         checked += 1
 
 
@@ -394,11 +440,16 @@ def test_cells_skip_region_lps_convexity_decides(monkeypatch, mode):
         ref_calls = calls[0]
         calls[0] = 0
         got = stratify._cells(sets, base)
-        # the same cells; witnesses may differ, each realizes its signature
-        assert [c.signature for c in got] == [c.signature for c in ref], (sets, base)
+        # the same sign cells, or near a base strata of them; witnesses may
+        # differ, each realizes its signature
+        if base is None:
+            assert [c.signature for c in got] == [c.signature for c in ref], sets
+        else:
+            _assert_strata_of(
+                [c.signature.signs for c in got], [c.signature.signs for c in ref]
+            )
         for cell in got:
-            w = cell.witness
-            assert tuple(_sign(dot(a, w) - b) for a, b in hyper) == cell.signature.signs
+            assert _realizes(cell.witness, hyper, cell.signature.signs)
         assert calls[0] <= ref_calls
         saved += calls[0] < ref_calls
         checked += 1
@@ -441,15 +492,15 @@ def test_derived_middle_points_lie_in_their_child_region(monkeypatch, mode):
         if len(hyper) > 6:
             continue
         for cell in stratify._cells(sets, base):
-            w = cell.witness
-            assert tuple(_sign(dot(a, w) - b) for a, b in hyper) == cell.signature.signs
+            assert _realizes(cell.witness, hyper, cell.signature.signs)
     assert min(cases.values()) >= 10, cases
 
 
-# sha256 of the cells of `_pinned_cases`, recorded before the enumerator kept
-# its signs in one list: the refactor moves no cell and no witness
+# sha256 of the cells of `_pinned_cases`: global recorded before the
+# enumerator kept its signs in one list, local when it began to return strata
+# in fail-first order (every witness checked against its signs below)
 PINNED_CELLS = {
-    "local": "a212162b14284d37d493af17c5b9884c17bd3413f6af216b3e390712e79eb413",
+    "local": "7e3367204845e07d2ddad207c7596b80f0e7f699d189ffb9811ee3f2811b6464",
     "global": "581e18bff19775cca852bfdedc64bc2a93091b1f5d23b786e47e15d90e71ca92",
 }
 
@@ -477,5 +528,40 @@ def test_cells_match_the_pinned_digest(mode):
     digest = hashlib.sha256()
     for sets, base in _pinned_cases(mode):
         cells = global_cells(sets) if base is None else local_cells(sets, base)
+        hyper = _arrangement(sets)
+        for cell in cells:
+            assert _realizes(cell.witness, hyper, cell.signature.signs)
+            assert all(s.contains(cell.witness) for s in sets)
         digest.update(repr([(c.signature.signs, c.witness) for c in cells]).encode())
     assert digest.hexdigest() == PINNED_CELLS[mode]
+
+
+# the benchmark's scaling generator at (d, k): the strata of its cell search,
+# that search's `lp.solve` calls, and the sha256 of the limiting cone's parts,
+# the digest recorded when every active row branched (106 and 614 sign cells
+# then, from 412 and 2,377 LPs)
+SCALING_WORK = {
+    (4, 8): (82, 187, "8c0eb7ecf16b2cfbbf2fc8fe8041b5a75ea4366fd7422028f514818ec606d5af"),
+    (5, 10): (298, 471, "f854e8cdc1edf36e2845986128a83c7ca26c1f0e00d388923bfdb93e11760b37"),
+}
+
+
+@pytest.mark.parametrize("dk", sorted(SCALING_WORK), ids=lambda dk: "d%d-k%d" % dk)
+def test_strata_pin_the_work_on_the_scaling_generator(monkeypatch, dk):
+    workloads = perfbench_module("workloads")
+    a, _ = workloads._scaling_args(random.Random("scaling/instances"), dk)
+    d, base = a["d"], a["base"]
+    omega, wrt = workloads._polyset(d, a["omega"]), workloads._poly(d, a["wrt"])
+    calls = [0]
+    solve = lp.solve
+
+    def counted(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    strata = local_cells([omega, wrt], base)
+    searched = calls[0]
+    parts = cones.limiting_normal_wrt(omega, wrt, base).parts
+    digest = hashlib.sha256(repr(parts).encode()).hexdigest()
+    assert (len(strata), searched, digest) == SCALING_WORK[dk]
