@@ -4,10 +4,21 @@
 `wrt` both given and absent and `pairing`/`variant` both given and defaulted.
 The arguments are asymmetric (distinct sets, base points off the diagonal),
 so a field routed to the wrong parameter changes the report or the exit code.
+
+`tests/data/every_op_reports.json` holds the sha256 of the report of each
+op's command on that file, plain (keyed by the op) and with `--decimal` or
+`--cross-check` (keyed "<op> <flag>"), and under "exit_codes" the exit code
+of every such run.  `test_cli_matches_library` renders both sides with
+`render`, so only these digests see a change in how a result renders.
+Regenerate with `python tests/test_every_op.py` only when a report is meant
+to change.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -21,6 +32,8 @@ from polyvar.problemfile import load_path
 from polyvar.runner import render
 
 DATA = Path(__file__).parent / "data" / "every_op.json"
+GOLDEN = Path(__file__).parent / "data" / "every_op_reports.json"
+FLAGS = ((), ("--decimal",), ("--cross-check",))
 
 VERDICT_CODES = {"holds": 0, "fails": 1}
 MPEC_CODES = {
@@ -227,3 +240,28 @@ def test_failed_inner_hypothesis_is_rendered_with_its_witness(tmp_path):
         z = tuple(b + t * (v - b) for b, v in zip(base[:2], w))
         assert c_lift.contains(z) and any(q.contains(z) for q in proj)
         assert through and not any(q.contains(z) for q in through)
+
+
+def _record() -> dict:
+    """{run label: sha256 of its report, "exit_codes": {run label: code}}."""
+    out: dict = {"exit_codes": {}}
+    for flags in FLAGS:
+        for op, (args, _) in sorted(OPS.items()):
+            label = " ".join((op,) + flags)
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                out["exit_codes"][label] = main([*args, str(DATA), *flags])
+            out[label] = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+    return out
+
+
+def test_every_op_report_matches_golden_digests():
+    golden = json.loads(GOLDEN.read_text())
+    labels = [" ".join((op,) + f) for f in FLAGS for op in OPS]
+    assert sorted(golden) == sorted(labels + ["exit_codes"])
+    assert sorted(golden["exit_codes"]) == sorted(labels)
+    assert _record() == golden
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps(_record(), indent=2, sort_keys=True) + "\n")
