@@ -2,8 +2,8 @@
 
 Exit codes: 0 computed / condition holds; 1 condition fails or an inclusion
 is violated (a witness is in the report); 2 an MPEC candidate is
-Inconclusive; 3 malformed input.  Reports are canonical JSON
-(sorted keys, exact rationals), byte-identical across runs.
+Inconclusive; 3 malformed input or an unwritable `--out`.  Reports are
+canonical JSON (sorted keys, exact rationals), byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -159,7 +159,11 @@ def main(argv: list[str] | None = None) -> int:
     }
     if args.cross_check:
         report["oracle_flags"] = total_flags
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except OSError as exc:
+        sys.stderr.write(f"output error: {args.out}: {exc.strerror or exc}\n")
+        return EXIT_INPUT
     return worst
 
 

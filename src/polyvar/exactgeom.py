@@ -254,27 +254,17 @@ class ConvexPoly:
         check_dim("slice values", len(values), len(coords))
         # a.u <= b - a.w, w = nv / dv holding v at coords: offset (b.dv - a.nw) / dv
         nv, dv = integer_row(values)
-        start = coords[0] if len(coords) else 0
-        stop = start + len(coords)
-        if 0 <= start and stop <= self.dim and tuple(coords) == tuple(range(start, stop)):
-            # coords one block, as in every section the engine takes: cut by slicing
+        free = [i for i in range(self.dim) if i not in coords]
+        if len(free) + len(coords) != self.dim:
+            raise ValueError(
+                f"slice coordinates {tuple(coords)}: "
+                f"not distinct members of range({self.dim})"
+            )
+        nw = _lift(nv, self.dim, coords)
 
-            def cut(a, b):
-                offset = quotient(b * dv - sum(map(mul, a[start:stop], nv)), dv)
-                return a[:start] + a[stop:], offset
-
-        else:
-            free = [i for i in range(self.dim) if i not in coords]
-            if len(free) + len(coords) != self.dim:
-                raise ValueError(
-                    f"slice coordinates {tuple(coords)}: "
-                    f"not distinct members of range({self.dim})"
-                )
-            nw = _lift(nv, self.dim, coords)
-
-            def cut(a, b):
-                offset = quotient(b * dv - sum(map(mul, a, nw)), dv)
-                return tuple([a[i] for i in free]), offset
+        def cut(a, b):
+            offset = quotient(b * dv - sum(map(mul, a, nw)), dv)
+            return tuple([a[i] for i in free]), offset
 
         return ConvexPoly.from_rows(
             self.dim - len(coords),

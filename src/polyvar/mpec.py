@@ -4,17 +4,21 @@ The stationarity test is necessary-only, so the verdict is three-state:
 a candidate is CertifiedNonOptimal only when every hypothesis of the
 applicable condition holds exactly and the condition itself fails; candidates
 passing the condition get NecessaryConditionsHold (never "optimal"); a
-failed hypothesis downgrades the report to Inconclusive with full
-diagnostics.
+failed hypothesis downgrades the report to Inconclusive.
 
-A report holds one normal cone of epi f relative to C1 x R; its horizon and
-limiting subdifferentials are its `FiniteUnion.slice` sections at 0 and -1.
+A `StationarityReport` keeps, beside the verdicts, what they were read
+from: `subdifferential` (the limiting subdifferential of f relative to C1),
+`coderivative_zero_slice` (D*_{C2} G(x, 0)(0)) and `objective_value`
+(f(x)).  Both subdifferentials are `FiniteUnion.slice` sections, at -1 and
+at 0, of one normal cone of epi f relative to C1 x R.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from ._record import record
-from .exactgeom import ConvexPoly, PolySet, PolyUnion
+from .exactgeom import ConeUnion, ConvexPoly, PolySet, PolyUnion
 from .linalg import Vec, zero
 from .multimaps import PolyMultimap, coderivative_zero_cone
 from .plfunc import PLFunc, _epi_cone
@@ -45,7 +49,9 @@ class StationarityReport:
     condition_with_coderivative: bool
     condition_objective_only: bool
     verdict: str
-    diagnostics: dict
+    subdifferential: PolyUnion
+    coderivative_zero_slice: ConeUnion
+    objective_value: Fraction
 
 
 def _check_feasible(p: MPECProblem, x: Vec) -> Vec:
@@ -103,12 +109,6 @@ def stationarity_check(p: MPECProblem, x: Vec) -> StationarityReport:
     else:
         verdict = INCONCLUSIVE
 
-    diagnostics = {
-        "subdifferential": subdiff,
-        "coderivative_zero_slice": dzero,
-        "objective_value": point[-1],
-        "objective_only_applicable": aubin.is_holds() and q2.is_holds(),
-    }
     return StationarityReport(
-        x, q1, q2, aubin, condition_sum, condition_obj, verdict, diagnostics
+        x, q1, q2, aubin, condition_sum, condition_obj, verdict, subdiff, dzero, point[-1]
     )

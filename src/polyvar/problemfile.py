@@ -92,14 +92,18 @@ def _dim(spec: dict, key: str, path: str, extra: int = 0) -> int:
     return dim
 
 
-def _convex(spec: dict, path: str) -> ConvexPoly:
-    _expect_keys(spec, path, {"type", "dim"}, {"ineqs", "eqs"})
-    dim = _dim(spec, "dim", path)
+def _poly(spec: dict, dim: int, path: str) -> ConvexPoly:
+    """The polyhedron of `spec`'s optional "ineqs" and "eqs" rows."""
     return ConvexPoly.make(
         dim,
         _rows(spec.get("ineqs", []), dim, f"{path}.ineqs"),
         _rows(spec.get("eqs", []), dim, f"{path}.eqs"),
     )
+
+
+def _convex(spec: dict, path: str) -> ConvexPoly:
+    _expect_keys(spec, path, {"type", "dim"}, {"ineqs", "eqs"})
+    return _poly(spec, _dim(spec, "dim", path), path)
 
 
 def _pieces(values: Any, dim: int, path: str) -> list[ConvexPoly]:
@@ -109,13 +113,7 @@ def _pieces(values: Any, dim: int, path: str) -> list[ConvexPoly]:
     for i, piece in enumerate(values):
         pp = f"{path}[{i}]"
         _expect_keys(piece, pp, set(), {"ineqs", "eqs"})
-        out.append(
-            ConvexPoly.make(
-                dim,
-                _rows(piece.get("ineqs", []), dim, f"{pp}.ineqs"),
-                _rows(piece.get("eqs", []), dim, f"{pp}.eqs"),
-            )
-        )
+        out.append(_poly(piece, dim, pp))
     return out
 
 

@@ -7,13 +7,17 @@ imports that module when the op runs, so a query loads only the engine
 modules it calls; the function is looked up on the module at each call,
 so a rebinding of the module attribute (perfbench's tracer rebinds them)
 is seen.
+
+`render` gives a result's report: an engine result record renders as its
+fields, with `rule_id` printed as `rule`; a `TriVerdict` prints as
+`verdict`/`certificate`, and polyhedra, cones and unions as their rows and
+parts.
 """
 
 from __future__ import annotations
 
 import importlib
 import math
-import sys
 from fractions import Fraction
 from typing import Any, Callable
 
@@ -47,11 +51,8 @@ def _rows(rows, decimal: bool):
     return [[_vec(a, decimal), _num(b, decimal)] for a, b in rows]
 
 
-def _is(obj: Any, module: str, cls: str) -> bool:
-    """isinstance(obj, polyvar.<module>.<cls>), False while that module is
-    not loaded: no object of the class can exist before its module."""
-    loaded = sys.modules.get(f"{__package__}.{module}")
-    return loaded is not None and isinstance(obj, getattr(loaded, cls))
+# report keys that differ from their record's field names
+_KEYS = {"rule_id": "rule"}
 
 
 def render(obj: Any, decimal: bool = False):
@@ -84,45 +85,16 @@ def render(obj: Any, decimal: bool = False):
         }
     if isinstance(obj, TriVerdict):
         return {"verdict": obj.value, "certificate": render(obj.certificate, decimal)}
-    if isinstance(obj, RuleReport):
-        return {
-            "rule": obj.rule_id,
-            "lhs": render(obj.lhs, decimal),
-            "rhs": render(obj.rhs, decimal),
-            "qualifications": [
-                [name, render(v, decimal)] for name, v in obj.qualifications
-            ],
-            "inclusion_holds": obj.inclusion_holds,
-            "equality_holds": obj.equality_holds,
-            "witness": render(obj.witness, decimal),
-        }
-    if _is(obj, "multimaps", "CoderivativeSlice"):
-        return {
-            "base": [render(obj.base[0], decimal), render(obj.base[1], decimal)],
-            "ystar": render(obj.ystar, decimal),
-            "result": render(obj.result, decimal),
-        }
-    if _is(obj, "plfunc", "SubdiffResult"):
-        return {"kind": obj.kind, "value": render(obj.value, decimal)}
-    if _is(obj, "mpec", "StationarityReport"):
-        return {
-            "candidate": render(obj.candidate, decimal),
-            "q1": render(obj.q1, decimal),
-            "q2": render(obj.q2, decimal),
-            "aubin_wrt_g": render(obj.aubin_wrt_g, decimal),
-            "condition_with_coderivative": obj.condition_with_coderivative,
-            "condition_objective_only": obj.condition_objective_only,
-            "verdict": obj.verdict,
-            "subdifferential": render(obj.diagnostics["subdifferential"], decimal),
-            "coderivative_zero_slice": render(
-                obj.diagnostics["coderivative_zero_slice"], decimal
-            ),
-            "objective_value": render(obj.diagnostics["objective_value"], decimal),
-        }
     if isinstance(obj, dict):
         return {k: render(v, decimal) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
         return [render(v, decimal) for v in obj]
+    if hasattr(type(obj), "__match_args__"):
+        # any other record: its fields are its report keys
+        return {
+            _KEYS.get(f, f): render(getattr(obj, f), decimal)
+            for f in type(obj).__match_args__
+        }
     raise TypeError(f"cannot render {type(obj).__name__}")
 
 
@@ -156,7 +128,7 @@ class Op:
 
 def dims_of(obj) -> tuple[int, ...]:
     """(input, output) dimensions of a map; (dimension,) of anything else."""
-    if _is(obj, "multimaps", "PolyMultimap"):
+    if hasattr(obj, "out_dim"):
         return obj.in_dim, obj.out_dim
     return (len(obj),) if isinstance(obj, tuple) else (obj.dim,)
 

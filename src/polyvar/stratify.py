@@ -56,20 +56,15 @@ from .linalg import Vec, check_dim, excess_at, integer_row, neg, sub, zero
 
 ParticipatingSet = PolySet | ConvexPoly
 
-# most rows one enumeration may branch on; each branches at most three ways,
-# so 3^k bounds the leaves of the search tree (the test suite reaches k = 9)
+# most rows one enumeration may take: the rows active at the base for
+# `local_cells`, every row for `global_cells`.  Each branches at most three
+# ways, so 3^k bounds the leaves of the search tree (the test suite reaches
+# k = 9); with strata many active rows never branch
 ACTIVE_ROW_LIMIT = 12
 
 
 class ActiveRowLimitError(LimitError):
     pass
-
-
-def _check_branching(k: int) -> None:
-    if k > ACTIVE_ROW_LIMIT:
-        raise ActiveRowLimitError(
-            f"active-row limit exceeded: {k} rows branch (limit {ACTIVE_ROW_LIMIT})"
-        )
 
 
 @record
@@ -270,7 +265,12 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
     # each hyperplane as the region LP reads it, (normal, offset), and negated
     rows = [(hp.normal, offset) for hp, offset in zip(hyperplanes, offsets)]
     flipped = [(neg(normal), -offset) for normal, offset in rows]
-    _check_branching(len(active))
+    if len(active) > ACTIVE_ROW_LIMIT:
+        counted = "active at the base" if base is not None else "of a global search"
+        raise ActiveRowLimitError(
+            f"active-row limit exceeded: {len(active)} rows {counted}"
+            f" (limit {ACTIVE_ROW_LIMIT})"
+        )
 
     cells: list[Cell] = []
 

@@ -84,6 +84,19 @@ def test_malformed_file_exit_3(tmp_path):
     assert main(["normal-cone", str(missing)]) == 3
 
 
+@pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+def test_unwritable_out_exit_3(where, tmp_path, capsys):
+    # a missing parent directory fails on the temporary file, a directory
+    # as the target fails on the rename onto it
+    target = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    assert main(["paper-example", "ex1-lqc", "--out", str(target)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"output error: {target}: ")
+    assert "Traceback" not in captured.err
+    assert not list(tmp_path.rglob(".polyvar-*"))
+
+
 def test_cross_check_zero_flags(tmp_path):
     code, text = run_cli(
         ["paper-example", "ex1-frechet-omega1", "--cross-check"], tmp_path

@@ -64,7 +64,7 @@ def test_final_example_1():
     assert r.aubin_wrt_g.value == HOLDS
     assert r.condition_with_coderivative and r.condition_objective_only
     # the subdifferential is exactly [0, 1]
-    sub = r.diagnostics["subdifferential"]
+    sub = r.subdifferential
     assert sub.contains(vec(0)) and sub.contains(vec(1))
     assert sub.contains(vec(Fraction(1, 2))) and not sub.contains(vec(2))
     assert not sub.contains(vec(Fraction(-1, 64)))
@@ -77,7 +77,7 @@ def test_final_example_2():
     assert r.q2.value == FAILS
     assert r.aubin_wrt_g.value == HOLDS
     # diagnostic: the subdifferential is {1} and misses zero
-    sub = r.diagnostics["subdifferential"]
+    sub = r.subdifferential
     assert sub.contains(vec(1)) and not sub.contains(vec(0))
     assert not r.condition_objective_only
 
@@ -162,8 +162,8 @@ def test_stationarity_check_evaluates_f_once(monkeypatch):
         got = (
             r.q1,
             r.q2,
-            r.diagnostics["subdifferential"],
-            r.diagnostics["objective_value"],
+            r.subdifferential,
+            r.objective_value,
         )
         assert got == expected
         verdicts.add(r.verdict)
@@ -199,7 +199,7 @@ def test_stationarity_check_builds_the_epigraph_cone_once(monkeypatch):
         r = stationarity_check(p, x)
         monkeypatch.undo()
         assert on_epi.count(True) == 1
-        assert (r.q1, r.diagnostics["subdifferential"]) == expected
+        assert (r.q1, r.subdifferential) == expected
 
 
 def test_consistency_aubin_and_q2_imply_condition_agreement():

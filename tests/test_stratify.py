@@ -84,11 +84,11 @@ def test_active_row_limit(monkeypatch):
     assert len(local_cells([ex.omega1, ex.c], ex.origin)) == 4
     assert global_cells([ex.c])
     monkeypatch.setattr(stratify, "ACTIVE_ROW_LIMIT", 1)
-    with pytest.raises(stratify.ActiveRowLimitError, match="2 rows branch"):
+    with pytest.raises(stratify.ActiveRowLimitError, match="2 rows active at the base"):
         local_cells([ex.omega1, ex.c], ex.origin)
     assert len(local_cells([ex.c], ex.origin)) == 2
     monkeypatch.setattr(stratify, "ACTIVE_ROW_LIMIT", 0)
-    with pytest.raises(stratify.ActiveRowLimitError, match="1 rows branch"):
+    with pytest.raises(stratify.ActiveRowLimitError, match="1 rows of a global search"):
         global_cells([ex.c])
 
 
