@@ -12,9 +12,10 @@ The three flavors are tied together by two exact facts about polyhedral data:
   Fréchet-relative cones over the sign cells adherent to the base point,
   because those cones are constant on every cell, hence also on every
   stratum of cells that `local_cells` returns.  A cone is fixed by the rows
-  at its point, so one is built per pattern of rows that no other pattern
-  dominates (`_undominated`); a piece holding the point in its interior
-  makes it {0}, with no canonicalization.
+  at its point, its pattern, which a stratum's signs give with no point
+  (`Cell.tight_rows`), so one is built per pattern of rows that no other
+  pattern dominates (`_undominated`); a piece holding the point in its
+  interior makes it {0}, with no canonicalization.
 
 Within one call of a calculus rule (`rule_scope`), the patterns of each
 (omega, wrt, point) and the union of each set of patterns are computed once
@@ -62,20 +63,28 @@ def radial_cone(c: ConvexPoly, x: Vec) -> ConeH:
     return ConeH.from_rows(c.dim, *rows)
 
 
+def _pattern(omega: PolySet, wrt: ConvexPoly, radial, tight):
+    """(wrt's radial rows, each piece's tangent rows: its active rows plus
+    wrt's, None for a piece missing the point) as hashable tuples, which fix
+    the Fréchet cone; `radial` and `tight` are the normals of the
+    inequalities tight at the point of wrt and of each piece (or None)."""
+    eqs = tuple(e for e, _ in wrt.eq_rows)
+    tangents = tuple(
+        None if t is None else ((*t, *radial), (*(e for e, _ in p.eq_rows), *eqs))
+        for p, t in zip(omega.pieces, tight)
+    )
+    return (radial, eqs), tangents
+
+
 def _rows_at(omega: PolySet, x: Vec, wrt: ConvexPoly):
-    """(wrt's radial rows, each piece's tangent rows at x: its active rows plus
-    wrt's, None for a piece missing x) as hashable tuples, which fix the
-    Fréchet cone; None outside omega ∩ wrt."""
+    """The `_pattern` at x, read by evaluating every row there; None outside
+    omega ∩ wrt."""
     excess = excess_at(x)
     radial = _active_rows(wrt, excess)
-    if radial is None:
+    found = [_active_rows(p, excess) for p in omega.pieces]
+    if radial is None or not any(found):
         return None
-    ineqs, eqs = map(tuple, radial)
-    tangents = tuple(
-        found and ((*found[0], *ineqs), (*found[1], *eqs))
-        for found in (_active_rows(p, excess) for p in omega.pieces)
-    )
-    return ((ineqs, eqs), tangents) if any(tangents) else None
+    return _pattern(omega, wrt, tuple(radial[0]), [f and tuple(f[0]) for f in found])
 
 
 def _frechet_cone(dim: int, rows) -> ConeH:
@@ -153,12 +162,15 @@ def _per_rule_call(build):
 
 @_per_rule_call
 def _patterns(omega: PolySet, wrt: ConvexPoly, point: Vec) -> frozenset:
-    """The `_rows_at` patterns at the witnesses of the strata of [omega, wrt]
-    adherent to the point; none when the point is outside omega ∩ wrt."""
+    """The `_pattern`s of the strata of [omega, wrt] adherent to the point,
+    read off their signs (wrt, one piece, holds every stratum); none when
+    the point is outside omega ∩ wrt."""
     if not (omega.contains(point) and wrt.contains(point)):
         return frozenset()
-    cells = local_cells([omega, wrt], point)
-    return frozenset(_rows_at(omega, cell.witness, wrt) for cell in cells)
+    return frozenset(
+        _pattern(omega, wrt, cell.tight_rows(1)[0], cell.tight_rows(0))
+        for cell in local_cells([omega, wrt], point)
+    )
 
 
 def _undominated(patterns) -> list:

@@ -152,9 +152,13 @@ def _canon_h_rows(
         elif not any(z & y == z != y for y in live):
             facets.append((a, b))
     # facets duplicated modulo the implied equalities, and rows constant on
-    # the set, reduce to one row or to 0 <= positive
-    eq_rows, pivots = rref_ints(eq_rows + implied)
-    keep = tuple(sorted(_reduce_rows(facets, eq_rows, pivots)))
+    # the set, reduce to one row or to 0 <= positive.  With no implied
+    # equality the facets are rows of `work`, already reduced, primitive and
+    # distinct, and the equalities already in RREF: nothing to redo
+    if implied:
+        eq_rows, pivots = rref_ints(eq_rows + implied)
+        facets = _reduce_rows(facets, eq_rows, pivots)
+    keep = tuple(sorted(facets))
     eq_out = tuple(sorted(_split(r) for r in eq_rows))
     if not homogeneous:
         return keep, eq_out, None, None

@@ -177,8 +177,9 @@ def inner_regularity_check(
     Semicontinuity holds exactly when every cell of D adherent to x̄ lies in
     proj P for some piece P of A, the pieces through (x̄, ȳ).  One local cell
     enumeration over D and the rows of proj A decides it, since each stratum
-    lies in or misses each proj P of A: a row of proj P is left unbranched
-    only where proj P is already missed.  If every cell lies in some proj P
+    lies in or misses each proj P of A, as its signs say: a row of proj P is
+    left unbranched only where proj P is already missed.  Only a failing
+    stratum builds a point, its witness.  If every cell lies in some proj P
     with P in A, the tail of any sequence runs in those cells and
     dist(ȳ, P(x_k)) <= L|x_k - x̄| -> 0.  A cell that misses them all gives
     Fails with its witness w: for 0 < t <= 1 the points x̄ + t(w - x̄) stay in
@@ -200,8 +201,11 @@ def inner_regularity_check(
     proj = [p.eliminate(tuple(range(n, n + m))) for p in F.graph.pieces]
     proj_a = [q for p, q in zip(F.graph.pieces, proj) if p.contains(base)]
     dom = PolySet.make(n, [q.intersect(c) for q in proj])
-    for cell in local_cells([dom, PolySet.make(n, dom.pieces + tuple(proj_a))], xbar):
-        if not any(q.contains(cell.witness) for q in proj_a):
+    over = PolySet.make(n, dom.pieces + tuple(proj_a))
+    # the pieces of `over` that are some proj P of A
+    of_a = [q in proj_a for q in over.pieces]
+    for cell in local_cells([dom, over], xbar):
+        if not any(a and t is not None for a, t in zip(of_a, cell.tight_rows(1))):
             return TriVerdict.fails({"witness": cell.witness})
     return TriVerdict.holds({"reason": "adherent cells lie over pieces through the base"})
 

@@ -11,9 +11,11 @@ holds iff N_{C1}(x, Omega1) cap [-N_{C2}(x, Omega2)] = {0}.
 Normal-densedness quantifies over limits of classical normals plus a radial
 direction taken along Omega cap bd C.  Over each adherent stratum the
 radial cone of C is constant (C has one piece, so its rows always branch),
-fixed by the rows of C tight at the stratum's witness, hence the achievable
-radial limits form the finite union L of the cones of the boundary strata,
-one per pattern of tight rows, and the premise pairs are exactly
+fixed by the rows of C tight on the stratum, which its signs give with no
+point, hence the achievable radial limits form the finite union L of the
+cones of the boundary strata, one per pattern of tight rows (none, with no
+cell search, when no row of C is tight at x and C has no equality), and
+the premise pairs are exactly
 {(v1, v2) in N(x,Omega1 cap C1) x N(x,Omega2 cap C2) : v1 + v2 in L}.  The
 conclusion asks for a re-representation of the sum inside the relative
 limiting cones, plus a nonzero re-representation when the pair is nonzero
@@ -62,13 +64,15 @@ def boundary_radial_limit(
 ) -> ConeUnion:
     """Outer limit of radial cones of c along Omega1 cap Omega2 cap bd c at x.
 
-    A cell lies in bd c when a row of c is tight at its witness or c has an
-    equality; one radial cone is built per pattern of tight rows.  Empty
-    union when no sequence of that kind approaches x (in particular when x
-    is interior to c), which makes the normal-densedness premise vacuous.
+    A stratum lies in bd c when a row of c is tight on it, read off its
+    signs, or c has an equality; one radial cone is built per pattern of
+    tight rows.  Empty union when no sequence of that kind approaches x (in
+    particular when x is interior to c, where no cell search runs), which
+    makes the normal-densedness premise vacuous.
     """
-    cells = local_cells([omega1, omega2, c], x)
-    tight = {tuple(_active_rows(c, excess_at(cell.witness))[0]) for cell in cells}
+    if _active_rows(c, excess_at(x)) == ([], []):
+        return ConeUnion.empty(c.dim)
+    tight = {cell.tight_rows(2)[0] for cell in local_cells([omega1, omega2, c], x)}
     eqs = [e for e, _ in c.eq_rows]
     return ConeUnion.make(c.dim, [ConeH.from_rows(c.dim, a, eqs) for a in tight if a or eqs])
 

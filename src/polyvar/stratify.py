@@ -11,19 +11,21 @@ realizes its sign vector.  One depth-first enumerator serves two modes.
   cell exactly when some direction d from the base realizes it (the segment
   from the base to any point of the cell stays in the cell), so each prefix
   is certified by an exact slack-maximizing LP over the active normals with
-  zero offsets, and the witness is the base moved a short way along d.
-  This replaces every "for x close enough to x̄" quantifier with a finite,
-  exact enumeration.  It returns strata, unions of sign cells, rather than
-  the cells themselves (a stratification in the sense of Adam, Červinka &
-  Pištěk 2016; Henrion & Outrata 2008 read the same cones off the faces of
-  the pieces):
+  zero offsets, and the witness is the base moved a short way along d,
+  built only when read.  This replaces every "for x close enough to x̄"
+  quantifier with a finite, exact enumeration.  It returns strata, unions
+  of sign cells, rather than the cells themselves (a stratification in the
+  sense of Adam, Červinka & Pištěk 2016; Henrion & Outrata 2008 read the
+  same cones off the faces of the pieces):
   - Lazy branching.  An active hyperplane h is left unbranched, its sign
     None, when every piece (of every set) with a row on h already has a
     violated row.  Its sign then changes no piece's membership, and no
     active row of a piece that holds the region, which is all a caller
-    reads at a witness: which pieces hold it and which of their rows are
-    tight there.  Leaving h out only drops a constraint, so the region
-    stays relatively open and convex and the descent below works as is.
+    reads of a stratum: which pieces hold it and which of their rows are
+    tight there.  Both are read off the signs (`Cell.tight_rows`), with no
+    point: they are the same at every point of the stratum.  Leaving h out
+    only drops a constraint, so the region stays relatively open and convex
+    and the descent below works as is.
   - Fail-first order.  The active hyperplanes branch in the order of the
     fewest pieces of a set with a row on them, so the rows of a convex set
     (one piece, such as C) branch first and violate early; ties keep their
@@ -76,18 +78,55 @@ class CellSignature:
 
 
 @record
+class _Search:
+    """What the cells of one search read their witnesses and patterns from:
+    the base and the rows inactive at it (None and () for `global_cells`),
+    and per input set, per piece, its rows' (hyperplane, allowed signs), the
+    inequality rows first, and the normals of its inequality rows."""
+
+    base: Vec | None
+    inactive: tuple[IntRow, ...]
+    rows: tuple[tuple[tuple[tuple[int, frozenset[int | None]], ...], ...], ...]
+    normals: tuple[tuple[tuple[IntVec, ...], ...], ...]
+
+
+@record
 class Cell:
     """A nonempty sign cell, or a stratum of them, inside every input set.
 
     A None sign means unbranched: the stratum is the union of the adherent
     sign cells with its other signs, and no piece with a row there holds it.
-    Every consumer reads only the witness, a point of the cell (a point
-    near the base, for `local_cells`); the signature orders the cells, so
-    the list and everything computed from it are deterministic.
+    The signs fix what the engine reads of a cell, which pieces hold it and
+    which of their rows are tight there (`tight_rows`), with no point.  The
+    witness, a point of the cell (a point near the base, for `local_cells`),
+    is built from `point`, for a local stratum a direction from the base, on
+    each read.  The signature orders the cells, so the list and everything
+    computed from it are deterministic.
     """
 
     signature: CellSignature
-    witness: Vec
+    point: Vec
+    search: _Search | None = None
+
+    @property
+    def witness(self) -> Vec:
+        search = self.search
+        if search is None or search.base is None:
+            return self.point
+        return _step(search.base, self.point, search.inactive)
+
+    def tight_rows(self, s: int) -> tuple[tuple[IntVec, ...] | None, ...]:
+        """Per piece of the s-th input set: None when the piece misses the
+        cell, else the normals of its inequality rows tight on it, in row
+        order.  A piece with an unbranched row misses the stratum, so every
+        sign a holding piece reads is known."""
+        signs = self.signature.signs
+        return tuple(
+            None
+            if any(signs[h] not in allowed for h, allowed in reqs)
+            else tuple(a for (h, _), a in zip(reqs, normals) if signs[h] == 0)
+            for reqs, normals in zip(self.search.rows[s], self.search.normals[s])
+        )
 
 
 @record
@@ -215,11 +254,11 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         return index[key], flip
 
     # requirement per row: (hyperplane id, allowed signs) for "row satisfied",
-    # where None, a sign not branched (yet), is allowed
-    piece_rows: list[list[list[tuple[int, frozenset[int | None]]]]] = []
+    # where None, a sign not branched (yet), is allowed; per set, per piece
+    piece_rows: list[tuple] = []
     # per hyperplane: the requirements of each piece with a row on it, and
     # the fewest pieces of a set with a row on it
-    holders: dict[int, list[list[tuple[int, frozenset[int | None]]]]] = {}
+    holders: dict[int, list[tuple[tuple[int, frozenset[int | None]], ...]]] = {}
     fewest: dict[int, int] = {}
     for s in sets:
         rows_per_piece = []
@@ -233,11 +272,12 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
             for e, d in piece.eq_rows:
                 h, _ = hyperplane_id(e, d)
                 reqs.append((h, frozenset({0, None})))
+            reqs = tuple(reqs)
             for h, _ in reqs:
                 holders.setdefault(h, []).append(reqs)
                 fewest[h] = min(fewest.get(h, len(pieces)), len(pieces))
             rows_per_piece.append(reqs)
-        piece_rows.append(rows_per_piece)
+        piece_rows.append(tuple(rows_per_piece))
 
     n_h = len(hyperplanes)
     # signs[h]: the sign of hyperplane h on the current prefix, None while h
@@ -246,7 +286,7 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         # every row branches; the region LP keeps the offsets (finds points)
         signs: list[int | None] = [None] * n_h
         offsets = [hp.offset for hp in hyperplanes]
-        inactive = []
+        inactive = ()
     else:
         # only rows active at the base branch; the region LP drops the
         # offsets (finds directions from the base)
@@ -254,9 +294,9 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         signs = [_sign(excess(hp.normal, hp.offset)) or None for hp in hyperplanes]
         offsets = [0] * n_h
         # the rows inactive at the base
-        inactive = [
+        inactive = tuple(
             (hp.normal, hp.offset) for hp, s in zip(hyperplanes, signs) if s is not None
-        ]
+        )
     active = [h for h in range(n_h) if signs[h] is None]
     if base is not None:
         # fail-first: the rows of the sets with the fewest pieces branch
@@ -273,6 +313,10 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         )
 
     cells: list[Cell] = []
+    normals = tuple(
+        tuple(tuple(a for a, _ in p.rows) for p in _as_pieces(s)) for s in sets
+    )
+    search = _Search(base, inactive, tuple(piece_rows), normals)
 
     def pieces_possible() -> bool:
         # prune when every piece of some set already has a violated row
@@ -301,8 +345,7 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
             # `pieces_possible`, which let this leaf be reached, left a piece
             # of every set unviolated; such a piece has no unbranched row,
             # so every sign it reads is known and the region lies in it
-            witness = p if base is None else _step(base, p, inactive)
-            cells.append(Cell(CellSignature(tuple(signs)), witness))
+            cells.append(Cell(CellSignature(tuple(signs)), p, search))
             return
         h = active[pos]
         if base is not None and all(map(violated, holders[h])):

@@ -25,6 +25,7 @@ from polyvar.linalg import (
     rref_ints,
     to_vec,
     vec,
+    zero,
 )
 from polyvar.stratify import local_cells
 
@@ -266,3 +267,59 @@ def perfbench_module(name: str):
     if harness not in sys.path:
         sys.path.append(harness)
     return importlib.import_module(name)
+
+
+def criterion6_draws():
+    """Criterion 6's draws as (name, rule, args), replaying its random
+    stream: 40 intersection, 16 preimage (redrawn where x leaves the
+    preimage, as criterion 6 does), 18 sum and 18 chain draws."""
+    from polyvar.calculus import intersection_rule, preimage_rule
+    from polyvar.multimaps import chain_rule, sum_rule
+
+    rng = random.Random(77)
+    for done in range(40):
+        dim = rng.randint(1, 3)
+        base = rng_vec(rng, dim, -1, 1)
+        o1 = random_polyset_through(rng, dim, base)
+        o2 = random_polyset_through(rng, dim, base)
+        c1 = random_poly_through(rng, dim, base)
+        c2 = random_poly_through(rng, dim, base)
+        yield f"intersection-{done:02d}", intersection_rule, (o1, o2, c1, c2, base)
+    done = 0
+    while done < 16:
+        n, m = rng.randint(1, 2), rng.randint(1, 2)
+        x = rng_vec(rng, n, -1, 1)
+        F = random_linear_map(rng, n, m)
+        target = F.value_set(x).pieces[0].feasible_point()
+        theta = random_polyset_through(rng, m, target)
+        c = random_poly_through(rng, n, x)
+        try:
+            preimage_rule(F, theta, c, x)
+        except ValueError:  # criterion 6 redraws these
+            continue
+        yield f"preimage-{done:02d}", preimage_rule, (F, theta, c, x)
+        done += 1
+
+    for done in range(18):
+        m = 2 if done % 3 == 2 else 1
+        x = rng_vec(rng, 1, -1, 1)
+        F1 = random_linear_map(rng, 1, m)
+        y1 = F1.value_set(x).pieces[0].feasible_point()
+        y2 = rng_vec(rng, m, -1, 1)
+        F2 = random_multimap_through(rng, 1, m, x, y2, max_pieces=2)
+        ystar = rng_vec(rng, m, -2, 2)
+        y = tuple(a + b for a, b in zip(y1, y2))
+        c2 = random_poly_through(rng, 1, x)
+        whole = ConvexPoly.whole_space(1)
+        yield f"sum-{done:02d}", sum_rule, (F1, F2, whole, c2, x, y, y1, y2, ystar)
+
+    for done in range(18):
+        n = 2 if done % 3 == 2 else 1
+        x = rng_vec(rng, n, -1, 1)
+        G = random_multimap_through(rng, n, 1, x, zero(1), max_pieces=2)
+        F = random_linear_map(rng, 1, 1)
+        y = zero(1)
+        z = F.value_set(y).pieces[0].feasible_point()
+        zstar = rng_vec(rng, 1, -2, 2)
+        c = random_poly_through(rng, n, x)
+        yield f"chain-{done:02d}", chain_rule, (G, F, c, x, z, y, zstar)

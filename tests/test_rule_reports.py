@@ -18,8 +18,7 @@ from collections import Counter
 from pathlib import Path
 
 from conftest import (
-    random_linear_map,
-    random_multimap_through,
+    criterion6_draws,
     random_plfunc,
     random_poly_through,
     random_polyset_through,
@@ -27,14 +26,7 @@ from conftest import (
 )
 
 from polyvar import cli, cones, multimaps, quals, stratify
-from polyvar.calculus import (
-    intersection_rule,
-    mixed_product_rule,
-    preimage_rule,
-    product_rule,
-)
-from polyvar.exactgeom import ConvexPoly
-from polyvar.linalg import zero
+from polyvar.calculus import mixed_product_rule, product_rule
 from polyvar.multimaps import chain_rule, sum_rule
 from polyvar.runner import render
 from polyvar.verdicts import (
@@ -48,62 +40,9 @@ GOLDEN = Path(__file__).parent / "data" / "rule_reports.json"
 PRODUCT_GOLDEN = Path(__file__).parent / "data" / "product_reports.json"
 
 
-def _criterion6_draws():
-    """Criterion 6's draws as (name, rule, args), replaying its random
-    stream: 40 intersection, 16 preimage (redrawn where x leaves the
-    preimage, as criterion 6 does), 18 sum and 18 chain draws."""
-    rng = random.Random(77)
-    for done in range(40):
-        dim = rng.randint(1, 3)
-        base = rng_vec(rng, dim, -1, 1)
-        o1 = random_polyset_through(rng, dim, base)
-        o2 = random_polyset_through(rng, dim, base)
-        c1 = random_poly_through(rng, dim, base)
-        c2 = random_poly_through(rng, dim, base)
-        yield f"intersection-{done:02d}", intersection_rule, (o1, o2, c1, c2, base)
-    done = 0
-    while done < 16:
-        n, m = rng.randint(1, 2), rng.randint(1, 2)
-        x = rng_vec(rng, n, -1, 1)
-        F = random_linear_map(rng, n, m)
-        target = F.value_set(x).pieces[0].feasible_point()
-        theta = random_polyset_through(rng, m, target)
-        c = random_poly_through(rng, n, x)
-        try:
-            preimage_rule(F, theta, c, x)
-        except ValueError:  # criterion 6 redraws these
-            continue
-        yield f"preimage-{done:02d}", preimage_rule, (F, theta, c, x)
-        done += 1
-
-    for done in range(18):
-        m = 2 if done % 3 == 2 else 1
-        x = rng_vec(rng, 1, -1, 1)
-        F1 = random_linear_map(rng, 1, m)
-        y1 = F1.value_set(x).pieces[0].feasible_point()
-        y2 = rng_vec(rng, m, -1, 1)
-        F2 = random_multimap_through(rng, 1, m, x, y2, max_pieces=2)
-        ystar = rng_vec(rng, m, -2, 2)
-        y = tuple(a + b for a, b in zip(y1, y2))
-        c2 = random_poly_through(rng, 1, x)
-        whole = ConvexPoly.whole_space(1)
-        yield f"sum-{done:02d}", sum_rule, (F1, F2, whole, c2, x, y, y1, y2, ystar)
-
-    for done in range(18):
-        n = 2 if done % 3 == 2 else 1
-        x = rng_vec(rng, n, -1, 1)
-        G = random_multimap_through(rng, n, 1, x, zero(1), max_pieces=2)
-        F = random_linear_map(rng, 1, 1)
-        y = zero(1)
-        z = F.value_set(y).pieces[0].feasible_point()
-        zstar = rng_vec(rng, 1, -2, 2)
-        c = random_poly_through(rng, n, x)
-        yield f"chain-{done:02d}", chain_rule, (G, F, c, x, z, y, zstar)
-
-
 def _draws():
     """Criterion 6's sum and chain draws as (name, rule, args)."""
-    return [d for d in _criterion6_draws() if d[1] in (sum_rule, chain_rule)]
+    return [d for d in criterion6_draws() if d[1] in (sum_rule, chain_rule)]
 
 
 def _product_draws():
@@ -218,7 +157,7 @@ def test_every_rule_searches_each_input_once(monkeypatch):
     both sides and the sum and chain rules' left side."""
     searches = _count_cell_searches(monkeypatch)
     calls = Counter()
-    for name, rule, args in _criterion6_draws():
+    for name, rule, args in criterion6_draws():
         variants = (VARIANT_SEMICONTINUOUS, VARIANT_SEMICOMPACT)
         with_variant = rule in (sum_rule, chain_rule)
         for kwargs in [{"variant": v} for v in variants] if with_variant else [{}]:
