@@ -31,7 +31,7 @@ _EXPORTS = {
         ("plfunc", "PLFunc SubdiffResult fermat_check lipschitz_wrt_check"
                    " subdiff_via_coderivative subdiff_wrt"),
         ("quals", "lqc_wrt_check normal_densed_check"),
-        ("stratify", "Cell CellSignature global_cells local_cells"),
+        ("stratify", "Cell global_cells local_cells"),
         ("verdicts", "RuleReport TriVerdict"),
     )
     for name in names.split()

@@ -44,10 +44,6 @@ def vec(*entries) -> Vec:
     return tuple(rat(e) for e in entries)
 
 
-def as_vec(entries) -> Vec:
-    return tuple(rat(e) for e in entries)
-
-
 def exact(value: int | Fraction) -> int | Fraction:
     """An exact value as an int when it is integral, else as a Fraction, so
     that its type depends on the value alone."""

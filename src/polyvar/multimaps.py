@@ -5,13 +5,13 @@ A map is its graph, a finite union of convex polyhedra in R^{n+m}; sums and
 compositions are exact projections of lifted graphs.  A coderivative
 relative to C is a `FiniteUnion.slice` section of the graph's limiting normal
 cone relative to C x R^m, a finite union of polyhedra; the sum and chain
-rules build each graph cone once per point and read every section off it.
+rules read every section off the graph cone that their call's memo
+(`cones.rule_scope`) builds once per map, set and point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from math import prod
 
 from ._record import record
@@ -291,9 +291,8 @@ def sum_rule(
     if not c.contains(xbar):
         raise ValueError("base point outside the reference sets")
 
-    cone = cache(graph_normal_cone)  # one graph cone per map, set and point
-    d1_zero = _section(cone(F1, c1, xbar, y1bar), n, zero(m)).recession()
-    d2_zero = _section(cone(F2, c2, xbar, y2bar), n, zero(m)).recession()
+    d1_zero = _section(graph_normal_cone(F1, c1, xbar, y1bar), n, zero(m)).recession()
+    d2_zero = _section(graph_normal_cone(F2, c2, xbar, y2bar), n, zero(m)).recession()
     q1 = TriVerdict.zero_cone(d1_zero.intersect(d2_zero.negate()))
 
     total = n + 2 * m  # (x, y1, y2)
@@ -304,8 +303,8 @@ def sum_rule(
     q2 = normal_densed_check(omega1, omega2, lift1, lift2, xbar + y1bar + y2bar)
 
     def rhs_at(y12: Vec) -> PolyUnion:
-        d1 = _section(cone(F1, c1, xbar, y12[:m]), n, ystar)
-        return d1.minkowski(_section(cone(F2, c2, xbar, y12[m:]), n, ystar))
+        d1 = _section(graph_normal_cone(F1, c1, xbar, y12[:m]), n, ystar)
+        return d1.minkowski(_section(graph_normal_cone(F2, c2, xbar, y12[m:]), n, ystar))
 
     return _rule_via_s(
         "sum-rule", _s_map(F1, F2), c, xbar, ybar, y1bar + y2bar, ystar,
@@ -356,9 +355,8 @@ def chain_rule(
         raise ValueError("base point outside the reference set")
     whole_m = ConvexPoly.whole_space(m)
 
-    cone = cache(graph_normal_cone)  # one graph cone per map, set and point
-    df_zero = _section(cone(F, whole_m, ybar, zbar), m, zero(s)).recession()
-    ker_g = _kernel(cone(G, c, xbar, ybar), n, m)
+    df_zero = _section(graph_normal_cone(F, whole_m, ybar, zbar), m, zero(s)).recession()
+    ker_g = _kernel(graph_normal_cone(G, c, xbar, ybar), n, m)
     q1 = TriVerdict.zero_cone(df_zero.intersect(ker_g))
 
     total = n + m + s
@@ -369,8 +367,8 @@ def chain_rule(
     q2 = normal_densed_check(theta1, theta2, lift1, lift2, xbar + ybar + zbar)
 
     def rhs_at(y: Vec) -> PolyUnion:
-        b_union = _section(cone(F, whole_m, y, zbar), m, zstar)
-        return _compose_slices(cone(G, c, xbar, y).parts, b_union.parts, n, m)
+        b_union = _section(graph_normal_cone(F, whole_m, y, zbar), m, zstar)
+        return _compose_slices(graph_normal_cone(G, c, xbar, y).parts, b_union.parts, n, m)
 
     return _rule_via_s(
         "chain-rule", _script_s(G, F), c, xbar, zbar, ybar, zstar,

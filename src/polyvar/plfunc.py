@@ -17,7 +17,7 @@ from fractions import Fraction
 from ._record import record
 from .cones import frechet_normal_wrt, limiting_normal_wrt
 from .exactgeom import ConeUnion, ConvexPoly, PolySet, PolyUnion
-from .linalg import Vec, as_vec, check_dim, neg, zero
+from .linalg import Vec, check_dim, neg, vec, zero
 from .multimaps import PolyMultimap, coderivative_wrt
 from .verdicts import KIND_FRECHET, KIND_HORIZON, KIND_LIMITING, TriVerdict
 
@@ -43,7 +43,7 @@ class PLFunc:
     @staticmethod
     def affine(dim: int, slope, offset, domain: ConvexPoly | None = None) -> "PLFunc":
         """f(x) = slope . x + offset on `domain` (everywhere by default)."""
-        a = as_vec(slope)
+        a = vec(*slope)
         check_dim("slope", len(a), dim)
         # alpha >= a.x + b, on domain x R
         piece = ConvexPoly.make(dim + 1, [(a + (-1,), -Fraction(offset))])
@@ -58,7 +58,7 @@ class PLFunc:
         """f = max of finitely many affine pieces (one convex epigraph piece)."""
         rows = []
         for slope, offset in terms:
-            a = as_vec(slope)
+            a = vec(*slope)
             check_dim("slope", len(a), dim)
             rows.append((a + (Fraction(-1),), -Fraction(offset)))
         return PLFunc.from_epigraph_pieces(

@@ -117,7 +117,7 @@ def _pieces(values: Any, dim: int, path: str) -> list[ConvexPoly]:
     return out
 
 
-def _build_object(name: str, spec: Any, path: str):
+def _build_object(spec: Any, path: str):
     if not isinstance(spec, dict) or "type" not in spec:
         _fail(path, "an object needs a 'type'")
     t = spec["type"]
@@ -207,7 +207,7 @@ def loads(text: str) -> ProblemFile:
     for name, spec in data["objects"].items():
         path = f"$.objects.{name}"
         try:
-            objects[name] = _build_object(name, spec, path)
+            objects[name] = _build_object(spec, path)
         except RayLimitError as exc:  # canonicalizing a piece runs a DD
             _fail(path, str(exc))
         types[name] = spec["type"]

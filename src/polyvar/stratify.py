@@ -22,10 +22,10 @@ realizes its sign vector.  One depth-first enumerator serves two modes.
     violated row.  Its sign then changes no piece's membership, and no
     active row of a piece that holds the region, which is all a caller
     reads of a stratum: which pieces hold it and which of their rows are
-    tight there.  Both are read off the signs (`Cell.tight_rows`), with no
-    point: they are the same at every point of the stratum.  Leaving h out
-    only drops a constraint, so the region stays relatively open and convex
-    and the descent below works as is.
+    tight there.  Both are read off its signs (`Cell.signs`, by
+    `Cell.tight_rows`), with no point: they are the same at every point of
+    the stratum.  Leaving h out only drops a constraint, so the region stays
+    relatively open and convex and the descent below works as is.
   - Fail-first order.  The active hyperplanes branch in the order of the
     fewest pieces of a set with a row on them, so the rows of a convex set
     (one piece, such as C) branch first and violate early; ties keep their
@@ -70,14 +70,6 @@ class ActiveRowLimitError(LimitError):
 
 
 @record
-class CellSignature:
-    """Sign of (a.x - b) per arrangement hyperplane: -1 below, 0 on, 1 above,
-    None on a hyperplane the stratum did not branch on."""
-
-    signs: tuple[int, ...]
-
-
-@record
 class _Search:
     """What the cells of one search read their witnesses and patterns from:
     the base and the rows inactive at it (None and () for `global_cells`),
@@ -94,47 +86,41 @@ class _Search:
 class Cell:
     """A nonempty sign cell, or a stratum of them, inside every input set.
 
-    A None sign means unbranched: the stratum is the union of the adherent
-    sign cells with its other signs, and no piece with a row there holds it.
-    The signs fix what the engine reads of a cell, which pieces hold it and
-    which of their rows are tight there (`tight_rows`), with no point.  The
-    witness, a point of the cell (a point near the base, for `local_cells`),
-    is built from `point`, for a local stratum a direction from the base, on
-    each read.  The signature orders the cells, so the list and everything
-    computed from it are deterministic.
+    `signs` holds the sign of (a.x - b) per arrangement hyperplane: -1 below,
+    0 on, 1 above, and None on a hyperplane the stratum did not branch on.
+    A None sign means the stratum is the union of the adherent sign cells
+    with its other signs, and no piece with a row there holds it.  The signs
+    fix what the engine reads of a cell, which pieces hold it and which of
+    their rows are tight there (`tight_rows`), with no point.  The witness,
+    a point of the cell (a point near the base, for `local_cells`), is built
+    from `point`, for a local stratum a direction from the base, on each
+    read.  The signs order the cells, so the list and everything computed
+    from it are deterministic.
     """
 
-    signature: CellSignature
+    signs: tuple[int | None, ...]
     point: Vec
-    search: _Search | None = None
+    search: _Search
 
     @property
     def witness(self) -> Vec:
-        search = self.search
-        if search is None or search.base is None:
+        base = self.search.base
+        if base is None:
             return self.point
-        return _step(search.base, self.point, search.inactive)
+        return _step(base, self.point, self.search.inactive)
 
     def tight_rows(self, s: int) -> tuple[tuple[IntVec, ...] | None, ...]:
         """Per piece of the s-th input set: None when the piece misses the
         cell, else the normals of its inequality rows tight on it, in row
         order.  A piece with an unbranched row misses the stratum, so every
         sign a holding piece reads is known."""
-        signs = self.signature.signs
+        signs = self.signs
         return tuple(
             None
             if any(signs[h] not in allowed for h, allowed in reqs)
             else tuple(a for (h, _), a in zip(reqs, normals) if signs[h] == 0)
             for reqs, normals in zip(self.search.rows[s], self.search.normals[s])
         )
-
-
-@record
-class _Hyperplane:
-    """a.x = b as a primitive int row, the first nonzero of a positive."""
-
-    normal: tuple[int, ...]
-    offset: int
 
 
 def _sign(v: int) -> int:
@@ -241,8 +227,9 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
     """The enumeration behind `local_cells` (a base) and `global_cells`."""
     dim = sets[0].dim if base is None else len(base)
 
-    # collect canonical hyperplanes and per-piece requirements
-    hyperplanes: list[_Hyperplane] = []
+    # collect canonical hyperplanes, each a primitive int row (a, b) with the
+    # first nonzero of a positive, and per-piece requirements
+    hyperplanes: list[IntRow] = []
     index: dict[IntRow, int] = {}
 
     def hyperplane_id(a: IntVec, b: int) -> tuple[int, int]:
@@ -250,7 +237,7 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         key = (av, bv)
         if key not in index:
             index[key] = len(hyperplanes)
-            hyperplanes.append(_Hyperplane(av, bv))
+            hyperplanes.append(key)
         return index[key], flip
 
     # requirement per row: (hyperplane id, allowed signs) for "row satisfied",
@@ -285,25 +272,23 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
     if base is None:
         # every row branches; the region LP keeps the offsets (finds points)
         signs: list[int | None] = [None] * n_h
-        offsets = [hp.offset for hp in hyperplanes]
+        offsets = [b for _, b in hyperplanes]
         inactive = ()
     else:
         # only rows active at the base branch; the region LP drops the
         # offsets (finds directions from the base)
         excess = excess_at(base)
-        signs = [_sign(excess(hp.normal, hp.offset)) or None for hp in hyperplanes]
+        signs = [_sign(excess(*hp)) or None for hp in hyperplanes]
         offsets = [0] * n_h
         # the rows inactive at the base
-        inactive = tuple(
-            (hp.normal, hp.offset) for hp, s in zip(hyperplanes, signs) if s is not None
-        )
+        inactive = tuple(hp for hp, s in zip(hyperplanes, signs) if s is not None)
     active = [h for h in range(n_h) if signs[h] is None]
     if base is not None:
         # fail-first: the rows of the sets with the fewest pieces branch
         # first (a stable sort, so ties keep their index order)
         active.sort(key=fewest.__getitem__)
     # each hyperplane as the region LP reads it, (normal, offset), and negated
-    rows = [(hp.normal, offset) for hp, offset in zip(hyperplanes, offsets)]
+    rows = [(a, offset) for (a, _), offset in zip(hyperplanes, offsets)]
     flipped = [(neg(normal), -offset) for normal, offset in rows]
     if len(active) > ACTIVE_ROW_LIMIT:
         counted = "active at the base" if base is not None else "of a global search"
@@ -345,14 +330,14 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
             # `pieces_possible`, which let this leaf be reached, left a piece
             # of every set unviolated; such a piece has no unbranched row,
             # so every sign it reads is known and the region lies in it
-            cells.append(Cell(CellSignature(tuple(signs)), p, search))
+            cells.append(Cell(tuple(signs), p, search))
             return
         h = active[pos]
         if base is not None and all(map(violated, holders[h])):
             # no piece with a row on h can hold the region: h stays None
             descend(pos + 1, p)
             return
-        side = _sign(excess_at(p)(hyperplanes[h].normal, offsets[h]))
+        side = _sign(excess_at(p)(hyperplanes[h][0], offsets[h]))
         assigned = [g for g in active[:pos] if signs[g] is not None] + [h]
         # the child on p's side reuses p; the far side's LP (module
         # docstring) settles the other new child: empty, or a point from q
@@ -376,5 +361,5 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
 
     if pieces_possible():
         descend(0, zero(dim))
-    cells.sort(key=lambda c: [2 if s is None else s for s in c.signature.signs])
+    cells.sort(key=lambda c: [2 if s is None else s for s in c.signs])
     return cells

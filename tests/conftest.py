@@ -269,10 +269,37 @@ def perfbench_module(name: str):
     return importlib.import_module(name)
 
 
+# most preimage draws in a row that `preimage_draw` takes before it fails;
+# criterion 6's 16 preimage draws need no redraw
+PREIMAGE_REDRAWS = 50
+
+
+def preimage_draw(rng: random.Random):
+    """Criterion 6's next preimage-rule instance (F, theta, c, x) and its
+    report.  An instance is redrawn only when `preimage_rule` refuses it
+    because x lies outside F^{-1}(Theta) cap C; any other error propagates,
+    and PREIMAGE_REDRAWS refusals in a row fail."""
+    from polyvar import calculus
+
+    for _ in range(PREIMAGE_REDRAWS):
+        n, m = rng.randint(1, 2), rng.randint(1, 2)
+        x = rng_vec(rng, n, -1, 1)
+        F = random_linear_map(rng, n, m)
+        target = F.value_set(x).pieces[0].feasible_point()
+        theta = random_polyset_through(rng, m, target)
+        c = random_poly_through(rng, n, x)
+        try:
+            return (F, theta, c, x), calculus.preimage_rule(F, theta, c, x)
+        except ValueError as exc:
+            if str(exc) != "x outside F^{-1}(Theta) cap C":
+                raise
+    raise AssertionError(f"{PREIMAGE_REDRAWS} preimage draws in a row were refused")
+
+
 def criterion6_draws():
     """Criterion 6's draws as (name, rule, args), replaying its random
-    stream: 40 intersection, 16 preimage (redrawn where x leaves the
-    preimage, as criterion 6 does), 18 sum and 18 chain draws."""
+    stream: 40 intersection, 16 preimage (`preimage_draw`), 18 sum and 18
+    chain draws."""
     from polyvar.calculus import intersection_rule, preimage_rule
     from polyvar.multimaps import chain_rule, sum_rule
 
@@ -285,20 +312,9 @@ def criterion6_draws():
         c1 = random_poly_through(rng, dim, base)
         c2 = random_poly_through(rng, dim, base)
         yield f"intersection-{done:02d}", intersection_rule, (o1, o2, c1, c2, base)
-    done = 0
-    while done < 16:
-        n, m = rng.randint(1, 2), rng.randint(1, 2)
-        x = rng_vec(rng, n, -1, 1)
-        F = random_linear_map(rng, n, m)
-        target = F.value_set(x).pieces[0].feasible_point()
-        theta = random_polyset_through(rng, m, target)
-        c = random_poly_through(rng, n, x)
-        try:
-            preimage_rule(F, theta, c, x)
-        except ValueError:  # criterion 6 redraws these
-            continue
-        yield f"preimage-{done:02d}", preimage_rule, (F, theta, c, x)
-        done += 1
+    for done in range(16):
+        args, _ = preimage_draw(rng)
+        yield f"preimage-{done:02d}", preimage_rule, args
 
     for done in range(18):
         m = 2 if done % 3 == 2 else 1

@@ -23,6 +23,7 @@ from conftest import (
     cap_poly,
     cone3,
     make_example1,
+    preimage_draw,
     random_linear_map,
     random_multimap_through,
     random_plfunc,
@@ -35,7 +36,6 @@ from polyvar.calculus import (
     lqc_wrt_check,
     mixed_product_rule,
     normal_densed_check,
-    preimage_rule,
     product_rule,
 )
 from polyvar.cli import main as cli_main
@@ -348,22 +348,11 @@ def test_criterion6_guarded_rule_suite():
             assert r.inclusion_holds, ("intersection", o1, o2, c1, c2, base)
         done += 1
 
-    done = 0
-    while done < 16:  # preimage rule
-        n, m = rng.randint(1, 2), rng.randint(1, 2)
-        x = rng_vec(rng, n, -1, 1)
-        F = random_linear_map(rng, n, m)
-        target = F.value_set(x).pieces[0].feasible_point()
-        theta = random_polyset_through(rng, m, target)
-        c = random_poly_through(rng, n, x)
-        try:
-            r = preimage_rule(F, theta, c, x)
-        except ValueError:
-            continue
+    for _ in range(16):  # preimage rule
+        (F, theta, c, x), r = preimage_draw(rng)
         if r.hypotheses_hold():
             guarded += 1
             assert r.inclusion_holds, ("preimage", F.graph, theta, c, x)
-        done += 1
 
     done = 0
     while done < 18:  # sum rule (one third with two-dimensional outputs)

@@ -16,7 +16,6 @@ from polyvar.exactgeom import (
 )
 from polyvar.linalg import (
     add,
-    as_vec,
     dot,
     frozen_rows,
     integer_row,
@@ -74,7 +73,7 @@ def test_union_subset_agrees_with_grid():
     rng = random.Random(613)
     step = Fraction(1, 2)
     grid = [
-        as_vec(p)
+        vec(*p)
         for p in itertools.product(
             [k * step for k in range(-4, 5)], repeat=2
         )
@@ -95,7 +94,7 @@ def test_poly_union_subset_inhomogeneous_grid():
     rng = random.Random(617)
     step = Fraction(1, 2)
     grid = [
-        as_vec(p)
+        vec(*p)
         for p in itertools.product([k * step for k in range(-4, 5)], repeat=2)
     ]
 
@@ -206,7 +205,7 @@ def test_eliminate_matches_fiber_lp_oracle():
     """On a grid of the kept coordinates, membership in `eliminate` agrees
     with the fiber LP; every point of p projects into the result."""
     grid1 = [(Fraction(k, 2),) for k in range(-5, 6)]
-    grid2 = [as_vec(p) for p in itertools.product(range(-2, 3), repeat=2)]
+    grid2 = [vec(*p) for p in itertools.product(range(-2, 3), repeat=2)]
     seen = {"empty": 0, "unbounded": 0, "lineality": 0, "eqs": 0}
     hits = {True: 0, False: 0}
     rng = random.Random(653)
@@ -289,7 +288,7 @@ def test_plus_ray_matches_lift_and_eliminate():
     grew = 0
     for p in projection_cases(677, 50):
         up = tuple(Fraction(int(i == p.dim - 1)) for i in range(p.dim))
-        for d in (up, rng_vec(rng, p.dim, -2, 2), as_vec([0] * p.dim)):
+        for d in (up, rng_vec(rng, p.dim, -2, 2), vec(*[0] * p.dim)):
             got = p.plus_ray(d)
             assert got == ref_plus_ray(p, d), (p, d)
             grew += got != p

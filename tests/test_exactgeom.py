@@ -39,7 +39,6 @@ from polyvar.exactgeom import (
 from polyvar.linalg import (
     Vec,
     add,
-    as_vec,
     dot,
     integer_row,
     is_zero,
@@ -168,7 +167,7 @@ def test_polar_derived_two_ray_cone():
     assert p == expected
     # sampling oracle: y in polar iff y.r <= 0 on every generator
     for y in itertools.product(range(-3, 4), repeat=2):
-        yv = as_vec(y)
+        yv = vec(*y)
         member = all(dot(yv, r) <= 0 for r in c.rays)
         assert p.contains(yv) == member
 

@@ -17,15 +17,18 @@ import random
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from conftest import (
     criterion6_draws,
+    preimage_draw,
     random_plfunc,
     random_poly_through,
     random_polyset_through,
     rng_vec,
 )
 
-from polyvar import cli, cones, multimaps, quals, stratify
+from polyvar import calculus, cli, cones, multimaps, quals, stratify
 from polyvar.calculus import mixed_product_rule, product_rule
 from polyvar.multimaps import chain_rule, sum_rule
 from polyvar.runner import render
@@ -106,35 +109,55 @@ def _product_digests() -> dict[str, str]:
     return {name: _sha(report) for name, report in _product_draws()}
 
 
+def test_criterion6_draws_raise_what_is_not_a_refusal(monkeypatch):
+    """Only the preimage rule's refusal of x is redrawn: any other
+    ValueError, even once, propagates out of the draws."""
+    real, raised = calculus.preimage_rule, []
+
+    def fails_once(*args):
+        if not raised:
+            raised.append(True)
+            raise ValueError("other")
+        return real(*args)
+
+    monkeypatch.setattr(calculus, "preimage_rule", fails_once)
+    with pytest.raises(ValueError, match="^other$"):
+        list(criterion6_draws())
+
+
+def test_preimage_draws_fail_after_bounded_refusals(monkeypatch):
+    def refuses(*args):
+        raise ValueError("x outside F^{-1}(Theta) cap C")
+
+    monkeypatch.setattr(calculus, "preimage_rule", refuses)
+    with pytest.raises(AssertionError, match="in a row were refused"):
+        preimage_draw(random.Random(77))
+
+
 def test_sum_and_chain_rules_build_each_graph_cone_once(monkeypatch):
-    """q1's zero cones and kernel and the right side's coderivatives are
-    sections of one graph cone per map, set and point.  Apart from the left
-    side, the rule's one `coderivative_wrt` call, no input of
-    `limiting_normal_wrt` is computed twice in a rule call."""
-    real_cone, real_coderivative = multimaps.limiting_normal_wrt, multimaps.coderivative_wrt
-    inputs, lhs_calls, inside = Counter(), [], []
+    """q1's zero cones and kernel, the left side, the rule's one
+    `coderivative_wrt` call, and the right side's coderivatives are sections
+    of one graph cone per map, set and point: in a rule call no cone union is
+    built twice.  `cones._undominated` runs once per `cones._union` build."""
+    real_undominated, real_coderivative = cones._undominated, multimaps.coderivative_wrt
+    builds, lhs_calls = Counter(), []
 
     def coderivative(*args):
         lhs_calls.append(args)
-        inside.append(True)
-        try:
-            return real_coderivative(*args)
-        finally:
-            inside.pop()
+        return real_coderivative(*args)
 
-    def counting(omega, wrt, point):
-        if not inside:
-            inputs[omega, wrt, point] += 1
-        return real_cone(omega, wrt, point)
+    def counting(patterns):
+        builds[patterns] += 1
+        return real_undominated(patterns)
 
     monkeypatch.setattr(multimaps, "coderivative_wrt", coderivative)
-    monkeypatch.setattr(multimaps, "limiting_normal_wrt", counting)
+    monkeypatch.setattr(cones, "_undominated", counting)
     for name, rule, args in _draws():
-        inputs.clear()
+        builds.clear()
         lhs_calls.clear()
         rule(*args, variant=VARIANT_SEMICONTINUOUS)
         assert len(lhs_calls) == 1, name
-        assert inputs and max(inputs.values()) == 1, (name, inputs.most_common(1))
+        assert builds and max(builds.values()) == 1, (name, builds.most_common(1))
 
 
 def _count_cell_searches(monkeypatch) -> Counter:

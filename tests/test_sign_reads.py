@@ -84,7 +84,7 @@ def _check_cells(sets, cells, seen):
                 found = cones._active_rows(p, excess_at(w))
                 assert t == (found and tuple(found[0])), (sets, cell)
                 seen["held" if t is not None else "missed"] += 1
-        seen["unbranched"] += None in cell.signature.signs
+        seen["unbranched"] += None in cell.signs
 
 
 def _checked_searches(monkeypatch, seen):

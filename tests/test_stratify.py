@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ def test_halfline_cells():
     halfline = PolySet.from_poly(ConvexPoly.make(1, [(vec(-1), Fraction(0))]))
     cells = local_cells([halfline], vec(0))
     assert len(cells) == 2
-    sigs = {c.signature.signs for c in cells}
+    sigs = {c.signs for c in cells}
     assert sigs == {(0,), (-1,)} or sigs == {(0,), (1,)}
 
 
@@ -69,7 +70,7 @@ def test_hyperplane_arrangement_with_grid_oracle():
     for p in grid:
         s = dot(normal, p)
         sign = (s > 0) - (s < 0)
-        matches = [c for c in cells if c.signature.signs == (sign,)]
+        matches = [c for c in cells if c.signs == (sign,)]
         assert len(matches) == 1
 
 
@@ -109,7 +110,7 @@ def test_partition_and_constancy_random():
         if not s.contains(base):
             continue
         cells = local_cells([s], base)
-        sigs = [c.signature.signs for c in cells]
+        sigs = [c.signs for c in cells]
         assert len(sigs) == len(set(sigs))
         n_rows = len(sigs[0]) if sigs else 0
         assert len(cells) <= 3**n_rows
@@ -135,7 +136,7 @@ def test_partition_and_constancy_random():
             x = tuple(b + d for b, d in zip(base, delta))
             if not s.contains(x):
                 continue
-            found = sum(_realizes(x, hyper, c.signature.signs) for c in cells)
+            found = sum(_realizes(x, hyper, c.signs) for c in cells)
             assert found == 1, (x, base, s)
 
 
@@ -243,21 +244,21 @@ def test_local_cells_match_brute_force_over_sign_vectors():
             continue
         strata = local_cells(sets, base)
         cells = _brute_force_points(sets, hyper, dim, base)
-        _assert_strata_of([st.signature.signs for st in strata], cells)
+        _assert_strata_of([st.signs for st in strata], cells)
         for st in strata:
             w = st.witness
-            assert _realizes(w, hyper, st.signature.signs)
+            assert _realizes(w, hyper, st.signs)
             assert all(s.contains(w) for s in sets)
             # the witness lies in an adherent sign cell, hence in the stratum
             assert tuple(_sign(dot(a, w) - b) for a, b in hyper) in cells
             # each sign cell of the stratum has the witness's pattern
             for signs, point in cells.items():
-                if _within(signs, st.signature.signs):
+                if _within(signs, st.signs):
                     assert _pattern(sets, point) == _pattern(sets, w)
         assert {_pattern(sets, st.witness) for st in strata} == {
             _pattern(sets, point) for point in cells.values()
         }
-        unbranched += any(None in st.signature.signs for st in strata)
+        unbranched += any(None in st.signs for st in strata)
         checked += 1
 
 
@@ -275,10 +276,10 @@ def test_global_cells_match_brute_force_over_sign_vectors():
         if not 1 <= len(hyper) <= 5:
             continue
         cells = global_cells(sets)
-        assert {c.signature.signs for c in cells} == _brute_force_cells(sets, hyper, dim)
+        assert {c.signs for c in cells} == _brute_force_cells(sets, hyper, dim)
         for cell in cells:
             w = cell.witness
-            assert tuple(_sign(dot(a, w) - b) for a, b in hyper) == cell.signature.signs
+            assert tuple(_sign(dot(a, w) - b) for a, b in hyper) == cell.signs
             assert all(s.contains(w) for s in sets)
         nonempty += bool(cells)
         checked += 1
@@ -286,6 +287,9 @@ def test_global_cells_match_brute_force_over_sign_vectors():
 
 
 # -- the enumerator that runs every region LP, kept as a reference ------------
+
+# a reference cell: its sign per hyperplane and a point of it
+_RefCell = namedtuple("_RefCell", "signs witness")
 
 
 def ref_cells(sets, base):
@@ -298,7 +302,7 @@ def ref_cells(sets, base):
         av, bv, flip = stratify._canonical_hyperplane(a, b)
         if (av, bv) not in index:
             index[(av, bv)] = len(hyperplanes)
-            hyperplanes.append(stratify._Hyperplane(av, bv))
+            hyperplanes.append((av, bv))
         return index[(av, bv)], flip
 
     piece_rows = []
@@ -317,13 +321,13 @@ def ref_cells(sets, base):
     n_h = len(hyperplanes)
     if base is None:
         base_signs = [0] * n_h
-        offsets = [hp.offset for hp in hyperplanes]
+        offsets = [b for _, b in hyperplanes]
         inactive = []
     else:
-        values = [dot(hp.normal, base) - hp.offset for hp in hyperplanes]
+        values = [dot(a, base) - b for a, b in hyperplanes]
         base_signs = [_sign(v) for v in values]
         offsets = [0] * n_h
-        inactive = [(v, hp.normal) for v, hp in zip(values, hyperplanes) if v]
+        inactive = [(v, a) for v, (a, _) in zip(values, hyperplanes) if v]
     active = [h for h in range(n_h) if base_signs[h] == 0]
     cells = []
 
@@ -347,7 +351,7 @@ def ref_cells(sets, base):
     def region_point(signs):
         strict, eqs = [], []
         for h, sgn in signs.items():
-            normal, offset = hyperplanes[h].normal, offsets[h]
+            normal, offset = hyperplanes[h][0], offsets[h]
             if sgn == 0:
                 eqs.append((normal, offset))
             elif sgn < 0:
@@ -380,14 +384,11 @@ def ref_cells(sets, base):
             )
             if all(memberships):
                 cells.append(
-                    stratify.Cell(
-                        stratify.CellSignature(tuple(full)),
-                        p if base is None else witness_along(p),
-                    )
+                    _RefCell(tuple(full), p if base is None else witness_along(p))
                 )
             return
         h = active[pos]
-        value = dot(hyperplanes[h].normal, p) - offsets[h]
+        value = dot(hyperplanes[h][0], p) - offsets[h]
         for sgn in (-1, 0, 1):
             signs[h] = sgn
             if pieces_possible(signs):
@@ -398,7 +399,7 @@ def ref_cells(sets, base):
 
     if pieces_possible({}):
         descend(0, {}, (Fraction(0),) * dim)
-    cells.sort(key=lambda c: c.signature.signs)
+    cells.sort(key=lambda c: c.signs)
     return cells
 
 
@@ -441,15 +442,15 @@ def test_cells_skip_region_lps_convexity_decides(monkeypatch, mode):
         calls[0] = 0
         got = stratify._cells(sets, base)
         # the same sign cells, or near a base strata of them; witnesses may
-        # differ, each realizes its signature
+        # differ, each realizes its signs
         if base is None:
-            assert [c.signature for c in got] == [c.signature for c in ref], sets
+            assert [c.signs for c in got] == [c.signs for c in ref], sets
         else:
             _assert_strata_of(
-                [c.signature.signs for c in got], [c.signature.signs for c in ref]
+                [c.signs for c in got], [c.signs for c in ref]
             )
         for cell in got:
-            assert _realizes(cell.witness, hyper, cell.signature.signs)
+            assert _realizes(cell.witness, hyper, cell.signs)
         assert calls[0] <= ref_calls
         saved += calls[0] < ref_calls
         checked += 1
@@ -492,7 +493,7 @@ def test_derived_middle_points_lie_in_their_child_region(monkeypatch, mode):
         if len(hyper) > 6:
             continue
         for cell in stratify._cells(sets, base):
-            assert _realizes(cell.witness, hyper, cell.signature.signs)
+            assert _realizes(cell.witness, hyper, cell.signs)
     assert min(cases.values()) >= 10, cases
 
 
@@ -530,9 +531,9 @@ def test_cells_match_the_pinned_digest(mode):
         cells = global_cells(sets) if base is None else local_cells(sets, base)
         hyper = _arrangement(sets)
         for cell in cells:
-            assert _realizes(cell.witness, hyper, cell.signature.signs)
+            assert _realizes(cell.witness, hyper, cell.signs)
             assert all(s.contains(cell.witness) for s in sets)
-        digest.update(repr([(c.signature.signs, c.witness) for c in cells]).encode())
+        digest.update(repr([(c.signs, c.witness) for c in cells]).encode())
     assert digest.hexdigest() == PINNED_CELLS[mode]
 
 
