@@ -18,8 +18,8 @@ The three flavors are tied together by two exact facts about polyhedral data:
   interior makes it {0}, with no canonicalization.
 
 Within one call of a calculus rule (`rule_scope`), the patterns of each
-(omega, wrt, point) and the union of each set of patterns are computed once
-and shared by the rule's qualifications and sides; the memo goes when the
+(omega, wrt, point), the union of each set of patterns and each graph cone
+of `multimaps.graph_normal_cone` are computed once and shared by the rule's qualifications and sides; the memo goes when the
 call ends, so no result outlives it.
 
 The relative ("with respect to C") versions add the rows of the radial cone
@@ -125,9 +125,9 @@ _memo = None  # {input: result} of the outermost open rule call, else None
 
 
 def rule_scope(rule):
-    """`rule` with one memo of `_patterns` and `_union` results by input for
-    its outermost call, shared by nested rule calls and dropped when that
-    call ends: a rule searches each (omega, wrt, point) once.  Nothing is
+    """`rule` with one memo of `per_rule_call` results by input for its
+    outermost call, shared by nested rule calls and dropped when that call
+    ends: a rule searches each (omega, wrt, point) once.  Nothing is
     kept across calls, so every call checks its limits afresh."""
 
     @wraps(rule)
@@ -144,10 +144,11 @@ def rule_scope(rule):
     return scoped
 
 
-def _per_rule_call(build):
+def per_rule_call(build):
     """build, its results kept by input in the open rule call's memo; an
     entry goes in only after its build returns."""
 
+    @wraps(build)
     def kept(*args):
         if _memo is None:
             return build(*args)
@@ -160,7 +161,7 @@ def _per_rule_call(build):
     return kept
 
 
-@_per_rule_call
+@per_rule_call
 def _patterns(omega: PolySet, wrt: ConvexPoly, point: Vec) -> frozenset:
     """The `_pattern`s of the strata of [omega, wrt] adherent to the point,
     read off their signs (wrt, one piece, holds every stratum); none when
@@ -196,7 +197,7 @@ def _undominated(patterns) -> list:
     ]
 
 
-@_per_rule_call
+@per_rule_call
 def _union(dim: int, patterns: frozenset) -> ConeUnion:
     """The union of the patterns' Fréchet cones, built from the undominated
     patterns only: a dominated cone lies in another part."""

@@ -25,6 +25,14 @@ rows `_dd` returns.  The H-form fields (`rows`, `eq_rows`) hold those int
 rows, and every operation reads them as they are.  `ineqs` and `eqs` are a
 read-only view of the same rows with `Fraction` entries, built on each
 read, for the report renderers of other tools and for tests.
+
+Two bounded per-process caches, CANON_CACHE_SIZE entries each, answer
+exact repeats (the third, `lp.solve`'s, lives in `lp`): `_canon_h` keyed on
+(dim, rows, equalities, RAY_LIMIT) and `_dd` on the same four, the rows as
+given.  The ray limit is in both keys so that a lowered limit raises
+although a result computed under a higher one is held; a RayLimitError is
+never kept.  H-forms in another presentation miss the first cache but reach
+the second with equal reduced rows.
 """
 
 from __future__ import annotations
@@ -66,8 +74,9 @@ Canon = tuple[tuple[IntRow, ...], tuple[IntRow, ...], Gens, Gens]
 # ---------------------------------------------------------------------------
 
 
-# distinct H-forms remembered per process
-CANON_CACHE_SIZE = 64
+# entries of each per-process memo of exactgeom: distinct H-forms
+# canonicalized, and distinct double descriptions
+CANON_CACHE_SIZE = 128
 
 
 def _canon_h(dim: int, ineqs: list[Row], eqs: list[Row]) -> Canon | None:
@@ -77,10 +86,11 @@ def _canon_h(dim: int, ineqs: list[Row], eqs: list[Row]) -> Canon | None:
     When every offset is 0 the set is a cone, and rays and lineality are its
     generators exactly as `ConeH` keeps them; otherwise both are None.
     Row entries may be ints or Fractions.  Identical calls (same rows in the
-    same order) are answered from a bounded per-process cache with the same
-    immutable result, whose rows and generators are all primitive int rows.
+    same order, same RAY_LIMIT) are answered from a bounded per-process cache
+    with the same immutable result, whose rows and generators are all
+    primitive int rows.
     """
-    return _canon_h_rows(dim, frozen_rows(ineqs), frozen_rows(eqs))
+    return _canon_h_rows(dim, frozen_rows(ineqs), frozen_rows(eqs), RAY_LIMIT)
 
 
 def _split(row: list[int]) -> IntRow:
@@ -109,8 +119,12 @@ def _reduce_rows(
 
 @lru_cache(maxsize=CANON_CACHE_SIZE)
 def _canon_h_rows(
-    dim: int, ineqs: tuple[Row, ...], eqs: tuple[Row, ...]
+    dim: int, ineqs: tuple[Row, ...], eqs: tuple[Row, ...], ray_limit: int | None = None
 ) -> Canon | None:
+    # ray_limit is only part of the key, so that a lowered RAY_LIMIT reaches
+    # the DD below; `_dd` reads the limit itself.  `_canon_h` always passes
+    # RAY_LIMIT; the default serves calls of the unkeyed `__wrapped__`
+
     # equalities: RREF of the augmented rows; a pivot in the offset column
     # means 0 == nonzero
     eq_rows, pivots = rref_ints([integer_row(e + (d,))[0] for e, d in eqs])
@@ -400,6 +414,11 @@ def _dd(
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """Double description: generators of {x : a.x <= 0, e.x == 0}.
 
+    Repeats are answered from a bounded per-process memo (CANON_CACHE_SIZE
+    entries) keyed by dim, the rows as given and RAY_LIMIT, so a lowered
+    limit still raises; a RayLimitError is never kept.  Each call returns
+    fresh lists of the memoized int tuples.
+
     Maintains a (rays, lineality) pair generating the intersection of the
     constraints processed so far, the rays being exactly its extreme rays
     modulo the lineality.  Each ray carries its zero set, a bitmask of the
@@ -417,6 +436,16 @@ def _dd(
     tuples; the returned rays are reduced modulo the lineality, primitive and
     sorted.  RayLimitError when a step leaves more than RAY_LIMIT rays.
     """
+    rays, lin = _dd_rows(
+        dim, tuple(map(tuple, ineq_rows)), tuple(map(tuple, eq_rows)), RAY_LIMIT
+    )
+    return list(rays), list(lin)
+
+
+@lru_cache(maxsize=CANON_CACHE_SIZE)
+def _dd_rows(
+    dim: int, ineq_rows: tuple[Vec, ...], eq_rows: tuple[Vec, ...], ray_limit: int
+) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
     lin = nullspace_ints([integer_row(e)[0] for e in eq_rows], dim)
     rays: list[list[int]] = []
     zeros: list[int] = []
@@ -464,13 +493,13 @@ def _dd(
                     )
                     new_zeros.append(common | bit)
             rays, zeros = new_rays, new_zeros
-        if len(rays) > RAY_LIMIT:
+        if len(rays) > ray_limit:
             raise RayLimitError(
-                f"ray limit exceeded: {len(rays)} rays (limit {RAY_LIMIT})"
+                f"ray limit exceeded: {len(rays)} rays (limit {ray_limit})"
             )
     lin_rows, lin_piv = rref_ints(lin)
     out = sorted(tuple(reduce_mod_rowspace(r, lin_rows, lin_piv)) for r in rays)
-    return out, [tuple(l) for l in lin]
+    return tuple(out), tuple(map(tuple, lin))
 
 
 def _project(v, av: int, pivot: list[int], pa: int) -> list[int]:

@@ -120,7 +120,13 @@ def frozen_rows(rows) -> tuple[tuple[Vec, Fraction], ...]:
     """Constraint rows (a, b) as nested tuples.
 
     Hashable, and unaffected by later changes to the caller's lists: the key
-    of the per-process caches of exact work.
+    of the per-process caches of exact work.  There are three, each bounded:
+    `lp.solve` keys on (objective, rows, equalities, dim, sense), with
+    `lp.CACHE_SIZE` entries; `exactgeom._canon_h` on (dim, rows, equalities,
+    RAY_LIMIT) and `exactgeom._dd` on (dim, rows, equalities, RAY_LIMIT), the
+    double description's rows frozen as plain vectors, with
+    `exactgeom.CANON_CACHE_SIZE` entries each.  The ray limit is in the
+    exactgeom keys so that a lowered limit still raises.
     """
     return tuple((tuple(a), b) for a, b in rows)
 

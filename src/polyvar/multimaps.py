@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import prod
 
 from ._record import record
-from .cones import limiting_normal_wrt, rule_scope
+from .cones import limiting_normal_wrt, per_rule_call, rule_scope
 from .exactgeom import (
     ConeH,
     ConeUnion,
@@ -101,6 +101,7 @@ class CoderivativeSlice:
     result: PolyUnion
 
 
+@per_rule_call
 def graph_normal_cone(F: PolyMultimap, c: ConvexPoly, x: Vec, y: Vec) -> ConeUnion:
     """N_{C x R^m}((x, y), gph F_C), the cone behind every coderivative."""
     F.check_point(x, y)

@@ -29,6 +29,7 @@ from conftest import (
     random_plfunc,
     random_poly_through,
     random_polyset_through,
+    ref_limiting_normal_wrt,
     rng_vec,
 )
 from polyvar.calculus import (
@@ -308,6 +309,12 @@ def test_criterion5_structural_property_suite():
             a = subdiff_wrt(f, cset, zero(fdim), KIND_LIMITING)
             b = subdiff_via_coderivative(f, cset, zero(fdim), KIND_LIMITING)
             assert a.value.same_set(b.value)
+            # both routes build the same cone; the independent side is the
+            # reference cone of epi f relative to C x R, built piece by
+            # piece, whose section at -1 is the subdifferential
+            top = zero(fdim) + (f.value(zero(fdim)),)
+            ref = ref_limiting_normal_wrt(f.epi, ConvexPoly.whole_space(fdim + 1), top)
+            assert a.value.same_set(ref.slice((fdim,), (-1,)))
         else:
             # the outer limit assembled from proximal cell cones equals the
             # one assembled from Fréchet cell cones and the engine's union

@@ -160,6 +160,23 @@ def test_sum_and_chain_rules_build_each_graph_cone_once(monkeypatch):
         assert builds and max(builds.values()) == 1, (name, builds.most_common(1))
 
 
+def test_sum_and_chain_rules_lift_each_graph_cone_once(monkeypatch):
+    """A sum or chain call asks `graph_normal_cone` for the same map, set and
+    point more than once; the rule call's memo answers each repeat, so the
+    point check and the lift of C to C x R^m run once per input."""
+    real, entered = multimaps.limiting_normal_wrt, Counter()
+
+    def counting(omega, wrt, point):
+        entered[omega, wrt, point] += 1
+        return real(omega, wrt, point)
+
+    monkeypatch.setattr(multimaps, "limiting_normal_wrt", counting)
+    for name, rule, args in _draws():
+        entered.clear()
+        rule(*args, variant=VARIANT_SEMICONTINUOUS)
+        assert entered and max(entered.values()) == 1, (name, entered.most_common(1))
+
+
 def _count_cell_searches(monkeypatch) -> Counter:
     """A Counter of the `local_cells` inputs, (sets, point), that the
     engine's modules search from now on."""
