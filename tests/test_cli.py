@@ -191,3 +191,42 @@ def test_strict_quals_mode(tmp_path):
         ]
     )
     assert code == 0
+
+
+# Omega = {x <= 0} ∪ {y <= 0} and C = {x + y >= -1}: (1/2, 1) is in C but
+# not in Omega, (-1, -1) is in Omega but not in C
+OUTSIDE = {
+    "version": "polyvar-1",
+    "objects": {
+        "omega": {
+            "type": "polyset",
+            "dim": 2,
+            "pieces": [{"ineqs": [[[1, 0], 0]]}, {"ineqs": [[[0, 1], 0]]}],
+        },
+        "c": {"type": "convex", "dim": 2, "ineqs": [[[-1, -1], 1]]},
+        "off-omega": {"type": "point", "values": ["1/2", 1]},
+        "off-c": {"type": "point", "values": [-1, -1]},
+    },
+    "queries": [
+        {"name": f"{kind}-{point}", "op": "normal-cone", "kind": kind,
+         "omega": "omega", "wrt": "c", "point": point}
+        for kind in ("frechet", "proximal", "limiting")
+        for point in ("off-omega", "off-c")
+    ],
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["--decimal"], ["--cross-check"]], ids=["plain", "decimal", "cross-check"])
+def test_normal_cone_outside_omega_cap_c_is_empty(flags, tmp_path):
+    # the paper's convention: every normal cone at a point outside Omega ∩ C
+    # is the empty set, rendered as the empty polyhedron or the empty union
+    problem = tmp_path / "outside.json"
+    problem.write_text(json.dumps(OUTSIDE))
+    code, text = run_cli(["normal-cone", str(problem), *flags], tmp_path)
+    report = json.loads(text)
+    assert (code, report["exit_code"]) == (0, 0)
+    assert report.get("oracle_flags", 0) == 0
+    want = {"frechet": {"empty": True}, "proximal": {"empty": True}, "limiting": {"parts": []}}
+    for q in report["queries"]:
+        assert (q["exit_code"], q["cone"]) == (0, want[q["name"].split("-")[0]]), q["name"]
+    assert len(report["queries"]) == 6
