@@ -23,9 +23,11 @@ of `multimaps.graph_normal_cone` are computed once and shared by the rule's qual
 call ends, so no result outlives it.
 
 The relative ("with respect to C") versions add the rows of the radial cone
-of C at the point to that H-form, and use the empty-marker convention when
-the base point leaves Omega ∩ C, which is never built: T_{P∩C}(x) =
+of C at the point to that H-form, and Omega ∩ C is never built: T_{P∩C}(x) =
 T_P(x) ∩ T_C(x), so a piece's tangent rows are its active rows plus C's.
+At a point outside Omega ∩ C every normal cone is the empty set
+(Mordukhovich 2006, Def. 1.1): the empty `ConvexPoly` for the Fréchet and
+proximal cones, the empty union for the limiting one.
 """
 
 from __future__ import annotations
@@ -102,17 +104,22 @@ def _frechet_cone(dim: int, rows) -> ConeH:
     return ConeH.from_rows(dim, ineqs, eqs)
 
 
-def frechet_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
-    """Fréchet normal cone of omega at the point, relative to the set wrt."""
+def frechet_normal_wrt(
+    omega: PolySet, wrt: ConvexPoly, point: Vec
+) -> ConeH | ConvexPoly:
+    """Fréchet normal cone of omega at the point, relative to the set wrt:
+    the empty polyhedron outside omega ∩ wrt."""
     check_dim("frechet_normal_wrt point", len(point), omega.dim)
     check_dim("frechet_normal_wrt wrt", wrt.dim, omega.dim)
     rows = _rows_at(omega, point, wrt)
     if rows is None:
-        return ConeH.empty_marker(omega.dim)
+        return ConvexPoly.empty(omega.dim)
     return _frechet_cone(omega.dim, rows)
 
 
-def proximal_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
+def proximal_normal_wrt(
+    omega: PolySet, wrt: ConvexPoly, point: Vec
+) -> ConeH | ConvexPoly:
     """Proximal normal cone relative to wrt (Euclidean ambient norm): for
     unions of closed convex polyhedra it coincides with the Fréchet-relative
     cone."""
@@ -219,8 +226,8 @@ def limiting_normal(omega: PolySet, point: Vec) -> ConeUnion:
 
 def normal_cone(
     omega: PolySet, wrt: ConvexPoly, point: Vec, kind: str
-) -> ConeH | ConeUnion:
-    """Dispatch on the requested kind; empty marker outside Omega cap C."""
+) -> ConeH | ConvexPoly | ConeUnion:
+    """Dispatch on the requested kind; the empty set outside Omega cap C."""
     if kind == KIND_FRECHET:
         return frechet_normal_wrt(omega, wrt, point)
     if kind == KIND_PROXIMAL:

@@ -119,11 +119,10 @@ def _reduce_rows(
 
 @lru_cache(maxsize=CANON_CACHE_SIZE)
 def _canon_h_rows(
-    dim: int, ineqs: tuple[Row, ...], eqs: tuple[Row, ...], ray_limit: int | None = None
+    dim: int, ineqs: tuple[Row, ...], eqs: tuple[Row, ...], ray_limit: int
 ) -> Canon | None:
     # ray_limit is only part of the key, so that a lowered RAY_LIMIT reaches
-    # the DD below; `_dd` reads the limit itself.  `_canon_h` always passes
-    # RAY_LIMIT; the default serves calls of the unkeyed `__wrapped__`
+    # the DD below; `_dd` reads the limit itself
 
     # equalities: RREF of the augmented rows; a pivot in the offset column
     # means 0 == nonzero
@@ -513,11 +512,11 @@ class ConeH:
 
     `rows` and `eq_rows` are the canonical normals a and e, primitive int
     tuples like the generators; `ineqs` and `eqs` give them with `Fraction`
-    entries.  `empty` marks the artifact's "point outside the domain"
-    convention; a homogeneous system itself always contains the origin.
-    Canonical rows fix the generators (`_dd` sorts primitive rays reduced
-    modulo the lineality, which is in RREF), so comparing fields compares
-    sets.
+    entries.  A homogeneous system contains the origin, so a cone is never
+    empty: a normal cone at a point outside the domain is the empty
+    `ConvexPoly`.  Canonical rows fix the generators (`_dd` sorts primitive
+    rays reduced modulo the lineality, which is in RREF), so comparing
+    fields compares sets.
     """
 
     dim: int
@@ -525,7 +524,9 @@ class ConeH:
     eq_rows: tuple[IntVec, ...]
     rays: tuple[IntVec, ...]
     lineality: tuple[IntVec, ...]
-    empty: bool = False
+
+    # not a field, never true: perfbench's `_canon` still reads it
+    empty = False
 
     @property
     def ineqs(self) -> tuple[Vec, ...]:
@@ -557,7 +558,7 @@ class ConeH:
             dim, [(a, 0) for a in rows], [(e, 0) for e in eq_rows]
         )
         rows = tuple(a for a, _ in rows)
-        return ConeH(dim, rows, tuple(e for e, _ in eq_rows), rays, lin, False)
+        return ConeH(dim, rows, tuple(e for e, _ in eq_rows), rays, lin)
 
     @staticmethod
     def from_generators(dim: int, rays=(), lineality=()) -> "ConeH":
@@ -575,30 +576,22 @@ class ConeH:
         eye = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
         return ConeH.from_rows(dim, [], eye)
 
-    @staticmethod
-    def empty_marker(dim: int) -> "ConeH":
-        return ConeH(dim, (), (), (), (), True)
-
     def generators(self) -> tuple[tuple[IntVec, ...], tuple[IntVec, ...]]:
         return self.rays, self.lineality
 
     # queries --------------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return self.empty
+        return False
 
     def contains(self, x: Vec) -> bool:
         check_dim("contains point", len(x), self.dim)
-        if self.empty:
-            return False
         excess = excess_at(x)
         return all(excess(a) <= 0 for a in self.rows) and not any(
             excess(e) for e in self.eq_rows
         )
 
     def is_zero(self) -> bool:
-        if self.empty:
-            return False
         return not self.rays and not self.lineality
 
     def subset_of(self, other: "ConeH") -> bool:
@@ -607,10 +600,6 @@ class ConeH:
         of self.  Rows and generators are int tuples, so each test is an int
         dot product."""
         check_dim("subset_of", other.dim, self.dim)
-        if self.empty:
-            return True
-        if other.empty:
-            return False
         rows, eqs = other.rows, other.eq_rows
         return all(
             all(sum(map(mul, a, r)) <= 0 for a in rows)
@@ -624,24 +613,18 @@ class ConeH:
 
     def intersect(self, other: "ConeH") -> "ConeH":
         check_dim("intersect", other.dim, self.dim)
-        if self.empty or other.empty:
-            return ConeH.empty_marker(self.dim)
         return ConeH.from_rows(
             self.dim, self.rows + other.rows, self.eq_rows + other.eq_rows
         )
 
     def minkowski(self, other: "ConeH") -> "ConeH":
         check_dim("minkowski", other.dim, self.dim)
-        if self.empty or other.empty:
-            return ConeH.empty_marker(self.dim)
         return ConeH.from_rows(
             self.dim,
             *_dd(self.dim, self.rays + other.rays, self.lineality + other.lineality),
         )
 
     def negate(self) -> "ConeH":
-        if self.empty:
-            return self
         return ConeH.from_rows(self.dim, [neg(a) for a in self.rows], self.eq_rows)
 
     @staticmethod
@@ -650,26 +633,17 @@ class ConeH:
         `ConvexPoly.lift`: one canonicalization of every lifted row."""
         rows, eq_rows = [], []
         for k, coords in factors:
-            _check_not_empty("lift", k)
             check_dim("lift coordinates", len(coords), k.dim)
             rows += [_lift(a, total, coords) for a in k.rows]
             eq_rows += [_lift(e, total, coords) for e in k.eq_rows]
         return ConeH.from_rows(total, rows, eq_rows)
 
     def to_poly(self) -> ConvexPoly:
-        _check_not_empty("to_poly", self)
         return ConvexPoly(
             self.dim,
             tuple((a, 0) for a in self.rows),
             tuple((e, 0) for e in self.eq_rows),
         )
-
-
-def _check_not_empty(what: str, cone: ConeH) -> None:
-    """Argument check that survives `python -O`: the empty marker stands for
-    a point outside the domain, not for a cone."""
-    if cone.empty:
-        raise ValueError(f"{what}: the empty marker is not a cone")
 
 
 def dd_convert(cone: ConeH) -> ConeH:
@@ -679,7 +653,6 @@ def dd_convert(cone: ConeH) -> ConeH:
 
 def polar(cone: ConeH) -> ConeH:
     """The polar cone {y : y.x <= 0 for all x in the cone}."""
-    _check_not_empty("polar", cone)
     return ConeH.from_rows(cone.dim, *cone.generators())
 
 
@@ -767,9 +740,9 @@ class FiniteUnion:
     sides) or cones (`ConeH`, for limiting normal cones).
 
     Unlike PolySet (which models ground sets Omega), a union may be empty,
-    the "empty set" marker for points outside the reference domain, and is
-    canonicalized by dropping parts contained in other parts (no convex
-    merging, by design).  Every operation delegates to the parts; `==` is
+    as a limiting cone or a subdifferential is at a point outside the
+    reference domain, and is canonicalized by dropping parts contained in
+    other parts (no convex merging, by design).  Every operation delegates to the parts; `==` is
     set equality.
     """
 

@@ -131,10 +131,6 @@ def frozen_rows(rows) -> tuple[tuple[Vec, Fraction], ...]:
     return tuple((tuple(a), b) for a, b in rows)
 
 
-def is_zero(a: Vec) -> bool:
-    return all(x == 0 for x in a)
-
-
 _denominator = attrgetter("denominator")
 _INT_ONLY = frozenset((int,))
 

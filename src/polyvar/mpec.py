@@ -32,8 +32,9 @@ INCONCLUSIVE = "Inconclusive"
 
 @record
 class MPECProblem:
-    n: int
-    m: int
+    """min f(x) s.t. 0 in G(x), x in C1 ∩ C2: x has f.dim entries, G(x)
+    lies in G.out_dim dimensions."""
+
     f: PLFunc
     G: PolyMultimap
     c1: ConvexPoly
@@ -56,7 +57,7 @@ class StationarityReport:
 
 def _check_feasible(p: MPECProblem, x: Vec) -> Vec:
     """The epigraph point (x, f(x)) of a feasible candidate x."""
-    if not p.G.contains(x, zero(p.m)):
+    if not p.G.contains(x, zero(p.G.out_dim)):
         raise ValueError("infeasible candidate: 0 not in G(x)")
     if not p.c1.contains(x):
         raise ValueError("infeasible candidate: x outside C1")
@@ -70,7 +71,7 @@ def _check_feasible(p: MPECProblem, x: Vec) -> Vec:
 
 def _q2(p: MPECProblem, point: Vec) -> TriVerdict:
     """Normal-densedness of the lifted epigraph/graph pair at (x, 0, f(x))."""
-    n, m = p.n, p.m
+    n, m = p.f.dim, p.G.out_dim
     total = n + m + 1
     # (x, y, z) with (x, z) in epi f, y free; and gph G x R
     omega1 = PolySet.lift(total, [(p.f.epi, (*range(n), n + m))])
@@ -84,23 +85,24 @@ def _q2(p: MPECProblem, point: Vec) -> TriVerdict:
 def stationarity_check(p: MPECProblem, x: Vec) -> StationarityReport:
     """Evaluate the necessary conditions and aggregate the verdict."""
     point = _check_feasible(p, x)
+    n = p.f.dim
     # D*G(x, 0)(0) once: q1 and the Aubin verdict both read it
-    dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
+    dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.G.out_dim))
     # epi f's limiting cone once: q1 reads its horizon slice, the condition
     # its limiting one
     epi_cone = _epi_cone(p.f, p.c1, point, KIND_LIMITING)
     # q1: the horizon subdifferential against the zero slice of D*G
-    horizon = epi_cone.slice((p.n,), (0,))
+    horizon = epi_cone.slice((n,), (0,))
     q1 = TriVerdict.zero_cone(horizon.recession().intersect(dzero.negate()))
     q2 = _q2(p, point)
     aubin = TriVerdict.zero_cone(dzero)
 
-    subdiff = epi_cone.slice((p.n,), (-1,))
+    subdiff = epi_cone.slice((n,), (-1,))
 
     # 0 in subdiff + dzero  <=>  subdiff meets -dzero
-    reflected = PolyUnion(p.n, [c.to_poly() for c in dzero.negate().parts])
+    reflected = PolyUnion(n, [c.to_poly() for c in dzero.negate().parts])
     condition_sum = not subdiff.intersect(reflected).is_empty()
-    condition_obj = subdiff.contains(zero(p.n))
+    condition_obj = subdiff.contains(zero(n))
 
     if q1.is_holds() and q2.is_holds():
         verdict = (

@@ -65,8 +65,6 @@ def render(obj: Any, decimal: bool = False):
     if isinstance(obj, tuple) and all(isinstance(x, Fraction) for x in obj):
         return _vec(obj, decimal)
     if isinstance(obj, ConeH):
-        if obj.empty:
-            return {"empty": True}
         # int rows print as the Fractions they equal
         return {
             "ineqs": [_vec(a, decimal) for a in obj.rows],
@@ -136,7 +134,7 @@ def dims_of(obj) -> tuple[int, ...]:
 def _mpec_check(f, g, c1, c2, point):
     from . import mpec
 
-    problem = mpec.MPECProblem(f.dim, g.out_dim, f, g, c1, c2)
+    problem = mpec.MPECProblem(f, g, c1, c2)
     return mpec.stationarity_check(problem, point)
 
 

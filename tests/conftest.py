@@ -241,20 +241,26 @@ def ref_limiting_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> Cone
     return ConeUnion.make(omega.dim, parts)
 
 
+def child_env() -> dict:
+    """The environment with the tested `polyvar` first on PYTHONPATH, for a
+    child interpreter."""
+    src = str(Path(polyvar.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def run_optimized(script: str) -> dict:
     """Run `script` in a fresh `python -O` interpreter; return its JSON stdout.
 
     `-O` strips asserts, so such a script reports what it saw as JSON for
     the caller to assert on.
     """
-    src = str(Path(polyvar.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         check=True,
     )
     return json.loads(proc.stdout)

@@ -222,7 +222,7 @@ def test_criterion4_final_mpec_examples():
     c = ConvexPoly.make(1, [(vec(-1), Fraction(0))])
     r_line = ConvexPoly.whole_space(1)
 
-    r1 = stationarity_check(MPECProblem(1, 1, f, G, c, c), vec(0))
+    r1 = stationarity_check(MPECProblem(f, G, c, c), vec(0))
     assert r1.verdict == NECESSARY_CONDITIONS_HOLD
     interval = subdiff_wrt(f, c, vec(0), KIND_LIMITING).value
     assert len(interval.parts) == 1
@@ -231,7 +231,7 @@ def test_criterion4_final_mpec_examples():
     )  # exactly [0, 1]
     assert interval.contains(vec(0))
 
-    r2 = stationarity_check(MPECProblem(1, 1, f, G, r_line, c), vec(0))
+    r2 = stationarity_check(MPECProblem(f, G, r_line, c), vec(0))
     assert r2.verdict == INCONCLUSIVE
     assert r2.q2.value == FAILS
     singleton = subdiff_wrt(f, r_line, vec(0), KIND_LIMITING).value

@@ -1,7 +1,6 @@
 """Engine entry points check their arguments without `assert`.
 
-Every dimension check raises ValueError naming both dimensions, and every
-cone operation given the empty marker raises ValueError, also under
+Every dimension check raises ValueError naming both dimensions, also under
 `python -O`, which strips asserts.
 """
 
@@ -25,7 +24,6 @@ from polyvar.exactgeom import (
     ConvexPoly,
     PolySet,
     PolyUnion,
-    polar,
 )
 from polyvar.linalg import dot, vec
 from polyvar.multimaps import (
@@ -321,13 +319,6 @@ CASES.update(
     }
 )
 
-EMPTY_MARKER_CASES = {
-    "polar": lambda: polar(ConeH.empty_marker(2)),
-    "lift": lambda: ConeH.lift(3, [(ConeH.empty_marker(2), (0, 1))]),
-    "to_poly": lambda: ConeH.empty_marker(2).to_poly(),
-}
-
-
 @pytest.mark.parametrize("ineqs, eqs", [([((1,), 0.1)], []), ([], [((1,), 0.5)])])
 def test_float_offset_raises_type_error(ineqs, eqs):
     # normals and offsets alike are exact: a float is refused, not converted
@@ -341,37 +332,6 @@ def test_dimension_mismatch_raises_value_error(case):
     call, message = CASES[case]
     with pytest.raises(ValueError, match=message):
         call()
-
-
-@pytest.mark.parametrize("case", sorted(EMPTY_MARKER_CASES))
-def test_empty_marker_raises_value_error(case):
-    with pytest.raises(ValueError, match=f"{case}: the empty marker is not a cone"):
-        EMPTY_MARKER_CASES[case]()
-
-
-def test_empty_marker_checks_survive_optimize():
-    # without the checks, -O gave the zero cone and the whole plane
-    script = """
-import json, sys
-from polyvar.exactgeom import ConeH, polar
-
-def outcome(call):
-    try:
-        call()
-    except Exception as exc:
-        return [type(exc).__name__, str(exc)]
-    return None
-
-empty = ConeH.empty_marker(2)
-json.dump({"optimize": sys.flags.optimize,
-           "polar": outcome(lambda: polar(empty)),
-           "to_poly": outcome(lambda: empty.to_poly())}, sys.stdout)
-"""
-    assert run_optimized(script) == {
-        "optimize": 1,
-        "polar": ["ValueError", "polar: the empty marker is not a cone"],
-        "to_poly": ["ValueError", "to_poly: the empty marker is not a cone"],
-    }
 
 
 def test_dimension_checks_survive_optimize():

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from conftest import child_env
 
 from polyvar.cli import main
 from polyvar.presets import preset_ids
@@ -126,6 +127,7 @@ def test_console_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 1
     assert out.exists()

@@ -168,10 +168,10 @@ def test_whole_space_reduction():
         )
 
 
-def test_outside_gives_empty_marker():
+def test_outside_gives_the_empty_polyhedron():
     ex = make_example1()
     n = frechet_normal_wrt(ex.omega2, ex.c, vec(-1, 0, 0))
-    assert n.empty
+    assert n.is_empty() and n == ConvexPoly.empty(3)
 
 
 def test_frechet_wrt_oracle_agreement():
@@ -201,13 +201,13 @@ def test_proximal_equals_frechet_convex():
 def test_proximal_validation_example1():
     ex = make_example1()
     n = proximal_normal_wrt(ex.omega1, ex.c, vec(0, 0, 0))
-    assert not n.empty
+    assert not n.is_empty()
     assert proximal_inequality_holds(ex.omega1, ex.c, vec(0, 0, 0), n)
 
 
 def test_proximal_outside_wrt_empty():
     ex = make_example1()
-    assert proximal_normal_wrt(ex.omega2, ex.c, vec(-2, 1, 0)).empty
+    assert proximal_normal_wrt(ex.omega2, ex.c, vec(-2, 1, 0)) == ConvexPoly.empty(3)
 
 
 def test_proximal_validation_near_an_inactive_facet():
@@ -398,10 +398,12 @@ def test_limiting_parts_are_closed_cones():
 # -- the tangent-generator form against the per-piece polar form ---------------
 
 
-def ref_frechet_normal_wrt(omega: PolySet, wrt: ConvexPoly, point: Vec) -> ConeH:
+def ref_frechet_normal_wrt(
+    omega: PolySet, wrt: ConvexPoly, point: Vec
+) -> ConeH | ConvexPoly:
     request_domain = cap_poly(omega, wrt)
     if not request_domain.contains(point):
-        return ConeH.empty_marker(omega.dim)
+        return ConvexPoly.empty(omega.dim)
     return ref_frechet_normal(request_domain, point).intersect(radial_cone(wrt, point))
 
 
@@ -464,8 +466,8 @@ def test_frechet_cones_match_per_piece_reference():
             got = frechet_normal_wrt(omega, wrt, x)
             ref = ref_frechet_normal_wrt(omega, wrt, x)
             assert got == ref
-            coverage["outside"] += got.empty
-            if not got.empty:
+            coverage["outside"] += got.is_empty()
+            if not got.is_empty():
                 assert_seeded_generators_canonical(got)
         lim = limiting_normal_wrt(omega, wrt, base)
         assert lim.parts == ref_limiting_normal_wrt(omega, wrt, base).parts
@@ -483,8 +485,8 @@ def test_frechet_cones_build_no_polar_dd(monkeypatch):
 
     monkeypatch.setattr(ConeH, "from_generators", staticmethod(refuse))
     for omega, wrt, base, _ in instances:
-        assert not frechet_normal_wrt(omega, ConvexPoly.whole_space(omega.dim), base).empty
-        assert not frechet_normal_wrt(omega, wrt, base).empty
+        assert not frechet_normal_wrt(omega, ConvexPoly.whole_space(omega.dim), base).is_empty()
+        assert not frechet_normal_wrt(omega, wrt, base).is_empty()
         assert not limiting_normal_wrt(omega, wrt, base).is_empty()
 
 

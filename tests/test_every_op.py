@@ -152,7 +152,7 @@ def _chain(o, q):
 
 def _mpec(o, q):
     f, G = o[q["f"]], o[q["g"]]
-    problem = mpec.MPECProblem(f.dim, G.out_dim, f, G, o[q["c1"]], o[q["c2"]])
+    problem = mpec.MPECProblem(f, G, o[q["c1"]], o[q["c2"]])
     report = mpec.stationarity_check(problem, o[q["point"]])
     return "report", report, MPEC_CODES[report.verdict]
 

@@ -76,14 +76,13 @@ def _walk(obj, counts: Counter) -> None:
     if obj is None or isinstance(obj, (bool, str, int, Fraction)):
         return
     if isinstance(obj, ConeH):
-        if not obj.empty:
-            dd_convert(obj)
-            _check_rows(obj.rows + obj.eq_rows, counts, "H-form row")
-            _check_view(obj.ineqs, obj.rows, tuple)
-            _check_view(obj.eqs, obj.eq_rows, tuple)
-            if obj.rows:  # built on each read, not cached
-                assert obj.ineqs is not obj.ineqs
-            _check_rows(obj.rays + obj.lineality, counts, "generator")
+        dd_convert(obj)
+        _check_rows(obj.rows + obj.eq_rows, counts, "H-form row")
+        _check_view(obj.ineqs, obj.rows, tuple)
+        _check_view(obj.eqs, obj.eq_rows, tuple)
+        if obj.rows:  # built on each read, not cached
+            assert obj.ineqs is not obj.ineqs
+        _check_rows(obj.rays + obj.lineality, counts, "generator")
         return
     if isinstance(obj, ConvexPoly):
         _check_poly_fields(obj, counts)

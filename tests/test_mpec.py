@@ -28,14 +28,14 @@ def reference_q1(p: MPECProblem, x) -> TriVerdict:
     """q1 on its own: the horizon subdifferential of f relative to C1 meets
     -D*G(x, 0)(0) only at the origin."""
     horizon = subdiff_wrt(p.f, p.c1, x, KIND_HORIZON).value
-    dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.m))
+    dzero = coderivative_zero_cone(p.G, p.c2, x, zero(p.G.out_dim))
     return TriVerdict.zero_cone(horizon.recession().intersect(dzero.negate()))
 
 
 def reference_q2(p: MPECProblem, x) -> TriVerdict:
     """q2 on its own: normal-densedness of epi f, lifted to (x, y, z) with y
     free, and gph G x R at (x, 0, f(x)), relative to C1 and C2 lifted."""
-    n, m = p.n, p.m
+    n, m = p.f.dim, p.G.out_dim
     total = n + m + 1
     omega1 = PolySet.lift(total, [(p.f.epi, tuple(range(n)) + (total - 1,))])
     omega2 = PolySet.lift(total, [(p.G.graph, tuple(range(n + m)))])
@@ -53,7 +53,7 @@ def final_example(c1_whole: bool) -> MPECProblem:
     f = PLFunc.affine(1, vec(1), 0)
     c = ConvexPoly.make(1, [(vec(-1), Fraction(0))])
     c1 = ConvexPoly.whole_space(1) if c1_whole else c
-    return MPECProblem(1, 1, f, G, c1, c)
+    return MPECProblem(f, G, c1, c)
 
 
 def test_final_example_1():
@@ -93,7 +93,7 @@ def test_q1_q2_direct():
 def test_certified_non_optimal_shifted_objective():
     p0 = final_example(c1_whole=False)
     fneg = PLFunc.affine(1, vec(-1), 0)  # min -x: x = 0 is the worst point
-    p = MPECProblem(1, 1, fneg, p0.G, p0.c1, p0.c2)
+    p = MPECProblem(fneg, p0.G, p0.c1, p0.c2)
     r = stationarity_check(p, vec(0))
     assert r.verdict == CERTIFIED_NON_OPTIMAL
     assert not r.condition_with_coderivative
@@ -105,10 +105,10 @@ def test_infeasible_candidates_rejected():
         stationarity_check(p, vec(-1))
     dom = ConvexPoly.make(1, [(vec(-1), Fraction(0)), (vec(1), Fraction(2))])
     frestricted = PLFunc.affine(1, vec(1), 0, domain=dom)
-    p2 = MPECProblem(1, 1, frestricted, p.G, p.c1, p.c2)
+    p2 = MPECProblem(frestricted, p.G, p.c1, p.c2)
     with pytest.raises(ValueError, match="C1"):
         stationarity_check(
-            MPECProblem(1, 1, frestricted, p.G, dom.intersect(ConvexPoly.make(1, [], [(vec(1), Fraction(1))])), p.c2),
+            MPECProblem(frestricted, p.G, dom.intersect(ConvexPoly.make(1, [], [(vec(1), Fraction(1))])), p.c2),
             vec(0),
         )
 
@@ -137,7 +137,7 @@ def test_stationarity_check_evaluates_f_once(monkeypatch):
     problems = [
         final_example(c1_whole=False),
         final_example(c1_whole=True),
-        MPECProblem(1, 1, fneg, p0.G, p0.c1, p0.c2),
+        MPECProblem(fneg, p0.G, p0.c1, p0.c2),
     ]
     verdicts = set()
     for p in problems:
@@ -179,7 +179,7 @@ def test_stationarity_check_builds_the_epigraph_cone_once(monkeypatch):
     problems = [
         final_example(c1_whole=False),
         final_example(c1_whole=True),
-        MPECProblem(1, 1, fneg, p0.G, p0.c1, p0.c2),
+        MPECProblem(fneg, p0.G, p0.c1, p0.c2),
     ]
     real = cones.limiting_normal_wrt
     holders = [m for m in (plfunc, multimaps, quals, mpec)
@@ -209,7 +209,7 @@ def test_consistency_aubin_and_q2_imply_condition_agreement():
         slope = rng_vec(rng, 1, -2, 2)
         f = PLFunc.affine(1, slope, 0)
         p0 = final_example(c1_whole=False)
-        p = MPECProblem(1, 1, f, p0.G, p0.c2, p0.c2)
+        p = MPECProblem(f, p0.G, p0.c2, p0.c2)
         r = stationarity_check(p, vec(0))
         if r.aubin_wrt_g.value == HOLDS and r.q2.value == HOLDS:
             assert r.condition_with_coderivative == r.condition_objective_only
@@ -227,7 +227,7 @@ def test_certified_non_optimal_soundness_grid():
         trials += 1
         slope = Fraction(rng.randint(-3, 3))
         f = PLFunc.affine(1, (slope,), 0)
-        p = MPECProblem(1, 1, f, p0.G, p0.c1, p0.c2)
+        p = MPECProblem(f, p0.G, p0.c1, p0.c2)
         r = stationarity_check(p, vec(0))
         if r.verdict != CERTIFIED_NON_OPTIMAL:
             continue

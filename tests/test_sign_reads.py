@@ -321,6 +321,6 @@ def test_canonicalization_matches_the_one_that_always_runs_the_second_pass():
         rng.shuffle(ineqs)
         eqs = [row() for _ in range(rng.randint(0, 2))]
         ineqs, eqs = tuple(ineqs), tuple(eqs)
-        got = exactgeom._canon_h_rows.__wrapped__(dim, ineqs, eqs)
+        got = exactgeom._canon_h_rows.__wrapped__(dim, ineqs, eqs, exactgeom.RAY_LIMIT)
         assert got == ref_canon_h_rows(dim, ineqs, eqs, seen), (dim, ineqs, eqs)
     assert min(seen[k, i] for k in ("homogeneous", "affine") for i in (False, True)) >= 30, seen
