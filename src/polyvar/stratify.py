@@ -12,8 +12,12 @@ realizes its sign vector.  One depth-first enumerator serves two modes.
   from the base to any point of the cell stays in the cell), so each prefix
   is certified by an exact slack-maximizing LP over the active normals with
   zero offsets, and the witness is the base moved a short way along d,
-  built only when read.  This replaces every "for x close enough to x̄"
-  quantifier with a finite, exact enumeration.  It returns strata, unions
+  built only when read.  Offsets 0 make the prefix's equalities a linear
+  subspace, so the LP runs on an integer basis of it (their null space):
+  it has no equality row and starts feasible from its slack basis, with no
+  phase 1, and an empty basis leaves only the origin, with no LP.  This
+  replaces every "for x close enough to x̄" quantifier with a finite,
+  exact enumeration.  It returns strata, unions
   of sign cells, rather than the cells themselves (a stratification in the
   sense of Adam, Červinka & Pištěk 2016; Henrion & Outrata 2008 read the
   same cones off the faces of the pieces):
@@ -54,14 +58,23 @@ from operator import mul
 from . import lp
 from ._record import record
 from .exactgeom import ConvexPoly, IntRow, IntVec, LimitError, PolySet
-from .linalg import Vec, check_dim, excess_at, integer_row, neg, sub, zero
+from .linalg import (
+    Vec,
+    check_dim,
+    excess_at,
+    integer_row,
+    neg,
+    nullspace_ints,
+    sub,
+    zero,
+)
 
 ParticipatingSet = PolySet | ConvexPoly
 
 # most rows one enumeration may take: the rows active at the base for
 # `local_cells`, every row for `global_cells`.  Each branches at most three
 # ways, so 3^k bounds the leaves of the search tree (the test suite reaches
-# k = 9); with strata many active rows never branch
+# k = 12); with strata many active rows never branch
 ACTIVE_ROW_LIMIT = 12
 
 
@@ -323,7 +336,29 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         # a point p with sign(a.p - offset) = s on the assigned rows
         strict = [rows[h] if signs[h] < 0 else flipped[h] for h in assigned if signs[h]]
         eqs = [rows[h] for h in assigned if not signs[h]]
-        return lp.strict_feasible_point([], strict, eqs, dim)
+        if base is None or not eqs:
+            return lp.strict_feasible_point([], strict, eqs, dim)
+        # local, so every offset is 0: the direction is x = N.y for an int
+        # basis N (its columns the rows of `basis`) of the equalities' null
+        # space, and the LP on y has no equality row, so no phase 1.  Some
+        # assigned row is strict (a point p != 0 came from a strict child,
+        # and at p = 0 both signs off p's side are strict), so an empty
+        # basis leaves only the origin, which misses it
+        basis = nullspace_ints([a for a, _ in eqs], dim)
+        if not basis:
+            return None
+        y = lp.strict_feasible_point(
+            [],
+            [(tuple(sum(map(mul, a, v)) for v in basis), 0) for a, _ in strict],
+            [],
+            len(basis),
+        )
+        if y is None:
+            return None
+        ny, dy = integer_row(y)
+        return tuple(
+            Fraction(sum(map(mul, ny, column)), dy) for column in zip(*basis)
+        )
 
     def descend(pos: int, p: Vec) -> None:
         if pos == len(active):

@@ -24,7 +24,7 @@ from conftest import (
 )
 from polyvar import cones, lp, stratify
 from polyvar.exactgeom import ConvexPoly, PolySet
-from polyvar.linalg import dot, vec
+from polyvar.linalg import dot, integer_row, rref_ints, vec
 from polyvar.stratify import global_cells, local_cells
 
 
@@ -260,6 +260,56 @@ def test_local_cells_match_brute_force_over_sign_vectors():
         }
         unbranched += any(None in st.signs for st in strata)
         checked += 1
+
+
+def test_local_region_lps_on_the_null_space_of_their_equalities(monkeypatch):
+    """With at least d independent active hyperplanes, deep regions assign
+    enough equalities to leave only the origin.  The search matches the
+    brute force (still the LP with equality rows), every witness meets its
+    equalities exactly, and no region LP carries an equality row or runs
+    on t alone, which is what an empty null space would pose."""
+    posed, bases = [], []
+    solve, nullspace = lp.solve, stratify.nullspace_ints
+
+    def counted(c, ineqs, eqs, dim, *rest):
+        posed.append((len(eqs), dim))
+        return solve(c, ineqs, eqs, dim, *rest)
+
+    def recorded(rows, dim):
+        basis = nullspace(rows, dim)
+        bases.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(lp, "solve", counted)
+    monkeypatch.setattr(stratify, "nullspace_ints", recorded)
+    rng = random.Random("null-space-regions")
+    checked = 0
+    while checked < 30:
+        dim = rng.randint(2, 3)
+        base = rng_vec(rng, dim, -1, 1)
+        sets = [random_polyset_through(rng, dim, base, max_pieces=2)]
+        if rng.random() < 0.6:
+            sets.append(random_poly_through(rng, dim, base, max_rows=4))
+        hyper = _arrangement(sets)
+        active = [a for a, b in hyper if dot(a, base) == b]
+        if not dim < len(active) <= 5 or len(rref_ints(
+            [integer_row(a)[0] for a in active]
+        )[0]) < dim:
+            continue
+        posed.clear()
+        strata = local_cells(sets, base)
+        assert all(n_eqs == 0 and n_vars >= 2 for n_eqs, n_vars in posed), posed
+        _assert_strata_of(
+            [st.signs for st in strata], _brute_force_points(sets, hyper, dim, base)
+        )
+        for st in strata:
+            assert _realizes(st.witness, hyper, st.signs)
+            for (a, b), sg in zip(hyper, st.signs):
+                if sg == 0:
+                    assert dot(a, st.witness) == b and dot(a, st.point) == 0
+        checked += 1
+    # regions left with the origin alone were met, and posed no LP
+    assert bases.count(0) >= 10, bases
 
 
 def test_global_cells_match_brute_force_over_sign_vectors():
@@ -498,10 +548,11 @@ def test_derived_middle_points_lie_in_their_child_region(monkeypatch, mode):
 
 
 # sha256 of the cells of `_pinned_cases`: global recorded before the
-# enumerator kept its signs in one list, local when it began to return strata
-# in fail-first order (every witness checked against its signs below)
+# enumerator kept its signs in one list, local when its region LPs with
+# equalities moved to the equalities' null space (same signs, new witnesses;
+# every witness checked against its signs below)
 PINNED_CELLS = {
-    "local": "7e3367204845e07d2ddad207c7596b80f0e7f699d189ffb9811ee3f2811b6464",
+    "local": "86b32588dcf4f548ffc04e7a0273686bf93b0f8445ab69571fe4c93286c7fc10",
     "global": "581e18bff19775cca852bfdedc64bc2a93091b1f5d23b786e47e15d90e71ca92",
 }
 
@@ -541,8 +592,9 @@ def test_cells_match_the_pinned_digest(mode):
 # that search's `lp.solve` calls, and the sha256 of the limiting cone's parts
 # as (dim, rows, eq_rows, rays, lineality) tuples, which print no field names
 SCALING_WORK = {
-    (4, 8): (82, 187, "4f381a990a35ddc157e3cfeff74d59528edcd7a60dd31659528b2dbc34c21ac6"),
-    (5, 10): (298, 471, "f6644749a5b4e48eb9b3950bca234199a4bbdae9c6d30c92bf92a176b00e50c1"),
+    (4, 8): (82, 180, "4f381a990a35ddc157e3cfeff74d59528edcd7a60dd31659528b2dbc34c21ac6"),
+    (5, 10): (298, 453, "f6644749a5b4e48eb9b3950bca234199a4bbdae9c6d30c92bf92a176b00e50c1"),
+    (6, 12): (745, 1726, "111814a6be01c58ac6093def171d935e4ddac1ddfd1533678139f6e01ed6bd9a"),
 }
 
 
