@@ -625,7 +625,16 @@ class ConeH:
         )
 
     def negate(self) -> "ConeH":
-        return ConeH.from_rows(self.dim, [neg(a) for a in self.rows], self.eq_rows)
+        """-K with no canonicalization: reduction modulo the equalities and
+        the lineality is linear, so the negated rows and rays, sorted, are
+        canonical, and both subspaces stay as they are."""
+        return ConeH(
+            self.dim,
+            tuple(sorted(map(neg, self.rows))),
+            self.eq_rows,
+            tuple(sorted(map(neg, self.rays))),
+            self.lineality,
+        )
 
     @staticmethod
     def lift(total: int, factors) -> "ConeH":

@@ -10,14 +10,14 @@ realizes its sign vector.  One depth-first enumerator serves two modes.
   rows branch.  A sign vector on the active rows is an adherent nonempty
   cell exactly when some direction d from the base realizes it (the segment
   from the base to any point of the cell stays in the cell), so each prefix
-  is certified by an exact slack-maximizing LP over the active normals with
-  zero offsets, and the witness is the base moved a short way along d,
-  built only when read.  Offsets 0 make the prefix's equalities a linear
-  subspace, so the LP runs on an integer basis of it (their null space):
-  it has no equality row and starts feasible from its slack basis, with no
-  phase 1, and an empty basis leaves only the origin, with no LP.  This
-  replaces every "for x close enough to x̄" quantifier with a finite,
-  exact enumeration.  It returns strata, unions
+  is a region of the active normals with zero offsets, and the witness is
+  the base moved a short way along d, built only when read.  Offsets 0
+  make the prefix's equalities a linear subspace with an integer basis N
+  (their null space): when N is empty or one vector, the strict rows'
+  signs on it settle the region, and otherwise an exact slack-maximizing
+  LP does, posed on N with no equality row, so it starts feasible from its
+  slack basis with no phase 1.  This replaces every "for x close enough to
+  x̄" quantifier with a finite, exact enumeration.  It returns strata, unions
   of sign cells, rather than the cells themselves (a stratification in the
   sense of Adam, Červinka & Pištěk 2016; Henrion & Outrata 2008 read the
   same cones off the faces of the pieces):
@@ -42,12 +42,16 @@ realizes its sign vector.  One depth-first enumerator serves two modes.
 In both modes the descent starts at the origin and a child whose sign the
 parent's point already has reuses that point, so no LP runs for it.  The
 parent's region R is relatively open and convex and holds its point p, so
-the far side's LP for a hyperplane h (below h when p lies on h) settles the
-other new child with no LP: a point of that child gives, through p, one on
-the far side, and a far point q gives the child the point where the segment
-p -> q crosses h, or, when p lies on h, a short step from p away from q.  A
-branching node thus runs at most one region LP, and each derived point can
-be checked by dot products.
+the far side's point for a hyperplane h (below h when p lies on h) settles
+the other new child: a point of that child gives, through p, one on the far
+side, and a far point q gives the child the point where the segment p -> q
+crosses h, or, when p lies on h, a short step from p away from q.  When p
+lies on h the far side needs no LP either: it meets R exactly when h is not
+constant on the subspace of R's equalities, and p stepped along the
+projection of h's normal onto that subspace is then its point
+(`_region_point`).  So a branching node settles at most one region, the
+region LP runs only where p lies off h or local equalities leave more than
+a line, and every other answer can be checked by dot products.
 """
 
 from __future__ import annotations
@@ -183,10 +187,11 @@ def _step(p: Vec, d: Vec, rows: list[IntRow]) -> Vec:
     )
 
 
-def _other_side(p: Vec, q: Vec, h: IntRow, assigned: list[IntRow]) -> Vec:
+def _other_side(p: Vec, q: Vec, h: IntRow, strict: list[IntRow]) -> Vec:
     """The middle child's point from the far child's point q and p, both in
-    the region of `assigned`: where p -> q crosses h, or, if p lies on h, a
-    step away from q keeping each row's sign (equalities have slope 0).
+    the parent's region, whose strict rows are `strict`: where p -> q
+    crosses h, or, if p lies on h, a step away from q keeping each strict
+    row's sign (p - q has slope 0 on every equality).
 
     With p = np / dp, q = nq / dq and u, w the values of h at (np, dp) and
     (nq, dq), the crossing u.(nq, dq) - w.(np, dp) is a combination of the
@@ -199,7 +204,64 @@ def _other_side(p: Vec, q: Vec, h: IntRow, assigned: list[IntRow]) -> Vec:
         w = sum(map(mul, normal, nq)) - offset * dq
         den = u * dq - w * dp
         return tuple(Fraction(u * y - w * x, den) for x, y in zip(np_, nq))
-    return _step(p, sub(p, q), [r for r in assigned if r != h])
+    return _step(p, sub(p, q), strict)
+
+
+def _region_point(
+    p: Vec, strict: list[IntRow], eqs: list[IntRow], local: bool
+) -> Vec | None:
+    """A point x with a.x < b on each `strict` row and e.x == d on each of
+    `eqs`, or None when there is none; `local` when every offset is 0, so
+    that x is a direction from the base.  The row assigned last is last in
+    its list, and p, the parent's point, has the region's sign on every
+    other row.
+
+    Exact linear algebra settles two kinds of region with no LP:
+    - p lies on the last strict row (a, b).  The parent's region is
+      relatively open in the affine space S of `eqs` and holds p, so
+      a.x < b meets it exactly when a is not constant on S, that is when
+      N^T.a != 0 for the int basis N of S's directions (the null space of
+      the equality normals, the identity with none).  Then p moved along
+      -N.N^T.a, which lowers a.x and keeps every equality, by `_step`, which
+      keeps every other strict row's sign, is a point; N^T.a = 0 certifies
+      that there is none.
+    - Local, with equalities leaving a line t.v (N has one column).  Each
+      strict row a fixes the sign of t through a.v, so the region is
+      nonempty exactly when all of them agree, and v or -v is a point.  An
+      empty N leaves only the origin, which misses every strict row (a
+      local region always has one: p != 0 came from a strict child, and
+      at p = 0 every child asked is strict).
+    Any other region runs the exact slack-maximizing LP, in local mode
+    posed on y with x = N.y: no equality row, so its slack basis is
+    feasible and no phase 1 runs.
+    """
+    dim = len(p)
+    if strict and not excess_at(p)(*strict[-1]):
+        a, _ = strict[-1]
+        basis = nullspace_ints([e for e, _ in eqs], dim)
+        coef = [sum(map(mul, a, v)) for v in basis]
+        if not any(coef):
+            return None
+        down = tuple(-sum(map(mul, coef, column)) for column in zip(*basis))
+        return _step(p, down, strict[:-1])
+    if not local or not eqs:
+        return lp.strict_feasible_point([], strict, eqs, dim)
+    basis = nullspace_ints([e for e, _ in eqs], dim)
+    if not basis:
+        return None
+    reduced = [tuple(sum(map(mul, a, v)) for v in basis) for a, _ in strict]
+    if len(basis) == 1:
+        # t.v meets a strict row a exactly when t.(a.v) < 0
+        lead = {_sign(c) for (c,) in reduced}
+        if 0 in lead or len(lead) > 1:
+            return None
+        t = -1 if 1 in lead else 1
+        return tuple(Fraction(t * x) for x in basis[0])
+    y = lp.strict_feasible_point([], [(r, 0) for r in reduced], [], len(basis))
+    if y is None:
+        return None
+    ny, dy = integer_row(y)
+    return tuple(Fraction(sum(map(mul, ny, column)), dy) for column in zip(*basis))
 
 
 def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
@@ -332,35 +394,9 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
     def violated(reqs) -> bool:
         return any(signs[h] not in allowed for h, allowed in reqs)
 
-    def region_point(assigned: list[int]) -> Vec | None:
-        # a point p with sign(a.p - offset) = s on the assigned rows
-        strict = [rows[h] if signs[h] < 0 else flipped[h] for h in assigned if signs[h]]
-        eqs = [rows[h] for h in assigned if not signs[h]]
-        if base is None or not eqs:
-            return lp.strict_feasible_point([], strict, eqs, dim)
-        # local, so every offset is 0: the direction is x = N.y for an int
-        # basis N (its columns the rows of `basis`) of the equalities' null
-        # space, and the LP on y has no equality row, so no phase 1.  Some
-        # assigned row is strict (a point p != 0 came from a strict child,
-        # and at p = 0 both signs off p's side are strict), so an empty
-        # basis leaves only the origin, which misses it
-        basis = nullspace_ints([a for a, _ in eqs], dim)
-        if not basis:
-            return None
-        y = lp.strict_feasible_point(
-            [],
-            [(tuple(sum(map(mul, a, v)) for v in basis), 0) for a, _ in strict],
-            [],
-            len(basis),
-        )
-        if y is None:
-            return None
-        ny, dy = integer_row(y)
-        return tuple(
-            Fraction(sum(map(mul, ny, column)), dy) for column in zip(*basis)
-        )
-
-    def descend(pos: int, p: Vec) -> None:
+    def descend(pos: int, p: Vec, strict: list[IntRow], eqs: list[IntRow]) -> None:
+        # p has the sign of every assigned row: a.x < b on each `strict`
+        # row (each hyperplane oriented by its sign), e.x == d on `eqs`
         if pos == len(active):
             # `pieces_possible`, which let this leaf be reached, left a piece
             # of every set unviolated; such a piece has no unbranched row,
@@ -370,31 +406,32 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
         h = active[pos]
         if base is not None and all(map(violated, holders[h])):
             # no piece with a row on h can hold the region: h stays None
-            descend(pos + 1, p)
+            descend(pos + 1, p, strict, eqs)
             return
-        side = _sign(excess_at(p)(hyperplanes[h][0], offsets[h]))
-        assigned = [g for g in active[:pos] if signs[g] is not None] + [h]
-        # the child on p's side reuses p; the far side's LP (module
+        side = _sign(excess_at(p)(*rows[h]))
+        # the child on p's side reuses p; the far side's point (module
         # docstring) settles the other new child: empty, or a point from q
         far = 1 if side < 0 else -1
         ran, q = False, None
         for sgn in (far, 0 if side else 1, side):
             signs[h] = sgn
             if pieces_possible():
+                if sgn:
+                    region = (strict + [rows[h] if sgn < 0 else flipped[h]], eqs)
+                else:
+                    region = (strict, eqs + [rows[h]])
                 if sgn == side:
                     child = p
                 elif ran:
-                    child = None if q is None else _other_side(
-                        p, q, rows[h], [rows[g] for g in assigned]
-                    )
+                    child = None if q is None else _other_side(p, q, rows[h], strict)
                 else:
-                    child = q = region_point(assigned)
+                    child = q = _region_point(p, *region, base is not None)
                     ran = True
                 if child is not None:
-                    descend(pos + 1, child)
+                    descend(pos + 1, child, *region)
         signs[h] = None
 
     if pieces_possible():
-        descend(0, zero(dim))
+        descend(0, zero(dim), [], [])
     cells.sort(key=lambda c: [2 if s is None else s for s in c.signs])
     return cells

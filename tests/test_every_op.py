@@ -223,7 +223,7 @@ def test_failed_inner_hypothesis_is_rendered_with_its_witness(tmp_path):
     quals = dict(got["report"]["qualifications"])
     assert [v["verdict"] for v in quals.values()] == ["holds", "holds", "fails"]
     cert = quals["inner_semicontinuous"]["certificate"]
-    assert cert == {"witness": ["1/4", "1"]}
+    assert cert == {"witness": ["1/8", "1"]}
     assert got["exit_code"] == 1 and code == 1
     # w certifies the failure: with S(x, y) = {(y1, y2) : y1 in P(x), y2 in
     # Q(x), y1 + y2 = y} and the base (x̄, ȳ) = (0, 1) with (y1, y2) = (1, 0),

@@ -176,6 +176,24 @@ def test_polar_involution_random():
         assert polar(polar(c)) == c
 
 
+def test_negate_matches_canonicalizing_the_negated_rows():
+    """`negate` transposes the canonical form; canonicalizing the negated
+    rows anew gives the same fields, with redundant rows, implied
+    equalities and lineality among the draws."""
+    rng = random.Random("negate-transposes")
+    lines = 0
+    for _ in range(3000):
+        dim = rng.randint(1, 4)
+        rows = [rng_vec(rng, dim, -2, 2) for _ in range(rng.randint(0, 5))]
+        eqs = [rng_vec(rng, dim, -2, 2) for _ in range(rng.randint(0, 1))]
+        c = ConeH.from_ineqs(dim, [r for r in rows if any(r)], [e for e in eqs if any(e)])
+        flipped = ConeH.from_rows(dim, map(neg, c.rows), c.eq_rows)
+        assert c.negate() == flipped, (rows, eqs)
+        assert c.negate().negate() == c
+        lines += bool(c.lineality) and bool(c.rays)
+    assert lines >= 100, lines
+
+
 # -- cone unions -------------------------------------------------------------
 
 

@@ -253,7 +253,7 @@ def test_a_failing_semicontinuity_builds_its_one_witness(monkeypatch):
     c_lift = ConvexPoly.lift(2, [(o["J"], (0,))])
     bases, built = _witness_builds(monkeypatch)
     v = inner_regularity_check(s_map, c_lift, base, VARIANT_SEMICONTINUOUS)
-    assert v.value == FAILS and v.certificate == {"witness": (Fraction(1, 4), Fraction(1))}
+    assert v.value == FAILS and v.certificate == {"witness": (Fraction(1, 8), Fraction(1))}
     assert built == [1] and len(bases) == 1
 
 

@@ -24,7 +24,7 @@ from conftest import (
 )
 from polyvar import cones, lp, stratify
 from polyvar.exactgeom import ConvexPoly, PolySet
-from polyvar.linalg import dot, integer_row, rref_ints, vec
+from polyvar.linalg import dot, integer_row, nullspace_ints, rref_ints, vec, zero
 from polyvar.stratify import global_cells, local_cells
 
 
@@ -312,6 +312,89 @@ def test_local_region_lps_on_the_null_space_of_their_equalities(monkeypatch):
     assert bases.count(0) >= 10, bases
 
 
+def _low_rank_sets(rng, dim, at):
+    """One or two sets whose rows pass through `at` with normals in a random
+    subspace of rank below `dim`, so that the equalities of a region leave
+    lines and leave hyperplanes constant."""
+    span = [rng_vec(rng, dim) for _ in range(rng.randint(1, dim - 1))]
+
+    def piece():
+        rows = []
+        for _ in range(rng.randint(1, 3)):
+            a = tuple(
+                sum(rng.randint(-2, 2) * v[i] for v in span) for i in range(dim)
+            )
+            if any(a):
+                rows.append((a, dot(a, at)))
+        return ConvexPoly.make(dim, rows)
+
+    sets = [PolySet.make(dim, [piece() for _ in range(rng.randint(1, 3))])]
+    if rng.random() < 0.5:
+        sets.append(piece())
+    return sets
+
+
+@pytest.mark.parametrize("mode", ["local", "global"])
+def test_regions_the_parent_point_or_a_line_decides_pose_no_lp(monkeypatch, mode):
+    """Low-rank arrangements through the base (the origin, for a global
+    search, with a set through another point half the time).  A region whose
+    parent point lies on its last strict row, or a local one whose
+    equalities leave a line, is settled with no LP; every region's answer
+    agrees with the LP with equality rows, and the strata with the brute
+    force."""
+    solve, region_point = lp.strict_feasible_point, stratify._region_point
+    posed = [0]
+    met = {"on h, a point": 0, "on h, empty": 0, "line": 0}
+
+    def counted(*args):
+        posed[0] += 1
+        return solve(*args)
+
+    def checked(p, strict, eqs, local):
+        before = posed[0]
+        x = region_point(p, strict, eqs, local)
+        dim = len(p)
+        on_h = bool(strict) and dot(strict[-1][0], p) == strict[-1][1]
+        line = local and len(nullspace_ints([e for e, _ in eqs], dim)) == 1
+        if on_h or line:
+            assert posed[0] == before, (p, strict, eqs)
+            met["line" if not on_h else "on h, a point" if x else "on h, empty"] += 1
+        if x is None:
+            assert solve([], strict, eqs, dim) is None, (p, strict, eqs)
+        else:
+            assert all(dot(a, x) < b for a, b in strict), (p, strict, eqs, x)
+            assert all(dot(e, x) == d for e, d in eqs), (p, strict, eqs, x)
+        return x
+
+    monkeypatch.setattr(lp, "strict_feasible_point", counted)
+    monkeypatch.setattr(stratify, "_region_point", checked)
+    rng = random.Random(f"low-rank-regions/{mode}")
+    checked_cases = 0
+    while checked_cases < 30:
+        dim = rng.randint(2, 4)
+        base = rng_vec(rng, dim, -1, 1) if mode == "local" else zero(dim)
+        sets = _low_rank_sets(rng, dim, base)
+        if mode == "global" and rng.random() < 0.5:
+            sets.append(random_poly_through(rng, dim, rng_vec(rng, dim, -1, 1)))
+        hyper = _arrangement(sets)
+        k = sum(1 for a, b in hyper if dot(a, base) == b) if mode == "local" else len(hyper)
+        if not 1 <= k <= 5:
+            continue
+        if mode == "local":
+            strata = local_cells(sets, base)
+            cells = _brute_force_points(sets, hyper, dim, base)
+            _assert_strata_of([st.signs for st in strata], cells)
+        else:
+            strata = global_cells(sets)
+            assert {c.signs for c in strata} == _brute_force_cells(sets, hyper, dim)
+        for st in strata:
+            assert _realizes(st.witness, hyper, st.signs)
+            assert all(s.contains(st.witness) for s in sets)
+        checked_cases += 1
+    wanted = met if mode == "local" else {k: v for k, v in met.items() if k != "line"}
+    assert min(wanted.values()) >= 10, met
+
+
 def test_global_cells_match_brute_force_over_sign_vectors():
     rng = random.Random(77)
     checked = nonempty = 0
@@ -547,13 +630,13 @@ def test_derived_middle_points_lie_in_their_child_region(monkeypatch, mode):
     assert min(cases.values()) >= 10, cases
 
 
-# sha256 of the cells of `_pinned_cases`: global recorded before the
-# enumerator kept its signs in one list, local when its region LPs with
-# equalities moved to the equalities' null space (same signs, new witnesses;
-# every witness checked against its signs below)
+# sha256 of the cells of `_pinned_cases`, both recorded when regions whose
+# parent point lies on their hyperplane, or whose local equalities leave a
+# line, stopped running the LP (same signs, new witnesses; every witness
+# checked against its signs below)
 PINNED_CELLS = {
-    "local": "86b32588dcf4f548ffc04e7a0273686bf93b0f8445ab69571fe4c93286c7fc10",
-    "global": "581e18bff19775cca852bfdedc64bc2a93091b1f5d23b786e47e15d90e71ca92",
+    "local": "782c4e0e999fff81882d40c7dfb2557f6514463594a764f341d4f0440eddbe22",
+    "global": "fa31298db2e76dce33cdb52306b587bc50a04a74f801fbb5695ee9e46d124e52",
 }
 # sha256 of the same cells' signs alone (378 local strata, 1,410 global
 # cells): a change that moves only witnesses leaves it as it is
@@ -600,9 +683,9 @@ def test_cells_match_the_pinned_digest(mode):
 # that search's `lp.solve` calls, and the sha256 of the limiting cone's parts
 # as (dim, rows, eq_rows, rays, lineality) tuples, which print no field names
 SCALING_WORK = {
-    (4, 8): (82, 180, "4f381a990a35ddc157e3cfeff74d59528edcd7a60dd31659528b2dbc34c21ac6"),
-    (5, 10): (298, 453, "f6644749a5b4e48eb9b3950bca234199a4bbdae9c6d30c92bf92a176b00e50c1"),
-    (6, 12): (745, 1726, "111814a6be01c58ac6093def171d935e4ddac1ddfd1533678139f6e01ed6bd9a"),
+    (4, 8): (82, 120, "4f381a990a35ddc157e3cfeff74d59528edcd7a60dd31659528b2dbc34c21ac6"),
+    (5, 10): (298, 353, "f6644749a5b4e48eb9b3950bca234199a4bbdae9c6d30c92bf92a176b00e50c1"),
+    (6, 12): (745, 1439, "111814a6be01c58ac6093def171d935e4ddac1ddfd1533678139f6e01ed6bd9a"),
 }
 
 
