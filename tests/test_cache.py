@@ -11,8 +11,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import criterion6_draws
+from conftest import criterion6_draws, perfbench_module
 from polyvar import exactgeom, lp
+from polyvar.calculus import mixed_product_rule, product_rule
 from polyvar.exactgeom import ConeH, ConvexPoly, RayLimitError
 from polyvar.linalg import vec
 
@@ -158,6 +159,11 @@ def test_dd_memo_is_bounded_by_the_shared_size():
     assert exactgeom._dd_rows.cache_info().currsize == size
 
 
+def _clear_engine_caches():
+    for cache in (lp._solve, exactgeom._canon_h_rows, exactgeom._dd_rows, ConeH.zero):
+        cache.cache_clear()
+
+
 # computations, not memo hits, of the double description in one rule call
 # started with every engine cache empty; re-recorded only on purpose
 DD_COMPUTED = {"sum-13": 24, "chain-02": 44}
@@ -178,8 +184,7 @@ def test_rule_draws_compute_each_double_description_once(monkeypatch):
     for name, rule, args in criterion6_draws():
         if name not in DD_COMPUTED:
             continue
-        for cache in (lp._solve, exactgeom._canon_h_rows, exactgeom._dd_rows, ConeH.zero):
-            cache.cache_clear()
+        _clear_engine_caches()
         calls.clear()
         with monkeypatch.context() as m:
             m.setattr(exactgeom, "_dd", recorded)
@@ -187,3 +192,39 @@ def test_rule_draws_compute_each_double_description_once(monkeypatch):
         computed[name] = exactgeom._dd_rows.cache_info().misses
         assert computed[name] == len(set(calls)) < len(calls), name
     assert computed == DD_COMPUTED
+
+
+# computations, not memo hits, of canonicalization in one product-rule call
+# started with every engine cache empty; re-recorded only on purpose
+CANON_COMPUTED = {"product": 39, "mixed": 23}
+
+
+def _criterion5_product_draws():
+    """(variant, rule, args) of criterion 5's first product draw and first
+    mixed draw, as the benchmark's struct workload builds them."""
+    workloads = perfbench_module("workloads")
+    poly, polyset = workloads._poly, workloads._polyset
+    for variant in CANON_COMPUTED:
+        a = next(a for v, a, _ in workloads._criterion5() if v == variant)
+        omega, wrt = polyset(a["dim"], a["omega"]), poly(a["dim"], a["wrt"])
+        if variant == "product":
+            d2 = a["d2"]
+            o2, c2 = polyset(d2, a["o2"]), poly(d2, a["c2"])
+            yield variant, product_rule, (omega, wrt, o2, c2, a["base"], a["x2"])
+        else:
+            m, xz, y = a["m"], a["xz"], a["y"]
+            o1, c1 = polyset(2, a["o1"]), poly(2, a["c1"])
+            o2, c2 = polyset(m, a["o2"]), poly(m, a["c2"])
+            yield variant, mixed_product_rule, (o1, c1, o2, c2, 1, m, 1, xz[:1] + y + xz[1:])
+
+
+def test_product_draws_pin_their_canonicalizations():
+    """The product and mixed product rules' canonicalizations, counted
+    without timing anything: a lift or cone that canonicalizes anew shows
+    as a changed count."""
+    computed = {}
+    for variant, rule, args in _criterion5_product_draws():
+        _clear_engine_caches()
+        assert rule(*args).equality_holds, variant
+        computed[variant] = exactgeom._canon_h_rows.cache_info().misses
+    assert computed == CANON_COMPUTED
