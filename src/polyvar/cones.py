@@ -6,8 +6,9 @@ The three flavors are tied together by two exact facts about polyhedral data:
   Fréchet normals coincide and equal the polar of the sum of the tangent
   cones of the pieces containing the point (Rockafellar & Wets 1998,
   Thm. 6.28(a) and Thm. 6.46), computed as one canonicalization: the
-  generators of each tangent cone become rows of one H-form, rays as
-  inequalities and lineality as equalities;
+  generators of each tangent cone, read off one double description of its
+  rows, become rows of one H-form, rays as inequalities and lineality as
+  equalities;
 * the limiting cone relative to a convex set C is the finite union of the
   Fréchet-relative cones over the sign cells adherent to the base point,
   because those cones are constant on every cell, hence also on every
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from functools import wraps
 
+from . import exactgeom
 from .exactgeom import ConeH, ConeUnion, ConvexPoly, IntVec, PolySet
 from .linalg import Vec, check_dim, excess_at
 from .stratify import local_cells
@@ -92,13 +94,16 @@ def _rows_at(omega: PolySet, x: Vec, wrt: ConvexPoly):
 def _frechet_cone(dim: int, rows) -> ConeH:
     # one H-form: the generators of every tangent cone as rows (rays as
     # inequalities, lineality as equalities), plus the radial rows; a tangent
-    # cone with no row is the whole space, whose polar is {0}
+    # cone with no row is the whole space, whose polar is {0}.  One double
+    # description of a tangent cone's rows gives its generators; only the
+    # stacked H-form is canonicalized, so any generators of the same cone
+    # give the same result
     radial, tangents = rows
     if ((), ()) in tangents:
         return ConeH.zero(dim)
     ineqs, eqs = map(list, radial)
     for tangent in filter(None, tangents):
-        rays, lineality = ConeH.from_rows(dim, *tangent).generators()
+        rays, lineality = exactgeom._dd(dim, *tangent)
         ineqs += rays
         eqs += lineality
     return ConeH.from_rows(dim, ineqs, eqs)

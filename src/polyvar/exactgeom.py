@@ -12,7 +12,9 @@ homogenization when an offset is nonzero) decides emptiness, implied
 equalities and facets by bit tests on the zero sets of the rows.  A
 projection is the hull of projected generators (Minkowski-Weyl): the
 homogenization's rays and lineality, eliminated coordinates dropped, go
-through a second double description to the rows of the result.
+through a second double description to the rows of the result.  A
+negation, and a lift onto disjoint blocks of increasing coordinates,
+transpose canonical forms and canonicalize nothing.
 
 Cones additionally carry a V-representation (extreme rays modulo lineality
 plus a lineality basis), so polars and Minkowski sums are generator
@@ -254,15 +256,21 @@ class ConvexPoly:
     @staticmethod
     def lift(total: int, factors) -> "ConvexPoly":
         """The meet in Q^total of the polyhedra of `factors`, (p, coords)
-        pairs with p's coordinate i placed at coords[i]: one
-        canonicalization of every lifted row.  One factor embeds p; coords
-        range(p.dim) gives p x Q^(total - p.dim)."""
-        rows, eq_rows = [], []
-        for p, coords in factors:
-            check_dim("lift coordinates", len(coords), p.dim)
-            rows += [(_lift(a, total, coords), b) for a, b in p.rows]
-            eq_rows += [(_lift(e, total, coords), d) for e, d in p.eq_rows]
-        return ConvexPoly.from_rows(total, rows, eq_rows)
+        pairs with p's coordinate i placed at coords[i], coords distinct
+        members of range(total).  One factor embeds p; coords range(p.dim)
+        gives p x Q^(total - p.dim).  On disjoint blocks of increasing
+        coordinates the meet is a product, whose canonical form is the
+        factors' lifted rows, sorted (Rockafellar & Wets 1998, Prop. 6.41):
+        a transposition.  Shared or reordered coordinates canonicalize every
+        lifted row once."""
+        factors, blocks = _lift_factors(total, factors)
+        rows = [(_lift(a, total, c), b) for p, c in factors for a, b in p.rows]
+        eq_rows = [(_lift(e, total, c), d) for p, c in factors for e, d in p.eq_rows]
+        if not blocks:
+            return ConvexPoly.from_rows(total, rows, eq_rows)
+        if any(p.is_empty() for p, _ in factors):
+            return ConvexPoly.empty(total)
+        return ConvexPoly(total, tuple(sorted(rows)), tuple(sorted(eq_rows)))
 
     def slice(self, coords, values: Vec) -> "ConvexPoly":
         """{u : the point with `values` at `coords`, and u in the other
@@ -347,6 +355,26 @@ def _outside_row(what: str, dim: int, entries) -> tuple:
 
 def _offset(b) -> int | Fraction:
     return b if type(b) is int else exact(rat(b))
+
+
+def _lift_factors(total: int, factors) -> tuple[list, bool]:
+    """The (set, coords) factors of a lift, coords as tuples of distinct
+    members of range(total) (ValueError otherwise), and whether they are
+    disjoint blocks of increasing coordinates."""
+    out, used = [], []
+    for s, coords in factors:
+        coords = tuple(coords)
+        check_dim("lift coordinates", len(coords), s.dim)
+        if len(set(coords) & set(range(total))) != len(coords):
+            raise ValueError(
+                f"lift coordinates {coords}: not distinct members of range({total})"
+            )
+        out.append((s, coords))
+        used += coords
+    blocks = len(set(used)) == len(used) and all(
+        list(c) == sorted(c) for _, c in out
+    )
+    return out, blocks
 
 
 def _lift(v: IntVec, total: int, coords) -> IntVec:
@@ -639,13 +667,24 @@ class ConeH:
     @staticmethod
     def lift(total: int, factors) -> "ConeH":
         """The meet in Q^total of the cones of `factors`, as
-        `ConvexPoly.lift`: one canonicalization of every lifted row."""
-        rows, eq_rows = [], []
-        for k, coords in factors:
-            check_dim("lift coordinates", len(coords), k.dim)
-            rows += [_lift(a, total, coords) for a in k.rows]
-            eq_rows += [_lift(e, total, coords) for e in k.eq_rows]
-        return ConeH.from_rows(total, rows, eq_rows)
+        `ConvexPoly.lift`.  On disjoint blocks of increasing coordinates it
+        is a transposition: the lifted rows, rays and lineality, with the
+        unit vectors of the uncovered coordinates as lineality, sorted."""
+        factors, blocks = _lift_factors(total, factors)
+        rows = [_lift(a, total, c) for k, c in factors for a in k.rows]
+        eq_rows = [_lift(e, total, c) for k, c in factors for e in k.eq_rows]
+        if not blocks:
+            return ConeH.from_rows(total, rows, eq_rows)
+        covered = {i for _, c in factors for i in c}
+        lin = [_lift(l, total, c) for k, c in factors for l in k.lineality]
+        lin += [_lift((1,), total, (i,)) for i in range(total) if i not in covered]
+        return ConeH(
+            total,
+            tuple(sorted(rows)),
+            tuple(sorted(eq_rows)),
+            tuple(sorted(_lift(r, total, c) for k, c in factors for r in k.rays)),
+            tuple(sorted(lin)),
+        )
 
     def to_poly(self) -> ConvexPoly:
         return ConvexPoly(
@@ -705,8 +744,7 @@ class PolySet:
         """The meet in Q^total of the sets of `factors`, (set, coords) pairs
         as in `ConvexPoly.lift`: one lifted piece per choice of one piece
         from each set."""
-        for s, c in factors:
-            check_dim("lift coordinates", len(c), s.dim)
+        factors, _ = _lift_factors(total, factors)
         coords = [c for _, c in factors]
         return PolySet.make(
             total,

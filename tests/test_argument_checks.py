@@ -327,6 +327,35 @@ def test_float_offset_raises_type_error(ineqs, eqs):
         ConvexPoly.make(1, ineqs, eqs)
 
 
+# a lift's coordinates are distinct members of range(total): a negative one
+# would wrap, a repeated one would merge two coordinates of a row, and one
+# past the end would raise a bare IndexError
+TRIANGLE = ConvexPoly.make(2, [(vec(1, 1), 1), (vec(-1, 0), 0), (vec(0, -1), 0)])
+LIFTS = {
+    "ConvexPoly": lambda coords: ConvexPoly.lift(3, [(TRIANGLE, coords)]),
+    "ConeH": lambda coords: ConeH.lift(
+        3, [(ConeH.whole_space(1), (2,)), (TRIANGLE.recession(), coords)]
+    ),
+    # no piece, so no lifted piece: the set lift checks its coordinates itself
+    "PolySet": lambda coords: PolySet.lift(3, [(PolySet.make(2, []), coords)]),
+}
+
+
+@pytest.mark.parametrize("coords", [(-1, 0), (0, 0), (1, 3)])
+@pytest.mark.parametrize("kind", sorted(LIFTS))
+def test_lift_refuses_coordinates_outside_range_or_repeated(kind, coords):
+    message = f"lift coordinates {coords}: not distinct members of range(3)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        LIFTS[kind](coords)
+
+
+def test_lift_accepts_coordinates_shared_between_factors():
+    # two factors may share a coordinate: the lift is then their meet
+    line = ConvexPoly.make(1, [(vec(1), Fraction(1))])
+    meet = ConvexPoly.lift(2, [(TRIANGLE, range(2)), (line, (1,)), (line, [0])])
+    assert meet == TRIANGLE
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_dimension_mismatch_raises_value_error(case):
     call, message = CASES[case]

@@ -166,7 +166,7 @@ def _clear_engine_caches():
 
 # computations, not memo hits, of the double description in one rule call
 # started with every engine cache empty; re-recorded only on purpose
-DD_COMPUTED = {"sum-13": 24, "chain-02": 44}
+DD_COMPUTED = {"sum-13": 22, "chain-02": 41}
 
 
 def test_rule_draws_compute_each_double_description_once(monkeypatch):
@@ -196,7 +196,7 @@ def test_rule_draws_compute_each_double_description_once(monkeypatch):
 
 # computations, not memo hits, of canonicalization in one product-rule call
 # started with every engine cache empty; re-recorded only on purpose
-CANON_COMPUTED = {"product": 39, "mixed": 23}
+CANON_COMPUTED = {"product": 20, "mixed": 10}
 
 
 def _criterion5_product_draws():

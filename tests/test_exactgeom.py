@@ -194,6 +194,98 @@ def test_negate_matches_canonicalizing_the_negated_rows():
     assert lines >= 100, lines
 
 
+def _ref_lift(v, total: int, coords) -> tuple:
+    w = [0] * total
+    for x, c in zip(v, coords):
+        w[c] = x
+    return tuple(w)
+
+
+def _lift_coords(rng: random.Random, total: int) -> list[tuple[int, ...]]:
+    """Coordinates of a random lift's factors: one factor's increasing
+    coordinates, disjoint increasing blocks, interleaved or not, with some
+    coordinates left uncovered, or coordinates each factor draws on its own,
+    so shared or out of order."""
+    kind = rng.choice(("embed", "blocks", "blocks", "meet"))
+    if kind == "meet":
+        return [
+            tuple(rng.sample(range(total), rng.randint(0, total)))
+            for _ in range(rng.randint(1, 3))
+        ]
+    k = 1 if kind == "embed" else rng.randint(2, 3)
+    used = sorted(rng.sample(range(total), rng.randint(0, total)))
+    labels = [rng.randrange(k) for _ in used]
+    return [tuple(c for c, j in zip(used, labels) if j == i) for i in range(k)]
+
+
+def _lift_factor(rng: random.Random, dim: int, cone: bool):
+    """A random cone, or a random polyhedron (some of them empty), in Q^dim."""
+
+    def normals(most: int) -> list:
+        drawn = (rng_vec(rng, dim, -2, 2) for _ in range(rng.randint(0, most)))
+        return [r for r in drawn if any(r)]
+
+    def offset() -> Fraction:
+        return Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+
+    rows, eqs = normals(3), normals(1)
+    if cone:
+        return ConeH.from_ineqs(dim, rows, eqs)
+    return ConvexPoly.make(
+        dim, [(a, offset()) for a in rows], [(e, offset()) for e in eqs]
+    )
+
+
+def test_lift_matches_canonicalizing_the_lifted_rows(monkeypatch):
+    """A lift on disjoint blocks of increasing coordinates transposes the
+    canonical forms of its factors with no canonicalization; shared or
+    reordered coordinates canonicalize.  Both equal canonicalizing the
+    lifted rows anew."""
+    rng = random.Random("lift-transposes")
+    canon_calls = []
+    canon = exactgeom._canon_h
+    monkeypatch.setattr(
+        exactgeom, "_canon_h", lambda *args: canon_calls.append(args) or canon(*args)
+    )
+    seen = Counter()
+    for case in range(4000):
+        cone = case % 2 == 1
+        total = rng.randint(1, 5)
+        coords = _lift_coords(rng, total)
+        factors = [(_lift_factor(rng, len(c), cone), c) for c in coords]
+        kind = ConeH if cone else ConvexPoly
+        if cone:
+            rows = [_ref_lift(a, total, c) for k, c in factors for a in k.rows]
+            eqs = [_ref_lift(e, total, c) for k, c in factors for e in k.eq_rows]
+        else:
+            rows = [(_ref_lift(a, total, c), b) for k, c in factors for a, b in k.rows]
+            eqs = [
+                (_ref_lift(e, total, c), d) for k, c in factors for e, d in k.eq_rows
+            ]
+        canon_calls.clear()
+        # an iterator of factors, as `PolySet.lift` passes them
+        got = kind.lift(total, iter(factors))
+        transposed = not canon_calls
+        assert got == kind.from_rows(total, rows, eqs), (total, factors)
+
+        flat = [i for c in coords for i in c]
+        blocks = len(set(flat)) == len(flat) and all(
+            list(c) == sorted(c) for c in coords
+        )
+        assert transposed == blocks, (total, factors)
+        spans = [(min(c), max(c)) for c in coords if c]
+        seen["canonicalized"] += not blocks
+        seen["embedding"] += blocks and len(coords) == 1
+        seen["interleaved"] += blocks and any(
+            lo < hi2 and lo2 < hi
+            for (lo, hi), (lo2, hi2) in itertools.combinations(spans, 2)
+        )
+        seen["uncovered", kind.__name__] += blocks and len(flat) < total
+        seen["empty factor"] += blocks and any(k.is_empty() for k, _ in factors)
+        seen["rays and lineality"] += cone and bool(got.rays) and bool(got.lineality)
+    assert min(seen.values()) >= 100, seen
+
+
 # -- cone unions -------------------------------------------------------------
 
 
