@@ -8,7 +8,9 @@ The three flavors are tied together by two exact facts about polyhedral data:
   Thm. 6.28(a) and Thm. 6.46), computed as one canonicalization: the
   generators of each tangent cone, read off one double description of its
   rows, become rows of one H-form, rays as inequalities and lineality as
-  equalities;
+  equalities.  With one tangent cone and no radial row that H-form is the
+  polar of the tangent cone, so the tangent rows are canonicalized and the
+  result is their transposition (`exactgeom.polar`);
 * the limiting cone relative to a convex set C is the finite union of the
   Fréchet-relative cones over the sign cells adherent to the base point,
   because those cones are constant on every cell, hence also on every
@@ -97,12 +99,16 @@ def _frechet_cone(dim: int, rows) -> ConeH:
     # cone with no row is the whole space, whose polar is {0}.  One double
     # description of a tangent cone's rows gives its generators; only the
     # stacked H-form is canonicalized, so any generators of the same cone
-    # give the same result
+    # give the same result.  With one tangent cone and no radial row that
+    # H-form is the tangent cone's polar, read off its canonical form
     radial, tangents = rows
     if ((), ()) in tangents:
         return ConeH.zero(dim)
+    present = [t for t in tangents if t is not None]
+    if len(present) == 1 and radial == ((), ()):
+        return exactgeom.polar(ConeH.from_rows(dim, *present[0]))
     ineqs, eqs = map(list, radial)
-    for tangent in filter(None, tangents):
+    for tangent in present:
         rays, lineality = exactgeom._dd(dim, *tangent)
         ineqs += rays
         eqs += lineality

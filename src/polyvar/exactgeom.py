@@ -17,8 +17,11 @@ negation, and a lift onto disjoint blocks of increasing coordinates,
 transpose canonical forms and canonicalize nothing.
 
 Cones additionally carry a V-representation (extreme rays modulo lineality
-plus a lineality basis), so polars and Minkowski sums are generator
-transpositions.  A cone keeps the generators its canonicalization found.
+plus a lineality basis), the generators their canonicalization found, so a
+polar is a transposition (Rockafellar & Wets 1998, Cor. 6.21), and a cone
+spanned by generators, a Minkowski sum among them, is the polar of one
+canonicalization of the generators as rows.  A meet with the whole space,
+or with an equal operand, is the other operand as it is.
 
 Rows are int tuples inside the engine: `as_row` turns every integral entry
 of an input row into an int before `_canon_h` and `_dd`, canonicalization
@@ -240,16 +243,14 @@ class ConvexPoly:
 
     def contains(self, x: Vec) -> bool:
         check_dim("contains point", len(x), self.dim)
-        if self.is_empty():
-            return False
-        excess = excess_at(x)
-        return all(excess(a, b) <= 0 for a, b in self.rows) and not any(
-            excess(e, d) for e, d in self.eq_rows
-        )
+        return _holds(self, excess_at(x))
 
     def intersect(self, other: "ConvexPoly") -> "ConvexPoly":
+        """The meet: an operand as it is when the other is the whole space
+        or equal to it (`_trivial_meet`), else the stacked rows
+        canonicalized."""
         check_dim("intersect", other.dim, self.dim)
-        return ConvexPoly.from_rows(
+        return _trivial_meet(self, other) or ConvexPoly.from_rows(
             self.dim, self.rows + other.rows, self.eq_rows + other.eq_rows
         )
 
@@ -343,6 +344,26 @@ class ConvexPoly:
         eq_rows += [(e + neg(e), d) for e, d in other.eq_rows]
         big = ConvexPoly.from_rows(2 * n, rows, eq_rows)
         return big.eliminate(tuple(range(n, 2 * n)))
+
+
+def _holds(p: ConvexPoly, excess) -> bool:
+    """Whether p holds the point x that `excess = excess_at(x)` reads; the
+    empty polyhedron's row 0 <= -1 holds nowhere."""
+    return all(excess(a, b) <= 0 for a, b in p.rows) and not any(
+        excess(e, d) for e, d in p.eq_rows
+    )
+
+
+def _trivial_meet(p, q):
+    """The meet of p and q, two polyhedra or two cones, when it is one of
+    them: the other operand when one is the whole space (no row, no
+    equality), and p when q equals it.  Canonical forms are unique per set,
+    so that operand is canonical as it is.  None otherwise."""
+    if q == p or not (q.rows or q.eq_rows):
+        return p
+    if not (p.rows or p.eq_rows):
+        return q
+    return None
 
 
 def _outside_row(what: str, dim: int, entries) -> tuple:
@@ -590,9 +611,12 @@ class ConeH:
 
     @staticmethod
     def from_generators(dim: int, rays=(), lineality=()) -> "ConeH":
+        """The cone the rays and lineality span: the polar of the cone with
+        the rays as rows and the lineality as equalities, one
+        canonicalization and a transposition."""
         rays = [_outside_row("ray", dim, r) for r in rays]
         lins = [_outside_row("lineality", dim, l) for l in lineality]
-        return ConeH.from_rows(dim, *_dd(dim, rays, lins))
+        return polar(ConeH.from_rows(dim, rays, lins))
 
     @staticmethod
     def whole_space(dim: int) -> "ConeH":
@@ -640,16 +664,20 @@ class ConeH:
     # operations -----------------------------------------------------------
 
     def intersect(self, other: "ConeH") -> "ConeH":
+        """The meet, as `ConvexPoly.intersect`."""
         check_dim("intersect", other.dim, self.dim)
-        return ConeH.from_rows(
+        return _trivial_meet(self, other) or ConeH.from_rows(
             self.dim, self.rows + other.rows, self.eq_rows + other.eq_rows
         )
 
     def minkowski(self, other: "ConeH") -> "ConeH":
+        """self + other, spanned by both cones' generators: the polar of the
+        cone with them as rows, as `from_generators`."""
         check_dim("minkowski", other.dim, self.dim)
-        return ConeH.from_rows(
-            self.dim,
-            *_dd(self.dim, self.rays + other.rays, self.lineality + other.lineality),
+        return polar(
+            ConeH.from_rows(
+                self.dim, self.rays + other.rays, self.lineality + other.lineality
+            )
         )
 
     def negate(self) -> "ConeH":
@@ -700,8 +728,12 @@ def dd_convert(cone: ConeH) -> ConeH:
 
 
 def polar(cone: ConeH) -> ConeH:
-    """The polar cone {y : y.x <= 0 for all x in the cone}."""
-    return ConeH.from_rows(cone.dim, *cone.generators())
+    """The polar cone {y : y.x <= 0 for all x in the cone}, a transposition
+    (Rockafellar & Wets 1998, Cor. 6.21): the cone's rays and lineality are
+    the polar's rows and equalities, and the reverse.  Each side is
+    primitive, reduced modulo the other's RREF subspace and sorted, so the
+    result is canonical as it is."""
+    return ConeH(cone.dim, cone.rays, cone.lineality, cone.rows, cone.eq_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +763,10 @@ class PolySet:
         return not self.pieces
 
     def contains(self, x: Vec) -> bool:
-        return any(p.contains(x) for p in self.pieces)
+        """Whether a piece holds x, every row read through one `excess_at`."""
+        check_dim("contains point", len(x), self.dim)
+        excess = excess_at(x)
+        return any(_holds(p, excess) for p in self.pieces)
 
     def intersect(self, other: "PolySet") -> "PolySet":
         return PolySet.make(

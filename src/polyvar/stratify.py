@@ -275,13 +275,16 @@ def local_cells(sets: list[ParticipatingSet], base: Vec) -> list[Cell]:
     region could change (module docstring).  Discarded are cells outside
     some participating set (they carry no sequence inside the
     intersection).  Every stratum's pieces and their tight rows are those
-    of each sign cell in it.  Raises ActiveRowLimitError when more than
-    ACTIVE_ROW_LIMIT rows are active.
+    of each sign cell in it.
+
+    Membership is read off the root signs, those of the rows inactive at
+    the base: a piece holds the base exactly when none of them is violated.
+    Raises ValueError when the base lies outside every set, and returns []
+    when it lies outside one.  Only then is the limit checked: raises
+    ActiveRowLimitError when more than ACTIVE_ROW_LIMIT rows are active.
     """
     for s in sets:
         check_dim("local_cells base", len(base), s.dim)
-    if not any(s.contains(base) for s in sets):
-        raise ValueError("base point outside all sets")
     return _cells(sets, base)
 
 
@@ -365,6 +368,18 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
     # each hyperplane as the region LP reads it, (normal, offset), and negated
     rows = [(a, offset) for (a, _), offset in zip(hyperplanes, offsets)]
     flipped = [(neg(normal), -offset) for normal, offset in rows]
+
+    def violated(reqs) -> bool:
+        return any(signs[h] not in allowed for h, allowed in reqs)
+
+    # the root prune, before the limit: at the root only the rows inactive at
+    # the base have a sign, so a set is held when one of its pieces holds the
+    # base; with no base, when it has a piece
+    held = [not all(map(violated, per_piece)) for per_piece in piece_rows]
+    if base is not None and not any(held):
+        raise ValueError("base point outside all sets")
+    if not all(held):
+        return []
     if len(active) > ACTIVE_ROW_LIMIT:
         counted = "active at the base" if base is not None else "of a global search"
         raise ActiveRowLimitError(
@@ -390,9 +405,6 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
             else:
                 return False
         return True
-
-    def violated(reqs) -> bool:
-        return any(signs[h] not in allowed for h, allowed in reqs)
 
     def descend(pos: int, p: Vec, strict: list[IntRow], eqs: list[IntRow]) -> None:
         # p has the sign of every assigned row: a.x < b on each `strict`
@@ -431,7 +443,6 @@ def _cells(sets: list[ParticipatingSet], base: Vec | None) -> list[Cell]:
                     descend(pos + 1, child, *region)
         signs[h] = None
 
-    if pieces_possible():
-        descend(0, zero(dim), [], [])
+    descend(0, zero(dim), [], [])
     cells.sort(key=lambda c: [2 if s is None else s for s in c.signs])
     return cells

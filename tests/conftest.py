@@ -205,12 +205,25 @@ def active_pieces(s: PolySet, x: Vec) -> tuple[int, ...]:
     return tuple(i for i, p in enumerate(s.pieces) if p.contains(x))
 
 
+def ref_spanned(dim: int, rays, lineality) -> ConeH:
+    """The cone the rays and lineality span, by a route independent of the
+    engine's polar: one double description of the generators, whose facets
+    and equalities are then canonicalized."""
+    return ConeH.from_rows(dim, *exactgeom._dd(dim, list(rays), list(lineality)))
+
+
+def ref_polar(cone: ConeH) -> ConeH:
+    """The polar from the cone's H-form alone, never its generators: the
+    cone its inequality normals and equality normals span."""
+    return ref_spanned(cone.dim, cone.rows, cone.eq_rows)
+
+
 def ref_piece_normal_cone(piece: ConvexPoly, x: Vec) -> ConeH:
     # polar of the piece's tangent cone: active inequality normals plus the
     # equality normals as lineality
     rays = [a for a, b in piece.ineqs if dot(a, x) == b]
     lins = [e for e, _ in piece.eqs]
-    return ConeH.from_generators(piece.dim, rays, lins)
+    return ref_spanned(piece.dim, rays, lins)
 
 
 def ref_frechet_normal(omega: PolySet, x: Vec) -> ConeH:

@@ -30,6 +30,7 @@ from conftest import (
     random_poly_through,
     random_polyset_through,
     ref_limiting_normal_wrt,
+    ref_polar,
     rng_vec,
 )
 from polyvar.calculus import (
@@ -273,6 +274,7 @@ def test_criterion5_structural_property_suite():
         cone = ConeH.from_ineqs(
             dim, [r for r in (rng_vec(rng, dim, -3, 3),) if any(r)]
         )
+        assert polar(cone) == ref_polar(cone)
         assert polar(polar(cone)) == cone
         assert ConeH.from_generators(dim, *dd_convert(cone).generators()) == cone
 

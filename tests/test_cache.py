@@ -166,7 +166,7 @@ def _clear_engine_caches():
 
 # computations, not memo hits, of the double description in one rule call
 # started with every engine cache empty; re-recorded only on purpose
-DD_COMPUTED = {"sum-13": 22, "chain-02": 41}
+DD_COMPUTED = {"sum-13": 16, "chain-02": 38}
 
 
 def test_rule_draws_compute_each_double_description_once(monkeypatch):
@@ -192,6 +192,25 @@ def test_rule_draws_compute_each_double_description_once(monkeypatch):
         computed[name] = exactgeom._dd_rows.cache_info().misses
         assert computed[name] == len(set(calls)) < len(calls), name
     assert computed == DD_COMPUTED
+
+
+# computations, not memo hits, of canonicalization in one criterion-6 rule
+# call started with every engine cache empty; re-recorded only on purpose
+RULE_CANON_COMPUTED = {"intersection-00": 12, "chain-00": 17}
+
+
+def test_rule_draws_pin_their_canonicalizations():
+    """Criterion 6's first intersection and chain draws, counted without
+    timing anything: a polar, a generated cone or a cone sum that
+    canonicalizes anew in place of a transposition shows as a changed
+    count."""
+    computed = {}
+    for name, rule, args in criterion6_draws():
+        if name in RULE_CANON_COMPUTED:
+            _clear_engine_caches()
+            rule(*args)
+            computed[name] = exactgeom._canon_h_rows.cache_info().misses
+    assert computed == RULE_CANON_COMPUTED
 
 
 # computations, not memo hits, of canonicalization in one product-rule call

@@ -8,6 +8,7 @@ the double-description path.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,11 +21,15 @@ from conftest import (
     primitive,
     random_cone,
     random_cone_union,
+    random_poly_through,
     raw_int_rows,
+    ref_polar,
+    ref_spanned,
     rng_vec,
     vrep,
 )
 from polyvar import exactgeom, lp
+from polyvar.cones import _frechet_cone
 from polyvar.exactgeom import (
     ConeH,
     ConeUnion,
@@ -174,6 +179,75 @@ def test_polar_involution_random():
         dim = rng.randint(1, 4)
         c = random_cone(rng, dim)
         assert polar(polar(c)) == c
+
+
+def _int_rows(rng: random.Random, dim: int, most: int) -> list[tuple[int, ...]]:
+    # small int rows, now and then a zero or a repeated one
+    rows = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(0, most))]
+    if rows and rng.random() < 0.2:
+        rows.append(rows[0])
+    return rows
+
+
+def _seeded_cone(rng: random.Random, dim: int) -> ConeH:
+    return ConeH.from_rows(dim, _int_rows(rng, dim, 5), _int_rows(rng, dim, 1))
+
+
+def test_transposed_polars_match_the_reference_field_for_field():
+    """`polar`, `from_generators`, `ConeH.minkowski` and the Fréchet cone of
+    one tangent cone read the generators and H-form a cone carries; the
+    reference canonicalizes the output of a fresh double description of
+    the other side.  Polars also pass a dot-product duality check."""
+    rng = random.Random(4101)
+    seen = Counter()
+    for _ in range(3000):
+        dim = rng.randint(1, 5)
+        cone, other = _seeded_cone(rng, dim), _seeded_cone(rng, dim)
+        got = polar(cone)
+        assert got == ref_polar(cone), cone
+        for y in got.rays:
+            assert all(sum(map(operator.mul, y, r)) <= 0 for r in cone.rays)
+        for y in got.rays + got.lineality:
+            assert not any(sum(map(operator.mul, y, l)) for l in cone.lineality)
+        for y in got.lineality:
+            assert not any(sum(map(operator.mul, y, r)) for r in cone.rays)
+
+        rays, lin = _int_rows(rng, dim, 5), _int_rows(rng, dim, 1)
+        assert ConeH.from_generators(dim, rays, lin) == ref_spanned(dim, rays, lin)
+        assert cone.minkowski(other) == ref_spanned(
+            dim, cone.rays + other.rays, cone.lineality + other.lineality
+        )
+        tangent = (tuple(rays), tuple(lin))
+        pattern = (((), ()), (None, tangent) if rng.random() < 0.5 else (tangent,))
+        if tangent != ((), ()):
+            assert _frechet_cone(dim, pattern) == ref_spanned(dim, *tangent)
+        seen["lineality"] += bool(cone.lineality)
+        seen["equalities"] += bool(cone.eq_rows)
+        seen["zero"] += cone.is_zero()
+        seen["whole"] += not (cone.rows or cone.eq_rows)
+        seen["pointed, two rays"] += not cone.lineality and len(cone.rays) >= 2
+    assert min(seen.values()) >= 100, seen
+
+
+def test_trivial_meets_return_the_canonical_operand():
+    """A meet with the whole space or an equal operand is that operand, as
+    the canonicalization of the stacked rows gives it."""
+    rng = random.Random(4102)
+    for _ in range(200):
+        dim = rng.randint(1, 4)
+        cone = _seeded_cone(rng, dim)
+        whole = ConeH.whole_space(dim)
+        for a, b in ((cone, whole), (whole, cone), (cone, cone)):
+            stacked = ConeH.from_rows(dim, a.rows + b.rows, a.eq_rows + b.eq_rows)
+            assert a.intersect(b) == stacked == cone
+        base = rng_vec(rng, dim, -1, 1)
+        poly = random_poly_through(rng, dim, base)
+        if rng.random() < 0.2:
+            poly = ConvexPoly.empty(dim)
+        space = ConvexPoly.whole_space(dim)
+        for a, b in ((poly, space), (space, poly), (poly, poly)):
+            stacked = ConvexPoly.from_rows(dim, a.rows + b.rows, a.eq_rows + b.eq_rows)
+            assert a.intersect(b) == stacked == poly
 
 
 def test_negate_matches_canonicalizing_the_negated_rows():
@@ -644,6 +718,7 @@ def test_contains_matches_dot_reference():
             ConeH.from_ineqs(dim, cone_rows[n_eqs:], cone_rows[:n_eqs]),
             ConeH(dim, tuple(raw_cone[n_eqs:]), tuple(raw_cone[:n_eqs]), (), ()),
         ]
+        union = PolySet.make(dim, polys)
         for part in sets:
             rows_of = part.to_poly() if isinstance(part, ConeH) else part
             start = tuple(q(5) for _ in range(dim))
@@ -660,6 +735,8 @@ def test_contains_matches_dot_reference():
                 got = part.contains(x)
                 assert got == ref_contains(part, x), (part, x)
                 verdicts[got] += 1
+                in_union = any(ref_contains(p, x) for p in union.pieces)
+                assert union.contains(x) == in_union, (union, x)
     assert min(verdicts.values()) > 200, verdicts
 
 

@@ -93,6 +93,37 @@ def test_active_row_limit(monkeypatch):
         global_cells([ex.c])
 
 
+def _wedges(cut: bool) -> PolySet:
+    """Nine wedges {x1 + k.x2 <= 0, x1 + k'.x2 <= 0} in the plane, k > 0 >
+    k', on 15 distinct lines through the origin; `cut` adds x1 <= -1 to
+    each, which keeps every wedge row a facet and the origin outside."""
+    cap = [(vec(1, 0), Fraction(-1))] if cut else []
+    pieces = [
+        ConvexPoly.make(
+            2,
+            [(vec(1, i % 8 + 1), Fraction(0)), (vec(1, -(i % 7) - 1), Fraction(0))] + cap,
+        )
+        for i in range(9)
+    ]
+    return PolySet.make(2, pieces)
+
+
+def test_membership_is_decided_before_the_active_row_limit():
+    """The root signs settle membership first: a base outside one set
+    gives no cells, and outside Omega the limiting cone is empty, however
+    many rows are active at the base."""
+    with pytest.raises(stratify.ActiveRowLimitError, match="15 rows active"):
+        local_cells([_wedges(cut=False)], zero(2))
+    omega, whole = _wedges(cut=True), ConvexPoly.whole_space(2)
+    assert len(omega.pieces) == 9
+    assert all(len(p.rows) == 3 for p in omega.pieces)
+    assert cones.limiting_normal(omega, zero(2)).is_empty()
+    assert local_cells([omega, whole], zero(2)) == []
+    assert local_cells([whole, omega], zero(2)) == []
+    with pytest.raises(ValueError, match="base point outside all sets"):
+        local_cells([omega], zero(2))
+
+
 def test_active_pieces_boundary_and_outside():
     ex = make_example1()
     assert active_pieces(ex.omega2, vec(0, 0, 5)) == (0,)
